@@ -1361,8 +1361,8 @@ let batch_cmd =
       & info [ "no-compiled" ]
           ~doc:
             "Run every session on the interpreted reference engine instead of executing cached \
-             compiled plans on the allocation-free runtime. The snapshot is bit-for-bit identical \
-             either way; only wall-clock time changes.")
+             compiled plans on the allocation-free runtime. The snapshot, --trace exports and ring \
+             dumps are bit-for-bit identical either way; only wall-clock time changes.")
   in
   let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit the snapshot as JSON.") in
   let out =

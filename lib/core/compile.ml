@@ -67,6 +67,7 @@ type judge = Judge_principal of int * commit_check array | Judge_trusted of int
 
 type t = {
   spec : Spec.t;  (** the split spec the protocol was synthesized from *)
+  plan : Indemnity.plan option;  (** the indemnity plan that split it *)
   lockstep : bool;  (** lockstep runs broadcast deliveries *)
   n_deals : int;
   (* parties *)
@@ -85,6 +86,8 @@ type t = {
   act_amount : int array;  (** money amount, [0] otherwise *)
   act_beneficiary : int array;
   act_undo : int array;  (** id of the [Undo] counterpart of a [Do], [-1] *)
+  act_deal : int array;  (** owning deal index for trace attribution, [-1] none *)
+  deal_ids : string array;  (** spec order *)
   docs : string array;
   n_docs : int;
   (* behaviours, [Harness.behaviors_for] order *)
@@ -106,6 +109,23 @@ type t = {
   tgt_trusted : bool array;
   bound : int array;  (** per principal slot: §5 single-transfer bound *)
 }
+
+(* Trace attribution of an action: the first deal one of whose
+   commitments sends or expects the transferred asset; [-1] for
+   notifications and unattributable transfers. *)
+let owning_deal spec action =
+  match action with
+  | Action.Notify _ -> -1
+  | Action.Do tr | Action.Undo tr ->
+    let matches d side =
+      Asset.equal (Spec.commitment_sends d side) tr.Action.asset
+      || Asset.equal (Spec.commitment_expects d side) tr.Action.asset
+    in
+    let rec go i = function
+      | [] -> -1
+      | d :: rest -> if matches d Spec.Left || matches d Spec.Right then i else go (i + 1) rest
+    in
+    go 0 spec.Spec.deals
 
 let party_index t party =
   let n = Array.length t.parties in
@@ -562,6 +582,7 @@ let compile ~lockstep ~shared ?plan ~price spec protocol =
   in
   {
     spec;
+    plan;
     lockstep;
     n_deals;
     parties;
@@ -578,6 +599,8 @@ let compile ~lockstep ~shared ?plan ~price spec protocol =
     act_amount;
     act_beneficiary;
     act_undo;
+    act_deal = Array.map (owning_deal spec) actions;
+    deal_ids = Array.map (fun d -> d.Spec.id) deals;
     docs;
     n_docs;
     roles;

@@ -61,7 +61,8 @@ type commit_check = {
 type judge = Judge_principal of int * commit_check array | Judge_trusted of int
 
 type t = {
-  spec : Spec.t;
+  spec : Spec.t;  (** the split spec the protocol was synthesized from *)
+  plan : Indemnity.plan option;  (** the indemnity plan that split it *)
   lockstep : bool;  (** lockstep runs broadcast deliveries *)
   n_deals : int;
   parties : Party.t array;  (** [Spec.parties] order, extended by action endpoints *)
@@ -78,6 +79,10 @@ type t = {
   act_amount : int array;  (** money amount, [0] otherwise *)
   act_beneficiary : int array;
   act_undo : int array;  (** id of a [Do]'s [Undo] counterpart, else [-1] *)
+  act_deal : int array;
+      (** owning deal index ({!owning_deal}), [-1] none — the traced
+          runtime's event attribution, without a per-event scan *)
+  deal_ids : string array;  (** spec order *)
   docs : string array;
   n_docs : int;
   roles : (int * role) array;  (** (party index, role), behaviour order *)
@@ -111,6 +116,11 @@ val compile :
     match the harness options the protocol will run under.
     @raise Invalid_argument if the spec carries acceptability
     overrides — those specs are not cacheable and never compiled. *)
+
+val owning_deal : Spec.t -> Action.t -> int
+(** Trace attribution of an action: the index of the first deal one of
+    whose commitments sends or expects the transferred asset; [-1] for
+    notifications and unattributable transfers. *)
 
 val party_index : t -> Party.t -> int
 (** Index of a party in [parties], [-1] if unknown to the plan. *)

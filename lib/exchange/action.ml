@@ -52,19 +52,21 @@ let compare a b =
 
 let equal a b = a == b || compare a b = 0
 
-let pp_transfer verb ppf tr =
-  Format.fprintf ppf "%s[%s -> %s](%a)" verb (Party.name tr.source) (Party.name tr.target)
-    Asset.pp tr.asset
-
-let pp ppf = function
-  | Do ({ asset = Asset.Money _; _ } as tr) -> pp_transfer "pay" ppf tr
-  | Do tr -> pp_transfer "give" ppf tr
-  | Undo ({ asset = Asset.Money _; _ } as tr) -> pp_transfer "pay⁻¹" ppf tr
-  | Undo tr -> pp_transfer "give⁻¹" ppf tr
+(* a plain string, [pp] derived from it (see [Asset.to_string]) *)
+let to_string t =
+  let transfer verb tr =
+    String.concat ""
+      [ verb; "["; Party.name tr.source; " -> "; Party.name tr.target; "]("; Asset.to_string tr.asset; ")" ]
+  in
+  match t with
+  | Do ({ asset = Asset.Money _; _ } as tr) -> transfer "pay" tr
+  | Do tr -> transfer "give" tr
+  | Undo ({ asset = Asset.Money _; _ } as tr) -> transfer "pay⁻¹" tr
+  | Undo tr -> transfer "give⁻¹" tr
   | Notify { agent; informed } ->
-    Format.fprintf ppf "notify[%s -> %s]" (Party.name agent) (Party.name informed)
+    String.concat "" [ "notify["; Party.name agent; " -> "; Party.name informed; "]" ]
 
-let to_string t = Format.asprintf "%a" pp t
+let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 module Pattern = struct
   type party_pat = Exactly of Party.t | Any_party | Any_trusted | Any_principal

@@ -26,15 +26,16 @@ let compare a b =
 
 let equal a b = a == b || compare a b = 0
 
-let pp_money ppf m =
-  if m mod 100 = 0 then Format.fprintf ppf "$%d" (m / 100)
-  else Format.fprintf ppf "$%d.%02d" (m / 100) (abs (m mod 100))
+(* Rendered as plain strings, printers derived from them: traces render
+   every delivered action, and going through [Format.asprintf] dominated
+   that cost. *)
+let money_to_string m =
+  if m mod 100 = 0 then "$" ^ string_of_int (m / 100)
+  else Printf.sprintf "$%d.%02d" (m / 100) (abs (m mod 100))
 
-let pp ppf = function
-  | Document d -> Format.fprintf ppf "doc(%s)" d
-  | Money m -> pp_money ppf m
-
-let to_string t = Format.asprintf "%a" pp t
+let to_string = function Document d -> "doc(" ^ d ^ ")" | Money m -> money_to_string m
+let pp_money ppf m = Format.pp_print_string ppf (money_to_string m)
+let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 module Ord = struct
   type nonrec t = t

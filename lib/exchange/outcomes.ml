@@ -137,15 +137,15 @@ let judge spec ~party state =
     (items_whole, items_whole && bundle_ok && split_ok)
   end
 
-let acceptable spec ~party state =
+let assess spec ~party state =
   match Spec.acceptability_overrides spec party with
-  | Some override -> State.acceptable override ~party state
-  | None -> snd (judge spec ~party state)
+  | Some override ->
+    let ok = State.acceptable override ~party state in
+    (ok, ok)
+  | None -> judge spec ~party state
 
-let no_loss spec ~party state =
-  match Spec.acceptability_overrides spec party with
-  | Some override -> State.acceptable override ~party state
-  | None -> fst (judge spec ~party state)
+let acceptable spec ~party state = snd (assess spec ~party state)
+let no_loss spec ~party state = fst (assess spec ~party state)
 
 let preferred_reached spec ~party state =
   match Spec.acceptability_overrides spec party with

@@ -51,6 +51,10 @@ val no_loss : Spec.t -> party:Party.t -> State.t -> bool
     additionally needs every committed party to follow through, or an
     indemnity on the at-risk pieces (§6). *)
 
+val assess : Spec.t -> party:Party.t -> State.t -> bool * bool
+(** [(no_loss, acceptable)] from one evaluation — for callers wanting
+    both verdicts without judging the party's deals twice. *)
+
 val preferred_reached : Spec.t -> party:Party.t -> State.t -> bool
 (** Every deal of the party is [Complete] (or the override's preferred
     description is satisfied). *)

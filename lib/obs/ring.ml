@@ -13,14 +13,17 @@
    session whose [begin] was evicted (it is skipped, which is exactly
    the "newest complete suffix" contract test_ring pins).
 
-   Sharding makes the writer lock-free: every shard is preallocated at
+   Sharding keeps writers apart: every shard is preallocated at
    [create] and a domain adopts one for life on first use (an atomic
-   fetch-and-add under [Domain.DLS]), so no two domains ever write the
-   same shard concurrently — the same single-writer discipline the
-   batch scheduler applies to session records and trace slots. Callers
-   size [shards] to the worker-domain count. Draining and the stats
-   reads happen on one thread after the writers are joined (batch) or
-   on the only thread there is (the daemon's select loop).
+   fetch-and-add under [Domain.DLS], wrapping modulo the shard count).
+   Each shard also carries a mutex held for the whole of a session
+   commit, so a ring with fewer shards than writer domains stays
+   correct — two domains sharing a shard serialize their commits
+   instead of racing on its buffer and offsets. Callers who size
+   [shards] to the worker-domain count get one writer per shard and an
+   uncontended lock. Dumps take each shard's lock too; the stats reads
+   happen after the writers are joined (batch) or on the only thread
+   there is (the daemon's select loop).
 
    The commit loop writes bytes with [Bytes.unsafe_set] arithmetic —
    no buffer is allocated per record. The only per-commit allocations
@@ -49,6 +52,7 @@ let keep_of_code = function
   | _ -> None
 
 type shard = {
+  lock : Mutex.t;  (* held for a whole session commit, and for dumps *)
   buf : Bytes.t;
   cap : int;
   mutable first : int;  (* monotone: byte offset of the oldest intact record *)
@@ -67,10 +71,18 @@ let create ?(shards = 1) ~capacity () =
   {
     shards =
       Array.init n (fun _ ->
-          { buf = Bytes.create cap; cap; first = 0; total = 0; written = 0; dropped = 0; sessions = 0 });
-    (* first use from a domain adopts the next free shard for life; the
-       mod is a defensive clamp — callers size [shards] to the writer
-       count, and the single-writer guarantee needs them to *)
+          {
+            lock = Mutex.create ();
+            buf = Bytes.create cap;
+            cap;
+            first = 0;
+            total = 0;
+            written = 0;
+            dropped = 0;
+            sessions = 0;
+          });
+    (* first use from a domain adopts the next shard for life; more
+       writer domains than shards share shards, under the shard lock *)
     slot = Domain.DLS.new_key (fun () -> Atomic.fetch_and_add next 1);
   }
 
@@ -240,6 +252,7 @@ let record t ~keep obs =
             bytes := !bytes + framed (event_size v.Obs.view_id e))
           v.Obs.view_events)
       views;
+    Mutex.protect s.lock @@ fun () ->
     let dropped0 = s.dropped in
     if !bytes > s.cap then
       (* the whole session cannot fit: refusing it outright is the only
@@ -290,25 +303,25 @@ let buf_varint b v =
   in
   go v
 
-let dump t =
+let linearize ~consume t =
   let b = Buffer.create 4096 in
   Buffer.add_string b magic;
   buf_varint b (Array.length t.shards);
   Array.iter
     (fun s ->
+      Mutex.protect s.lock @@ fun () ->
       buf_varint b s.written;
       buf_varint b s.dropped;
       buf_varint b (s.total - s.first);
       for off = s.first to s.total - 1 do
         Buffer.add_char b (Bytes.unsafe_get s.buf (off mod s.cap))
-      done)
+      done;
+      if consume then s.first <- s.total)
     t.shards;
   Buffer.contents b
 
-let drain t =
-  let d = dump t in
-  Array.iter (fun s -> s.first <- s.total) t.shards;
-  d
+let dump t = linearize ~consume:false t
+let drain t = linearize ~consume:true t
 
 let empty_dump = magic ^ "\x00"
 

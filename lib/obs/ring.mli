@@ -1,4 +1,4 @@
-(** The production trace sink: a fixed-size, lock-free binary ring.
+(** The production trace sink: a fixed-size, sharded binary ring.
 
     Kept sessions are committed whole at session close — a [begin]
     record (session id, final virtual clock, keep reason), one compact
@@ -9,12 +9,13 @@
     partiality is a session whose [begin] was evicted, which it skips
     (the "newest complete suffix" contract, pinned by test_ring).
 
-    Lock-freedom is by sharding, not by CAS loops: each shard is
-    preallocated at {!create}, a domain adopts one for life on first
-    use, and dumps/stats are read after writers are joined (batch) or
-    from the only thread there is (the daemon loop). Committing a
-    session allocates nothing beyond the span views of that one kept
-    session; unsampled sessions never reach this module.
+    Writers are kept apart by sharding: each shard is preallocated at
+    {!create} and a domain adopts one for life on first use. Each
+    shard also has a lock held for a whole session commit, so any
+    shard count is safe at any number of writer domains; sized to the
+    writer count, every lock is uncontended. Committing a session
+    allocates nothing beyond the span views of that one kept session;
+    unsampled sessions never reach this module.
 
     The byte layout (LEB128 varints, zigzag for signed fields,
     length-prefixed strings, little-endian IEEE doubles; dump header
@@ -28,8 +29,9 @@ type t
 val create : ?shards:int -> capacity:int -> unit -> t
 (** A ring of [shards] preallocated buffers (default 1) splitting
     [capacity] bytes between them, with a floor of 1 KiB per shard.
-    Size [shards] to the number of writer domains ([--jobs]); the
-    daemon's single-threaded loop uses one. *)
+    Size [shards] to the number of writer domains ([--jobs]) to keep
+    commits uncontended; fewer shards are safe, their writers take
+    turns. The daemon's single-threaded loop uses one. *)
 
 (** {2 Recording} *)
 

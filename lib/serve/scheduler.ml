@@ -101,13 +101,15 @@ let recorders metrics =
 
 let record rec_opt f = Option.iter f rec_opt
 
-(* One run of an already-synthesized session on the compiled fast
-   path: the cached instruction plan executes against per-domain
-   scratch with no per-run protocol allocation. Verdicts, ticks,
-   events and exposure aggregates are identical to [run_interpreted]
-   (property-tested in test_hotpath), so the two paths may be mixed
-   freely across sessions and domains. *)
-let run_compiled cfg (plan : Trust_core.Compile.t) (session : Session.t) ~drops rec_opt =
+(* One run of an already-synthesized session on the compiled runtime:
+   the cached instruction plan executes against per-domain scratch with
+   no per-run protocol allocation when untraced. A live [obs] makes the
+   runtime record its events and emit the simulate and audit spans.
+   Verdicts, ticks, events, exposure aggregates and traces are
+   identical to [run_interpreted] (property-tested in test_hotpath), so
+   the two paths may be mixed freely across sessions and domains. *)
+let run_compiled cfg ?obs ?parent (plan : Trust_core.Compile.t) (session : Session.t) ~drops
+    rec_opt =
   session.Session.attempts <- session.Session.attempts + 1;
   let drop =
     if drops && cfg.drop_rate > 0. then
@@ -123,7 +125,7 @@ let run_compiled cfg (plan : Trust_core.Compile.t) (session : Session.t) ~drops 
     }
   in
   let summary =
-    Trust_sim.Hotpath.exec ~config ~defectors:session.Session.defectors plan
+    Trust_sim.Hotpath.exec ~config ~defectors:session.Session.defectors ?obs ?parent plan
   in
   let duration = max 1 summary.Trust_sim.Hotpath.duration in
   session.Session.ticks <- session.Session.ticks + duration;
@@ -147,8 +149,10 @@ let run_compiled cfg (plan : Trust_core.Compile.t) (session : Session.t) ~drops 
     Session.Settled
   else Session.Expired
 
-(* One engine run of an already-synthesized session (interpreted
-   reference path; also the only path carrying observability spans). *)
+(* One engine run of an already-synthesized session on the interpreted
+   reference engine: the test oracle ([compiled = false]) and the
+   fallback for specs with acceptability overrides, which are never
+   compiled. *)
 let run_interpreted cfg ?(obs = Obs.null) ?parent (entry : Cache.entry) policy
     (session : Session.t) ~drops rec_opt =
   session.Session.attempts <- session.Session.attempts + 1;
@@ -214,14 +218,12 @@ let run_interpreted cfg ?(obs = Obs.null) ?parent (entry : Cache.entry) policy
   if report.Audit.all_preferred && result.Engine.stalled = [] then Session.Settled
   else Session.Expired
 
-(* Tracing disables the fast path: spans need the materialized engine
-   run. The two paths agree on every observable outcome. *)
-let run_once cfg ?(obs = Obs.null) ?parent (entry : Cache.entry) policy (session : Session.t)
-    ~drops rec_opt =
+(* Traced or not, every compiled entry runs on the compiled runtime;
+   the two paths agree on every observable outcome and span. *)
+let run_once cfg ?obs ?parent (entry : Cache.entry) policy (session : Session.t) ~drops rec_opt =
   match entry.Cache.compiled with
-  | Some plan when cfg.compiled && not (Obs.enabled obs) ->
-    run_compiled cfg plan session ~drops rec_opt
-  | Some _ | None -> run_interpreted cfg ~obs ?parent entry policy session ~drops rec_opt
+  | Some plan when cfg.compiled -> run_compiled cfg ?obs ?parent plan session ~drops rec_opt
+  | Some _ | None -> run_interpreted cfg ?obs ?parent entry policy session ~drops rec_opt
 
 (* The whole lifecycle of one session — admission lint, synthesis
    through the cache, engine run(s), classification — with no shared
@@ -358,9 +360,9 @@ let tail_reason (session : Session.t) =
 let keep_decision ~sampled session =
   if sampled then Some Ring.Sampled else tail_reason session
 
-(* Materialize the trace of a session that ran unsampled (and hence on
-   the allocation-free compiled path): re-run a fresh copy through the
-   full lifecycle with a live sink. Every input the run depends on —
+(* Materialize the trace of a session that ran unsampled: re-run a
+   fresh copy through the full lifecycle with a live sink (on the same
+   compiled runtime, now recording events). Every input the run depends on —
    spec, defectors, the (seed, session, seq)-keyed drop schedule — is
    identical, so the replayed trace is byte-for-byte what head
    sampling would have recorded. Only rare tail-kept sessions pay the
@@ -381,9 +383,9 @@ let run ?metrics ?(obs = Obs.no_batch) ?ring cfg cache sessions =
   let retried = Atomic.make 0 in
   let policy = Cache.policy cache in
   (* Tracing (batch export and/or ring sink) engages the sampler:
-     sampled sessions run with a live trace, everything else takes the
-     untraced — hence compiled, allocation-free — path and is only
-     looked at again by the tail keep rules at close. *)
+     sampled sessions run with a live trace, everything else runs
+     untraced — allocation-free — and is only looked at again by the
+     tail keep rules at close. *)
   let tracing = Obs.batch_enabled obs || Option.is_some ring in
   let slot_trace (session : Session.t) =
     (* Each slot of the batch registry is touched by exactly one job —
@@ -421,8 +423,8 @@ let run ?metrics ?(obs = Obs.no_batch) ?ring cfg cache sessions =
         Obs.attr trace (Obs.first_root trace) "keep" (Obs.Str (Ring.keep_label keep));
         Option.iter
           (fun ring ->
-            (* runs on the worker domain, so the commit lands in this
-               domain's own shard — the lock-free discipline Ring pins *)
+            (* runs on the worker domain, so the commit lands in the
+               shard this domain adopted (under that shard's lock) *)
             let evicted = Ring.record ring ~keep trace in
             if evicted > 0 then
               record rec_opt (fun r -> Metrics.incr ~by:evicted r.obs_ring_dropped))

@@ -39,17 +39,18 @@ type config = {
   retry : bool;  (** retry-once for drop-stalled sessions *)
   seed : int64;  (** fault-injection stream seed *)
   compiled : bool;
-      (** execute cached compiled plans on the allocation-free
-          {!Trust_sim.Hotpath} runtime (default); [false] forces the
-          interpreted engine everywhere — the reference the benchmarks
-          and the property tests compare against. Traced sessions
-          always run interpreted so spans stay complete. *)
+      (** execute cached compiled plans on the {!Trust_sim.Hotpath}
+          runtime (default), traced or not — allocation-free when
+          untraced; [false] forces the interpreted engine everywhere —
+          the reference the benchmarks and the property tests compare
+          against. Specs with acceptability overrides are never
+          compiled and always run interpreted. *)
   sample_rate : float;
       (** fraction of sessions head-sampled into a live trace when
           tracing is on ({!run} given a batch or a ring). The verdict
           is {!Trust_obs.Sampler.decision} on [(seed, session id)] —
           deterministic, jobs-independent, and monotone in the rate —
-          and unsampled sessions keep the untraced compiled fast path.
+          and unsampled sessions run untraced.
           [1.0] (the default) traces everything, preserving the
           pre-sampling behaviour of [--trace]. *)
 }
@@ -132,8 +133,8 @@ val run :
     volatile attribute that exporters skip.
 
     Tracing engages the sampler: only sessions passing
-    {!session_sampled} run with a live trace (the rest keep the
-    untraced compiled fast path), and at close {!keep_decision} either
+    {!session_sampled} run with a live trace (the rest run untraced,
+    allocation-free), and at close {!keep_decision} either
     drops the session or commits it — tail-promoted sessions are
     {!replay}ed first so the batch export and the [ring] carry their
     full spans. Ring commits happen on the worker domain at session

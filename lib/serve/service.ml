@@ -120,7 +120,7 @@ let run (config : config) =
   let ring =
     if config.trace_ring > 0 then
       (* one shard per worker domain: each pool job commits kept
-         sessions into its own preallocated buffer, lock-free *)
+         sessions into its own preallocated buffer, uncontended *)
       Some (Trust_obs.Ring.create ~shards:config.jobs ~capacity:config.trace_ring ())
     else None
   in

@@ -27,12 +27,7 @@ let bag_totals bags =
       (money + Asset.Bag.balance bag, docs))
     (0, 0) bags
 
-let audit ?(obs = Obs.null) ?parent spec ?plan ?(defectors = []) (result : Engine.result) =
-  Obs.with_span obs ?parent ~phase:"audit" "audit" (fun span ->
-  let deposits = match plan with Some p -> p.Indemnity.offers | None -> [] in
-  (* Judge against the split spec: accepted indemnities redefine the
-     parties' acceptable states (§6). *)
-  let spec = match plan with Some p -> Indemnity.apply p spec | None -> spec in
+let judge ~deposits spec ~defectors (result : Engine.result) =
   let judged_parties =
     List.filter
       (fun party -> not (Party.is_trusted party && Spec.persona_of spec party <> None))
@@ -41,11 +36,12 @@ let audit ?(obs = Obs.null) ?parent spec ?plan ?(defectors = []) (result : Engin
   let verdicts =
     List.map
       (fun party ->
+        let no_loss, acceptable = Outcomes.assess spec ~party result.Engine.state in
         {
           party;
           honest = not (List.exists (Party.equal party) defectors);
-          acceptable = Outcomes.acceptable spec ~party result.Engine.state;
-          no_loss = Outcomes.no_loss spec ~party result.Engine.state;
+          acceptable;
+          no_loss;
           preferred = Outcomes.preferred_reached spec ~party result.Engine.state;
         })
       judged_parties
@@ -62,26 +58,37 @@ let audit ?(obs = Obs.null) ?parent spec ?plan ?(defectors = []) (result : Engin
          result.Engine.holdings)
   in
   let final_total = bag_totals (List.map snd result.Engine.holdings) in
-  let report =
-    {
-      verdicts;
-      honest_all_acceptable;
-      honest_no_loss;
-      all_preferred;
-      conserved = initial_total = final_total;
-    }
-  in
-  if Obs.enabled obs then begin
-    Obs.attr obs span "verdicts" (Obs.Int (List.length report.verdicts));
-    Obs.attr obs span "honest_all_acceptable" (Obs.Bool report.honest_all_acceptable);
-    Obs.attr obs span "honest_no_loss" (Obs.Bool report.honest_no_loss);
-    Obs.attr obs span "all_preferred" (Obs.Bool report.all_preferred);
-    Obs.attr obs span "conserved" (Obs.Bool report.conserved);
-    (* the exposure ledger rides along as a child span: peaks, risk
-       duration, and one structured event per invariant violation *)
-    Exposure.record obs ~parent:span (Exposure.of_result ?plan ~defectors spec result)
-  end;
-  report)
+  {
+    verdicts;
+    honest_all_acceptable;
+    honest_no_loss;
+    all_preferred;
+    conserved = initial_total = final_total;
+  }
+
+let record obs ?parent report record_exposure =
+  Obs.with_span obs ?parent ~phase:"audit" "audit" (fun span ->
+      if Obs.enabled obs then begin
+        Obs.attr obs span "verdicts" (Obs.Int (List.length report.verdicts));
+        Obs.attr obs span "honest_all_acceptable" (Obs.Bool report.honest_all_acceptable);
+        Obs.attr obs span "honest_no_loss" (Obs.Bool report.honest_no_loss);
+        Obs.attr obs span "all_preferred" (Obs.Bool report.all_preferred);
+        Obs.attr obs span "conserved" (Obs.Bool report.conserved);
+        (* the exposure ledger rides along as a child span: peaks, risk
+           duration, and one structured event per invariant violation *)
+        record_exposure span
+      end)
+
+let audit ?(obs = Obs.null) ?parent spec ?plan ?(defectors = []) (result : Engine.result) =
+  let deposits = match plan with Some p -> p.Indemnity.offers | None -> [] in
+  (* Judge against the split spec: accepted indemnities redefine the
+     parties' acceptable states (§6). *)
+  let spec = match plan with Some p -> Indemnity.apply p spec | None -> spec in
+  let report = judge ~deposits spec ~defectors result in
+  if Obs.enabled obs then
+    record obs ?parent report (fun span ->
+        Exposure.record obs ~parent:span (Exposure.of_result ?plan ~defectors spec result));
+  report
 
 let pp_report ppf r =
   Format.fprintf ppf "@[<v>audit: honest-acceptable=%b honest-no-loss=%b all-preferred=%b conserved=%b"

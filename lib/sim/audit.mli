@@ -43,4 +43,21 @@ val audit :
     actions. [obs]/[parent] attach an ["audit"] span (verdict tallies
     and the four report booleans) to a trace. *)
 
+val judge :
+  deposits:Trust_core.Indemnity.offer list ->
+  Spec.t ->
+  defectors:Party.t list ->
+  Engine.result ->
+  report
+(** {!audit}'s verdicts over an already-split spec, with the plan's
+    deposits given directly; records nothing. *)
+
+val record :
+  Trust_obs.Obs.t -> ?parent:Trust_obs.Obs.handle -> report ->
+  (Trust_obs.Obs.handle -> unit) -> unit
+(** The ["audit"] span {!audit} attaches — tallies and the report
+    booleans — for a report judged elsewhere; the callback records the
+    ["exposure"] child under the span it is given. No-op on the null
+    sink. *)
+
 val pp_report : Format.formatter -> report -> unit

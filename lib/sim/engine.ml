@@ -56,32 +56,19 @@ let initial_endowment spec ~deposits party =
 
 type event = Deliver of Action.t | Fire_expiry of string | Fire_deadline
 
-(* Best-effort deal attribution for trace events: the first deal one of
-   whose commitments sends or expects the transferred asset. Only
-   evaluated when a trace is attached — never on the hot path. *)
+(* Best-effort deal attribution for trace events ([Compile.owning_deal]:
+   the first deal one of whose commitments sends or expects the
+   transferred asset). Only evaluated when a trace is attached. *)
 let owning_deal spec action =
-  let transfer =
-    match action with
-    | Action.Do tr | Action.Undo tr -> Some tr
-    | Action.Notify _ -> None
-  in
-  match transfer with
-  | None -> None
-  | Some tr ->
-    List.find_map
-      (fun (d : Spec.deal) ->
-        let matches side =
-          Asset.equal (Spec.commitment_sends d side) tr.Action.asset
-          || Asset.equal (Spec.commitment_expects d side) tr.Action.asset
-        in
-        if matches Spec.Left || matches Spec.Right then Some d.Spec.id else None)
-      spec.Spec.deals
+  match Trust_core.Compile.owning_deal spec action with
+  | i when i < 0 -> None
+  | i -> Some (List.nth spec.Spec.deals i).Spec.id
 
-let action_attrs spec ~at action =
+let deal_action_attrs ~deal ~at action =
   let base = [ ("at", Obs.Int at); ("action", Obs.Str (Action.to_string action)) ] in
-  match owning_deal spec action with
-  | Some deal -> ("deal", Obs.Str deal) :: base
-  | None -> base
+  match deal with Some deal -> ("deal", Obs.Str deal) :: base | None -> base
+
+let action_attrs spec ~at action = deal_action_attrs ~deal:(owning_deal spec action) ~at action
 
 (* Asset flow of an action: (debited party, credited party, asset).
    Notifications carry nothing. *)

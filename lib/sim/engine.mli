@@ -65,4 +65,10 @@ val run :
     the owning deal. The default null sink records nothing and costs
     nothing. *)
 
+val deal_action_attrs :
+  deal:string option -> at:int -> Action.t -> (string * Trust_obs.Obs.value) list
+(** The attributes of an action-carrying trace event: [deal] (when
+    attributed), [at] and [action]. Shared with the compiled runtime's
+    traced mode so both render byte-identical events. *)
+
 val pp_result : Format.formatter -> result -> unit

@@ -674,20 +674,17 @@ let violation_label = function
   | Bound_exceeded _ -> "bound_exceeded"
   | Unsettled _ -> "unsettled"
 
-let record obs ?parent t =
+let record_summary obs ?parent ~peaks ~peak_escrow ~risk_ticks violations =
   if Obs.enabled obs then
     Obs.with_span obs ?parent ~phase:"exposure" "exposure" (fun span ->
-        Obs.attr obs span "peak_at_risk" (Obs.Int (total_peak_at_risk t));
-        Obs.attr obs span "peak_escrow" (Obs.Int (total_peak_escrow t));
-        Obs.attr obs span "risk_ticks" (Obs.Int (total_risk_ticks t));
-        Obs.attr obs span "violations" (Obs.Int (List.length t.violations));
+        Obs.attr obs span "peak_at_risk" (Obs.Int (List.fold_left (fun acc (_, v) -> acc + v) 0 peaks));
+        Obs.attr obs span "peak_escrow" (Obs.Int peak_escrow);
+        Obs.attr obs span "risk_ticks" (Obs.Int risk_ticks);
+        Obs.attr obs span "violations" (Obs.Int (List.length violations));
         List.iter
-          (fun p ->
-            if p.peak_at_risk > 0 then
-              Obs.attr obs span
-                ("peak_at_risk." ^ Party.name p.party)
-                (Obs.Int p.peak_at_risk))
-          t.parties;
+          (fun (party, peak) ->
+            if peak > 0 then Obs.attr obs span ("peak_at_risk." ^ Party.name party) (Obs.Int peak))
+          peaks;
         List.iter
           (fun v ->
             let amounts =
@@ -702,7 +699,12 @@ let record obs ?parent t =
                 :: ("at", Obs.Int v.v_at)
                 :: ("kind", Obs.Str (violation_label v.v_kind))
                 :: amounts))
-          t.violations)
+          violations)
+
+let record obs ?parent t =
+  record_summary obs ?parent
+    ~peaks:(List.map (fun p -> (p.party, p.peak_at_risk)) t.parties)
+    ~peak_escrow:(total_peak_escrow t) ~risk_ticks:(total_risk_ticks t) t.violations
 
 let pp_violation ppf v =
   match v.v_kind with

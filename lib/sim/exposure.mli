@@ -109,5 +109,18 @@ val record : Trust_obs.Obs.t -> ?parent:Trust_obs.Obs.handle -> t -> unit
     ["violation"] event per violation carrying [party], [at], [kind]
     and the amounts. No-op on the null sink. *)
 
+val record_summary :
+  Trust_obs.Obs.t ->
+  ?parent:Trust_obs.Obs.handle ->
+  peaks:(Party.t * Asset.money) list ->
+  peak_escrow:Asset.money ->
+  risk_ticks:int ->
+  violation list ->
+  unit
+(** {!record} from a ledger's summary alone — per-principal peak
+    at-risk values (principals, spec order), the total peak escrow and
+    risk ticks, and the violations — for a runtime that folds the
+    ledger itself ([Hotpath]). *)
+
 val pp_violation : Format.formatter -> violation -> unit
 val pp : Format.formatter -> t -> unit

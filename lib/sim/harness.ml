@@ -142,6 +142,13 @@ let config_for cast config =
   | Lockstep -> { base with Engine.broadcast = true }
   | Distributed -> base
 
+let simulate_attrs obs h ~events ~deliveries ~stalled ~peak_at_risk ~peak_escrow =
+  Obs.attr obs h "events" (Obs.Int events);
+  Obs.attr obs h "deliveries" (Obs.Int deliveries);
+  Obs.attr obs h "stalled" (Obs.Int stalled);
+  Obs.attr obs h "exposure_peak_at_risk" (Obs.Int peak_at_risk);
+  Obs.attr obs h "exposure_peak_escrow" (Obs.Int peak_escrow)
+
 let run_cast ?config ?(obs = Obs.null) ?parent cast =
   let deposits = match cast.plan with Some p -> p.Indemnity.offers | None -> [] in
   Obs.with_span obs ?parent ~phase:"simulate" "simulate" (fun h ->
@@ -150,12 +157,12 @@ let run_cast ?config ?(obs = Obs.null) ?parent cast =
           ~behaviors:cast.behaviors
       in
       if Obs.enabled obs then begin
-        Obs.attr obs h "events" (Obs.Int result.Engine.events);
-        Obs.attr obs h "deliveries" (Obs.Int (List.length result.Engine.log));
-        Obs.attr obs h "stalled" (Obs.Int (List.length result.Engine.stalled));
+        (* the exposure peaks do not depend on who defected *)
         let x = Exposure.of_result ?plan:cast.plan cast.spec result in
-        Obs.attr obs h "exposure_peak_at_risk" (Obs.Int (Exposure.total_peak_at_risk x));
-        Obs.attr obs h "exposure_peak_escrow" (Obs.Int (Exposure.total_peak_escrow x))
+        simulate_attrs obs h ~events:result.Engine.events
+          ~deliveries:(List.length result.Engine.log)
+          ~stalled:(List.length result.Engine.stalled)
+          ~peak_at_risk:(Exposure.total_peak_at_risk x) ~peak_escrow:(Exposure.total_peak_escrow x)
       end;
       result)
 

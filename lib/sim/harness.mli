@@ -94,6 +94,12 @@ val run_cast :
     [obs]/[parent] attach a ["simulate"] span whose child events are the
     engine's deliver/park/retry/expire/deadline/drop timeline. *)
 
+val simulate_attrs :
+  Trust_obs.Obs.t -> Trust_obs.Obs.handle -> events:int -> deliveries:int -> stalled:int ->
+  peak_at_risk:Asset.money -> peak_escrow:Asset.money -> unit
+(** The run tallies and total exposure peaks {!run_cast} stamps on its
+    ["simulate"] span, shared with the compiled runtime's traced mode. *)
+
 val universal_run :
   ?config:Engine.config ->
   ?defectors:(Party.t * defection) list ->

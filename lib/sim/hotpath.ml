@@ -12,10 +12,20 @@
 
    The only per-run allocations are the exposure provenance lists
    (small, proportional to in-flight custody) and the returned summary;
-   everything else lives in [scratch] under [Domain.DLS]. *)
+   everything else lives in [scratch] under [Domain.DLS].
+
+   With a live [Obs] sink the same loop also records the engine's event
+   timeline (deliver, park, retry, drop, expire, deadline) into scratch.
+   After the run the traced entry emits the ["simulate"] span with those
+   events and the ["audit"] span with its ["exposure"] child, reading
+   the exposure figures from the same fold the summary comes from and
+   materializing the engine result once, for [Audit.judge]'s verdict
+   tallies — byte-identical to what [Harness.run_cast] + [Audit.audit]
+   record on the interpreted path (property-tested in test_hotpath). *)
 
 open Exchange
 module C = Trust_core.Compile
+module Obs = Trust_obs.Obs
 
 type config = {
   latency : int;
@@ -96,9 +106,18 @@ type scratch = {
   mutable flagged : Bytes.t;
   mutable honest : Bytes.t;
   mutable violations : int;
+  (* traced runs only: ledger detail the exposure span reports *)
+  mutable peak_escrow : int array;
+  mutable risk_since : int array;  (* first tick of the open risk window, -1 none *)
+  mutable vio : int array;  (* [vio_stride] ints per violation *)
   (* audit scratch: trusted-conduit net flows *)
   mutable g_docs : int array;
   mutable l_docs : int array;
+  (* traced runs only: the engine event timeline, [ev_stride] ints per
+     event — kind, tick, and two kind-specific operands *)
+  mutable tracing : bool;
+  mutable ev : int array;
+  mutable ev_len : int;
 }
 
 let make_scratch () =
@@ -150,13 +169,28 @@ let make_scratch () =
     flagged = Bytes.empty;
     honest = Bytes.empty;
     violations = 0;
+    peak_escrow = [||];
+    risk_since = [||];
+    vio = [||];
     g_docs = [||];
     l_docs = [||];
+    tracing = false;
+    ev = [||];
+    ev_len = 0;
   }
 
 let scratch_key = Domain.DLS.new_key make_scratch
 
 let grow_int a n = if Array.length a < n then Array.make (max n (2 * Array.length a)) 0 else a
+
+(* growth that keeps the contents, for buffers filled during a run *)
+let extend_int a n =
+  if Array.length a < n then begin
+    let b = Array.make (max n (2 * Array.length a)) 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+  else a
 
 let grow_bytes b n =
   if Bytes.length b < n then Bytes.make (max n (2 * Bytes.length b)) '\000' else b
@@ -201,6 +235,7 @@ let reset s (p : C.t) defectors =
   s.events <- 0;
   s.h_len <- 0;
   s.h_next <- 0;
+  s.ev_len <- 0;
   s.dep_left <- grow_int s.dep_left n_actions;
   Array.blit p.C.deposit_expect 0 s.dep_left 0 n_actions;
   if Array.length s.xdocs < n_names then begin
@@ -230,6 +265,12 @@ let reset s (p : C.t) defectors =
   Array.fill s.deposits 0 n_pr 0;
   Array.fill s.goods 0 n_pr 0;
   Array.fill s.peak_risk 0 n_pr 0;
+  if s.tracing then begin
+    s.peak_escrow <- grow_int s.peak_escrow n_pr;
+    s.risk_since <- grow_int s.risk_since n_pr;
+    Array.fill s.peak_escrow 0 n_pr 0;
+    Array.fill s.risk_since 0 n_pr (-1)
+  end;
   Array.fill s.risk_ticks 0 n_pr 0;
   Array.fill s.prev_at 0 n_pr 0;
   Array.fill s.prev_risk 0 n_pr 0;
@@ -281,9 +322,9 @@ let heap_swap s i j =
 
 let heap_push s time pay =
   if s.h_len = Array.length s.h_time then begin
-    s.h_time <- grow_int s.h_time (s.h_len + 1);
-    s.h_seq <- grow_int s.h_seq (s.h_len + 1);
-    s.h_pay <- grow_int s.h_pay (s.h_len + 1)
+    s.h_time <- extend_int s.h_time (s.h_len + 1);
+    s.h_seq <- extend_int s.h_seq (s.h_len + 1);
+    s.h_pay <- extend_int s.h_pay (s.h_len + 1)
   end;
   let i = ref s.h_len in
   s.h_time.(!i) <- time;
@@ -332,22 +373,43 @@ let heap_pop s =
 
 let log_push s at act =
   if s.log_len = Array.length s.log_at then begin
-    s.log_at <- grow_int s.log_at (s.log_len + 1);
-    s.log_act <- grow_int s.log_act (s.log_len + 1)
+    s.log_at <- extend_int s.log_at (s.log_len + 1);
+    s.log_act <- extend_int s.log_act (s.log_len + 1)
   end;
   s.log_at.(s.log_len) <- at;
   s.log_act.(s.log_len) <- act;
   s.log_len <- s.log_len + 1
 
 let buf_push s act =
-  if s.buf_len = Array.length s.buf then s.buf <- grow_int s.buf (s.buf_len + 1);
+  if s.buf_len = Array.length s.buf then s.buf <- extend_int s.buf (s.buf_len + 1);
   s.buf.(s.buf_len) <- act;
   s.buf_len <- s.buf_len + 1
 
+(* trace event kinds and their operands (a, b) *)
+let ev_stride = 4
+let ev_deliver = 0 (* action, - *)
+let ev_park = 1 (* action, performer *)
+let ev_retry = 2 (* credited party, parked count *)
+let ev_drop = 3 (* action, performed-action seq *)
+let ev_expire = 4 (* deal, - *)
+let ev_deadline = 5
+
+let record_event s kind at a b =
+  let i = s.ev_len * ev_stride in
+  s.ev <- extend_int s.ev (i + ev_stride);
+  s.ev.(i) <- kind;
+  s.ev.(i + 1) <- at;
+  s.ev.(i + 2) <- a;
+  s.ev.(i + 3) <- b;
+  s.ev_len <- s.ev_len + 1
+
+(* inlined, so an untraced run pays one test per event *)
+let[@inline] trace_event s kind at a b = if s.tracing then record_event s kind at a b
+
 let pend_push s party act =
   if s.pend_len = Array.length s.pend_party then begin
-    s.pend_party <- grow_int s.pend_party (s.pend_len + 1);
-    s.pend_act <- grow_int s.pend_act (s.pend_len + 1)
+    s.pend_party <- extend_int s.pend_party (s.pend_len + 1);
+    s.pend_act <- extend_int s.pend_act (s.pend_len + 1)
   end;
   s.pend_party.(s.pend_len) <- party;
   s.pend_act.(s.pend_len) <- act;
@@ -581,7 +643,7 @@ let perform s (p : C.t) config now party a =
     let seq = s.performed in
     s.performed <- seq + 1;
     let lost = match config.drop with Some f -> f seq | None -> false in
-    if not lost then heap_push s (now + config.latency) a
+    if lost then trace_event s ev_drop now a seq else heap_push s (now + config.latency) a
   end
   else begin
     let name = p.C.name_of.(p.C.act_debit.(a)) in
@@ -609,6 +671,7 @@ let perform s (p : C.t) config now party a =
       s.performed <- seq + 1;
       let lost = match config.drop with Some f -> f seq | None -> false in
       if lost then begin
+        trace_event s ev_drop now a seq;
         (* lost in transit: the courier returns it to the sender *)
         if di >= 0 then begin
           let idx = (name * p.C.n_docs) + di in
@@ -618,7 +681,11 @@ let perform s (p : C.t) config now party a =
       end
       else heap_push s (now + config.latency) a
     end
-    else pend_push s party a (* insufficient assets: park for retry *)
+    else begin
+      (* insufficient assets: park for retry *)
+      trace_event s ev_park now a party;
+      pend_push s party a
+    end
   end
 
 let retry_pending s (p : C.t) config now credit =
@@ -639,6 +706,7 @@ let retry_pending s (p : C.t) config now credit =
       end
     done;
     s.pend_len <- !keep;
+    if !mine > 0 then trace_event s ev_retry now credit !mine;
     for k = 0 to !mine - 1 do
       perform s p config now credit s.rt_act.(k)
     done
@@ -677,12 +745,15 @@ let execute s (p : C.t) config defectors =
           let kind, payload =
             if pay = p.C.n_actions + p.C.n_deals then (3, -1) else (2, pay - p.C.n_actions)
           in
+          if kind = 3 then trace_event s ev_deadline now 0 0
+          else trace_event s ev_expire now payload 0;
           for r = 0 to n_roles - 1 do
             observe s p config now r kind payload
           done
         end
         else begin
           let a = pay in
+          trace_event s ev_deliver now a 0;
           Bytes.set s.seen a '\001';
           log_push s now a;
           if p.C.act_kind.(a) <> 2 then begin
@@ -898,6 +969,21 @@ let apply_delivery s (p : C.t) a =
     end
   end
 
+(* violation log, traced runs only: principal slot, tick, kind (0 bound
+   exceeded, 1 unsettled), amount (the at-risk value or the residual) *)
+let vio_stride = 4
+
+let count_violation s ps at kind amount =
+  if s.tracing then begin
+    let i = s.violations * vio_stride in
+    s.vio <- extend_int s.vio (i + vio_stride);
+    s.vio.(i) <- ps;
+    s.vio.(i + 1) <- at;
+    s.vio.(i + 2) <- kind;
+    s.vio.(i + 3) <- amount
+  end;
+  s.violations <- s.violations + 1
+
 let sample_tick s (p : C.t) at =
   for ps = 0 to p.C.n_principals - 1 do
     let risk =
@@ -921,23 +1007,32 @@ let sample_tick s (p : C.t) at =
       s.s_goods.(ps) <- s.goods.(ps);
       if risk > s.peak_risk.(ps) then s.peak_risk.(ps) <- risk;
       if s.prev_risk.(ps) > 0 then s.risk_ticks.(ps) <- s.risk_ticks.(ps) + (at - s.prev_at.(ps));
+      if s.tracing then begin
+        if s.escrowed.(ps) > s.peak_escrow.(ps) then s.peak_escrow.(ps) <- s.escrowed.(ps);
+        if risk > 0 && s.risk_since.(ps) < 0 then s.risk_since.(ps) <- at;
+        if risk = 0 then s.risk_since.(ps) <- -1
+      end;
       if risk > p.C.bound.(ps)
          && Bytes.get s.honest ps <> '\000'
          && Bytes.get s.flagged ps = '\000'
       then begin
         Bytes.set s.flagged ps '\001';
-        s.violations <- s.violations + 1
+        count_violation s ps at 0 risk
       end;
       s.prev_at.(ps) <- at;
       s.prev_risk.(ps) <- risk
     end
   done
 
-let summarize_exposure s (p : C.t) =
+let log_duration s =
   let duration = ref 0 in
   for k = 0 to s.log_len - 1 do
     if s.log_at.(k) > !duration then duration := s.log_at.(k)
   done;
+  !duration
+
+let summarize_exposure s (p : C.t) =
+  let duration = log_duration s in
   let k = ref 0 in
   while !k < s.log_len do
     let tick = s.log_at.(!k) in
@@ -949,11 +1044,15 @@ let summarize_exposure s (p : C.t) =
   done;
   for ps = 0 to p.C.n_principals - 1 do
     if s.prev_risk.(ps) > 0 then begin
-      s.risk_ticks.(ps) <- s.risk_ticks.(ps) + (!duration - s.prev_at.(ps) + 1);
-      if Bytes.get s.honest ps <> '\000' then s.violations <- s.violations + 1
+      s.risk_ticks.(ps) <- s.risk_ticks.(ps) + (duration - s.prev_at.(ps) + 1);
+      if Bytes.get s.honest ps <> '\000' then begin
+        (* reported at the start of the open risk window, when known *)
+        let since = if s.tracing then s.risk_since.(ps) else -1 in
+        count_violation s ps (if since >= 0 then since else duration) 1 s.prev_risk.(ps)
+      end
     end
   done;
-  !duration
+  duration
 
 (* -- audit (Audit.audit over the delivered-action set) -- *)
 
@@ -989,31 +1088,9 @@ let judge_preferred s (p : C.t) = function
     done;
     !ok
 
-(* -- entry points -- *)
+(* -- materialized results and the traced entry -- *)
 
-let exec ?(config = default_config) ?(defectors = []) (p : C.t) =
-  let s = Domain.DLS.get scratch_key in
-  execute s p config defectors;
-  let duration = summarize_exposure s p in
-  let preferred = Array.map (judge_preferred s p) p.C.judged in
-  {
-    duration;
-    events = s.events;
-    deliveries = s.log_len;
-    stalled = s.pend_len;
-    all_preferred = Array.for_all Fun.id preferred;
-    preferred;
-    peak_risk = Array.sub s.peak_risk 0 p.C.n_principals;
-    risk_ticks = Array.sub s.risk_ticks 0 p.C.n_principals;
-    violations = s.violations;
-  }
-
-let total_peak_risk (t : summary) = Array.fold_left ( + ) 0 t.peak_risk
-let total_risk_ticks (t : summary) = Array.fold_left ( + ) 0 t.risk_ticks
-
-let to_result ?(config = default_config) ?(defectors = []) (p : C.t) =
-  let s = Domain.DLS.get scratch_key in
-  execute s p config defectors;
+let materialize s (p : C.t) =
   let state = ref State.empty in
   for a = 0 to p.C.n_actions - 1 do
     if Bytes.get s.seen a <> '\000' then state := State.record p.C.actions.(a) !state
@@ -1041,3 +1118,93 @@ let to_result ?(config = default_config) ?(defectors = []) (p : C.t) =
     stalled := (p.C.parties.(s.pend_party.(k)), p.C.actions.(s.pend_act.(k))) :: !stalled
   done;
   { Engine.state = !state; log = !log; holdings; stalled = !stalled; events = s.events }
+
+(* Replay the recorded timeline onto the ["simulate"] span, exactly as
+   [Engine.run] emits it live. *)
+let emit_events s (p : C.t) obs h =
+  let action_attrs ~at a =
+    let d = p.C.act_deal.(a) in
+    Engine.deal_action_attrs
+      ~deal:(if d < 0 then None else Some p.C.deal_ids.(d))
+      ~at p.C.actions.(a)
+  in
+  let party i = Obs.Str (Party.name p.C.parties.(i)) in
+  for k = 0 to s.ev_len - 1 do
+    let i = k * ev_stride in
+    let kind = s.ev.(i) and at = s.ev.(i + 1) and a = s.ev.(i + 2) and b = s.ev.(i + 3) in
+    if kind = ev_deliver then Obs.event obs h "deliver" ~attrs:(action_attrs ~at a)
+    else if kind = ev_park then
+      Obs.event obs h "park" ~attrs:(("party", party b) :: action_attrs ~at a)
+    else if kind = ev_retry then
+      Obs.event obs h "retry"
+        ~attrs:[ ("party", party a); ("parked", Obs.Int b); ("at", Obs.Int at) ]
+    else if kind = ev_drop then
+      Obs.event obs h "drop" ~attrs:(("seq", Obs.Int b) :: action_attrs ~at a)
+    else if kind = ev_expire then
+      Obs.event obs h "expire" ~attrs:[ ("deal", Obs.Str p.C.deal_ids.(a)); ("at", Obs.Int at) ]
+    else Obs.event obs h "deadline" ~attrs:[ ("at", Obs.Int at) ]
+  done
+
+(* The summary of the run in scratch: the exposure fold and the
+   compiled audit verdicts. *)
+let summarize s (p : C.t) =
+  let duration = summarize_exposure s p in
+  let preferred = Array.map (judge_preferred s p) p.C.judged in
+  {
+    duration;
+    events = s.events;
+    deliveries = s.log_len;
+    stalled = s.pend_len;
+    all_preferred = Array.for_all Fun.id preferred;
+    preferred;
+    peak_risk = Array.sub s.peak_risk 0 p.C.n_principals;
+    risk_ticks = Array.sub s.risk_ticks 0 p.C.n_principals;
+    violations = s.violations;
+  }
+
+let total_peak_risk (t : summary) = Array.fold_left ( + ) 0 t.peak_risk
+let total_risk_ticks (t : summary) = Array.fold_left ( + ) 0 t.risk_ticks
+
+(* The spans of a traced run, from the same exposure fold as its
+   summary; the audit span's verdict tallies come from [Audit.judge]
+   over the materialized result. *)
+let emit_spans s (p : C.t) (summary : summary) defectors obs parent =
+  let principal ps = p.C.parties.(fst p.C.roles.(ps)) in
+  let peak_escrow = Array.fold_left ( + ) 0 (Array.sub s.peak_escrow 0 p.C.n_principals) in
+  Obs.with_span obs ?parent ~phase:"simulate" "simulate" (fun h ->
+      emit_events s p obs h;
+      Harness.simulate_attrs obs h ~events:s.events ~deliveries:s.log_len ~stalled:s.pend_len
+        ~peak_at_risk:(total_peak_risk summary) ~peak_escrow);
+  let deposits = match p.C.plan with Some plan -> plan.Trust_core.Indemnity.offers | None -> [] in
+  let report = Audit.judge ~deposits p.C.spec ~defectors:(List.map fst defectors) (materialize s p) in
+  Audit.record obs ?parent report (fun span ->
+      let violations =
+        List.init s.violations (fun k ->
+            let i = k * vio_stride in
+            let ps = s.vio.(i) and amount = s.vio.(i + 3) in
+            let v_kind =
+              if s.vio.(i + 2) = 0 then
+                Exposure.Bound_exceeded { at_risk = amount; bound = p.C.bound.(ps) }
+              else Exposure.Unsettled { residual = amount }
+            in
+            { Exposure.v_party = principal ps; v_at = s.vio.(i + 1); v_kind })
+      in
+      Exposure.record_summary obs ~parent:span
+        ~peaks:(List.init p.C.n_principals (fun ps -> (principal ps, summary.peak_risk.(ps))))
+        ~peak_escrow ~risk_ticks:(total_risk_ticks summary) violations)
+
+(* -- entry points -- *)
+
+let exec ?(config = default_config) ?(defectors = []) ?(obs = Obs.null) ?parent (p : C.t) =
+  let s = Domain.DLS.get scratch_key in
+  s.tracing <- Obs.enabled obs;
+  execute s p config defectors;
+  let summary = summarize s p in
+  if s.tracing then emit_spans s p summary defectors obs parent;
+  summary
+
+let to_result ?(config = default_config) ?(defectors = []) (p : C.t) =
+  let s = Domain.DLS.get scratch_key in
+  s.tracing <- false;
+  execute s p config defectors;
+  materialize s p

@@ -1,9 +1,9 @@
 (** Allocation-free execution of compiled plans.
 
     The serve-path twin of [Engine.run] + [Exposure.of_result] +
-    [Audit.audit]: runs a [Trust_core.Compile.t] instruction plan
-    against per-domain scratch arrays, allocating no protocol
-    structures per session. Semantics replicate the interpreted
+    [Audit.audit], traced or not: runs a [Trust_core.Compile.t]
+    instruction plan against per-domain scratch arrays, allocating no
+    protocol structures per untraced session. Semantics replicate the interpreted
     modules exactly — [Harness.behaviors_for] remains the oracle, and
     test_hotpath property-tests the equivalence over random specs and
     defection batteries. *)
@@ -37,10 +37,22 @@ type summary = {
 
 val exec :
   ?config:config -> ?defectors:(Exchange.Party.t * Harness.defection) list ->
+  ?obs:Trust_obs.Obs.t -> ?parent:Trust_obs.Obs.handle ->
   Trust_core.Compile.t -> summary
 (** Run the plan and fold exposure + audit over the result, without
     materializing engine structures. Deterministic for a fixed
-    (plan, config, defectors). *)
+    (plan, config, defectors).
+
+    With a live [obs] sink the run also records its engine events and,
+    once it ends, attaches to [parent] the ["simulate"] span (the
+    deliver/park/retry/drop/expire/deadline timeline plus run tallies)
+    and the ["audit"] span with its ["exposure"] child: every span,
+    attribute, event and virtual tick byte-identical to what
+    [Harness.run_cast] and [Audit.audit] record for the same run on the
+    interpreted engine. The spans read the exposure figures from the
+    same fold as the summary; the audit tallies come from
+    [Audit.judge] over one materialized [Engine.result]. The null sink
+    (the default) costs nothing. *)
 
 val total_peak_risk : summary -> int
 (** Sum of per-principal peaks — equals [Exposure.peak_risk] of the

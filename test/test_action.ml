@@ -26,6 +26,22 @@ let test_give_pay () =
   check_str "pay" "pay[c -> p]($5)" (Action.to_string (Action.pay c p 500));
   check_str "notify" "notify[t -> c]" (Action.to_string (Action.notify ~agent:t ~informed:c))
 
+(* [to_string] is built without a formatter and [pp] derives from it;
+   both must keep the paper's notation for every action kind and money
+   shape *)
+let test_to_string_shapes () =
+  let money = [ (0, "$0"); (1, "$0.01"); (99, "$0.99"); (100, "$1"); (250, "$2.50"); (100_000, "$1000") ] in
+  List.iter
+    (fun (m, text) ->
+      check_str "pay" ("pay[c -> p](" ^ text ^ ")") (Action.to_string (Action.pay c p m));
+      check_str "refund" ("pay⁻¹[c -> p](" ^ text ^ ")")
+        (Action.to_string (Action.undo (Action.pay c p m))))
+    money;
+  let give = Action.give p c "d 1" in
+  check_str "give" "give[p -> c](doc(d 1))" (Action.to_string give);
+  check_str "return" "give⁻¹[p -> c](doc(d 1))" (Action.to_string (Action.undo give));
+  check_str "pp agrees" (Action.to_string give) (Format.asprintf "%a" Action.pp give)
+
 let test_undo () =
   let give = Action.give p c "d" in
   let undone = Action.undo give in
@@ -116,6 +132,7 @@ let () =
         [
           Alcotest.test_case "constructors print like the paper" `Quick test_give_pay;
           Alcotest.test_case "undo" `Quick test_undo;
+          Alcotest.test_case "to_string shapes" `Quick test_to_string_shapes;
           Alcotest.test_case "performer and beneficiary" `Quick test_performer_beneficiary;
           Alcotest.test_case "equality" `Quick test_equal;
         ] );

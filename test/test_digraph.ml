@@ -7,10 +7,10 @@ let check_int = Alcotest.(check int)
 
 let path n =
   let g = Digraph.create () in
-  let nodes = Digraph.add_nodes g n in
-  List.iteri
-    (fun i u -> if i + 1 < n then Digraph.add_edge g u (List.nth nodes (i + 1)))
-    nodes;
+  let nodes = Array.of_list (Digraph.add_nodes g n) in
+  for i = 0 to n - 2 do
+    Digraph.add_edge g nodes.(i) nodes.(i + 1)
+  done;
   g
 
 let cycle n =

@@ -215,6 +215,112 @@ let test_worked_examples () =
         policies)
     specs
 
+(* Scratch buffers grow mid-run when a session outgrows them (heap,
+   delivery log, reaction buffer, parked list); growth must keep what
+   they already hold. A fresh domain starts from the smallest scratch,
+   so a long run there crosses every growth point. *)
+let test_growth_keeps_contents () =
+  List.iter
+    (fun (label, spec) ->
+      match Cache.fresh Cache.default_policy spec with
+      | Error e -> Alcotest.failf "%s: %s" label e
+      | Ok entry ->
+        let plan = Option.get entry.Cache.compiled in
+        let policy = Cache.default_policy in
+        let config = hot_config () in
+        let interp =
+          run_interpreted entry policy ~config:(engine_config ()) ~defectors:[]
+        in
+        Alcotest.(check bool)
+          (label ^ ": outgrows the initial scratch") true
+          (List.length interp.Engine.log > 64);
+        let compiled =
+          Domain.join (Domain.spawn (fun () -> Hotpath.to_result ~config ~defectors:[] plan))
+        in
+        check_result ~ctx:label interp compiled;
+        let summary = Domain.join (Domain.spawn (fun () -> Hotpath.exec ~config plan)) in
+        check_summary ~ctx:label entry ~defectors:[] interp summary)
+    [ ("bundle 40", Gen.bundle ~docs:40); ("chain 24", Gen.chain ~brokers:24) ]
+
+(* Traced parity: a traced session on the compiled runtime must record
+   the trace the interpreted engine records — every span, attribute,
+   event and virtual tick — and close with the same session record.
+   Runs the full serve lifecycle (admission, synthesis, run, retry)
+   through [Scheduler.process_one] with [compiled] on and off, over the
+   random corpus, the defection battery and two drop rates. *)
+
+let session_record (s : Session.t) =
+  Printf.sprintf "status=%s ticks=%d events=%d attempts=%d stalled=%d peak=%d risk=%d viol=%d"
+    (Session.status_label s.Session.status)
+    s.Session.ticks s.Session.events s.Session.attempts s.Session.stalled
+    s.Session.exposure_peak s.Session.exposure_ticks s.Session.exposure_violations
+
+let traced_session cache ~compiled ~drop_rate ~id ~defectors spec =
+  let cfg = { Scheduler.default_config with Scheduler.compiled; drop_rate } in
+  let obs = Trust_obs.Obs.create ~session:id () in
+  let session = Session.make ~id ~defectors spec in
+  Scheduler.process_one ~obs cfg cache session;
+  (session, obs)
+
+(* The corpus spec with a tight §2.2 deadline on its first deal, so
+   traces carry per-deal expiries too. *)
+let with_first_deadline ticks (spec : Spec.t) =
+  match spec.Spec.deals with
+  | [] -> spec
+  | d :: rest ->
+    Spec.make_exn
+      ~personas:(Party.Map.bindings spec.Spec.personas)
+      ~priorities:spec.Spec.priorities ~splits:spec.Spec.splits
+      (Spec.with_deadline ticks d :: rest)
+
+let has_event name obs =
+  List.exists
+    (fun v -> List.exists (fun e -> e.Trust_obs.Obs.ev_name = name) v.Trust_obs.Obs.view_events)
+    (Trust_obs.Obs.views obs)
+
+(* One session both ways; returns whether it ran, and whether its
+   trace carries a per-deal expiry. *)
+let check_traced_case ~ctx cache ~id ~drop_rate ~defectors spec =
+  let hot, hot_obs = traced_session cache ~compiled:true ~drop_rate ~id ~defectors spec in
+  let ref_, ref_obs = traced_session cache ~compiled:false ~drop_rate ~id ~defectors spec in
+  Alcotest.(check string) (ctx ^ ": session record") (session_record ref_) (session_record hot);
+  List.iter
+    (fun format ->
+      Alcotest.(check string)
+        (ctx ^ ": export")
+        (Trust_obs.Obs.export format [ ref_obs ])
+        (Trust_obs.Obs.export format [ hot_obs ]))
+    [ Trust_obs.Obs.Jsonl; Trust_obs.Obs.Chrome ];
+  (hot.Session.attempts > 0, has_event "expire" hot_obs)
+
+let test_traced_parity () =
+  let prng = Prng.create 0xC0FFEE_L in
+  let caches = List.mapi (fun j policy -> (j, Cache.create policy)) policies in
+  let traced_runs = ref 0 and expiries = ref 0 in
+  for i = 1 to spec_count do
+    let corpus_spec = Gen.random_transaction prng mix in
+    List.iter
+      (fun (variant, spec) ->
+        List.iter
+          (fun ((j, cache), (defectors, drop_rate)) ->
+            let ctx =
+              Printf.sprintf "spec %d%s policy %d defectors=%d drop=%g" i variant j
+                (List.length defectors) drop_rate
+            in
+            let ran, expired = check_traced_case ~ctx cache ~id:i ~drop_rate ~defectors spec in
+            if ran then incr traced_runs;
+            if expired then incr expiries)
+          (List.concat_map
+             (fun cache ->
+               List.concat_map
+                 (fun defectors -> [ (cache, (defectors, 0.)); (cache, (defectors, 0.05)) ])
+                 (batteries spec))
+             caches))
+      [ ("", corpus_spec); (" deadline", with_first_deadline 3 corpus_spec) ]
+  done;
+  Alcotest.(check bool) "the corpus ran traced sessions" true (!traced_runs > 0);
+  Alcotest.(check bool) "and traced per-deal expiries" true (!expiries > 0)
+
 (* Allocation regression: a cache-hit session on the serve path must
    stay within a fixed minor-heap budget. The interpreted path spent
    ~8.5k minor words/session rebuilding behaviours, bags and ledgers;
@@ -248,6 +354,8 @@ let () =
         [
           Alcotest.test_case "worked examples" `Quick test_worked_examples;
           Alcotest.test_case "random specs" `Quick test_random_specs;
+          Alcotest.test_case "traced sessions" `Quick test_traced_parity;
+          Alcotest.test_case "scratch growth" `Quick test_growth_keeps_contents;
         ] );
       ( "allocation",
         [ Alcotest.test_case "cache-hit budget" `Quick test_allocation_budget ] );

@@ -412,6 +412,41 @@ let test_zero_rate_allocates_nothing () =
     true
     (with_ring -. without < 64.)
 
+(* -- a ring with fewer shards than writer domains --
+
+   Four pool domains share one shard: every session commit must still
+   land whole (the shard lock serializes them), so the dump decodes
+   cleanly and counts exactly the kept sessions. Repeated, because an
+   unsynchronized commit only tears under an unlucky interleaving. *)
+
+let test_shared_shard_commits () =
+  let config =
+    { Service.default with Service.sessions = 120; seed = 23L; drop_rate = 0.05; defect_every = Some 7 }
+  in
+  let cfg =
+    { Scheduler.default_config with Scheduler.jobs = 4; sample_rate = 1.0; drop_rate = 0.05; seed = 23L }
+  in
+  for round = 1 to 8 do
+    let ring = Ring.create ~shards:1 ~capacity:(1 lsl 24) () in
+    let sessions = Service.sessions_of_config config in
+    ignore (Scheduler.run ~ring cfg (Cache.create Cache.default_policy) sessions : Scheduler.stats);
+    let kept =
+      List.length
+        (List.filter
+           (fun (s : Session.t) ->
+             let sampled = Scheduler.session_sampled cfg s.Session.id in
+             Scheduler.keep_decision ~sampled s <> None)
+           sessions)
+    in
+    let ctx = Printf.sprintf "round %d" round in
+    check_int (ctx ^ ": every session is kept at rate 1.0") 120 kept;
+    check_int (ctx ^ ": sessions_recorded counts every kept session") kept
+      (Ring.sessions_recorded ring);
+    let decoded, stats = decode_exn (Ring.dump ring) in
+    check_int (ctx ^ ": no record was dropped") 0 stats.Ring.d_dropped;
+    check_int (ctx ^ ": every kept session decodes") kept (List.length decoded)
+  done
+
 let () =
   Alcotest.run "ring"
     [
@@ -443,5 +478,6 @@ let () =
           Alcotest.test_case "tail-keep oracle (rate 0)" `Quick test_tail_keep_oracle;
           Alcotest.test_case "tail-keep oracle (rate 0.01)" `Quick test_tail_keep_oracle_sampled;
           Alcotest.test_case "zero-rate hot path" `Quick test_zero_rate_allocates_nothing;
+          Alcotest.test_case "one shard, four writers" `Quick test_shared_shard_commits;
         ] );
     ]
