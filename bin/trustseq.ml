@@ -1416,9 +1416,9 @@ let batch_cmd =
       value & flag
       & info [ "debug-gauges" ]
           ~doc:
-            "Print the volatile serve_pool_* gauges (queue high-water mark, wait counts) to \
-             stderr. They depend on OS scheduling, not the seed, so they are off by default and \
-             never part of the snapshot.")
+            "Print the volatile serve_pool_* gauges (how often the team's helper domains parked \
+             waiting for work) to stderr. They depend on OS scheduling, not the seed, so they are \
+             off by default and never part of the snapshot.")
   in
   Cmd.v
     (Cmd.info "batch"

@@ -26,7 +26,7 @@ let of_analysis (a : Feasibility.analysis) =
   | None -> vacuous
   | Some seq -> of_sequence seq
 
-let analyze spec = of_analysis (Feasibility.analyze spec)
+let analyze ?shared spec = of_analysis (Feasibility.analyze ?shared spec)
 
 let refuted t = List.filter (fun i -> not (Absint.proved i)) t.intervals
 

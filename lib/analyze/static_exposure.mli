@@ -16,8 +16,9 @@ type t = {
   steps : int;  (** length of the analyzed sequence *)
 }
 
-val analyze : Exchange.Spec.t -> t
-(** Synthesize (via {!Trust_core.Feasibility.analyze}) and check. *)
+val analyze : ?shared:bool -> Exchange.Spec.t -> t
+(** Synthesize (via {!Trust_core.Feasibility.analyze}, with the
+    shared-agent rule when [shared], default false) and check. *)
 
 val of_analysis : Trust_core.Feasibility.analysis -> t
 (** Check an already-computed analysis, reusing its sequence. *)

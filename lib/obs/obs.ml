@@ -121,8 +121,8 @@ let wall_seconds t =
       0. tr.tr_spans
 
 (* Batch registry: one slot per session, each written by exactly one
-   pool job; the scheduler's shutdown join publishes the slots before
-   the merge phase (and any export) reads them. *)
+   domain; the scheduler's completion barrier publishes the slots
+   before the merge phase (and any export) reads them. *)
 
 type batch = Disabled | Slots of trace option array
 

@@ -82,10 +82,11 @@ val wall_seconds : t -> float
 
 (** {2 Batch registry (serve layer)}
 
-    One trace per session, created from whichever pool worker runs the
-    session. Slots are written by exactly one job each, and the pool's
-    shutdown join publishes them — the same ownership discipline the
-    scheduler already applies to {!Trust_serve.Session.t} fields. *)
+    One trace per session, created from whichever domain runs the
+    session. Slots are written by exactly one domain each, and the
+    team's completion barrier publishes them — the same ownership
+    discipline the scheduler already applies to
+    {!Trust_serve.Session.t} fields. *)
 
 type batch
 

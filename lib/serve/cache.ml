@@ -123,7 +123,9 @@ let fresh policy spec =
     (* The proven bound rides the cache entry: a hit skips re-analysis
        entirely (the static pass is the expensive half of cold
        synthesis — see BENCH_analyze.json). *)
-    let exposure = Trust_analyze.Static_exposure.analyze cast.Harness.spec in
+    let exposure =
+      Trust_analyze.Static_exposure.analyze ~shared:policy.shared cast.Harness.spec
+    in
     (* Compile once per synthesis: the flat instruction plan the
        allocation-free runtime executes on cache hits. Specs with
        acceptability overrides are never cacheable and stay on the

@@ -1,8 +1,8 @@
 (* Domain-safe registry: counters are a single [Atomic.t] (lock-free
    increments from pool workers), histograms and gauges take a
    per-metric mutex, and registration takes the registry mutex. Reads
-   for snapshots are unsynchronized-by-design *after* the scheduler has
-   joined its workers; concurrent snapshots would only ever see a
+   for snapshots are unsynchronized-by-design *after* the scheduler's
+   completion barrier; concurrent snapshots would only ever see a
    momentarily-torn histogram, never a crash. *)
 
 type counter = { c_name : string; c_help : string; count : int Atomic.t }

@@ -1,138 +1,107 @@
-(* A fixed-size pool of OCaml 5 domains draining one bounded FIFO of
-   jobs. The pool carries no notion of sessions or results: callers
-   submit closures that write their outcome into caller-owned slots,
-   and [shutdown] joins every worker before the caller reads them, so
-   the join is the only synchronization the results need. *)
+(* One process-wide team of helper domains. A call publishes its items
+   as one batch; the enlisted helpers and the calling domain claim item
+   indices with a shared fetch-and-add until none are left, and the
+   caller waits on a completion barrier (every enlisted helper checks
+   out under [lock]) before it returns. Callers hand in closures that
+   write into caller-owned slots, so the barrier is the only
+   synchronization the results need. Helpers never exit: they park on
+   [wake] between batches, keeping their domain-local state warm. *)
 
-type stats = {
-  workers : int;
-  executed : int;
-  worker_waits : int;
-  submit_waits : int;
-  peak_depth : int;
-}
-
-type t = {
-  size : int;
-  capacity : int;
-  queue : (unit -> unit) Queue.t;
-  lock : Mutex.t;
-  work_available : Condition.t;
-  space_available : Condition.t;
-  mutable closed : bool;
-  mutable peak_depth : int;
-  executed : int Atomic.t;
-  worker_waits : int Atomic.t;
-  submit_waits : int Atomic.t;
-  (* First job exception (with its backtrace), re-raised by [shutdown]
-     on the spawning domain so failures cannot vanish into a worker. *)
+type batch = {
+  work : int -> unit;
+  count : int;
+  next : int Atomic.t;  (* the next unclaimed item index *)
+  enlisted : int;  (* helpers [0, enlisted) take part *)
+  mutable pending : int;  (* enlisted helpers still working; under [lock] *)
+  (* First item exception with its backtrace, re-raised on the calling
+     domain once every item has run. *)
   failure : (exn * Printexc.raw_backtrace) option Atomic.t;
-  mutable domains : unit Domain.t array;
 }
 
-let size t = t.size
+let lock = Mutex.create ()
+let wake = Condition.create ()
+let finished = Condition.create ()
 
-let worker t () =
-  let rec next () =
-    Mutex.lock t.lock;
-    let rec take () =
-      match Queue.take_opt t.queue with
-      | Some job ->
-        Condition.signal t.space_available;
-        Mutex.unlock t.lock;
-        Some job
-      | None ->
-        if t.closed then begin
-          Mutex.unlock t.lock;
-          None
-        end
-        else begin
-          ignore (Atomic.fetch_and_add t.worker_waits 1);
-          Condition.wait t.work_available t.lock;
-          take ()
-        end
-    in
-    match take () with
-    | None -> ()
-    | Some job ->
-      (try
-         job ();
-         ignore (Atomic.fetch_and_add t.executed 1)
+(* Under [lock]: the batch being worked on and a count of batches
+   published, so a helper takes part in each batch at most once. *)
+let current : batch option ref = ref None
+let generation = ref 0
+
+(* Held by the one call that owns the team; any call that finds it
+   taken (nested in an item, or from another domain) runs alone. *)
+let busy = Atomic.make false
+
+(* Helpers spawned so far; only the owner of [busy] grows the team. *)
+let helpers = ref 0
+let parked = Atomic.make 0
+let parks () = Atomic.get parked
+
+let drain b =
+  let rec claim () =
+    let i = Atomic.fetch_and_add b.next 1 in
+    if i < b.count then begin
+      (try b.work i
        with e ->
          let bt = Printexc.get_raw_backtrace () in
-         ignore (Atomic.compare_and_set t.failure None (Some (e, bt))));
-      next ()
+         ignore (Atomic.compare_and_set b.failure None (Some (e, bt))));
+      claim ()
+    end
   in
-  next ()
+  claim ()
 
-let create ?(queue_capacity = 256) ~jobs () =
-  if jobs < 1 then invalid_arg "Pool.create: jobs must be >= 1";
-  if queue_capacity < 1 then invalid_arg "Pool.create: queue_capacity must be >= 1";
-  let t =
+let helper index () =
+  let seen = ref 0 in
+  Mutex.lock lock;
+  while true do
+    match !current with
+    | Some b when !generation <> !seen && index < b.enlisted ->
+      seen := !generation;
+      Mutex.unlock lock;
+      drain b;
+      Mutex.lock lock;
+      b.pending <- b.pending - 1;
+      if b.pending = 0 then Condition.signal finished
+    | _ ->
+      Atomic.incr parked;
+      Condition.wait wake lock
+  done
+
+let dispatch b =
+  while !helpers < b.enlisted do
+    ignore (Domain.spawn (helper !helpers) : unit Domain.t);
+    incr helpers
+  done;
+  Mutex.lock lock;
+  current := Some b;
+  incr generation;
+  Condition.broadcast wake;
+  Mutex.unlock lock;
+  drain b;
+  Mutex.lock lock;
+  while b.pending > 0 do
+    Condition.wait finished lock
+  done;
+  current := None;
+  Mutex.unlock lock
+
+let run ~jobs f items =
+  if jobs < 1 then invalid_arg "Pool.run: jobs must be >= 1";
+  let count = Array.length items in
+  let wanted = min (jobs - 1) (count - 1) in
+  let team = wanted > 0 && Atomic.compare_and_set busy false true in
+  let enlisted = if team then wanted else 0 in
+  let b =
     {
-      size = jobs;
-      capacity = queue_capacity;
-      queue = Queue.create ();
-      lock = Mutex.create ();
-      work_available = Condition.create ();
-      space_available = Condition.create ();
-      closed = false;
-      peak_depth = 0;
-      executed = Atomic.make 0;
-      worker_waits = Atomic.make 0;
-      submit_waits = Atomic.make 0;
+      work = (fun i -> f items.(i));
+      count;
+      next = Atomic.make 0;
+      enlisted;
+      pending = enlisted;
       failure = Atomic.make None;
-      domains = [||];
     }
   in
-  t.domains <- Array.init jobs (fun _ -> Domain.spawn (worker t));
-  t
-
-let submit t job =
-  Mutex.lock t.lock;
-  if t.closed then begin
-    Mutex.unlock t.lock;
-    invalid_arg "Pool.submit: pool is shut down"
-  end;
-  while Queue.length t.queue >= t.capacity do
-    ignore (Atomic.fetch_and_add t.submit_waits 1);
-    Condition.wait t.space_available t.lock
-  done;
-  Queue.add job t.queue;
-  if Queue.length t.queue > t.peak_depth then t.peak_depth <- Queue.length t.queue;
-  Condition.signal t.work_available;
-  Mutex.unlock t.lock
-
-let stats t =
-  Mutex.lock t.lock;
-  let peak_depth = t.peak_depth in
-  Mutex.unlock t.lock;
-  {
-    workers = t.size;
-    executed = Atomic.get t.executed;
-    worker_waits = Atomic.get t.worker_waits;
-    submit_waits = Atomic.get t.submit_waits;
-    peak_depth;
-  }
-
-let shutdown t =
-  Mutex.lock t.lock;
-  t.closed <- true;
-  Condition.broadcast t.work_available;
-  Condition.broadcast t.space_available;
-  Mutex.unlock t.lock;
-  Array.iter Domain.join t.domains;
-  match Atomic.get t.failure with
+  if team then Fun.protect ~finally:(fun () -> Atomic.set busy false) (fun () -> dispatch b)
+  else drain b;
+  match Atomic.get b.failure with
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
   | None -> ()
-
-let run_all ?queue_capacity ~jobs f items =
-  let pool = create ?queue_capacity ~jobs () in
-  let submitted =
-    try
-      List.iter (fun item -> submit pool (fun () -> f item)) items;
-      None
-    with e -> Some e
-  in
-  shutdown pool;
-  match submitted with Some e -> raise e | None -> ()

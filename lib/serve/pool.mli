@@ -1,47 +1,35 @@
-(** A fixed-size domain pool with a bounded work queue.
+(** One process-wide team of helper domains.
 
-    [jobs] OCaml 5 domains drain one FIFO of [unit -> unit] closures.
-    {!submit} blocks when the queue is full (bounded admission, so a
-    fast producer cannot build an unbounded backlog), {!shutdown}
-    closes the queue, drains every remaining job, joins every domain
-    and re-raises the first job exception, if any, with its original
-    backtrace.
+    {!run} splits an array of items across the calling domain and up
+    to [jobs - 1] helpers. Helpers are spawned lazily, the first time a
+    call asks for more than the team has, and never exit: between calls
+    they park on a condition variable, so each keeps its domain-local
+    state (the {!Trust_sim.Hotpath} scratch, its trace-ring shard, its
+    minor heap) from one call to the next.
 
-    The pool never looks at results: callers hand it closures that
-    write into caller-owned slots (one slot per job — e.g. the mutable
-    fields of a {!Session.t} owned by exactly one closure). The
-    {!shutdown} join is the happens-before edge that makes those slots
-    safe to read afterwards, which is how the scheduler merges
-    per-session outcomes back in submission order. *)
+    Within a call, the enlisted helpers and the caller claim item
+    indices from one shared atomic counter, so no item is handed over
+    through a queue. The call returns only after a completion barrier:
+    every enlisted helper has checked out under the team lock. That
+    barrier is the happens-before edge that makes the items' writes —
+    into caller-owned slots, one slot per item, e.g. the mutable fields
+    of a {!Session.t} — safe to read afterwards, which is how the
+    scheduler merges per-session outcomes back in submission order.
 
-type t
+    One call owns the team at a time. A call that finds it taken —
+    nested inside an item, or made concurrently from another domain —
+    runs its items on the calling domain instead, so no call can
+    deadlock waiting for the team. *)
 
-type stats = {
-  workers : int;  (** pool size, fixed at creation *)
-  executed : int;  (** jobs completed without raising *)
-  worker_waits : int;  (** times an idle worker blocked on an empty queue *)
-  submit_waits : int;  (** times {!submit} blocked on a full queue *)
-  peak_depth : int;  (** high-water mark of the queue *)
-}
+val run : jobs:int -> ('a -> unit) -> 'a array -> unit
+(** [run ~jobs f items] applies [f] to every item exactly once, on the
+    caller and at most [jobs - 1] helpers, however large an earlier
+    call grew the team; [jobs = 1] runs every item on the caller. If
+    items raise, the call still runs every other item, then re-raises
+    the first exception (by completion time) with its original
+    backtrace; the team stays usable.
+    @raise Invalid_argument when [jobs < 1]. *)
 
-val create : ?queue_capacity:int -> jobs:int -> unit -> t
-(** Spawn [jobs] worker domains ([>= 1]). [queue_capacity] (default
-    256) bounds the backlog {!submit} may build. *)
-
-val size : t -> int
-
-val submit : t -> (unit -> unit) -> unit
-(** Enqueue a job; blocks while the queue is at capacity.
-    @raise Invalid_argument after {!shutdown}. *)
-
-val stats : t -> stats
-
-val shutdown : t -> unit
-(** Close the queue, run every queued job, join every domain, then
-    re-raise the first exception any job raised (submission order is
-    not guaranteed for the {e choice} of exception; there is at most
-    one per shutdown). Idempotent only in effect — call it once. *)
-
-val run_all : ?queue_capacity:int -> jobs:int -> ('a -> unit) -> 'a list -> unit
-(** [run_all ~jobs f items] = create, submit [f item] for each item in
-    order, shutdown. Convenience for one-shot batches. *)
+val parks : unit -> int
+(** Times a helper has parked waiting for work, over the process
+    lifetime — the volatile [serve_pool_worker_waits] gauge. *)

@@ -388,9 +388,10 @@ let run ?metrics ?(obs = Obs.no_batch) ?ring cfg cache sessions =
      tail keep rules at close. *)
   let tracing = Obs.batch_enabled obs || Option.is_some ring in
   let slot_trace (session : Session.t) =
-    (* Each slot of the batch registry is touched by exactly one job —
-       the one running its session — so traces need no locking; the
-       pool's shutdown join publishes them before the merge phase.
+    (* Each slot of the batch registry is touched by exactly one
+       domain — the one running its session — so traces need no
+       locking; the team's completion barrier publishes them before
+       the merge phase.
        Ring-only runs (no batch export) use a standalone trace. *)
     if Obs.batch_enabled obs then Obs.session_trace obs session.Session.id
     else Obs.create ~session:session.Session.id ()
@@ -433,33 +434,21 @@ let run ?metrics ?(obs = Obs.no_batch) ?ring cfg cache sessions =
   in
   (* Phase 1 — execute. Every session owns its mutable record, the
      cache is sharded behind per-shard locks and the metrics are
-     atomic, so whole sessions run in parallel; [Pool.shutdown]'s join
-     publishes their writes before the merge reads them. *)
+     atomic, so whole sessions run in parallel; the team's completion
+     barrier publishes their writes before the merge reads them. *)
   if cfg.jobs = 1 then List.iter process sessions
   else begin
-    let pool = Pool.create ~jobs:cfg.jobs () in
-    let submit_error =
-      try
-        List.iter (fun session -> Pool.submit pool (fun () -> process session)) sessions;
-        None
-      with e -> Some e
-    in
-    Pool.shutdown pool;
-    (match submit_error with Some e -> raise e | None -> ());
-    match metrics with
-    | Some m ->
-      let s = Pool.stats pool in
-      Metrics.gauge m ~help:"pool worker domains" "serve_pool_workers" (float_of_int s.Pool.workers);
-      (* queue depth and wait counts depend on OS scheduling, not on
-         the seed — volatile keeps them out of the deterministic
-         snapshot (rendered on stderr instead) *)
-      Metrics.gauge m ~help:"work-queue high-water mark" ~volatile:true "serve_pool_queue_peak"
-        (float_of_int s.Pool.peak_depth);
-      Metrics.gauge m ~help:"idle workers that blocked on an empty queue" ~volatile:true
-        "serve_pool_worker_waits" (float_of_int s.Pool.worker_waits);
-      Metrics.gauge m ~help:"submissions that blocked on a full queue" ~volatile:true
-        "serve_pool_submit_waits" (float_of_int s.Pool.submit_waits)
-    | None -> ()
+    Pool.run ~jobs:cfg.jobs process (Array.of_list sessions);
+    Option.iter
+      (fun m ->
+        Metrics.gauge m ~help:"domains a call may run sessions on (helpers plus the caller)"
+          "serve_pool_workers" (float_of_int cfg.jobs);
+        (* parking depends on OS scheduling, not on the seed — volatile
+           keeps it out of the deterministic snapshot (rendered on
+           stderr instead) *)
+        Metrics.gauge m ~help:"times a team helper parked waiting for work, process lifetime"
+          ~volatile:true "serve_pool_worker_waits" (float_of_int (Pool.parks ())))
+      metrics
   end;
   (* Phase 2 — merge in submission order. Lane placement is pure
      bookkeeping over per-session virtual durations, so replaying it

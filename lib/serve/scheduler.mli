@@ -9,16 +9,17 @@
     — two runs with the same sessions and seed are byte-identical.
 
     Real parallelism is orthogonal to the virtual lanes: with
-    [jobs > 1] whole sessions execute on a {!Pool} of worker domains
-    (each session's mutable record is owned by exactly one worker, the
-    cache is sharded, the metrics are atomic), and lane placement is
-    replayed sequentially in submission order {e after} the pool joins.
-    Verdicts, traces, drop schedules, metrics and makespan are
-    therefore bit-for-bit identical at any [jobs]; in the snapshot only
-    the [serve_pool_workers] gauge varies with it, and the
-    timing-dependent pool telemetry (queue high-water mark, wait
-    counts) is registered as {e volatile} gauges that never enter the
-    snapshot at all.
+    [jobs > 1] whole sessions execute on the calling domain and up to
+    [jobs - 1] helpers of the process-wide {!Pool} team, which persists
+    across calls (each session's mutable record is written by exactly
+    one domain, the cache is sharded, the metrics are atomic), and
+    lane placement is replayed sequentially in submission order
+    {e after} the team's completion barrier. Verdicts, traces, drop
+    schedules, metrics and makespan are therefore bit-for-bit
+    identical at any [jobs]; in the snapshot only the
+    [serve_pool_workers] gauge varies with it, and the
+    timing-dependent helper parking count is registered as a
+    {e volatile} gauge that never enters the snapshot at all.
 
     Faults: with [drop_rate > 0] the first run of each session drops
     each delivery independently with that probability, from a stateless
@@ -120,15 +121,15 @@ val run :
     deadline, audit, classify ([Settled] iff the audit reached every
     party's preferred outcome). When [metrics] is given, records
     session counters, engine event counters and tick/event histograms,
-    plus the [serve_pool_*] gauges when [jobs > 1]. Re-raises the first
-    exception a worker's session raised, after joining the pool.
+    plus the [serve_pool_*] gauges when [jobs > 1]. If sessions raise,
+    re-raises the first exception once every session has run.
 
     When [obs] is an enabled {!Trust_obs.Obs.batch}, each session
     records into its own trace slot: a root [session.N] span with
     admission-lint, synthesis, simulate and audit children, plus a
     [serve.place] child added during the sequential merge phase. Slots
-    are written by exactly one pool job each and published by the
-    shutdown join, so span sets are byte-identical at any [jobs];
+    are written by exactly one domain each and published by the
+    completion barrier, so span sets are byte-identical at any [jobs];
     cache hit/miss — which races across jobs — is recorded as a
     volatile attribute that exporters skip.
 

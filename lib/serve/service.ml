@@ -119,7 +119,7 @@ let run (config : config) =
   let obs = Trust_obs.Obs.batch ~enabled:config.trace ~sessions:config.sessions in
   let ring =
     if config.trace_ring > 0 then
-      (* one shard per worker domain: each pool job commits kept
+      (* one shard per domain a call may use: each commits kept
          sessions into its own preallocated buffer, uncontended *)
       Some (Trust_obs.Ring.create ~shards:config.jobs ~capacity:config.trace_ring ())
     else None

@@ -193,7 +193,7 @@ let test_batch_conformance () =
   check "counter family present" true (contains dump "# TYPE serve_sessions_total counter");
   check "histogram family present" true (contains dump "# TYPE serve_session_ticks histogram");
   check "gauge family present" true (contains dump "# TYPE serve_cache_hit_rate gauge");
-  check "volatile pool gauges quarantined" false (contains dump "serve_pool_queue_peak")
+  check "volatile pool gauges quarantined" false (contains dump "serve_pool_worker_waits")
 
 (* the daemon registry: the epoch-aging families must be registered and
    conformant even on an idle server (stop set before the first round) *)

@@ -96,6 +96,34 @@ let test_rescued_fan_carries_plan () =
     | None -> Alcotest.fail "rescued fan must carry its indemnity plan")
   | _ -> Alcotest.fail "expected a fresh rescued synthesis"
 
+(* The cached §5 bound must come from the reduction the entry executes.
+   With shared agents on, test_reduce's shared_bundle (two documents
+   through one agent) is feasible only by the shared-agent rule, so a
+   bound computed without that rule is vacuous. *)
+let test_shared_policy_bound () =
+  let c = Party.consumer "c" and t = Party.trusted "t" in
+  let spec =
+    Spec.make_exn
+      [
+        Spec.sale ~id:"a" ~buyer:c ~seller:(Party.producer "p1") ~via:t
+          ~price:(Asset.dollars 10) ~good:"d1";
+        Spec.sale ~id:"b" ~buyer:c ~seller:(Party.producer "p2") ~via:t
+          ~price:(Asset.dollars 20) ~good:"d2";
+      ]
+  in
+  let cache = Cache.create { Cache.default_policy with Cache.shared = true } in
+  match Cache.synthesize cache spec with
+  | Ok entry, _ ->
+    let module Static_exposure = Trust_analyze.Static_exposure in
+    let expected =
+      Static_exposure.of_analysis
+        (Trust_core.Feasibility.analyze ~shared:true entry.Cache.split_spec)
+    in
+    check "bound from the shared reduction" true (entry.Cache.exposure = expected);
+    check "bound not vacuous" true
+      (entry.Cache.exposure.Static_exposure.verdict <> Static_exposure.Vacuous)
+  | Error e, _ -> Alcotest.failf "shared bundle must synthesize: %s" e
+
 let test_negative_caching () =
   let cache = Cache.create { Cache.default_policy with Cache.rescue = false } in
   let spec = Gen.fan ~prices:[ Asset.dollars 10; Asset.dollars 20 ] in
@@ -264,6 +292,7 @@ let () =
           Alcotest.test_case "hit equals fresh" `Quick test_hit_equals_fresh;
           Alcotest.test_case "rescued fan carries plan" `Quick test_rescued_fan_carries_plan;
           Alcotest.test_case "negative caching" `Quick test_negative_caching;
+          Alcotest.test_case "shared-policy bound" `Quick test_shared_policy_bound;
           Alcotest.test_case "eviction" `Quick test_eviction;
           Alcotest.test_case "aging sweeps idle entries" `Quick test_aging_sweeps_idle;
           Alcotest.test_case "touched entries survive aging" `Quick test_aging_touch_survives;

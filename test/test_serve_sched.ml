@@ -9,6 +9,7 @@ module Cache = Trust_serve.Cache
 module Metrics = Trust_serve.Metrics
 module Service = Trust_serve.Service
 module Pool = Trust_serve.Pool
+module Ring = Trust_obs.Ring
 module Gen = Workload.Gen
 
 let check = Alcotest.(check bool)
@@ -128,34 +129,86 @@ let test_bounded_concurrency () =
   check "serial pays for every session" true (serial >= 12)
 
 let test_pool_runs_everything () =
-  let n = 200 in
-  let counters = Array.make n 0 in
-  Pool.run_all ~jobs:4 (fun i -> counters.(i) <- counters.(i) + 1) (List.init n Fun.id);
-  Array.iteri (fun i c -> check_int (Printf.sprintf "job %d ran once" i) 1 c) counters
-
-let test_pool_stats_and_shutdown () =
-  let pool = Pool.create ~queue_capacity:4 ~jobs:2 () in
-  check_int "pool size" 2 (Pool.size pool);
-  let hits = Atomic.make 0 in
-  for _ = 1 to 32 do
-    Pool.submit pool (fun () -> ignore (Atomic.fetch_and_add hits 1))
-  done;
-  Pool.shutdown pool;
-  check_int "every job executed" 32 (Atomic.get hits);
-  let s = Pool.stats pool in
-  check_int "stats count executions" 32 s.Pool.executed;
-  check "peak bounded by capacity" true (s.Pool.peak_depth <= 4);
-  Alcotest.check_raises "submit after shutdown"
-    (Invalid_argument "Pool.submit: pool is shut down") (fun () ->
-      Pool.submit pool (fun () -> ()))
+  (* the team grows (jobs 4), is reused smaller (2, 3) and bypassed
+     (jobs 1, or fewer than two items) *)
+  List.iter
+    (fun jobs ->
+      List.iter
+        (fun n ->
+          let counters = Array.make n 0 in
+          Pool.run ~jobs (fun i -> counters.(i) <- counters.(i) + 1) (Array.init n Fun.id);
+          Array.iteri
+            (fun i c -> check_int (Printf.sprintf "jobs %d, %d items: item %d ran once" jobs n i) 1 c)
+            counters)
+        [ 0; 1; 200 ])
+    [ 2; 4; 2; 1; 3 ]
 
 let test_pool_propagates_failure () =
-  let pool = Pool.create ~jobs:2 () in
-  Pool.submit pool (fun () -> ());
-  Pool.submit pool (fun () -> failwith "boom");
-  Pool.submit pool (fun () -> ());
-  Alcotest.check_raises "first job exception re-raised at shutdown" (Failure "boom") (fun () ->
-      Pool.shutdown pool)
+  let ran = Atomic.make 0 in
+  Alcotest.check_raises "first item exception re-raised" (Failure "boom") (fun () ->
+      Pool.run ~jobs:2
+        (fun i ->
+          if i = 37 then failwith "boom";
+          Atomic.incr ran)
+        (Array.init 100 Fun.id));
+  check_int "every other item still ran" 99 (Atomic.get ran);
+  let after = Atomic.make 0 in
+  Pool.run ~jobs:2 (fun _ -> Atomic.incr after) (Array.init 100 Fun.id);
+  check_int "the next call runs cleanly" 100 (Atomic.get after)
+
+let test_pool_nested () =
+  let inner = Atomic.make 0 in
+  Pool.run ~jobs:2
+    (fun _ -> Pool.run ~jobs:2 (fun _ -> Atomic.incr inner) (Array.init 10 Fun.id))
+    (Array.init 4 Fun.id);
+  check_int "every nested item ran" 40 (Atomic.get inner)
+
+let test_pool_caps_helpers () =
+  (* grow the team to three helpers, then ask for two domains *)
+  Pool.run ~jobs:4 ignore (Array.make 200 ());
+  let ids = Array.make 200 (-1) in
+  Pool.run ~jobs:2
+    (fun i -> ids.(i) <- (Domain.self () :> int))
+    (Array.init 200 Fun.id);
+  let distinct = List.sort_uniq compare (Array.to_list ids) in
+  check "a jobs-2 call runs on at most two domains" true (List.length distinct <= 2)
+
+(* The number of shards of a ring dump that ever took a commit. Each
+   writer domain adopts its own shard on first use, so with more shards
+   than domains this counts the distinct domains that recorded. *)
+let shards_written dump =
+  let pos = ref 4 (* past the magic *) in
+  let rec varint shift acc =
+    let b = Char.code dump.[!pos] in
+    incr pos;
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 = 0 then acc else varint (shift + 7) acc
+  in
+  let used = ref 0 in
+  for _ = 1 to varint 0 0 do
+    let written = varint 0 0 in
+    ignore (varint 0 0 : int);
+    pos := !pos + varint 0 0;
+    if written > 0 then incr used
+  done;
+  !used
+
+(* Domain reuse: one ring, every session sampled, 50 consecutive
+   jobs-2 calls. Sessions run on the caller and one persistent helper,
+   so at most two shards take commits; a pool spawned per call would
+   bring two fresh domains each time and fill all 64. *)
+let test_domains_reused () =
+  (* a team grown past one helper must still lend a jobs-2 call only one *)
+  Pool.run ~jobs:4 ignore (Array.make 8 ());
+  let ring = Ring.create ~shards:64 ~capacity:(1 lsl 20) () in
+  let cache = Cache.create Cache.default_policy in
+  let cfg = { Scheduler.default_config with Scheduler.jobs = 2; sample_rate = 1.0 } in
+  for call = 0 to 49 do
+    let sessions = List.init 8 (fun i -> Session.make ~id:((call * 8) + i) (Gen.chain ~brokers:1)) in
+    ignore (Scheduler.run ~ring cfg cache sessions : Scheduler.stats)
+  done;
+  check_int "400 sessions recorded" 400 (Ring.sessions_recorded ring);
+  check "sessions ran on at most two domains" true (shards_written (Ring.dump ring) <= 2)
 
 (* Strip the pool gauges (samples and their HELP lines) — the only
    metrics allowed to vary with [jobs] — before comparing snapshots
@@ -204,10 +257,10 @@ let test_jobs_bit_identical () =
   check_string "metrics identical modulo pool gauges" (metrics_sans_pool a.Service.metrics)
     (metrics_sans_pool b.Service.metrics)
 
-(* The serve_pool_* telemetry: at jobs=1 no pool exists and the
+(* The serve_pool_* telemetry: at jobs=1 the team is not used and the
    volatile channel is empty (so `trustseq batch` prints no gauge line
    even under --debug-gauges); at jobs>1 the scheduling-dependent
-   gauges appear on the volatile channel only, while the deterministic
+   gauge appears on the volatile channel only, while the deterministic
    worker-count gauge stays in the snapshot. *)
 let test_pool_gauges_quarantined () =
   let contains hay needle =
@@ -224,13 +277,9 @@ let test_pool_gauges_quarantined () =
   check "no pool series in the sequential snapshot" false
     (contains (Metrics.to_text seq.Service.metrics) "serve_pool_");
   let vol = Metrics.volatile_text par.Service.metrics in
-  check "queue peak on the volatile channel" true (contains vol "serve_pool_queue_peak");
   check "worker waits on the volatile channel" true (contains vol "serve_pool_worker_waits");
-  check "submit waits on the volatile channel" true (contains vol "serve_pool_submit_waits");
   let snap = Metrics.to_text par.Service.metrics in
   check "worker count stays in the snapshot" true (contains snap "serve_pool_workers");
-  check "queue peak quarantined from the snapshot" false
-    (contains snap "serve_pool_queue_peak");
   check "wait counts quarantined from the snapshot" false
     (contains snap "serve_pool_worker_waits")
 
@@ -266,9 +315,11 @@ let () =
         ] );
       ( "pool",
         [
-          Alcotest.test_case "runs every job exactly once" `Quick test_pool_runs_everything;
-          Alcotest.test_case "stats and shutdown" `Quick test_pool_stats_and_shutdown;
-          Alcotest.test_case "propagates job failure" `Quick test_pool_propagates_failure;
+          Alcotest.test_case "every item runs once across calls" `Quick test_pool_runs_everything;
+          Alcotest.test_case "re-raises and stays usable" `Quick test_pool_propagates_failure;
+          Alcotest.test_case "nested call returns" `Quick test_pool_nested;
+          Alcotest.test_case "at most jobs domains after growth" `Quick test_pool_caps_helpers;
+          Alcotest.test_case "scheduler calls reuse domains" `Quick test_domains_reused;
         ] );
       ( "service",
         [
