@@ -60,28 +60,21 @@ let land_output path rendered =
 let write_trace fmt path traces =
   land_output path (Obs.export ~producer:("trustseq " ^ version) fmt traces)
 
-(* The automatic indemnity rescue, merged into a single plan (the same
-   folding simulate/route use). *)
-let rescue_plan ?shared spec =
-  match Feasibility.rescue_with_indemnities ?shared spec with
-  | None -> None
-  | Some r -> (
-    match r.Feasibility.plans with
-    | [] -> None
-    | [ plan ] -> Some plan
-    | plans ->
-      Some
-        Indemnity.
-          {
-            offers = List.concat_map (fun p -> p.offers) plans;
-            total = Feasibility.total_indemnity r;
-          })
-
 let or_die = function
   | Ok v -> v
   | Error message ->
     prerr_endline ("trustseq: " ^ message);
     exit 2
+
+let read_source file =
+  match file with
+  | "-" -> In_channel.input_all stdin
+  | path -> (
+    match In_channel.with_open_text path In_channel.input_all with
+    | src -> src
+    | exception Sys_error m ->
+      prerr_endline ("trustseq: " ^ m);
+      exit 2)
 
 let file_arg =
   let doc = "Exchange specification file in the trust DSL ('-' for stdin)." in
@@ -375,15 +368,17 @@ let simulate_cmd =
     let status =
       Obs.with_span obs ~phase:"pipeline" "trustseq.simulate" (fun root ->
           let spec = or_die (load ~obs ~parent:root file) in
-          let plan = if rescue then rescue_plan spec else None in
+          let synthesis = Feasibility.synthesize ~rescue spec in
+          let plan = synthesis.Feasibility.plan in
           let defectors =
             List.map (fun (name, mode) -> (or_die (party_of_spec spec name), mode)) defections
           in
-          match Trust_sim.Harness.adversarial_run ~obs ~parent:root ?plan ~defectors spec with
+          match Trust_sim.Harness.cast_of ~obs ~parent:root ~defectors synthesis with
           | Error message ->
             prerr_endline ("trustseq: " ^ message);
             1
-          | Ok result ->
+          | Ok cast ->
+            let result = Trust_sim.Harness.run_cast ~obs ~parent:root cast in
             if verbose then Format.printf "%a@.@." Trust_sim.Engine.pp_result result;
             let report =
               Trust_sim.Audit.audit ~obs ~parent:root spec ?plan
@@ -486,20 +481,20 @@ let exposure_cmd =
   let module Exposure = Trust_sim.Exposure in
   let run file rescue defections =
     let spec = or_die (load file) in
-    let plan = if rescue then rescue_plan spec else None in
     let defectors =
       List.map (fun (name, mode) -> (or_die (party_of_spec spec name), mode)) defections
     in
-    match Trust_sim.Harness.adversarial_run ?plan ~defectors spec with
+    match Trust_sim.Harness.cast_of ~defectors (Feasibility.synthesize ~rescue spec) with
     | Error message ->
       prerr_endline ("trustseq: " ^ message);
       2
-    | Ok result ->
+    | Ok cast ->
+      let result = Trust_sim.Harness.run_cast cast in
       (* the ledger, like the audit, works over the split spec — the
          accepted indemnities redefine the deals (§6) *)
-      let split = match plan with Some p -> Indemnity.apply p spec | None -> spec in
       let ledger =
-        Exposure.of_result ?plan ~defectors:(List.map fst defectors) split result
+        Exposure.of_result ?plan:cast.Trust_sim.Harness.plan
+          ~defectors:(List.map fst defectors) cast.Trust_sim.Harness.spec result
       in
       print_string
         (Report.Table.render
@@ -597,17 +592,7 @@ let exposure_cmd =
 
 let route_cmd =
   let run file simulate =
-    let src =
-      match file with
-      | "-" -> In_channel.input_all stdin
-      | path -> (
-        match In_channel.with_open_text path In_channel.input_all with
-        | src -> src
-        | exception Sys_error m ->
-          prerr_endline ("trustseq: " ^ m);
-          exit 2)
-    in
-    let web = or_die (Trust_lang.Elaborate.web_from_string src) in
+    let web = or_die (Trust_lang.Elaborate.web_from_string (read_source file)) in
     let module Routing = Trust_core.Routing in
     let trusts =
       List.map (fun (a, b) -> Routing.{ truster = a; trustee = b }) web.Trust_lang.Elaborate.trusts
@@ -629,37 +614,25 @@ let route_cmd =
       print_string (Trust_lang.Printer.to_string routed.Routing.spec);
       print_newline ();
       let spec = routed.Routing.spec in
-      let plan, verdict =
-        if Feasibility.is_feasible ~shared:true spec then (None, "FEASIBLE")
-        else
-          match Feasibility.rescue_with_indemnities ~shared:true spec with
-          | Some rescue ->
-            let plan =
-              match rescue.Feasibility.plans with
-              | [ plan ] -> Some plan
-              | plans ->
-                Some
-                  Indemnity.
-                    {
-                      offers = List.concat_map (fun p -> p.offers) plans;
-                      total = Feasibility.total_indemnity rescue;
-                    }
-            in
-            ( plan,
-              Printf.sprintf "FEASIBLE with %s of indemnities"
-                (Report.Table.money (Feasibility.total_indemnity rescue)) )
-          | None -> (None, "INFEASIBLE")
+      let synthesis = Feasibility.synthesize ~shared:true ~rescue:true spec in
+      let plan = synthesis.Feasibility.plan in
+      let verdict =
+        match (plan, synthesis.Feasibility.analysis.Feasibility.sequence) with
+        | Some plan, _ ->
+          Format.printf "%a@." Indemnity.pp_plan plan;
+          Printf.sprintf "FEASIBLE with %s of indemnities"
+            (Report.Table.money plan.Indemnity.total)
+        | None, Some _ -> "FEASIBLE"
+        | None, None -> "INFEASIBLE"
       in
-      (match plan with
-      | Some plan -> Format.printf "%a@." Indemnity.pp_plan plan
-      | None -> ());
       print_endline verdict;
       if simulate && verdict <> "INFEASIBLE" then begin
-        match Trust_sim.Harness.honest_run ~shared:true ?plan spec with
+        match Trust_sim.Harness.cast_of synthesis with
         | Error message ->
           prerr_endline ("trustseq: " ^ message);
           1
-        | Ok result ->
+        | Ok cast ->
+          let result = Trust_sim.Harness.run_cast cast in
           print_newline ();
           Format.printf "%a@." Trust_sim.Audit.pp_report
             (Trust_sim.Audit.audit spec ?plan result);
@@ -680,16 +653,6 @@ let route_cmd =
 
 (* trace / trace-stats *)
 
-let read_source file =
-  match file with
-  | "-" -> In_channel.input_all stdin
-  | path -> (
-    match In_channel.with_open_text path In_channel.input_all with
-    | src -> src
-    | exception Sys_error m ->
-      prerr_endline ("trustseq: " ^ m);
-      exit 2)
-
 (* The whole pipeline — parse, elaborate, lint, reduce, route, simulate,
    verify, audit — as spans on one trace; shared by `trace` and
    `trace-stats`. *)
@@ -702,15 +665,11 @@ let traced_pipeline obs ~file src =
       | Ok spec -> (
         (* every phase lands on the trace, whatever it finds *)
         ignore (Trust_analyze.Lint.check_spec ~obs ~parent:root ~file spec);
-        let analysis = Feasibility.analyze ~obs ~parent:root spec in
-        let plan =
-          (* infeasible specs get the automatic indemnity rescue so
-             the downstream phases still appear on the trace *)
-          match analysis.Feasibility.outcome.Reduce.verdict with
-          | Reduce.Feasible -> None
-          | Reduce.Stuck _ -> rescue_plan spec
-        in
-        match Trust_sim.Harness.assemble ~obs ~parent:root ?plan spec with
+        (* infeasible specs get the automatic indemnity rescue so the
+           downstream phases still appear on the trace *)
+        let synthesis = Feasibility.synthesize ~obs ~parent:root ~rescue:true spec in
+        let plan = synthesis.Feasibility.plan in
+        match Trust_sim.Harness.cast_of ~obs ~parent:root synthesis with
         | Error message ->
           prerr_endline ("trustseq: " ^ message);
           1

@@ -35,41 +35,23 @@ let fresh () =
 
 let settle stats spec =
   stats.transactions <- stats.transactions + 1;
-  let finish plan analysis =
-    match analysis.Feasibility.sequence with
-    | None -> stats.failed <- stats.failed + 1
-    | Some seq ->
-      stats.messages <- stats.messages + Trust_core.Execution.message_count seq;
-      let run =
-        match plan with
-        | None -> Trust_sim.Harness.honest_run spec
-        | Some plan -> Trust_sim.Harness.honest_run ~plan spec
-      in
-      (match run with
-      | Ok result ->
-        let report = Trust_sim.Audit.audit spec ?plan result in
-        if report.Trust_sim.Audit.all_preferred then stats.runs_ok <- stats.runs_ok + 1
-      | Error _ -> ())
-  in
-  let analysis = Feasibility.analyze spec in
-  if analysis.Feasibility.sequence <> None then begin
-    stats.feasible <- stats.feasible + 1;
-    finish None analysis
-  end
-  else
-    match Feasibility.rescue_with_indemnities spec with
-    | Some rescue ->
+  let synthesis = Feasibility.synthesize ~rescue:true spec in
+  let plan = synthesis.Feasibility.plan in
+  match synthesis.Feasibility.analysis.Feasibility.sequence with
+  | None -> stats.failed <- stats.failed + 1
+  | Some seq -> (
+    (match plan with
+    | None -> stats.feasible <- stats.feasible + 1
+    | Some plan ->
       stats.rescued <- stats.rescued + 1;
-      stats.indemnity_cents <- stats.indemnity_cents + Feasibility.total_indemnity rescue;
-      let plan =
-        Trust_core.Indemnity.
-          {
-            offers = List.concat_map (fun p -> p.offers) rescue.Feasibility.plans;
-            total = Feasibility.total_indemnity rescue;
-          }
-      in
-      finish (Some plan) rescue.Feasibility.analysis
-    | None -> stats.failed <- stats.failed + 1
+      stats.indemnity_cents <- stats.indemnity_cents + plan.Trust_core.Indemnity.total);
+    stats.messages <- stats.messages + Trust_core.Execution.message_count seq;
+    match Trust_sim.Harness.cast_of synthesis with
+    | Ok cast ->
+      let result = Trust_sim.Harness.run_cast cast in
+      let report = Trust_sim.Audit.audit spec ?plan result in
+      if report.Trust_sim.Audit.all_preferred then stats.runs_ok <- stats.runs_ok + 1
+    | Error _ -> ())
 
 let () =
   let seed =

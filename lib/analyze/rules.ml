@@ -250,7 +250,6 @@ let zero_value_leg ~deal_loc spec =
 (* Deep rules: the full feasibility pipeline.                          *)
 
 let feasibility_diags analysis =
-  let spec = analysis.Feasibility.spec in
   match analysis.Feasibility.outcome.Reduce.verdict with
   | Reduce.Feasible ->
     let unsafe =
@@ -280,7 +279,7 @@ let feasibility_diags analysis =
       | None -> []
     in
     let diag =
-      match Feasibility.rescue_with_indemnities spec with
+      match Feasibility.rescue_from analysis with
       | Some rescue ->
         Diagnostic.make ~notes:kernel_notes
           Diagnostic.Rescuable_infeasibility

@@ -17,11 +17,11 @@ type t = {
 }
 
 val analyze : ?shared:bool -> Exchange.Spec.t -> t
-(** Synthesize (via {!Trust_core.Feasibility.analyze}, with the
+(** Analyze afresh (via {!Trust_core.Feasibility.analyze}, with the
     shared-agent rule when [shared], default false) and check. *)
 
 val of_analysis : Trust_core.Feasibility.analysis -> t
-(** Check an already-computed analysis, reusing its sequence. *)
+(** Check the analysis whose sequence executes, without re-analyzing. *)
 
 val of_sequence : Trust_core.Execution.sequence -> t
 

@@ -1,10 +1,12 @@
 (** One-call analysis: spec → sequencing graph → reduction → execution
-    sequence, plus the indemnity rescue loop for infeasible bundles. *)
+    sequence, plus the indemnity rescue loop; {!synthesize} is the one
+    pass every caller that runs or caches a spec goes through. *)
 
 open Exchange
 
 type analysis = {
   spec : Spec.t;
+  shared : bool;  (** {!Reduce.Rule3_shared} enabled; a rescue from here keeps it *)
   outcome : Reduce.outcome;
   sequence : Execution.sequence option;  (** [Some] iff feasible *)
 }
@@ -28,13 +30,34 @@ type rescue = {
   analysis : analysis;  (** of the split spec; feasible on success *)
 }
 
+val rescue_from : analysis -> rescue option
+(** From an analysis in hand, repeatedly: if stuck, greedily indemnify
+    the blocking {e principal} conjunction whose split is cheapest, and
+    re-analyze. [None] when no further principal conjunction can be
+    split and the spec is still infeasible. Feasible: no plans. *)
+
 val rescue_with_indemnities : ?shared:bool -> Spec.t -> rescue option
-(** Repeatedly: analyze; if stuck, greedily indemnify the blocking
-    {e principal} conjunction whose split is cheapest, and retry.
-    [None] when no further principal conjunction can be split and the
-    spec is still infeasible. Feasible specs return a rescue with no
-    plans. *)
+(** [rescue_from (analyze ?shared spec)]. *)
 
 val total_indemnity : rescue -> Asset.money
+
+val merged_plan : rescue -> Indemnity.plan option
+(** The plans as one (offers in split order), [None] if none; applied
+    to the original spec it gives the rescue's split spec. *)
+
+type synthesis = {
+  plan : Indemnity.plan option;  (** the merged rescue plan, if any *)
+  analysis : analysis;  (** of the spec that executes: split iff [plan] *)
+}
+
+val synthesize :
+  ?shared:bool ->
+  ?obs:Trust_obs.Obs.t ->
+  ?parent:Trust_obs.Obs.handle ->
+  rescue:bool ->
+  Spec.t ->
+  synthesis
+(** Analyze once (attached to [obs]/[parent]); when stuck and [rescue]
+    is set, {!rescue_from} that analysis — k+1 analyses for k plans. *)
 
 val pp_analysis : Format.formatter -> analysis -> unit

@@ -3,6 +3,8 @@ module Harness = Trust_sim.Harness
 module Feasibility = Trust_core.Feasibility
 module Indemnity = Trust_core.Indemnity
 module Protocol = Trust_core.Protocol
+module Absint = Trust_analyze.Absint
+module Static_exposure = Trust_analyze.Static_exposure
 
 type policy = { mode : Harness.mode; shared : bool; rescue : bool; verify : bool }
 
@@ -12,7 +14,7 @@ type entry = {
   split_spec : Spec.t;
   plan : Indemnity.plan option;
   protocol : Protocol.t;
-  exposure : Trust_analyze.Static_exposure.t;
+  exposure : Static_exposure.t;
   compiled : Trust_core.Compile.t option;
 }
 
@@ -99,71 +101,46 @@ let shard_count t = Array.length t.shards
 let shard_of t spec =
   (Int64.to_int (Shape.hash spec) land max_int) mod Array.length t.shards
 
-let merge_plans = function
-  | [] -> None
-  | [ plan ] -> Some plan
-  | plans ->
-    Some
-      Indemnity.
-        {
-          offers = List.concat_map (fun p -> p.offers) plans;
-          total = List.fold_left (fun acc p -> acc + p.Indemnity.total) 0 plans;
-        }
-
+(* One synthesis pass per miss: plan, protocol, static bound and
+   compiled plan all come from the one analysis [synthesize] returns.
+   No behaviours are built; runs rebuild them from the protocol. *)
 let fresh policy spec =
-  let plan =
-    if (not policy.rescue) || Feasibility.is_feasible ~shared:policy.shared spec then None
-    else
-      match Feasibility.rescue_with_indemnities ~shared:policy.shared spec with
-      | Some rescue -> merge_plans rescue.Feasibility.plans
-      | None -> None
-  in
-  match Harness.assemble ~mode:policy.mode ~shared:policy.shared ?plan spec with
-  | Ok cast ->
-    (* The proven bound rides the cache entry: a hit skips re-analysis
-       entirely (the static pass is the expensive half of cold
-       synthesis — see BENCH_analyze.json). *)
-    let exposure =
-      Trust_analyze.Static_exposure.analyze ~shared:policy.shared cast.Harness.spec
-    in
-    (* Compile once per synthesis: the flat instruction plan the
-       allocation-free runtime executes on cache hits. Specs with
-       acceptability overrides are never cacheable and stay on the
-       interpreted path. *)
-    let compiled =
-      if Party.Map.is_empty cast.Harness.spec.Spec.overrides then
-        Some
-          (Trust_core.Compile.compile
-             ~lockstep:(policy.mode = Harness.Lockstep)
-             ~shared:policy.shared ?plan
-             ~price:(Trust_sim.Trace.price_for cast.Harness.spec)
-             cast.Harness.spec cast.Harness.protocol)
-      else None
-    in
-    Ok
-      { split_spec = cast.Harness.spec; plan; protocol = cast.Harness.protocol; exposure; compiled }
-  | Error e -> Error e
+  let s = Feasibility.synthesize ~shared:policy.shared ~rescue:policy.rescue spec in
+  let plan = s.Feasibility.plan and split_spec = s.Feasibility.analysis.Feasibility.spec in
+  Result.map
+    (fun protocol ->
+      (* The proven bound rides the entry, so a hit skips the abstract
+         interpretation (the expensive half of a cold synthesis). *)
+      let exposure = Static_exposure.of_analysis s.Feasibility.analysis in
+      (* The flat plan the allocation-free runtime executes on hits;
+         specs with acceptability overrides stay interpreted. *)
+      let compiled =
+        if Party.Map.is_empty split_spec.Spec.overrides then
+          Some
+            (Trust_core.Compile.compile
+               ~lockstep:(policy.mode = Harness.Lockstep)
+               ~shared:policy.shared ?plan
+               ~price:(Trust_sim.Trace.price_for split_spec)
+               split_spec protocol)
+        else None
+      in
+      { split_spec; plan; protocol; exposure; compiled })
+    (Harness.protocol_of ~mode:policy.mode s)
 
-let equal_offer (a : Indemnity.offer) (b : Indemnity.offer) =
-  Spec.equal_ref a.Indemnity.piece b.Indemnity.piece
-  && Party.equal a.Indemnity.owner b.Indemnity.owner
-  && Party.equal a.Indemnity.offered_by b.Indemnity.offered_by
-  && Party.equal a.Indemnity.via b.Indemnity.via
-  && a.Indemnity.amount = b.Indemnity.amount
-
-let equal_plan a b =
-  match (a, b) with
-  | None, None -> true
-  | Some a, Some b ->
-    a.Indemnity.total = b.Indemnity.total
-    && List.length a.Indemnity.offers = List.length b.Indemnity.offers
-    && List.for_all2 equal_offer a.Indemnity.offers b.Indemnity.offers
-  | (None | Some _), _ -> false
+(* Plans are plain data. Of the bound, the verdict, the step count and
+   each interval's figures are compared; witnesses are derived. *)
+let bound_key (x : Static_exposure.t) =
+  ( x.Static_exposure.verdict,
+    x.Static_exposure.steps,
+    List.map
+      (fun (i : Absint.interval) -> (i.Absint.i_party, i.Absint.i_bound, i.Absint.i_lo, i.Absint.i_hi))
+      x.Static_exposure.intervals )
 
 let entry_equal a b =
   String.equal (Shape.encode a.split_spec) (Shape.encode b.split_spec)
-  && equal_plan a.plan b.plan
+  && a.plan = b.plan
   && Protocol.equal_roles a.protocol b.protocol
+  && bound_key a.exposure = bound_key b.exposure
 
 let verify t spec cached =
   (match (cached, fresh t.policy spec) with

@@ -10,10 +10,10 @@
 
     The correctness invariant, checked when the policy sets [verify]
     (and exercised by the property tests): {e a cache hit is equal to
-    fresh synthesis} — same split spec, same indemnity plan, same
-    per-party scripts. Behaviours are single-run stateful machines and
-    are therefore {e never} cached; callers rebuild them per run with
-    {!Trust_sim.Harness.behaviors_for}. *)
+    fresh synthesis} — same split spec, indemnity plan, per-party
+    scripts and static bound. Behaviours are single-run stateful
+    machines and are therefore {e never} cached; callers rebuild them
+    per run with {!Trust_sim.Harness.behaviors_for}. *)
 
 open Exchange
 
@@ -158,12 +158,14 @@ val synthesize : t -> Spec.t -> (entry, string) result * [ `Hit | `Miss | `Bypas
     synthesis failure (infeasible and not rescued). *)
 
 val fresh : policy -> Spec.t -> (entry, string) result
-(** Uncached synthesis — the reference the invariant compares against. *)
+(** Uncached synthesis — the reference the invariant compares against:
+    one {!Trust_core.Feasibility.synthesize} pass, then the protocol,
+    bound and compiled plan read off its analysis. *)
 
 val entry_equal : entry -> entry -> bool
-(** Structural: canonical split-spec encodings, plan offers, and
-    protocol scripts all equal. The derived [exposure] field is not
-    compared — it is a pure function of [split_spec]. *)
+(** Structural: canonical split-spec encodings, plans, protocol scripts
+    and static bounds (verdict, steps, each interval's party, bound, lo
+    and hi) all equal. The compiled plan derives from the rest. *)
 
 val hits : t -> int
 val misses : t -> int

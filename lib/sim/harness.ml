@@ -96,33 +96,32 @@ let behaviors_for ?(shared = false) ?plan ?(defectors = []) ~mode split_spec pro
   List.map principal_behavior (Spec.principals split_spec)
   @ List.filter_map trusted_behavior (Spec.trusted_agents split_spec)
 
-let assemble ?(obs = Obs.null) ?parent ?(mode = Lockstep) ?(shared = false) ?plan
-    ?(defectors = []) spec =
+(* Every sequence about to become a protocol first passes the
+   independent §5 verifier: the synthesizer is never its own witness. *)
+let protocol_of ?(mode = Lockstep) (s : Feasibility.synthesis) =
+  match s.Feasibility.analysis.Feasibility.sequence with
+  | None -> Error "infeasible: no protocol can be synthesized"
+  | Some sequence -> (
+    match (Trust_analyze.Verifier.verify sequence, mode) with
+    | Error exposures, _ ->
+      Error
+        (Printf.sprintf "unsafe execution sequence:\n%s"
+           (Trust_analyze.Verifier.explain exposures))
+    | Ok (), Lockstep ->
+      Ok (Protocol.synthesize_lockstep ~prologue:(deposit_actions s.Feasibility.plan) sequence)
+    | Ok (), Distributed -> Ok (Protocol.synthesize sequence))
+
+let cast_of ?(obs = Obs.null) ?parent ?(mode = Lockstep) ?(defectors = [])
+    (s : Feasibility.synthesis) =
   Obs.with_span obs ?parent ~phase:"route" "route.assemble" (fun h ->
-  let split_spec =
-    match plan with Some plan -> Indemnity.apply plan spec | None -> spec
-  in
-  let analysis = Feasibility.analyze ~shared split_spec in
+  let plan = s.Feasibility.plan and analysis = s.Feasibility.analysis in
+  let spec = analysis.Feasibility.spec and shared = analysis.Feasibility.shared in
   let outcome =
-    match analysis.Feasibility.sequence with
-    | None -> Error "infeasible: no protocol can be synthesized"
-    | Some sequence -> (
-      (* Independent safety pass (§5 protection invariant) over every
-         sequence we are about to hand to behaviours: the synthesizer is
-         never its own witness. *)
-      match Trust_analyze.Verifier.verify sequence with
-      | Error exposures ->
-        Error
-          (Printf.sprintf "unsafe execution sequence:\n%s"
-             (Trust_analyze.Verifier.explain exposures))
-      | Ok () ->
-      let protocol =
-        match mode with
-        | Lockstep -> Protocol.synthesize_lockstep ~prologue:(deposit_actions plan) sequence
-        | Distributed -> Protocol.synthesize sequence
-      in
-      let behaviors = behaviors_for ~shared ?plan ~defectors ~mode split_spec protocol in
-      Ok { spec = split_spec; plan; mode; protocol; behaviors })
+    Result.map
+      (fun protocol ->
+        let behaviors = behaviors_for ~shared ?plan ~defectors ~mode spec protocol in
+        { spec; plan; mode; protocol; behaviors })
+      (protocol_of ~mode s)
   in
   if Obs.enabled obs then begin
     Obs.attr obs h "mode"
@@ -135,6 +134,11 @@ let assemble ?(obs = Obs.null) ?parent ?(mode = Lockstep) ?(shared = false) ?pla
       Obs.attr obs h "error" (Obs.Str reason)
   end;
   outcome)
+
+let assemble ?obs ?parent ?mode ?shared ?plan ?defectors spec =
+  let split_spec = Option.fold ~none:spec ~some:(fun p -> Indemnity.apply p spec) plan in
+  cast_of ?obs ?parent ?mode ?defectors
+    { Feasibility.plan; analysis = Feasibility.analyze ?shared split_spec }
 
 let config_for cast config =
   let base = Option.value ~default:Engine.default_config config in

@@ -49,6 +49,24 @@ val behaviors_for :
     stateful machines — callers that reuse a protocol across runs (the
     serve-layer protocol cache) must call this once per run. *)
 
+val protocol_of :
+  ?mode:mode -> Trust_core.Feasibility.synthesis -> (Trust_core.Protocol.t, string) result
+(** The protocol for the sequence the synthesis already holds (no
+    re-analysis), once the independent {!Trust_analyze.Verifier} pass
+    accepts it; lockstep (the default) chains the plan's escrow
+    deposits in front. [Error] when infeasible or unsafe. *)
+
+val cast_of :
+  ?obs:Trust_obs.Obs.t ->
+  ?parent:Trust_obs.Obs.handle ->
+  ?mode:mode ->
+  ?defectors:(Party.t * defection) list ->
+  Trust_core.Feasibility.synthesis ->
+  (cast, string) result
+(** {!protocol_of}, then {!behaviors_for} under the analysis' [shared]
+    setting. [obs]/[parent] attach a ["route"] span (mode, behaviour
+    count, indemnified flag or error) to a trace. *)
+
 val assemble :
   ?obs:Trust_obs.Obs.t ->
   ?parent:Trust_obs.Obs.handle ->
@@ -58,16 +76,8 @@ val assemble :
   ?defectors:(Party.t * defection) list ->
   Spec.t ->
   (cast, string) result
-(** Synthesize the protocol (applying the plan's splits first, with the
-    escrow deposits chained in front), then build behaviours: scripted
-    principals — replaced by the requested defection for parties listed
-    in [defectors] — and escrow automata for every non-persona trusted
-    role (atomic when the agent mediates several deals). [mode] defaults
-    to [Lockstep]; [shared] enables the shared-agent reduction rule.
-    [Error] when the (split) spec is infeasible. [obs]/[parent] attach a
-    ["route"] span (mode, behaviour count) to a trace; the inner
-    feasibility re-analysis is deliberately uninstrumented so a pipeline
-    trace carries exactly one reduce span per phase. *)
+(** {!cast_of} for a plan computed elsewhere: applies its splits and
+    analyzes the split spec (untraced; [shared] defaults to false). *)
 
 val honest_run :
   ?config:Engine.config ->

@@ -51,6 +51,51 @@ let test_rescue_poor_broker_fails () =
   check "no rescue" true
     (Feasibility.rescue_with_indemnities Workload.Scenarios.example1_poor_broker = None)
 
+(* Two consumers each need a two-document bundle bought through
+   brokers: the rescue splits both conjunctions, one plan each. *)
+let test_rescue_two_bundles () =
+  let spec =
+    match Trust_lang.Elaborate.from_file "../specs/two_bundles.exg" with
+    | Ok spec -> spec
+    | Error e -> Alcotest.failf "two_bundles.exg: %s" e
+  in
+  match Feasibility.rescue_with_indemnities spec with
+  | None -> Alcotest.fail "two_bundles is rescuable"
+  | Some rescue -> (
+    check_int "two conjunctions split" 2 (List.length rescue.Feasibility.plans);
+    match Feasibility.merged_plan rescue with
+    | None -> Alcotest.fail "a two-plan rescue merges into one plan"
+    | Some merged ->
+      check_int "merged total $40" 4000 merged.Trust_core.Indemnity.total;
+      (* the single synthesis pass hands out the loop's split spec as
+         the spec the merged plan defines *)
+      Alcotest.(check string)
+        "merged plan applied = the rescue's split spec"
+        (Trust_serve.Shape.encode rescue.Feasibility.analysis.Feasibility.spec)
+        (Trust_serve.Shape.encode (Trust_core.Indemnity.apply merged spec)))
+
+(* [synthesize] is [analyze], then [rescue_from] on that analysis when
+   stuck: the same plan and split spec as a rescue started from
+   scratch, and the spec as written when rescue is off or impossible. *)
+let prop_synthesize_matches_rescue =
+  QCheck2.Test.make ~name:"synthesize agrees with rescue_with_indemnities" ~count:150
+    QCheck2.Gen.(pair int bool)
+    (fun (seed, shared) ->
+      let rng = Workload.Prng.create (Int64.of_int seed) in
+      let spec = Workload.Gen.random_transaction rng Workload.Gen.default_mix in
+      let encode (a : Feasibility.analysis) = Trust_serve.Shape.encode a.Feasibility.spec in
+      let bare = Feasibility.synthesize ~shared ~rescue:false spec in
+      let s = Feasibility.synthesize ~shared ~rescue:true spec in
+      bare.Feasibility.plan = None
+      && String.equal (encode bare.Feasibility.analysis) (Trust_serve.Shape.encode spec)
+      &&
+      match (Feasibility.is_feasible ~shared spec, Feasibility.rescue_with_indemnities ~shared spec) with
+      | true, _ -> s.Feasibility.plan = None && s.Feasibility.analysis.Feasibility.sequence <> None
+      | false, None -> s.Feasibility.plan = None && s.Feasibility.analysis.Feasibility.sequence = None
+      | false, Some rescue ->
+        s.Feasibility.plan = Feasibility.merged_plan rescue
+        && String.equal (encode s.Feasibility.analysis) (encode rescue.Feasibility.analysis))
+
 let prop_rescue_reaches_feasibility =
   QCheck2.Test.make ~name:"a successful rescue is actually feasible" ~count:150 QCheck2.Gen.int
     (fun seed ->
@@ -82,8 +127,13 @@ let () =
           Alcotest.test_case "example 2 rescued" `Quick test_rescue_example2;
           Alcotest.test_case "fig7 rescued at $70" `Quick test_rescue_fig7;
           Alcotest.test_case "poor broker unrescuable" `Quick test_rescue_poor_broker_fails;
+          Alcotest.test_case "two bundles rescued at $40" `Quick test_rescue_two_bundles;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_rescue_reaches_feasibility; prop_fans_always_rescuable ] );
+          [
+            prop_rescue_reaches_feasibility;
+            prop_fans_always_rescuable;
+            prop_synthesize_matches_rescue;
+          ] );
     ]

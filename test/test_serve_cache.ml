@@ -96,21 +96,24 @@ let test_rescued_fan_carries_plan () =
     | None -> Alcotest.fail "rescued fan must carry its indemnity plan")
   | _ -> Alcotest.fail "expected a fresh rescued synthesis"
 
-(* The cached §5 bound must come from the reduction the entry executes.
-   With shared agents on, test_reduce's shared_bundle (two documents
-   through one agent) is feasible only by the shared-agent rule, so a
-   bound computed without that rule is vacuous. *)
-let test_shared_policy_bound () =
+(* test_reduce's shared bundle: two documents through one agent,
+   feasible only by the shared-agent rule. *)
+let shared_bundle () =
   let c = Party.consumer "c" and t = Party.trusted "t" in
-  let spec =
-    Spec.make_exn
-      [
-        Spec.sale ~id:"a" ~buyer:c ~seller:(Party.producer "p1") ~via:t
-          ~price:(Asset.dollars 10) ~good:"d1";
-        Spec.sale ~id:"b" ~buyer:c ~seller:(Party.producer "p2") ~via:t
-          ~price:(Asset.dollars 20) ~good:"d2";
-      ]
-  in
+  Spec.make_exn
+    [
+      Spec.sale ~id:"a" ~buyer:c ~seller:(Party.producer "p1") ~via:t
+        ~price:(Asset.dollars 10) ~good:"d1";
+      Spec.sale ~id:"b" ~buyer:c ~seller:(Party.producer "p2") ~via:t
+        ~price:(Asset.dollars 20) ~good:"d2";
+    ]
+
+(* The cached §5 bound must come from the reduction the entry executes.
+   With shared agents on, the shared bundle is feasible only by the
+   shared-agent rule, so a bound computed without that rule is
+   vacuous. *)
+let test_shared_policy_bound () =
+  let spec = shared_bundle () in
   let cache = Cache.create { Cache.default_policy with Cache.shared = true } in
   match Cache.synthesize cache spec with
   | Ok entry, _ ->
@@ -123,6 +126,134 @@ let test_shared_policy_bound () =
     check "bound not vacuous" true
       (entry.Cache.exposure.Static_exposure.verdict <> Static_exposure.Vacuous)
   | Error e, _ -> Alcotest.failf "shared bundle must synthesize: %s" e
+
+(* Verify mode compares whole entries: an entry whose cached bound
+   diverges from fresh synthesis must not pass as equal. *)
+let test_entry_equal_compares_bound () =
+  let module Static_exposure = Trust_analyze.Static_exposure in
+  let module Absint = Trust_analyze.Absint in
+  match Cache.fresh Cache.default_policy Workload.Scenarios.example1 with
+  | Error e -> Alcotest.failf "example 1 must synthesize: %s" e
+  | Ok entry ->
+    let with_bound exposure = { entry with Cache.exposure } in
+    let bound = entry.Cache.exposure in
+    let first, rest =
+      match bound.Static_exposure.intervals with
+      | i :: rest -> (i, rest)
+      | [] -> Alcotest.fail "example 1 has a proved interval per principal"
+    in
+    let with_first i = with_bound { bound with Static_exposure.intervals = i :: rest } in
+    check "an entry equals itself" true (Cache.entry_equal entry entry);
+    List.iter
+      (fun (label, diverged) -> check label false (Cache.entry_equal entry diverged))
+      [
+        ("verdict differs", with_bound { bound with Static_exposure.verdict = Static_exposure.Refuted });
+        ("steps differ", with_bound { bound with Static_exposure.steps = bound.Static_exposure.steps + 1 });
+        ("interval dropped", with_bound { bound with Static_exposure.intervals = rest });
+        ("worst case differs", with_first { first with Absint.i_hi = first.Absint.i_hi + 1 });
+        ("honest peak differs", with_first { first with Absint.i_lo = first.Absint.i_lo + 1 });
+        ("bound differs", with_first { first with Absint.i_bound = first.Absint.i_bound + 1 });
+        ( "party differs",
+          with_first { first with Absint.i_party = Party.consumer "someone else" } );
+      ]
+
+(* Oracle: [Cache.fresh] (one analysis, rescue continued from it) must
+   produce what the three-pass composition built from the public stage
+   entry points produces — feasibility check, rescue from scratch,
+   merged plan, [Harness.assemble] (which re-analyzes), a separate
+   static analysis and compilation — on every field of the entry. *)
+let composed_fresh (policy : Cache.policy) spec =
+  let module Feasibility = Trust_core.Feasibility in
+  let module Harness = Trust_sim.Harness in
+  let shared = policy.Cache.shared and mode = policy.Cache.mode in
+  let plan =
+    if (not policy.Cache.rescue) || Feasibility.is_feasible ~shared spec then None
+    else
+      match Feasibility.rescue_with_indemnities ~shared spec with
+      | None | Some { Feasibility.plans = []; _ } -> None
+      | Some { Feasibility.plans = [ p ]; _ } -> Some p
+      | Some { Feasibility.plans; _ } ->
+        Some
+          Trust_core.Indemnity.
+            {
+              offers = List.concat_map (fun p -> p.offers) plans;
+              total = List.fold_left (fun acc p -> acc + p.total) 0 plans;
+            }
+  in
+  match Harness.assemble ~mode ~shared ?plan spec with
+  | Error e -> Error e
+  | Ok cast ->
+    let split_spec = cast.Harness.spec and protocol = cast.Harness.protocol in
+    let compiled =
+      if Party.Map.is_empty split_spec.Spec.overrides then
+        Some
+          (Trust_core.Compile.compile ~lockstep:(mode = Harness.Lockstep) ~shared ?plan
+             ~price:(Trust_sim.Trace.price_for split_spec) split_spec protocol)
+      else None
+    in
+    Ok
+      {
+        Cache.split_spec;
+        plan;
+        protocol;
+        exposure = Trust_analyze.Static_exposure.analyze ~shared split_spec;
+        compiled;
+      }
+
+(* The compiled plans' arrays, with the spec and plan they carry
+   compared by encoding and offers instead (the spec memoizes its
+   shape lazily, so it is not compared structurally). *)
+let same_compiled a b =
+  match (a, b) with
+  | None, None -> true
+  | Some (a : Trust_core.Compile.t), Some (b : Trust_core.Compile.t) ->
+    String.equal (Shape.encode a.spec) (Shape.encode b.spec)
+    && a.plan = b.plan
+    && { a with spec = b.spec; plan = b.plan } = b
+  | (None | Some _), _ -> false
+
+let test_fresh_matches_composition () =
+  let two_bundles =
+    match Trust_lang.Elaborate.from_file "../specs/two_bundles.exg" with
+    | Ok spec -> spec
+    | Error e -> Alcotest.failf "two_bundles.exg: %s" e
+  in
+  let inputs =
+    Gen.random_transactions (Prng.create 2026L) Gen.default_mix 200
+    @ List.map snd Workload.Scenarios.all
+    @ [ two_bundles; shared_bundle () ]
+  in
+  let policies =
+    List.concat_map
+      (fun shared ->
+        List.concat_map
+          (fun rescue ->
+            List.map
+              (fun mode -> { Cache.default_policy with Cache.shared; rescue; mode })
+              [ Trust_sim.Harness.Lockstep; Trust_sim.Harness.Distributed ])
+          [ false; true ])
+      [ false; true ]
+  in
+  let rescued = ref 0 in
+  List.iter
+    (fun policy ->
+      List.iteri
+        (fun n spec ->
+          match (Cache.fresh policy spec, composed_fresh policy spec) with
+          | Ok fresh, Ok composed ->
+            if fresh.Cache.plan <> None then incr rescued;
+            if
+              not
+                (Cache.entry_equal fresh composed
+                && fresh.Cache.exposure = composed.Cache.exposure
+                && same_compiled fresh.Cache.compiled composed.Cache.compiled)
+            then Alcotest.failf "input %d: fresh differs from the composition" n
+          | Error a, Error b -> check_string (Printf.sprintf "input %d: same error" n) b a
+          | Ok _, Error e -> Alcotest.failf "input %d: only the composition failed: %s" n e
+          | Error e, Ok _ -> Alcotest.failf "input %d: only fresh failed: %s" n e)
+        inputs)
+    policies;
+  check "the corpus exercises the rescue path" true (!rescued > 0)
 
 let test_negative_caching () =
   let cache = Cache.create { Cache.default_policy with Cache.rescue = false } in
@@ -293,6 +424,10 @@ let () =
           Alcotest.test_case "rescued fan carries plan" `Quick test_rescued_fan_carries_plan;
           Alcotest.test_case "negative caching" `Quick test_negative_caching;
           Alcotest.test_case "shared-policy bound" `Quick test_shared_policy_bound;
+          Alcotest.test_case "entry equality compares the bound" `Quick
+            test_entry_equal_compares_bound;
+          Alcotest.test_case "fresh matches the staged composition" `Quick
+            test_fresh_matches_composition;
           Alcotest.test_case "eviction" `Quick test_eviction;
           Alcotest.test_case "aging sweeps idle entries" `Quick test_aging_sweeps_idle;
           Alcotest.test_case "touched entries survive aging" `Quick test_aging_touch_survives;
