@@ -1,21 +1,17 @@
 (* The experiment harness: regenerates every claim-bearing figure and
-   worked example of the paper (experiments E1-E10, see DESIGN.md and
-   EXPERIMENTS.md) and times the algorithms with Bechamel (B1-B7).
+   worked example of the paper (experiments E1-E12, see DESIGN.md and
+   EXPERIMENTS.md) and times the algorithms with Bechamel (B0-B8).
 
    Usage:
      main.exe                 run every experiment table + timing benches
      main.exe --table E6      run one experiment
      main.exe --bechamel      only the timing benches
      main.exe --quick         smaller sweeps (CI-friendly)
-     main.exe --serve-json    serve-layer throughput benchmark, JSON on stdout
-                              (the BENCH_serve.json baseline); with
-                              --trace FILE also lands the per-session
-                              span JSONL of the measured run
-
      main.exe --parallel-json multicore scaling sweep over --jobs 1/2/4/8, JSON
                               on stdout (the BENCH_parallel.json baseline)
-     main.exe --obs-json      tracing overhead: the serve workload with the
-                              batch trace registry off vs on, JSON on stdout
+     main.exe --obs-json      tracing overhead: the serve workload swept over
+                              head-sampling rates with the ring sink on vs
+                              untraced, JSON on stdout
                               (the BENCH_obs.json baseline)
      main.exe --daemon-json   daemon soak: a live server on a Unix socket
                               under the million-principal Zipf load
@@ -34,8 +30,11 @@
                               pin/pre-warm/deny policy off vs on, JSON on
                               stdout (the BENCH_mine.json baseline)
 
-   Every JSON emitter carries a "host" block (cores, OS, arch) so
-   committed baselines record what hardware produced them.
+   Each --*-json emitter prints one compact JSON record through
+   Obs.Json, led by "bench", "version" and a "host" block (cores, OS,
+   arch), so committed baselines record what build and hardware
+   produced them. Serve throughput and its span export come from
+   `trustseq batch` (wall line on stderr, --trace FILE).
 *)
 
 open Exchange
@@ -48,29 +47,6 @@ module Cost = Trust_core.Cost
 module Table = Report.Table
 
 let quick = ref false
-
-(* What hardware produced a committed baseline: spliced into every
-   JSON emitter so BENCH_*.json numbers can be read in context. *)
-let uname flag =
-  try
-    let ic = Unix.open_process_in ("uname " ^ flag ^ " 2>/dev/null") in
-    let line = try input_line ic with End_of_file -> "" in
-    ignore (Unix.close_process_in ic);
-    if line = "" then "unknown" else line
-  with _ -> "unknown"
-
-let host_json =
-  let memo = ref None in
-  fun () ->
-    match !memo with
-    | Some j -> j
-    | None ->
-      let j =
-        Printf.sprintf {|{"cores":%d,"os":"%s","arch":"%s"}|}
-          (Domain.recommended_domain_count ()) (uname "-s") (uname "-m")
-      in
-      memo := Some j;
-      j
 
 let yes_no b = if b then "yes" else "no"
 let feasible_str b = if b then "FEASIBLE" else "infeasible"
@@ -660,41 +636,87 @@ let bechamel_benches () =
   in
   Table.print ~header:[ "bench"; "ns/run" ] rows
 
-(* Serve-layer throughput: how fast the concurrent exchange service
-   (protocol cache + batch scheduler) pushes a generated workload
-   through synthesis and simulation. Emits one JSON object so CI and
-   later PRs can track sessions/sec and the cache hit rate; the
-   committed baseline lives in BENCH_serve.json. *)
+(* Bench records. Every JSON emitter builds its fields as Obs.Json
+   values and hands them to [emit], which prepends the bench name, the
+   version and the host block (cores, OS, arch) — so a committed
+   baseline records what build and hardware produced it — and prints
+   one compact line. Callers format their own figures into [Num], so
+   each keeps its precision. *)
 
-let trace_out = ref None
+module Json = Trust_obs.Json
+module Ring = Trust_obs.Ring
+module Service = Trust_serve.Service
+module Session = Trust_serve.Session
+module Scheduler = Trust_serve.Scheduler
+module Cache = Trust_serve.Cache
+module Shape = Trust_serve.Shape
 
-let serve_json () =
-  let module Service = Trust_serve.Service in
-  let module Obs = Trust_obs.Obs in
-  let sessions = if !quick then 200 else 1000 in
-  let config =
-    { Service.default with Service.sessions; seed = 42L; trace = !trace_out <> None }
+let int n = Json.Num (string_of_int n)
+let num fmt x = Json.Num (Printf.sprintf fmt x)
+
+let uname flag =
+  try
+    let ic = Unix.open_process_in ("uname " ^ flag ^ " 2>/dev/null") in
+    let line = try input_line ic with End_of_file -> "" in
+    ignore (Unix.close_process_in ic);
+    if line = "" then "unknown" else line
+  with _ -> "unknown"
+
+let emit ~bench fields =
+  let host =
+    Json.Obj
+      [ ("cores", int (Domain.recommended_domain_count ()));
+        ("os", Json.Str (uname "-s")); ("arch", Json.Str (uname "-m")) ]
   in
-  (* warm once so the measured run prices a hot allocator, then measure *)
-  ignore (Service.run { config with Service.trace = false });
-  let outcome = Service.run config in
-  (match !trace_out with
-  | Some path ->
-    Out_channel.with_open_text path (fun oc ->
-        Out_channel.output_string oc
-          (Obs.export ~producer:("bench " ^ Trustseq_version.Version.v) Obs.Jsonl
-             (Obs.batch_traces outcome.Service.obs)))
-  | None -> ());
-  let t = Service.tally outcome.Service.sessions in
-  let wall = outcome.Service.wall_seconds in
-  let per_sec = if wall > 0. then float_of_int sessions /. wall else 0. in
-  Printf.printf
-    "{\"bench\":\"serve_throughput\",\"version\":\"%s\",\"host\":%s,\"sessions\":%d,\"seed\":42,\"wall_seconds\":%.4f,\"sessions_per_sec\":%.1f,\"cache_hit_rate\":%.4f,\"settled\":%d,\"expired\":%d,\"aborted\":%d,\"makespan_ticks\":%d,\"concurrency\":%d}\n"
-    Trustseq_version.Version.v (host_json ()) sessions wall per_sec
-    (Trust_serve.Cache.hit_rate outcome.Service.cache)
-    t.Service.settled t.Service.expired t.Service.aborted
-    outcome.Service.stats.Trust_serve.Scheduler.makespan
-    outcome.Service.config.Service.concurrency
+  print_endline
+    (Json.to_string
+       (Json.Obj
+          (("bench", Json.Str bench)
+          :: ("version", Json.Str Trustseq_version.Version.v)
+          :: ("host", host) :: fields)))
+
+let fail fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 2) fmt
+
+let ratio a b = if b > 0. then a /. b else 0.
+let per_sec n wall = ratio (float_of_int n) wall
+let all_equal = function [] -> true | d :: rest -> List.for_all (String.equal d) rest
+
+(* The per-session outcome digest the determinism checks compare:
+   FNV-1a over each session's id, status, ticks, events and attempts. *)
+let outcome_digest sessions =
+  let line (s : Session.t) =
+    Printf.sprintf "%d:%s:%d:%d:%d" s.Session.id
+      (Session.status_label s.Session.status)
+      s.Session.ticks s.Session.events s.Session.attempts
+  in
+  Printf.sprintf "%016Lx" (Shape.fnv1a (String.concat "\n" (List.map line sessions)))
+
+(* Warm once, so the measured runs price a hot allocator and a
+   populated protocol cache, then [n] measured runs: the best wall time
+   (which sheds scheduler noise) and every measured run's result. [run]
+   returns its own wall seconds, so setup outside its timed region goes
+   unpriced. *)
+let best_of n run =
+  ignore (run ());
+  let runs = List.init n (fun _ -> run ()) in
+  (List.fold_left (fun best (wall, _) -> Float.min best wall) infinity runs, List.map snd runs)
+
+let service_run cfg =
+  let outcome = Service.run cfg in
+  (outcome.Service.wall_seconds, outcome)
+
+(* The decoded sessions and stats of a run's ring sink. A missing sink,
+   an undecodable dump or, with [~whole], a ring that wrapped (so the
+   decode is not the whole run) exits 2. *)
+let decode_ring ~bench ?(whole = false) (outcome : Service.outcome) =
+  match outcome.Service.ring with
+  | None -> fail "%s bench: expected a ring sink" bench
+  | Some ring -> (
+    match Ring.decode (Ring.dump ring) with
+    | Error e -> fail "%s bench: ring decode failed: %s" bench e
+    | Ok (_, stats) when whole && stats.Ring.d_dropped <> 0 ->
+      fail "%s bench: ring wrapped; size it up" bench
+    | Ok decoded -> decoded)
 
 (* Multicore scaling: the same workload at 1/2/4/8 worker domains.
    Real speedup is hardware-dependent (the [cores] field records what
@@ -703,54 +725,30 @@ let serve_json () =
    outcome digest. The committed baseline lives in BENCH_parallel.json. *)
 
 let parallel_json () =
-  let module Service = Trust_serve.Service in
-  let module Session = Trust_serve.Session in
   let sessions = if !quick then 200 else 1000 in
-  let outcome_digest (outcome : Service.outcome) =
-    let line (s : Session.t) =
-      Printf.sprintf "%d:%s:%d:%d:%d" s.Session.id
-        (Session.status_label s.Session.status)
-        s.Session.ticks s.Session.events s.Session.attempts
-    in
-    Printf.sprintf "%016Lx"
-      (Trust_serve.Shape.fnv1a
-         (String.concat "\n" (List.map line outcome.Service.sessions)))
-  in
+  let drop_rate = 0.02 in
   let run jobs =
-    let config =
-      { Service.default with Service.sessions; seed = 42L; jobs; drop_rate = 0.02 }
+    let wall, outcomes =
+      best_of 1 (fun () ->
+          service_run { Service.default with Service.sessions; seed = 42L; jobs; drop_rate })
     in
-    (* warm once so the measured run prices a hot allocator and a
-       populated protocol cache's steady state, then measure *)
-    ignore (Service.run config);
-    let outcome = Service.run config in
-    let wall = outcome.Service.wall_seconds in
-    let per_sec = if wall > 0. then float_of_int sessions /. wall else 0. in
-    (jobs, wall, per_sec, outcome_digest outcome)
+    (jobs, per_sec sessions wall, wall, outcome_digest (List.hd outcomes).Service.sessions)
   in
   let runs = List.map run [ 1; 2; 4; 8 ] in
-  let base_per_sec =
-    match runs with (_, _, per_sec, _) :: _ -> per_sec | [] -> 0.
-  in
-  let digests = List.map (fun (_, _, _, d) -> d) runs in
-  let digests_match =
-    match digests with [] -> true | d :: rest -> List.for_all (String.equal d) rest
-  in
-  let entries =
-    List.map
-      (fun (jobs, wall, per_sec, digest) ->
-        Printf.sprintf
-          "{\"jobs\":%d,\"wall_seconds\":%.4f,\"sessions_per_sec\":%.1f,\"speedup\":%.2f,\"digest\":\"%s\"}"
-          jobs wall per_sec
-          (if base_per_sec > 0. then per_sec /. base_per_sec else 0.)
-          digest)
-      runs
-  in
-  Printf.printf
-    "{\"bench\":\"serve_parallel_scaling\",\"host\":%s,\"sessions\":%d,\"seed\":42,\"drop_rate\":0.02,\"cores\":%d,\"digests_match\":%b,\"runs\":[%s]}\n"
-    (host_json ()) sessions
-    (Domain.recommended_domain_count ())
-    digests_match (String.concat "," entries)
+  let base = match runs with (_, rate, _, _) :: _ -> rate | [] -> 0. in
+  emit ~bench:"serve_parallel_scaling"
+    [ ("sessions", int sessions); ("seed", int 42); ("drop_rate", num "%g" drop_rate);
+      ("cores", int (Domain.recommended_domain_count ()));
+      ("digests_match", Json.Bool (all_equal (List.map (fun (_, _, _, d) -> d) runs)));
+      ( "runs",
+        Json.Arr
+          (List.map
+             (fun (jobs, rate, wall, digest) ->
+               Json.Obj
+                 [ ("jobs", int jobs); ("wall_seconds", num "%.4f" wall);
+                   ("sessions_per_sec", num "%.1f" rate); ("speedup", num "%.2f" (ratio rate base));
+                   ("digest", Json.Str digest) ])
+             runs) ) ]
 
 (* Production tracing cost: the identical serve workload swept over
    head-sampling rates with the binary ring sink engaged, against a
@@ -764,62 +762,38 @@ let parallel_json () =
    BENCH_obs.json. *)
 
 let obs_json () =
-  let module Service = Trust_serve.Service in
-  let module Ring = Trust_obs.Ring in
-  let module Obs = Trust_obs.Obs in
   let sessions = if !quick then 200 else 1000 in
   let ring_bytes = 1 lsl 20 in
+  let drop_rate = 0.0002 in
   let config ?(jobs = 1) ?(ring = 0) rate =
     { Service.default with
-      Service.sessions;
-      seed = 42L;
-      jobs;
-      drop_rate = 0.0002;
-      sample_rate = rate;
-      trace_ring = ring
-    }
+      Service.sessions; seed = 42L; jobs; drop_rate; sample_rate = rate; trace_ring = ring }
   in
-  (* warm once, then best-of-3 to shed scheduler noise — the sampled
-     set, the keeps and the ring contents are identical across repeats *)
+  (* best-of-5; the sampled set, the keeps and the ring contents are
+     identical across repeats *)
   let measure cfg =
-    ignore (Service.run cfg);
-    let best = ref infinity and outcome = ref None in
-    for _ = 1 to 5 do
-      let o = Service.run cfg in
-      if o.Service.wall_seconds < !best then best := o.Service.wall_seconds;
-      outcome := Some o
-    done;
-    (!best, Option.get !outcome)
+    let wall, outcomes = best_of 5 (fun () -> service_run cfg) in
+    (wall, List.hd outcomes)
   in
   (* baseline: no ring, no batch registry — the sampler never engages
      and every session takes the compiled fast path *)
   let wall_untraced, _ = measure (config 0.0) in
-  let keep_tally ss keep =
-    List.length (List.filter (fun s -> s.Ring.s_keep = keep) ss)
-  in
   let point rate =
     let wall, outcome = measure (config ~ring:ring_bytes rate) in
-    let ring =
-      match outcome.Service.ring with
-      | Some ring -> ring
-      | None ->
-        prerr_endline "obs bench: expected a ring sink";
-        exit 2
-    in
-    match Ring.decode (Ring.dump ring) with
-    | Error e ->
-      prerr_endline ("obs bench: ring decode failed: " ^ e);
-      exit 2
-    | Ok (ss, stats) ->
-      let ratio = if wall_untraced > 0. then wall /. wall_untraced else 0. in
-      Printf.sprintf
-        "{\"rate\":%g,\"wall_seconds\":%.4f,\"overhead_ratio\":%.3f,\"ring_sessions\":%d,\"sampled\":%d,\"kept_tail\":%d,\"keeps\":{\"violation\":%d,\"retry\":%d,\"expiry\":%d,\"lint\":%d},\"records_written\":%d,\"records_dropped\":%d}"
-        rate wall ratio stats.Ring.d_sessions
-        (keep_tally ss Ring.Sampled)
-        (List.length ss - keep_tally ss Ring.Sampled)
-        (keep_tally ss Ring.Violation)
-        (keep_tally ss Ring.Retry) (keep_tally ss Ring.Expiry)
-        (keep_tally ss Ring.Lint) stats.Ring.d_written stats.Ring.d_dropped
+    let ss, stats = decode_ring ~bench:"obs" outcome in
+    let count keep = List.length (List.filter (fun s -> s.Ring.s_keep = keep) ss) in
+    let sampled = count Ring.Sampled in
+    Json.Obj
+      [ ("rate", num "%g" rate); ("wall_seconds", num "%.4f" wall);
+        ("overhead_ratio", num "%.3f" (ratio wall wall_untraced));
+        ("ring_sessions", int stats.Ring.d_sessions); ("sampled", int sampled);
+        ("kept_tail", int (List.length ss - sampled));
+        ( "keeps",
+          Json.Obj
+            [ ("violation", int (count Ring.Violation)); ("retry", int (count Ring.Retry));
+              ("expiry", int (count Ring.Expiry)); ("lint", int (count Ring.Lint)) ] );
+        ("records_written", int stats.Ring.d_written);
+        ("records_dropped", int stats.Ring.d_dropped) ]
   in
   let sweep = List.map point [ 0.0; 0.01; 0.1; 1.0 ] in
   (* jobs identity: the decoded ring's canonical export must be
@@ -827,30 +801,21 @@ let obs_json () =
      eviction order at jobs > 1 is the one scheduling-dependent bit) *)
   let identity_rate = 0.1 in
   let decoded_export jobs =
-    let outcome = Service.run (config ~jobs ~ring:(8 * ring_bytes) identity_rate) in
-    let ring =
-      match outcome.Service.ring with
-      | Some ring -> ring
-      | None ->
-        prerr_endline "obs bench: expected a ring sink";
-        exit 2
+    let ss, _ =
+      decode_ring ~bench:"obs" ~whole:true
+        (Service.run (config ~jobs ~ring:(8 * ring_bytes) identity_rate))
     in
-    match Ring.decode (Ring.dump ring) with
-    | Error e ->
-      prerr_endline ("obs bench: ring decode failed: " ^ e);
-      exit 2
-    | Ok (ss, stats) ->
-      if stats.Ring.d_dropped <> 0 then begin
-        prerr_endline "obs bench: identity ring wrapped; size it up";
-        exit 2
-      end;
-      Ring.export Obs.Jsonl ss
+    Ring.export Trust_obs.Obs.Jsonl ss
   in
   let jobs_identical = String.equal (decoded_export 1) (decoded_export 4) in
-  Printf.printf
-    "{\"bench\":\"obs_overhead\",\"version\":\"%s\",\"host\":%s,\"sessions\":%d,\"seed\":42,\"drop_rate\":0.0002,\"ring_bytes\":%d,\"wall_seconds_untraced\":%.4f,\"sweep\":[%s],\"jobs_identity\":{\"rate\":%g,\"jobs\":[1,4],\"byte_identical\":%b}}\n"
-    Trustseq_version.Version.v (host_json ()) sessions ring_bytes wall_untraced
-    (String.concat "," sweep) identity_rate jobs_identical
+  emit ~bench:"obs_overhead"
+    [ ("sessions", int sessions); ("seed", int 42); ("drop_rate", num "%g" drop_rate);
+      ("ring_bytes", int ring_bytes); ("wall_seconds_untraced", num "%.4f" wall_untraced);
+      ("sweep", Json.Arr sweep);
+      ( "jobs_identity",
+        Json.Obj
+          [ ("rate", num "%g" identity_rate); ("jobs", Json.Arr [ int 1; int 4 ]);
+            ("byte_identical", Json.Bool jobs_identical) ] ) ]
 
 (* Daemon soak: a real server (Unix socket, select loop, admission
    control, epoch aging) in a spawned domain, driven by the Zipf load
@@ -878,15 +843,14 @@ let daemon_json () =
       max_idle_epochs = 2;
     }
   in
-  let metrics = Trust_serve.Metrics.create () in
+  let metrics = Metrics.create () in
   let srv = Domain.spawn (fun () -> Server.run ~stop ~metrics cfg) in
   let rec await n =
     if Sys.file_exists sock then ()
     else if n = 0 then begin
       Atomic.set stop true;
       ignore (Domain.join srv);
-      prerr_endline "daemon soak: server socket never appeared";
-      exit 2
+      fail "daemon soak: server socket never appeared"
     end
     else begin
       (try ignore (Unix.select [] [] [] 0.01) with Unix.Unix_error _ -> ());
@@ -910,25 +874,33 @@ let daemon_json () =
   let stats = Domain.join srv in
   let rss_peak = Procstat.peak_rss_kb () in
   match outcome with
-  | Error e ->
-    prerr_endline ("daemon soak: " ^ e);
-    exit 2
+  | Error e -> fail "daemon soak: %s" e
   | Ok r ->
     (* the soak runs with the daemon's production-default tracing (1 MiB
        ring, 1% head sampling, tail keeps always) — the latency numbers
        above price that in *)
-    let cval name = Metrics.value (Metrics.counter metrics name) in
-    Printf.printf
-      "{\"bench\":\"daemon_soak\",\"version\":\"%s\",\"host\":%s,\"requests\":%d,\"principals\":%d,\"seed\":7,\"wall_seconds\":%.3f,\"throughput_rps\":%.1f,\"latency_ms\":{\"p50\":%.3f,\"p90\":%.3f,\"p99\":%.3f,\"max\":%.3f},\"settled\":%d,\"expired\":%d,\"aborted\":%d,\"busy\":%d,\"dropped\":%d,\"cache_hits\":%d,\"rss_kb\":{\"start\":%d,\"end\":%d,\"peak\":%d},\"trace\":{\"ring_bytes\":%d,\"sample_rate\":%g,\"sampled\":%d,\"kept_tail\":%d,\"ring_dropped\":%d},\"server\":%s}\n"
-      Trustseq_version.Version.v (host_json ()) requests principals r.Loadgen.wall
-      r.Loadgen.throughput r.Loadgen.p50_ms r.Loadgen.p90_ms r.Loadgen.p99_ms
-      r.Loadgen.max_ms r.Loadgen.settled r.Loadgen.expired r.Loadgen.aborted
-      r.Loadgen.busy r.Loadgen.dropped r.Loadgen.cache_hits rss_start rss_end
-      rss_peak cfg.Server.trace_ring cfg.Server.trace_sample
-      (cval "obs_sessions_sampled_total")
-      (cval "obs_sessions_kept_tail_total")
-      (cval "obs_ring_records_dropped_total")
-      (Server.stats_json stats)
+    let counter name = int (Metrics.value (Metrics.counter metrics name)) in
+    let ms x = num "%.3f" x in
+    emit ~bench:"daemon_soak"
+      [ ("requests", int requests); ("principals", int principals); ("seed", int 7);
+        ("wall_seconds", ms r.Loadgen.wall); ("throughput_rps", num "%.1f" r.Loadgen.throughput);
+        ( "latency_ms",
+          Json.Obj
+            [ ("p50", ms r.Loadgen.p50_ms); ("p90", ms r.Loadgen.p90_ms);
+              ("p99", ms r.Loadgen.p99_ms); ("max", ms r.Loadgen.max_ms) ] );
+        ("settled", int r.Loadgen.settled); ("expired", int r.Loadgen.expired);
+        ("aborted", int r.Loadgen.aborted); ("busy", int r.Loadgen.busy);
+        ("dropped", int r.Loadgen.dropped); ("cache_hits", int r.Loadgen.cache_hits);
+        ( "rss_kb",
+          Json.Obj [ ("start", int rss_start); ("end", int rss_end); ("peak", int rss_peak) ] );
+        ( "trace",
+          Json.Obj
+            [ ("ring_bytes", int cfg.Server.trace_ring);
+              ("sample_rate", num "%g" cfg.Server.trace_sample);
+              ("sampled", counter "obs_sessions_sampled_total");
+              ("kept_tail", counter "obs_sessions_kept_tail_total");
+              ("ring_dropped", counter "obs_ring_records_dropped_total") ] );
+        ("server", Json.parse (Server.stats_json stats)) ]
 
 (* Static-analysis cost: what the abstract interpreter
    (Trust_analyze.Static_exposure) costs when run cold on a spec shape
@@ -938,7 +910,6 @@ let daemon_json () =
    baseline in BENCH_analyze.json pins the ratio. *)
 
 let analyze_json () =
-  let module Cache = Trust_serve.Cache in
   let module SE = Trust_analyze.Static_exposure in
   let shapes =
     [
@@ -961,24 +932,16 @@ let analyze_json () =
   let cold_iters = if !quick then 50 else 200 in
   let hit_iters = cold_iters * 100 in
   let measure (name, spec) =
-    let cache = Cache.create Cache.default_policy in
-    let entry =
-      match Cache.synthesize cache spec with
-      | Ok entry, _ -> entry
-      | Error e, _ ->
-        Printf.eprintf "analyze bench: %s failed to synthesize: %s\n" name e;
-        exit 2
+    let synthesized = function
+      | Ok entry -> entry
+      | Error e -> fail "analyze bench: %s failed to synthesize: %s" name e
     in
+    let cache = Cache.create Cache.default_policy in
+    let entry = synthesized (fst (Cache.synthesize cache spec)) in
     (* the cold path is what a cache miss pays for the proven bound:
        full synthesis (feasibility, rescue, sequencing, scripts) plus
        the abstract interpretation of the split spec *)
-    let fresh () =
-      match Cache.fresh Cache.default_policy spec with
-      | Ok entry -> entry
-      | Error e ->
-        Printf.eprintf "analyze bench: %s failed to synthesize: %s\n" name e;
-        exit 2
-    in
+    let fresh () = synthesized (Cache.fresh Cache.default_policy spec) in
     (* warm both paths so neither prices a cold allocator *)
     ignore (time_ns 10 fresh);
     let cold = time_ns cold_iters fresh in
@@ -986,25 +949,23 @@ let analyze_json () =
       time_ns hit_iters (fun () ->
           match Cache.synthesize cache spec with
           | Ok entry, `Hit -> entry.Cache.exposure
-          | Ok _, (`Miss | `Bypass) | Error _, _ ->
-            prerr_endline "analyze bench: expected a cache hit";
-            exit 2)
+          | Ok _, (`Miss | `Bypass) | Error _, _ -> fail "analyze bench: expected a cache hit")
     in
     let exposure = entry.Cache.exposure in
-    let ratio = if cold > 0. then hit /. cold else 0. in
-    ( Printf.sprintf
-        "{\"shape\":\"%s\",\"steps\":%d,\"verdict\":\"%s\",\"cold_ns\":%.0f,\"hit_ns\":%.0f,\"hit_over_cold\":%.4f}"
-        name exposure.SE.steps
-        (SE.verdict_label exposure.SE.verdict)
-        cold hit ratio,
-      ratio )
+    let hit_over_cold = ratio hit cold in
+    ( Json.Obj
+        [ ("shape", Json.Str name); ("steps", int exposure.SE.steps);
+          ("verdict", Json.Str (SE.verdict_label exposure.SE.verdict));
+          ("cold_ns", num "%.0f" cold); ("hit_ns", num "%.0f" hit);
+          ("hit_over_cold", num "%.4f" hit_over_cold) ],
+      hit_over_cold )
   in
   let rows = List.map measure shapes in
-  let max_ratio = List.fold_left (fun acc (_, r) -> Float.max acc r) 0. rows in
-  Printf.printf
-    "{\"bench\":\"analyze_static_exposure\",\"version\":\"%s\",\"host\":%s,\"cold_iters\":%d,\"hit_iters\":%d,\"max_hit_over_cold\":%.4f,\"shapes\":[%s]}\n"
-    Trustseq_version.Version.v (host_json ()) cold_iters hit_iters max_ratio
-    (String.concat "," (List.map fst rows))
+  let worst = List.fold_left (fun acc (_, r) -> Float.max acc r) 0. rows in
+  emit ~bench:"analyze_static_exposure"
+    [ ("cold_iters", int cold_iters); ("hit_iters", int hit_iters);
+      ("max_hit_over_cold", num "%.4f" worst);
+      ("shapes", Json.Arr (List.map fst rows)) ]
 
 (* Compiled hot path: the allocation-free plan runtime
    (Trust_core.Compile + Trust_sim.Hotpath) against the interpreted
@@ -1021,62 +982,33 @@ let analyze_json () =
    path restores. *)
 
 let hotpath_json () =
-  let module Service = Trust_serve.Service in
-  let module Session = Trust_serve.Session in
-  let module Scheduler = Trust_serve.Scheduler in
-  let module Cache = Trust_serve.Cache in
   let sessions = if !quick then 200 else 1000 in
+  let drop_rate = 0.02 in
   let workload () =
     Service.sessions_of_config { Service.default with Service.sessions; seed = 42L }
-  in
-  let digest_of batch =
-    let line (s : Session.t) =
-      Printf.sprintf "%d:%s:%d:%d:%d" s.Session.id
-        (Session.status_label s.Session.status)
-        s.Session.ticks s.Session.events s.Session.attempts
-    in
-    Printf.sprintf "%016Lx"
-      (Trust_serve.Shape.fnv1a (String.concat "\n" (List.map line batch)))
   in
   let run ~compiled jobs =
     let cache = Cache.create ~capacity:Service.default.Service.cache_capacity Cache.default_policy in
     let cfg =
-      { Scheduler.default_config with
-        Scheduler.jobs;
-        drop_rate = 0.02;
-        seed = Trust_serve.Shape.mix64 42L;
-        compiled
-      }
+      { Scheduler.default_config with Scheduler.jobs; drop_rate; seed = Shape.mix64 42L; compiled }
     in
-    (* warm pass: pay every cold synthesis (and plan compilation) once *)
-    ignore (Scheduler.run cfg cache (workload ()));
-    (* measured passes: the identical workload against the warm cache;
-       best-of-3 to shed scheduler noise on small wall times *)
-    let best_wall = ref infinity and digest = ref "" in
-    for _ = 1 to 3 do
-      let batch = workload () in
-      let t0 = Unix.gettimeofday () in
-      ignore (Scheduler.run cfg cache batch);
-      let wall = Unix.gettimeofday () -. t0 in
-      if wall < !best_wall then best_wall := wall;
-      let d = digest_of batch in
-      if !digest = "" then digest := d
-      else if not (String.equal !digest d) then begin
-        prerr_endline "hotpath bench: digest varies across repeat runs";
-        exit 2
-      end
-    done;
-    let per_sec = if !best_wall > 0. then float_of_int sessions /. !best_wall else 0. in
-    (per_sec, !digest)
+    (* the warm pass pays every cold synthesis (and plan compilation)
+       once; the measured passes replay the identical workload against
+       the warm cache, best-of-3 *)
+    let wall, digests =
+      best_of 3 (fun () ->
+          let batch = workload () in
+          let t0 = Unix.gettimeofday () in
+          ignore (Scheduler.run cfg cache batch);
+          (Unix.gettimeofday () -. t0, outcome_digest batch))
+    in
+    if not (all_equal digests) then fail "hotpath bench: digest varies across repeat runs";
+    (per_sec sessions wall, List.hd digests)
   in
   let interp1 = run ~compiled:false 1 in
   let interp4 = run ~compiled:false 4 in
   let comp1 = run ~compiled:true 1 in
   let comp4 = run ~compiled:true 4 in
-  let digests_match =
-    let d = snd interp1 in
-    List.for_all (String.equal d) [ snd interp4; snd comp1; snd comp4 ]
-  in
   (* steady-state minor allocation per cache-hit session on each path *)
   let words_per_session ~compiled =
     let cache = Cache.create Cache.default_policy in
@@ -1095,13 +1027,19 @@ let hotpath_json () =
   in
   let words_interp = words_per_session ~compiled:false in
   let words_comp = words_per_session ~compiled:true in
-  Printf.printf
-    "{\"bench\":\"hotpath\",\"version\":\"%s\",\"host\":%s,\"sessions\":%d,\"seed\":42,\"drop_rate\":0.02,\"warm_cache\":true,\"interpreted\":{\"sessions_per_sec_jobs1\":%.1f,\"sessions_per_sec_jobs4\":%.1f,\"minor_words_per_hit\":%.0f},\"compiled\":{\"sessions_per_sec_jobs1\":%.1f,\"sessions_per_sec_jobs4\":%.1f,\"minor_words_per_hit\":%.0f},\"speedup_jobs1\":%.2f,\"alloc_reduction\":%.1f,\"digests_match\":%b}\n"
-    Trustseq_version.Version.v (host_json ()) sessions (fst interp1) (fst interp4) words_interp
-    (fst comp1) (fst comp4) words_comp
-    (if fst interp1 > 0. then fst comp1 /. fst interp1 else 0.)
-    (if words_comp > 0. then words_interp /. words_comp else 0.)
-    digests_match
+  let path (per_sec1, _) (per_sec4, _) words =
+    Json.Obj
+      [ ("sessions_per_sec_jobs1", num "%.1f" per_sec1);
+        ("sessions_per_sec_jobs4", num "%.1f" per_sec4); ("minor_words_per_hit", num "%.0f" words) ]
+  in
+  emit ~bench:"hotpath"
+    [ ("sessions", int sessions); ("seed", int 42); ("drop_rate", num "%g" drop_rate);
+      ("warm_cache", Json.Bool true);
+      ("interpreted", path interp1 interp4 words_interp);
+      ("compiled", path comp1 comp4 words_comp);
+      ("speedup_jobs1", num "%.2f" (ratio (fst comp1) (fst interp1)));
+      ("alloc_reduction", num "%.1f" (ratio words_interp words_comp));
+      ("digests_match", Json.Bool (all_equal (List.map snd [ interp1; interp4; comp1; comp4 ]))) ]
 
 (* Trace-mining feedback loop, end to end at the scheduler layer (the
    daemon wires the identical pieces behind --mine-every): a
@@ -1116,47 +1054,20 @@ let hotpath_json () =
    policy on, and denied shapes aborting with the TM001 diagnostic. *)
 
 let mine_json () =
-  let module Service = Trust_serve.Service in
-  let module Scheduler = Trust_serve.Scheduler in
-  let module Session = Trust_serve.Session in
-  let module Cache = Trust_serve.Cache in
-  let module Shape = Trust_serve.Shape in
-  let module Ring = Trust_obs.Ring in
   let module Mine = Trust_obs.Mine in
   let sessions = if !quick then 300 else 1000 in
   let capacity = 16 in
+  let drop_rate = 0.05 in
+  let defect_every = 7 in
   let observe_cfg jobs =
-    {
-      Service.default with
-      Service.sessions;
-      seed = 42L;
-      jobs;
-      drop_rate = 0.05;
-      defect_every = Some 7;
-      sample_rate = 1.0;
-      trace_ring = 32 lsl 20;
-      cache_capacity = capacity;
-    }
+    { Service.default with
+      Service.sessions; seed = 42L; jobs; drop_rate; defect_every = Some defect_every;
+      sample_rate = 1.0; trace_ring = 32 lsl 20; cache_capacity = capacity }
   in
   let board_of jobs =
     let outcome = Service.run (observe_cfg jobs) in
-    let ring =
-      match outcome.Service.ring with
-      | Some ring -> ring
-      | None ->
-        prerr_endline "mine bench: expected a ring sink";
-        exit 2
-    in
-    match Ring.decode (Ring.dump ring) with
-    | Error e ->
-      prerr_endline ("mine bench: ring decode failed: " ^ e);
-      exit 2
-    | Ok (ss, stats) ->
-      if stats.Ring.d_dropped <> 0 then begin
-        prerr_endline "mine bench: observation ring wrapped; size it up";
-        exit 2
-      end;
-      (Mine.of_sessions ss, outcome)
+    let ss, _ = decode_ring ~bench:"mine" ~whole:true outcome in
+    (Mine.of_sessions ss, outcome)
   in
   let board, observed = board_of 1 in
   let board4, _ = board_of 4 in
@@ -1175,9 +1086,7 @@ let mine_json () =
   let followup () =
     Service.sessions_of_config { (observe_cfg 1) with Service.seed = 43L }
   in
-  let sched_cfg =
-    { Scheduler.default_config with Scheduler.drop_rate = 0.05; seed = Shape.mix64 43L }
-  in
+  let sched_cfg = { Scheduler.default_config with Scheduler.drop_rate; seed = Shape.mix64 43L } in
   let phase ~policy =
     let cache = Cache.create ~capacity Cache.default_policy in
     let prewarmed = ref 0 in
@@ -1185,12 +1094,9 @@ let mine_json () =
       List.iter (fun hex -> Cache.deny cache hex) denies;
       List.iter
         (fun hex ->
-          match Hashtbl.find_opt spec_of hex with
-          | Some spec -> (
-            match Cache.prewarm cache spec with
-            | `Hit | `Warmed -> incr prewarmed
-            | `Failed _ | `Uncacheable -> ())
-          | None -> ())
+          match Option.map (Cache.prewarm cache) (Hashtbl.find_opt spec_of hex) with
+          | Some (`Hit | `Warmed) -> incr prewarmed
+          | Some (`Failed _ | `Uncacheable) | None -> ())
         pins
     end;
     let batch = followup () in
@@ -1200,8 +1106,7 @@ let mine_json () =
         (List.filter
            (fun (s : Session.t) ->
              match s.Session.status with
-             | Session.Aborted r ->
-               String.length r >= 7 && String.sub r 0 7 = "denied:"
+             | Session.Aborted r -> String.starts_with ~prefix:"denied:" r
              | _ -> false)
            batch)
     in
@@ -1210,18 +1115,29 @@ let mine_json () =
   let hit_off, denied_off, _, _ = phase ~policy:false in
   let hit_on, denied_on, prewarmed, pinned = phase ~policy:true in
   let rows = Mine.rows board in
-  let violations =
-    List.fold_left (fun acc (r : Mine.row) -> acc + r.Mine.violation_sessions) 0 rows
+  let sum f = int (List.fold_left (fun acc (r : Mine.row) -> acc + f r) 0 rows) in
+  let followup_json hit denied =
+    Json.Obj [ ("cache_hit_rate", num "%.4f" hit); ("denied_sessions", int denied) ]
   in
-  let incidents =
-    List.fold_left (fun acc (r : Mine.row) -> acc + r.Mine.retried + r.Mine.expired) 0 rows
-  in
-  Printf.printf
-    "{\"bench\":\"mine_feedback\",\"version\":\"%s\",\"host\":%s,\"sessions\":%d,\"seed\":42,\"drop_rate\":0.05,\"defect_every\":7,\"cache_capacity\":%d,\"scoreboard\":{\"sessions\":%d,\"shapes\":%d,\"violating_sessions\":%d,\"retry_expiry_incidents\":%d,\"jobs_identical\":%b},\"policy\":{\"pin_candidates\":%d,\"deny_candidates\":%d,\"prewarmed\":%d,\"pinned\":%d},\"followup\":{\"seed\":43,\"off\":{\"cache_hit_rate\":%.4f,\"denied_sessions\":%d},\"on\":{\"cache_hit_rate\":%.4f,\"denied_sessions\":%d}},\"hit_rate_gain\":%.4f}\n"
-    Trustseq_version.Version.v (host_json ()) sessions capacity (Mine.sessions board)
-    (Mine.shapes board) violations incidents jobs_identical (List.length pins)
-    (List.length denies) prewarmed pinned hit_off denied_off hit_on denied_on
-    (hit_on -. hit_off)
+  emit ~bench:"mine_feedback"
+    [ ("sessions", int sessions); ("seed", int 42); ("drop_rate", num "%g" drop_rate);
+      ("defect_every", int defect_every); ("cache_capacity", int capacity);
+      ( "scoreboard",
+        Json.Obj
+          [ ("sessions", int (Mine.sessions board)); ("shapes", int (Mine.shapes board));
+            ("violating_sessions", sum (fun r -> r.Mine.violation_sessions));
+            ("retry_expiry_incidents", sum (fun r -> r.Mine.retried + r.Mine.expired));
+            ("jobs_identical", Json.Bool jobs_identical) ] );
+      ( "policy",
+        Json.Obj
+          [ ("pin_candidates", int (List.length pins));
+            ("deny_candidates", int (List.length denies));
+            ("prewarmed", int prewarmed); ("pinned", int pinned) ] );
+      ( "followup",
+        Json.Obj
+          [ ("seed", int 43); ("off", followup_json hit_off denied_off);
+            ("on", followup_json hit_on denied_on) ] );
+      ("hit_rate_gain", num "%.4f" (hit_on -. hit_off)) ]
 
 (* driver *)
 
@@ -1241,43 +1157,24 @@ let experiments =
     ("E12", e12);
   ]
 
+let emitters =
+  [
+    ("--parallel-json", parallel_json);
+    ("--obs-json", obs_json);
+    ("--daemon-json", daemon_json);
+    ("--analyze-json", analyze_json);
+    ("--hotpath-json", hotpath_json);
+    ("--mine-json", mine_json);
+  ]
+
 let () =
   let args = Array.to_list Sys.argv in
   if List.mem "--quick" args then quick := true;
-  (let rec find = function
-     | "--trace" :: path :: _ -> trace_out := Some path
-     | _ :: rest -> find rest
-     | [] -> ()
-   in
-   find args);
-  if List.mem "--serve-json" args then begin
-    serve_json ();
+  (match List.find_opt (fun (flag, _) -> List.mem flag args) emitters with
+  | Some (_, emitter) ->
+    emitter ();
     exit 0
-  end;
-  if List.mem "--parallel-json" args then begin
-    parallel_json ();
-    exit 0
-  end;
-  if List.mem "--obs-json" args then begin
-    obs_json ();
-    exit 0
-  end;
-  if List.mem "--daemon-json" args then begin
-    daemon_json ();
-    exit 0
-  end;
-  if List.mem "--analyze-json" args then begin
-    analyze_json ();
-    exit 0
-  end;
-  if List.mem "--hotpath-json" args then begin
-    hotpath_json ();
-    exit 0
-  end;
-  if List.mem "--mine-json" args then begin
-    mine_json ();
-    exit 0
-  end;
+  | None -> ());
   let table =
     let rec find = function
       | "--table" :: id :: _ -> Some id

@@ -144,24 +144,7 @@ let render_human diagnostics =
   String.concat "\n"
     (List.map (fun d -> Format.asprintf "@[<v>%a@]" pp d) diagnostics)
 
-(* No JSON library in the tree: emit by hand, escaping per RFC 8259. *)
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+let json_string s = "\"" ^ Trust_obs.Json.escape s ^ "\""
 
 let severity_string = function
   | Error -> "error"

@@ -169,6 +169,9 @@ val shape_hash : t -> int64
 val shape_hex : t -> string
 (** [shape_hash] as 16 lowercase hex digits. *)
 
+val shape_fnv1a : string -> int64
+(** The 64-bit FNV-1a hash behind {!shape_hash}, over any string. *)
+
 val validate : t -> (unit, string list) result
 
 val equal_ref : commitment_ref -> commitment_ref -> bool

@@ -184,3 +184,34 @@ let escape s =
       | c -> Buffer.add_char buf c)
     s;
   Buffer.contents buf
+
+let to_string v =
+  let buf = Buffer.create 256 in
+  let seq open_ close item xs =
+    Buffer.add_char buf open_;
+    List.iteri
+      (fun i x ->
+        if i > 0 then Buffer.add_char buf ',';
+        item x)
+      xs;
+    Buffer.add_char buf close
+  in
+  let rec go = function
+    | Null -> Buffer.add_string buf "null"
+    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+    | Num s -> Buffer.add_string buf s
+    | Str s ->
+      Buffer.add_char buf '"';
+      Buffer.add_string buf (escape s);
+      Buffer.add_char buf '"'
+    | Obj kvs ->
+      seq '{' '}'
+        (fun (k, v) ->
+          go (Str k);
+          Buffer.add_char buf ':';
+          go v)
+        kvs
+    | Arr vs -> seq '[' ']' go vs
+  in
+  go v;
+  Buffer.contents buf

@@ -1,5 +1,6 @@
-(** A minimal JSON reader, shared by the trace-analytics re-parse path
-    ({!Analysis.of_jsonl}) and the daemon wire protocol.
+(** A minimal JSON reader and printer, shared by the trace-analytics
+    re-parse path ({!Analysis.of_jsonl}), the daemon wire protocol and
+    the bench records.
 
     It reads exactly the JSON this codebase itself emits — objects,
     arrays, strings with the standard escapes, raw numbers, booleans,
@@ -40,3 +41,9 @@ val escape : string -> string
 (** The body of a JSON string literal for [s] (no surrounding quotes):
     ["\""], backslash and control characters escaped, the rest verbatim.
     Inverse of the string reader in {!parse} for ASCII payloads. *)
+
+val to_string : t -> string
+(** Compact JSON for [v] — no whitespace, members in list order, [Num]
+    text verbatim — the form the wire and trace exports use. Inverse of
+    {!parse}: [parse (to_string v) = v] whenever every [Num] holds a
+    JSON number. *)

@@ -162,25 +162,10 @@ let format_of_string s =
   | "folded" -> Some Folded
   | _ -> None
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let value_json = function
   | Int i -> string_of_int i
   | Float f -> Printf.sprintf "%.6f" f
-  | Str s -> Printf.sprintf "\"%s\"" (json_escape s)
+  | Str s -> Printf.sprintf "\"%s\"" (Json.escape s)
   | Bool b -> if b then "true" else "false"
 
 let value_text = function
@@ -191,7 +176,7 @@ let value_text = function
 
 let attrs_json attrs =
   String.concat ","
-    (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" (json_escape k) (value_json v)) attrs)
+    (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" (Json.escape k) (value_json v)) attrs)
 
 let live ts = List.filter_map (function Null -> None | Active tr -> Some tr) ts
 
@@ -263,7 +248,7 @@ let of_views ~session ~clock views =
 let jsonl ?producer ts =
   let buf = Buffer.create 4096 in
   (match producer with
-  | Some p -> Buffer.add_string buf (Printf.sprintf "{\"type\":\"meta\",\"producer\":\"%s\"}\n" (json_escape p))
+  | Some p -> Buffer.add_string buf (Printf.sprintf "{\"type\":\"meta\",\"producer\":\"%s\"}\n" (Json.escape p))
   | None -> ());
   List.iter
     (fun tr ->
@@ -274,14 +259,14 @@ let jsonl ?producer ts =
                "{\"type\":\"span\",\"session\":%d,\"id\":%d,\"parent\":%s,\"phase\":\"%s\",\"name\":\"%s\",\"start\":%d,\"stop\":%d,\"attrs\":{%s}}\n"
                tr.tr_session sp.sp_id
                (match sp.sp_parent with Some p -> string_of_int p | None -> "null")
-               (json_escape sp.sp_phase) (json_escape sp.sp_name) sp.sp_start sp.sp_stop
+               (Json.escape sp.sp_phase) (Json.escape sp.sp_name) sp.sp_start sp.sp_stop
                (attrs_json (attr_order sp)));
           List.iter
             (fun e ->
               Buffer.add_string buf
                 (Printf.sprintf
                    "{\"type\":\"event\",\"session\":%d,\"span\":%d,\"vt\":%d,\"name\":\"%s\",\"attrs\":{%s}}\n"
-                   tr.tr_session sp.sp_id e.ev_vt (json_escape e.ev_name)
+                   tr.tr_session sp.sp_id e.ev_vt (Json.escape e.ev_name)
                    (attrs_json e.ev_attrs)))
             (event_order sp))
         (span_order tr))
@@ -298,7 +283,7 @@ let chrome ?producer ts =
         push
           (Printf.sprintf
              "{\"name\":\"process_name\",\"ph\":\"M\",\"ts\":0,\"pid\":%d,\"tid\":0,\"args\":{\"name\":\"%s\"}}"
-             tr.tr_session (json_escape p))
+             tr.tr_session (Json.escape p))
       | None -> ());
       List.iter
         (fun sp ->
@@ -306,7 +291,7 @@ let chrome ?producer ts =
           push
             (Printf.sprintf
                "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%d,\"dur\":%d,\"pid\":%d,\"tid\":0,\"args\":{%s}}"
-               (json_escape sp.sp_name) (json_escape sp.sp_phase) sp.sp_start
+               (Json.escape sp.sp_name) (Json.escape sp.sp_phase) sp.sp_start
                (stop - sp.sp_start) tr.tr_session
                (attrs_json (attr_order sp)));
           List.iter
@@ -314,7 +299,7 @@ let chrome ?producer ts =
               push
                 (Printf.sprintf
                    "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"ts\":%d,\"pid\":%d,\"tid\":0,\"s\":\"t\",\"args\":{%s}}"
-                   (json_escape e.ev_name) (json_escape sp.sp_phase) e.ev_vt tr.tr_session
+                   (Json.escape e.ev_name) (Json.escape sp.sp_phase) e.ev_vt tr.tr_session
                    (attrs_json e.ev_attrs)))
             (event_order sp))
         (span_order tr))

@@ -10,15 +10,7 @@ let encode = Spec.shape_key
 let hash = Spec.shape_hash
 let hash_hex = Spec.shape_hex
 
-let fnv1a s =
-  let prime = 0x100000001B3L in
-  let h = ref 0xCBF29CE484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h prime)
-    s;
-  !h
+let fnv1a = Spec.shape_fnv1a
 
 let mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in

@@ -28,6 +28,8 @@ val hash_hex : Spec.t -> string
 (** [hash] as 16 lowercase hex digits. *)
 
 val fnv1a : string -> int64
+(** {!Spec.shape_fnv1a}: FNV-1a (64-bit) of any string. *)
+
 val mix64 : int64 -> int64
 (** The SplitMix64 finalizer: a cheap stateless bit mixer, used to
     derive per-session fault-injection streams from a batch seed. *)
