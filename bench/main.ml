@@ -17,8 +17,8 @@
                               under the million-principal Zipf load
                               generator, JSON on stdout
                               (the BENCH_daemon.json baseline)
-     main.exe --analyze-json  static exposure analysis cost, cold abstract
-                              interpretation vs a warm protocol-cache hit,
+     main.exe --analyze-json  static exposure analysis cost: the cold abstract
+                              interpretation `trustseq analyze` pays per spec,
                               JSON on stdout (the BENCH_analyze.json baseline)
      main.exe --hotpath-json  compiled plan runtime vs the interpreted
                               reference: sessions/sec, per-hit minor
@@ -902,12 +902,11 @@ let daemon_json () =
               ("ring_dropped", counter "obs_ring_records_dropped_total") ] );
         ("server", Json.parse (Server.stats_json stats)) ]
 
-(* Static-analysis cost: what the abstract interpreter
-   (Trust_analyze.Static_exposure) costs when run cold on a spec shape
-   versus reading the proven bound back off a warm protocol cache.
-   Serve.Cache stores the analysis alongside each cached protocol, so
-   a hit must be a small fraction of the cold cost — the committed
-   baseline in BENCH_analyze.json pins the ratio. *)
+(* Static-analysis cost: the cold abstract interpretation
+   (Trust_analyze.Static_exposure.of_analysis) over each shape's
+   synthesized analysis — what `trustseq analyze` and
+   `lint --static-exposure` pay per spec. The serve path never runs
+   it. BENCH_analyze.json is the baseline. *)
 
 let analyze_json () =
   let module SE = Trust_analyze.Static_exposure in
@@ -930,42 +929,20 @@ let analyze_json () =
     (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters
   in
   let cold_iters = if !quick then 50 else 200 in
-  let hit_iters = cold_iters * 100 in
   let measure (name, spec) =
-    let synthesized = function
-      | Ok entry -> entry
-      | Error e -> fail "analyze bench: %s failed to synthesize: %s" name e
-    in
-    let cache = Cache.create Cache.default_policy in
-    let entry = synthesized (fst (Cache.synthesize cache spec)) in
-    (* the cold path is what a cache miss pays for the proven bound:
-       full synthesis (feasibility, rescue, sequencing, scripts) plus
-       the abstract interpretation of the split spec *)
-    let fresh () = synthesized (Cache.fresh Cache.default_policy spec) in
-    (* warm both paths so neither prices a cold allocator *)
-    ignore (time_ns 10 fresh);
-    let cold = time_ns cold_iters fresh in
-    let hit =
-      time_ns hit_iters (fun () ->
-          match Cache.synthesize cache spec with
-          | Ok entry, `Hit -> entry.Cache.exposure
-          | Ok _, (`Miss | `Bypass) | Error _, _ -> fail "analyze bench: expected a cache hit")
-    in
-    let exposure = entry.Cache.exposure in
-    let hit_over_cold = ratio hit cold in
-    ( Json.Obj
-        [ ("shape", Json.Str name); ("steps", int exposure.SE.steps);
-          ("verdict", Json.Str (SE.verdict_label exposure.SE.verdict));
-          ("cold_ns", num "%.0f" cold); ("hit_ns", num "%.0f" hit);
-          ("hit_over_cold", num "%.4f" hit_over_cold) ],
-      hit_over_cold )
+    let analysis = (Feasibility.synthesize ~rescue:true spec).Feasibility.analysis in
+    let bound () = SE.of_analysis analysis in
+    (* warm up so the timed loop does not price a cold allocator *)
+    ignore (time_ns 10 bound);
+    let cold = time_ns cold_iters bound in
+    let r = bound () in
+    Json.Obj
+      [ ("shape", Json.Str name); ("steps", int r.SE.steps);
+        ("verdict", Json.Str (SE.verdict_label r.SE.verdict));
+        ("cold_ns", num "%.0f" cold) ]
   in
-  let rows = List.map measure shapes in
-  let worst = List.fold_left (fun acc (_, r) -> Float.max acc r) 0. rows in
   emit ~bench:"analyze_static_exposure"
-    [ ("cold_iters", int cold_iters); ("hit_iters", int hit_iters);
-      ("max_hit_over_cold", num "%.4f" worst);
-      ("shapes", Json.Arr (List.map fst rows)) ]
+    [ ("cold_iters", int cold_iters); ("shapes", Json.Arr (List.map measure shapes)) ]
 
 (* Compiled hot path: the allocation-free plan runtime
    (Trust_core.Compile + Trust_sim.Hotpath) against the interpreted
@@ -974,7 +951,7 @@ let analyze_json () =
    the measured pass replays the identical workload against the warm
    cache — this is the daemon's regime, and it is the regime the
    compiled pipeline targets (cold synthesis costs the same on both
-   paths and BENCH_analyze.json already pins it). The claim-bearing
+   paths, so the untimed warm pass pays it). The claim-bearing
    numbers, pinned by BENCH_hotpath.json: the sessions/sec speedup,
    identical per-session outcome digests on both paths at jobs 1 and 4
    (the compiled runtime changes no verdict, tick or event count

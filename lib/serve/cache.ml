@@ -3,8 +3,6 @@ module Harness = Trust_sim.Harness
 module Feasibility = Trust_core.Feasibility
 module Indemnity = Trust_core.Indemnity
 module Protocol = Trust_core.Protocol
-module Absint = Trust_analyze.Absint
-module Static_exposure = Trust_analyze.Static_exposure
 
 type policy = { mode : Harness.mode; shared : bool; rescue : bool; verify : bool }
 
@@ -14,7 +12,6 @@ type entry = {
   split_spec : Spec.t;
   plan : Indemnity.plan option;
   protocol : Protocol.t;
-  exposure : Static_exposure.t;
   compiled : Trust_core.Compile.t option;
 }
 
@@ -101,17 +98,14 @@ let shard_count t = Array.length t.shards
 let shard_of t spec =
   (Int64.to_int (Shape.hash spec) land max_int) mod Array.length t.shards
 
-(* One synthesis pass per miss: plan, protocol, static bound and
-   compiled plan all come from the one analysis [synthesize] returns.
-   No behaviours are built; runs rebuild them from the protocol. *)
+(* One synthesis pass per miss: plan, protocol and compiled plan all
+   come from the one analysis [synthesize] returns. No behaviours are
+   built; runs rebuild them from the protocol. *)
 let fresh policy spec =
   let s = Feasibility.synthesize ~shared:policy.shared ~rescue:policy.rescue spec in
   let plan = s.Feasibility.plan and split_spec = s.Feasibility.analysis.Feasibility.spec in
   Result.map
     (fun protocol ->
-      (* The proven bound rides the entry, so a hit skips the abstract
-         interpretation (the expensive half of a cold synthesis). *)
-      let exposure = Static_exposure.of_analysis s.Feasibility.analysis in
       (* The flat plan the allocation-free runtime executes on hits;
          specs with acceptability overrides stay interpreted. *)
       let compiled =
@@ -124,23 +118,14 @@ let fresh policy spec =
                split_spec protocol)
         else None
       in
-      { split_spec; plan; protocol; exposure; compiled })
+      { split_spec; plan; protocol; compiled })
     (Harness.protocol_of ~mode:policy.mode s)
 
-(* Plans are plain data. Of the bound, the verdict, the step count and
-   each interval's figures are compared; witnesses are derived. *)
-let bound_key (x : Static_exposure.t) =
-  ( x.Static_exposure.verdict,
-    x.Static_exposure.steps,
-    List.map
-      (fun (i : Absint.interval) -> (i.Absint.i_party, i.Absint.i_bound, i.Absint.i_lo, i.Absint.i_hi))
-      x.Static_exposure.intervals )
-
+(* Plans are plain data; the compiled plan derives from the rest. *)
 let entry_equal a b =
   String.equal (Shape.encode a.split_spec) (Shape.encode b.split_spec)
   && a.plan = b.plan
   && Protocol.equal_roles a.protocol b.protocol
-  && bound_key a.exposure = bound_key b.exposure
 
 let verify t spec cached =
   (match (cached, fresh t.policy spec) with
@@ -327,11 +312,11 @@ let denied_count t = Atomic.get t.denied_hits
    fresh. The memo is bounded: a full shard table is reset wholesale
    (entries are small strings, and correctness never depends on
    residency). *)
-let lint_verdict spec =
+let lint_verdict ?obs ?parent spec =
   match
     List.find_opt
       (fun d -> d.Trust_analyze.Diagnostic.severity = Trust_analyze.Diagnostic.Error)
-      (Trust_analyze.Lint.check_spec ~deep:false spec)
+      (Trust_analyze.Lint.check_spec ?obs ?parent ~deep:false spec)
   with
   | Some first ->
     Some

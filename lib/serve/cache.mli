@@ -10,10 +10,10 @@
 
     The correctness invariant, checked when the policy sets [verify]
     (and exercised by the property tests): {e a cache hit is equal to
-    fresh synthesis} — same split spec, indemnity plan, per-party
-    scripts and static bound. Behaviours are single-run stateful
-    machines and are therefore {e never} cached; callers rebuild them
-    per run with {!Trust_sim.Harness.behaviors_for}. *)
+    fresh synthesis} — same split spec, indemnity plan and per-party
+    scripts. Behaviours are single-run stateful machines and are
+    therefore {e never} cached; callers rebuild them per run with
+    {!Trust_sim.Harness.behaviors_for}. *)
 
 open Exchange
 
@@ -31,10 +31,6 @@ type entry = {
   split_spec : Spec.t;  (** the spec after the plan's indemnity splits *)
   plan : Trust_core.Indemnity.plan option;  (** the rescue plan, when one was needed *)
   protocol : Trust_core.Protocol.t;
-  exposure : Trust_analyze.Static_exposure.t;
-      (** the statically proven (or refuted) §5 bound for the split
-          spec, computed once at synthesis — a cache hit reuses it
-          without re-running the abstract interpretation *)
   compiled : Trust_core.Compile.t option;
       (** the flat instruction plan executed by the allocation-free
           [Trust_sim.Hotpath] runtime on the serve path; [None] only
@@ -143,14 +139,21 @@ val denied_reason : t -> Spec.t -> string option
     this before the admission lint. Lock-free: reads an atomically
     swapped immutable set. *)
 
+val lint_verdict :
+  ?obs:Trust_obs.Obs.t -> ?parent:Trust_obs.Obs.handle -> Spec.t -> string option
+(** Unmemoized shallow admission lint ([Lint.check_spec ~deep:false],
+    spans under [parent] when [obs] traces): [None] when the spec
+    passes, [Some "lint: [code] message"] for the first error-level
+    diagnostic. *)
+
 val admission : t -> Spec.t -> string option
 (** Memoized shallow admission lint ([Lint.check_spec ~deep:false]):
     [None] when the spec passes, [Some reason] — the formatted abort
     reason of the first error-level diagnostic — when it is rejected.
     The verdict is a pure function of the spec, memoized by shape in
     the same shards as synthesis; non-cacheable specs are linted
-    fresh. Callers needing lint {e spans} (tracing enabled) should run
-    the linter directly instead. *)
+    fresh. Callers needing lint {e spans} (tracing enabled) call
+    {!lint_verdict} instead. *)
 
 val synthesize : t -> Spec.t -> (entry, string) result * [ `Hit | `Miss | `Bypass ]
 (** Memoized synthesis. [`Bypass] means the spec was not {!Shape.cacheable}
@@ -159,13 +162,12 @@ val synthesize : t -> Spec.t -> (entry, string) result * [ `Hit | `Miss | `Bypas
 
 val fresh : policy -> Spec.t -> (entry, string) result
 (** Uncached synthesis — the reference the invariant compares against:
-    one {!Trust_core.Feasibility.synthesize} pass, then the protocol,
-    bound and compiled plan read off its analysis. *)
+    one {!Trust_core.Feasibility.synthesize} pass, then the protocol
+    and compiled plan read off its analysis. *)
 
 val entry_equal : entry -> entry -> bool
-(** Structural: canonical split-spec encodings, plans, protocol scripts
-    and static bounds (verdict, steps, each interval's party, bound, lo
-    and hi) all equal. The compiled plan derives from the rest. *)
+(** Structural: canonical split-spec encodings, plans and protocol
+    scripts all equal. The compiled plan derives from the rest. *)
 
 val hits : t -> int
 val misses : t -> int

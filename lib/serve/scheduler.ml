@@ -249,18 +249,7 @@ let process_session ?parent cfg cache policy rec_opt retried obs (session : Sess
     match Cache.denied_reason cache session.Session.spec with
     | Some _ as denied -> denied
     | None ->
-    if Obs.enabled obs then
-      match
-        List.find_opt
-          (fun d -> d.Trust_analyze.Diagnostic.severity = Trust_analyze.Diagnostic.Error)
-          (Trust_analyze.Lint.check_spec ~obs ~parent:root ~deep:false session.Session.spec)
-      with
-      | Some first ->
-        Some
-          (Printf.sprintf "lint: [%s] %s"
-             (Trust_analyze.Diagnostic.code_id first.Trust_analyze.Diagnostic.code)
-             first.Trust_analyze.Diagnostic.message)
-      | None -> None
+    if Obs.enabled obs then Cache.lint_verdict ~obs ~parent:root session.Session.spec
     else Cache.admission cache session.Session.spec
   in
   (match lint_reason with

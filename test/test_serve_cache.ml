@@ -26,6 +26,17 @@ let test_hash_stable () =
      change it deliberately, not by accident. *)
   check_string "pinned chain-1 hash" "c1dc6ceae41f53d2" (Shape.hash_hex (Gen.chain ~brokers:1))
 
+(* specs/scale/chain50.exg is the committed rendering of the 51-link
+   chain the daemon smoke step submits; it must stay the generator's
+   shape. *)
+let test_chain50_fixture () =
+  match Trust_lang.Elaborate.from_file "../specs/scale/chain50.exg" with
+  | Error e -> Alcotest.failf "chain50.exg: %s" e
+  | Ok spec ->
+    check_string "chain50.exg is Gen.chain ~brokers:50"
+      (Shape.encode (Gen.chain ~brokers:50))
+      (Shape.encode spec)
+
 let test_hash_collisions () =
   let rng = Prng.create 99L in
   let specs =
@@ -108,60 +119,11 @@ let shared_bundle () =
         ~price:(Asset.dollars 20) ~good:"d2";
     ]
 
-(* The cached §5 bound must come from the reduction the entry executes.
-   With shared agents on, the shared bundle is feasible only by the
-   shared-agent rule, so a bound computed without that rule is
-   vacuous. *)
-let test_shared_policy_bound () =
-  let spec = shared_bundle () in
-  let cache = Cache.create { Cache.default_policy with Cache.shared = true } in
-  match Cache.synthesize cache spec with
-  | Ok entry, _ ->
-    let module Static_exposure = Trust_analyze.Static_exposure in
-    let expected =
-      Static_exposure.of_analysis
-        (Trust_core.Feasibility.analyze ~shared:true entry.Cache.split_spec)
-    in
-    check "bound from the shared reduction" true (entry.Cache.exposure = expected);
-    check "bound not vacuous" true
-      (entry.Cache.exposure.Static_exposure.verdict <> Static_exposure.Vacuous)
-  | Error e, _ -> Alcotest.failf "shared bundle must synthesize: %s" e
-
-(* Verify mode compares whole entries: an entry whose cached bound
-   diverges from fresh synthesis must not pass as equal. *)
-let test_entry_equal_compares_bound () =
-  let module Static_exposure = Trust_analyze.Static_exposure in
-  let module Absint = Trust_analyze.Absint in
-  match Cache.fresh Cache.default_policy Workload.Scenarios.example1 with
-  | Error e -> Alcotest.failf "example 1 must synthesize: %s" e
-  | Ok entry ->
-    let with_bound exposure = { entry with Cache.exposure } in
-    let bound = entry.Cache.exposure in
-    let first, rest =
-      match bound.Static_exposure.intervals with
-      | i :: rest -> (i, rest)
-      | [] -> Alcotest.fail "example 1 has a proved interval per principal"
-    in
-    let with_first i = with_bound { bound with Static_exposure.intervals = i :: rest } in
-    check "an entry equals itself" true (Cache.entry_equal entry entry);
-    List.iter
-      (fun (label, diverged) -> check label false (Cache.entry_equal entry diverged))
-      [
-        ("verdict differs", with_bound { bound with Static_exposure.verdict = Static_exposure.Refuted });
-        ("steps differ", with_bound { bound with Static_exposure.steps = bound.Static_exposure.steps + 1 });
-        ("interval dropped", with_bound { bound with Static_exposure.intervals = rest });
-        ("worst case differs", with_first { first with Absint.i_hi = first.Absint.i_hi + 1 });
-        ("honest peak differs", with_first { first with Absint.i_lo = first.Absint.i_lo + 1 });
-        ("bound differs", with_first { first with Absint.i_bound = first.Absint.i_bound + 1 });
-        ( "party differs",
-          with_first { first with Absint.i_party = Party.consumer "someone else" } );
-      ]
-
 (* Oracle: [Cache.fresh] (one analysis, rescue continued from it) must
    produce what the three-pass composition built from the public stage
    entry points produces — feasibility check, rescue from scratch,
-   merged plan, [Harness.assemble] (which re-analyzes), a separate
-   static analysis and compilation — on every field of the entry. *)
+   merged plan, [Harness.assemble] (which re-analyzes) and compilation
+   — on every field of the entry. *)
 let composed_fresh (policy : Cache.policy) spec =
   let module Feasibility = Trust_core.Feasibility in
   let module Harness = Trust_sim.Harness in
@@ -191,14 +153,7 @@ let composed_fresh (policy : Cache.policy) spec =
              ~price:(Trust_sim.Trace.price_for split_spec) split_spec protocol)
       else None
     in
-    Ok
-      {
-        Cache.split_spec;
-        plan;
-        protocol;
-        exposure = Trust_analyze.Static_exposure.analyze ~shared split_spec;
-        compiled;
-      }
+    Ok { Cache.split_spec; plan; protocol; compiled }
 
 (* The compiled plans' arrays, with the spec and plan they carry
    compared by encoding and offers instead (the spec memoizes its
@@ -245,7 +200,6 @@ let test_fresh_matches_composition () =
             if
               not
                 (Cache.entry_equal fresh composed
-                && fresh.Cache.exposure = composed.Cache.exposure
                 && same_compiled fresh.Cache.compiled composed.Cache.compiled)
             then Alcotest.failf "input %d: fresh differs from the composition" n
           | Error a, Error b -> check_string (Printf.sprintf "input %d: same error" n) b a
@@ -415,6 +369,8 @@ let () =
         [
           Alcotest.test_case "hash stability" `Quick test_hash_stable;
           Alcotest.test_case "collision sanity" `Quick test_hash_collisions;
+          Alcotest.test_case "chain50 fixture is the generator's shape" `Quick
+            test_chain50_fixture;
           Alcotest.test_case "override bypass" `Quick test_override_bypasses;
         ] );
       ( "cache",
@@ -423,9 +379,6 @@ let () =
           Alcotest.test_case "hit equals fresh" `Quick test_hit_equals_fresh;
           Alcotest.test_case "rescued fan carries plan" `Quick test_rescued_fan_carries_plan;
           Alcotest.test_case "negative caching" `Quick test_negative_caching;
-          Alcotest.test_case "shared-policy bound" `Quick test_shared_policy_bound;
-          Alcotest.test_case "entry equality compares the bound" `Quick
-            test_entry_equal_compares_bound;
           Alcotest.test_case "fresh matches the staged composition" `Quick
             test_fresh_matches_composition;
           Alcotest.test_case "eviction" `Quick test_eviction;

@@ -118,6 +118,32 @@ let test_witness_is_a_subsequence () =
         (List.length kept <= List.length a.Absint.steps))
     a.Absint.intervals
 
+(* test_reduce's shared bundle: two documents through one agent,
+   feasible only by the shared-agent rule. *)
+let shared_bundle () =
+  let c = Party.consumer "c" and t = Party.trusted "t" in
+  Spec.make_exn
+    [
+      Spec.sale ~id:"a" ~buyer:c ~seller:(Party.producer "p1") ~via:t
+        ~price:(Asset.dollars 10) ~good:"d1";
+      Spec.sale ~id:"b" ~buyer:c ~seller:(Party.producer "p2") ~via:t
+        ~price:(Asset.dollars 20) ~good:"d2";
+    ]
+
+(* The bound must come from the reduction that executes: with shared
+   agents on, the shared bundle is feasible only by the shared-agent
+   rule, so a bound computed without that rule is vacuous. *)
+let test_shared_policy_bound () =
+  let spec = shared_bundle () in
+  let shared = Static_exposure.analyze ~shared:true spec in
+  check "bound from the shared reduction" true
+    (shared = Static_exposure.of_analysis (Feasibility.analyze ~shared:true spec));
+  check "shared bound not vacuous" true
+    (shared.Static_exposure.verdict <> Static_exposure.Vacuous);
+  check "unshared bound vacuous" true
+    ((Static_exposure.analyze ~shared:false spec).Static_exposure.verdict
+    = Static_exposure.Vacuous)
+
 (* --- conflict rules --------------------------------------------------- *)
 
 let no_loc _ = None
@@ -318,6 +344,7 @@ let () =
             test_refutation_with_schedule;
           Alcotest.test_case "witness is an ascending subsequence" `Quick
             test_witness_is_a_subsequence;
+          Alcotest.test_case "shared-policy bound" `Quick test_shared_policy_bound;
         ] );
       ( "conflicts",
         [
