@@ -896,7 +896,7 @@ let daemon_json () =
         ( "trace",
           Json.Obj
             [ ("ring_bytes", int cfg.Server.trace_ring);
-              ("sample_rate", num "%g" cfg.Server.trace_sample);
+              ("sample_rate", num "%g" cfg.Server.scheduler.Scheduler.sample_rate);
               ("sampled", counter "obs_sessions_sampled_total");
               ("kept_tail", counter "obs_sessions_kept_tail_total");
               ("ring_dropped", counter "obs_ring_records_dropped_total") ] );

@@ -1472,10 +1472,11 @@ let serve_cmd =
         cache_capacity;
         scheduler =
           {
-            Trust_serve.Scheduler.default_config with
+            Server.default.Server.scheduler with
             Trust_serve.Scheduler.session_deadline = deadline;
             latency;
             drop_rate;
+            sample_rate = trace_sample;
           };
         max_pending;
         epoch_every;
@@ -1483,7 +1484,6 @@ let serve_cmd =
         snapshot_path = metrics_out;
         trace_path = trace_out;
         trace_ring;
-        trace_sample;
         mine_every;
         mine_pin;
         mine_deny;
@@ -1602,7 +1602,7 @@ let serve_cmd =
   let trace_sample =
     Arg.(
       value
-      & opt float Server.default.Server.trace_sample
+      & opt float Server.default.Server.scheduler.Trust_serve.Scheduler.sample_rate
       & info [ "trace-sample" ] ~docv:"RATE"
           ~doc:
             "Head-sample this fraction of requests into live traces (deterministic in the \

@@ -21,7 +21,6 @@ type config = {
   snapshot_path : string option;
   trace_path : string option;
   trace_ring : int;
-  trace_sample : float;
   mine_every : int;
   mine_pin : int;
   mine_deny : int;
@@ -35,18 +34,17 @@ let default =
     tcp = None;
     policy = Cache.default_policy;
     cache_capacity = 4096;
-    scheduler = Scheduler.default_config;
+    (* tracing is on by default precisely because it is priced for
+       production: a 1 MiB ring and 1% head sampling, with tail keeps
+       promoting every anomalous session regardless of the rate *)
+    scheduler = { Scheduler.default_config with Scheduler.sample_rate = 0.01 };
     max_pending = 64;
     max_frame = Frame.default_max;
     epoch_every = 256;
     max_idle_epochs = 2;
     snapshot_path = None;
     trace_path = None;
-    (* tracing is on by default precisely because it is priced for
-       production: a 1 MiB ring and 1% head sampling, with tail keeps
-       promoting every anomalous session regardless of the rate *)
     trace_ring = 1 lsl 20;
-    trace_sample = 0.01;
     (* the feedback loop is opt-in: mining costs a ring drain + refold
        every [mine_every] requests, and pins/denies change admission
        behavior — operators turn the knob deliberately *)
@@ -92,6 +90,7 @@ type conn = {
 type srv = {
   cfg : config;
   metrics : Metrics.t;
+  recorders : Scheduler.recorders;
   cache : Cache.t;
   pending : (conn * int * string) Admission.t;
   trace_ch : out_channel option;
@@ -118,9 +117,6 @@ type srv = {
   conns_c : Metrics.counter;
   epochs_c : Metrics.counter;
   aged_c : Metrics.counter;
-  obs_sampled_c : Metrics.counter;
-  obs_tail_c : Metrics.counter;
-  obs_ring_dropped_c : Metrics.counter;
   mine_ticks_c : Metrics.counter;
   mine_sessions_c : Metrics.counter;
   mine_pins_c : Metrics.counter;
@@ -276,24 +272,16 @@ let traced_pass srv ~record ~session:n ~id ~spec obs session_out =
         if record then srv.aborted <- srv.aborted + 1;
         zero_result ~id ~status:"error" ~exit_code:2 ~reason:(Some e)
       | Ok parsed ->
-        (* optional fault injection (CI smokes, soak tests): every
-           [defect_every]-th session defects silently, exactly the
-           batch Service knob. Keyed on the session id, so the tail
-           replay re-derives the identical cast. *)
+        (* optional fault injection (CI smokes, soak tests), the batch
+           Service rule *)
         let defectors =
-          if srv.cfg.defect_every > 0 && (n + 1) mod srv.cfg.defect_every = 0 then
-            match Trust_sim.Harness.defectable_principals parsed with
-            | party :: _ -> [ (party, Trust_sim.Harness.Silent) ]
-            | [] -> []
-          else []
+          Trust_sim.Harness.injected_defectors ~every:srv.cfg.defect_every n parsed
         in
         let session = Session.make ~id:n ~defectors parsed in
         session_out := Some session;
-        if record then
-          Scheduler.process_one ~metrics:srv.metrics ~obs ~parent:root srv.cfg.scheduler
-            srv.cache session
-        else
-          Scheduler.process_one ~obs ~parent:root srv.cfg.scheduler srv.cache session;
+        Scheduler.process_one
+          ?recorders:(if record then Some srv.recorders else None)
+          ~obs ~parent:root srv.cfg.scheduler srv.cache session;
         let status, exit_code, reason =
           match session.Session.status with
           | Session.Settled ->
@@ -327,15 +315,10 @@ let process_submit srv conn ~id ~spec =
   let n = srv.next_session in
   srv.next_session <- n + 1;
   let tracing = srv.trace_ch <> None || srv.ring <> None in
-  let sampled =
-    tracing && Scheduler.session_sampled
-                 { srv.cfg.scheduler with Scheduler.sample_rate = srv.cfg.trace_sample }
-                 n
-  in
+  let sampled = tracing && Scheduler.session_sampled srv.cfg.scheduler n in
   let obs = if sampled then Obs.create ~session:n () else Obs.null in
   let session_ref = ref None in
   let resp = traced_pass srv ~record:true ~session:n ~id ~spec obs session_ref in
-  if sampled then Metrics.incr srv.obs_sampled_c;
   (* remember the last spec per shape (bounded) so the mining tick can
      pre-warm a pin candidate that already aged out of the cache *)
   (match !session_ref with
@@ -343,49 +326,29 @@ let process_submit srv conn ~id ~spec =
     if Hashtbl.length srv.stash >= 4096 then Hashtbl.reset srv.stash;
     Hashtbl.replace srv.stash (Shape.hash_hex session.Session.spec) session.Session.spec
   | Some _ | None -> ());
-  let keep =
-    match !session_ref with
-    | Some session -> Scheduler.keep_decision ~sampled session
-    | None -> if sampled then Some Ring.Sampled else None
-    (* unsampled parse failures never make a session, so tail rules
-       cannot see them — the refused Result already tells the client *)
-  in
-  (match keep with
-  | None -> ()
-  | Some keep ->
-    let trace =
-      if Obs.enabled obs then obs
-      else begin
-        (* tail promotion: the request ran untraced on the compiled
-           path and closed with a violation, retry, expiry or lint
-           refusal. Re-run it with a live sink — spec, session id and
-           the (seed, session, seq) drop schedule are identical, so
-           the trace is what head sampling would have captured. *)
-        Metrics.incr srv.obs_tail_c;
-        let replay = Obs.create ~session:n () in
-        let discard = ref None in
-        ignore (traced_pass srv ~record:false ~session:n ~id ~spec replay discard : Wire.response);
-        replay
-      end
-    in
-    (* stamp the keep verdict on the root after the fact (attrs on
-       finished spans don't tick the clock): ring dumps and the JSONL
-       sink then agree on why the session was retained, so Mine folds
-       either source identically *)
-    Obs.attr trace (Obs.first_root trace) "keep" (Obs.Str (Ring.keep_label keep));
-    Option.iter
-      (fun ring ->
-        let evicted = Ring.record ring ~keep trace in
-        if evicted > 0 then Metrics.incr ~by:evicted srv.obs_ring_dropped_c)
-      srv.ring;
-    (* every kept session — head-sampled or tail-promoted — reaches
-       the durable sink at close; the ring is the live (evictable)
-       introspection window over the same set *)
-    Option.iter
-      (fun ch ->
-        output_string ch (Obs.export Obs.Jsonl [ trace ]);
-        flush ch)
-      srv.trace_ch);
+  (if tracing then
+     (* tail promotion re-runs the whole request (root span and
+        elaboration included) with a live sink; an unsampled parse
+        failure never makes a session, so tail rules cannot see it —
+        the refused Result already tells the client *)
+     let replay () =
+       let trace = Obs.create ~session:n () in
+       ignore (traced_pass srv ~record:false ~session:n ~id ~spec trace (ref None) : Wire.response);
+       trace
+     in
+     match
+       Scheduler.retain ~recorders:srv.recorders ?ring:srv.ring ~sampled obs !session_ref ~replay
+     with
+     | None -> ()
+     | Some trace ->
+       (* every kept session — head-sampled or tail-promoted — reaches
+          the durable sink at close; the ring is the live (evictable)
+          introspection window over the same set *)
+       Option.iter
+         (fun ch ->
+           output_string ch (Obs.export Obs.Jsonl [ trace ]);
+           flush ch)
+         srv.trace_ch);
   (* a deny-listed shape surfaces as the wire's refused answer — the
      client sees the TM001 diagnostic with the transport exit contract,
      distinct from an ordinary aborted result *)
@@ -534,6 +497,7 @@ let run ?(stop = Atomic.make false) ?metrics cfg =
     {
       cfg;
       metrics;
+      recorders = Scheduler.recorders metrics;
       cache = Cache.create ~capacity:cfg.cache_capacity cfg.policy;
       pending = Admission.create ~bound:cfg.max_pending ();
       trace_ch = Option.map open_out cfg.trace_path;
@@ -563,15 +527,6 @@ let run ?(stop = Atomic.make false) ?metrics cfg =
       aged_c =
         Metrics.counter metrics ~help:"cache entries swept by epoch aging"
           "serve_cache_aged_out_total";
-      obs_sampled_c =
-        Metrics.counter metrics ~help:"sessions head-sampled into a live trace"
-          "obs_sessions_sampled_total";
-      obs_tail_c =
-        Metrics.counter metrics ~help:"unsampled sessions promoted by a tail keep rule"
-          "obs_sessions_kept_tail_total";
-      obs_ring_dropped_c =
-        Metrics.counter metrics ~help:"trace-ring records evicted on wrap or refused oversized"
-          "obs_ring_records_dropped_total";
       mine_ticks_c =
         Metrics.counter metrics ~help:"trace-mining feedback ticks (self-drain + policy)"
           "obs_mine_ticks_total";

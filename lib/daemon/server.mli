@@ -44,7 +44,16 @@ type config = {
   tcp : (string * int) option;  (** and/or on host, port *)
   policy : Trust_serve.Cache.policy;
   cache_capacity : int;
-  scheduler : Trust_serve.Scheduler.config;  (** per-request engine knobs *)
+  scheduler : Trust_serve.Scheduler.config;
+      (** per-request engine knobs, and the head-sampling rate:
+          [scheduler.sample_rate] picks the wire session ids traced
+          live, per {!Trust_serve.Scheduler.session_sampled} under the
+          scheduler seed ([serve --trace-sample]). Unsampled requests
+          run untraced on the compiled fast path; at close
+          {!Trust_serve.Scheduler.retain} promotes any session with an
+          exposure violation, retry, expiry or lint refusal by
+          re-running it with a live sink — determinism makes the
+          replayed trace what head sampling would have recorded. *)
   max_pending : int;  (** admission bound; excess submissions get [busy] *)
   max_frame : int;  (** wire frame bound, bytes *)
   epoch_every : int;  (** served requests per cache epoch tick *)
@@ -57,14 +66,6 @@ type config = {
       (** live trace-ring capacity in bytes ([0] disables tracing
           entirely when [trace_path] is also unset); drained by the
           [trace] wire request *)
-  trace_sample : float;
-      (** head-sampling rate over wire session ids — deterministic per
-          {!Trust_obs.Sampler} under the scheduler seed. Unsampled
-          requests run untraced on the compiled fast path; at close the
-          tail keep rules ({!Trust_serve.Scheduler.tail_reason}) promote
-          any session with an exposure violation, retry, expiry or lint
-          refusal by re-running it with a live sink — determinism makes
-          the replayed trace what head sampling would have recorded. *)
   mine_every : int;
       (** every N served requests, self-drain the ring, fold the kept
           sessions into the {!Trust_obs.Mine} scoreboard and apply the
@@ -80,18 +81,19 @@ type config = {
           many §5 exposure-violating runs; refused submissions answer
           [refused] with the [TM001] diagnostic. [0] disables. *)
   defect_every : int;
-      (** fault injection for smokes and soaks: every N-th session's
-          first defectable principal goes silent (the batch Service
-          knob); [0] (the default) injects nothing *)
+      (** fault injection for smokes and soaks: wire session ids
+          (counted from 0) get defectors per
+          {!Trust_sim.Harness.injected_defectors} — the rule batch
+          [--defect-every] applies; [0] (the default) injects nothing *)
   banner : string;  (** the [server] field of the welcome *)
 }
 
 val default : config
-(** No listeners (callers must set at least one), default policy and
-    scheduler, capacity 4096, 64 pending, 1 MiB frames, epoch every
-    256 requests, sweep after 2 idle epochs. Tracing is on by default
-    at production cost: a 1 MiB ring, 1% head sampling, tail keeps
-    always. *)
+(** No listeners (callers must set at least one), default policy,
+    {!Trust_serve.Scheduler.default_config} with [sample_rate = 0.01],
+    capacity 4096, 64 pending, 1 MiB frames, epoch every 256 requests,
+    sweep after 2 idle epochs. Tracing is on by default at production
+    cost: a 1 MiB ring, 1% head sampling, tail keeps always. *)
 
 type stats = {
   served : int;  (** submissions fully processed *)
@@ -110,7 +112,9 @@ type stats = {
 val run : ?stop:bool Atomic.t -> ?metrics:Trust_serve.Metrics.t -> config -> stats
 (** Serve until [stop] is set (an internal atomic nobody sets, i.e.
     forever, when omitted). Creates a fresh metrics registry when none
-    is given. @raise Invalid_argument when no listener is configured. *)
+    is given, and registers every daemon and scheduler family in it at
+    startup (so an idle snapshot lists them at zero).
+    @raise Invalid_argument when no listener is configured. *)
 
 val stats_json : stats -> string
 (** One-line JSON of the counters above. *)

@@ -253,6 +253,47 @@ let indemnity_amount t owner cref =
 
 let acceptability_overrides t party = Party.Map.find_opt party t.overrides
 
+(* What an asset is worth to a given party: money at face value; a
+   document at what the party pays for it (its cost basis) or, failing
+   that, what it is paid for it. *)
+let price_for t party asset =
+  match asset with
+  | Asset.Money m -> m
+  | Asset.Document _ ->
+    let deals_pricing ~receiving =
+      List.filter_map
+        (fun (cref, d) ->
+          let mine = Party.equal (commitment_principal d cref.side) party in
+          let flow =
+            if receiving then commitment_expects d cref.side else commitment_sends d cref.side
+          in
+          if mine && Asset.equal flow asset then
+            let counter_flow =
+              if receiving then commitment_sends d cref.side else commitment_expects d cref.side
+            in
+            Some (Asset.value counter_flow)
+          else None)
+        (commitments t)
+    in
+    (match deals_pricing ~receiving:true with
+    | price :: _ -> price
+    | [] -> ( match deals_pricing ~receiving:false with price :: _ -> price | [] -> 0))
+
+(* §5: a feasible sequence keeps at most one transfer of a party in
+   flight, so its worst honest-run position is its single largest
+   outgoing transfer. *)
+let single_transfer_bound t party =
+  List.fold_left
+    (fun acc (cref, d) ->
+      if Party.equal (commitment_principal d cref.side) party then
+        max acc (price_for t party (commitment_sends d cref.side))
+      else acc)
+    0 (commitments t)
+
+let defectable_principals t =
+  let personas = Party.Map.fold (fun _ principal acc -> principal :: acc) t.personas [] in
+  List.filter (fun p -> not (List.exists (Party.equal p) personas)) (principals t)
+
 let pp_side ppf side =
   Format.pp_print_string ppf (match side with Left -> "left" | Right -> "right")
 

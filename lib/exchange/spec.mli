@@ -152,6 +152,27 @@ val indemnity_amount : t -> Party.t -> commitment_ref -> Asset.money
 
 val acceptability_overrides : t -> Party.t -> State.acceptability option
 
+(** {1 Valuation and defection} *)
+
+val price_for : t -> Party.t -> Asset.t -> Asset.money
+(** What an asset is worth to a party: money at face value; a document
+    at what the party pays for it in the spec (its cost basis) or,
+    failing that, what it is paid for it; [0] when the party never
+    trades it. The one valuation the dynamic exposure ledger, the
+    compiled runtime and the static bound all use. *)
+
+val single_transfer_bound : t -> Party.t -> Asset.money
+(** The §5 bound: the largest single transfer the party's commitments
+    ever put in flight — [max] over its deal sides of the value it
+    sends (documents at cost basis, per {!price_for}). *)
+
+val defectable_principals : t -> Party.t list
+(** Principals that do not play a trusted role: the parties whose
+    defection the formalism claims to protect against. A persona is
+    trusted by construction, so its defection is out of scope (§4.2.3:
+    trusting someone who defects is a misplaced-trust loss, not a
+    protocol failure). *)
+
 (** {1 Canonical shape} *)
 
 val shape_key : t -> string

@@ -12,7 +12,6 @@ type config = {
   latency : int;
   max_events : int;
   drop_rate : float;
-  retry : bool;
   seed : int64;
   compiled : bool;
   sample_rate : float;
@@ -26,7 +25,6 @@ let default_config =
     latency = 1;
     max_events = 100_000;
     drop_rate = 0.;
-    retry = true;
     seed = 1L;
     compiled = true;
     sample_rate = 1.0;
@@ -73,31 +71,28 @@ type recorders = {
   obs_ring_dropped : Metrics.counter;
 }
 
-let recorders metrics =
-  Option.map
-    (fun m ->
-      {
-        admitted = Metrics.counter m ~help:"sessions admitted" "serve_sessions_total";
-        settled = Metrics.counter m ~help:"sessions that reached every preferred outcome" "serve_sessions_settled_total";
-        expired = Metrics.counter m ~help:"sessions unwound by the escrow deadline" "serve_sessions_expired_total";
-        aborted = Metrics.counter m ~help:"sessions whose synthesis failed" "serve_sessions_aborted_total";
-        lint_rejected = Metrics.counter m ~help:"sessions rejected by the admission linter" "serve_sessions_lint_rejected_total";
-        admission_denied = Metrics.counter m ~help:"sessions refused because their shape is deny-listed by trace mining" "serve_admission_denied_total";
-        retried_c = Metrics.counter m ~help:"drop-stalled sessions retried once" "serve_sessions_retried_total";
-        cache_hits = Metrics.counter m ~help:"protocol cache hits" "serve_cache_hits_total";
-        cache_misses = Metrics.counter m ~help:"protocol cache misses or bypasses" "serve_cache_misses_total";
-        engine_events = Metrics.counter m ~help:"discrete-event engine events" "serve_engine_events_total";
-        deliveries = Metrics.counter m ~help:"actions delivered" "serve_deliveries_total";
-        ticks_h = Metrics.histogram m ~help:"virtual session duration (ticks)" "serve_session_ticks";
-        events_h = Metrics.histogram m ~help:"engine events per session" "serve_session_events";
-        exposure_violations = Metrics.counter m ~help:"single-transfer bound violations across runs" "sim_exposure_violations_total";
-        exposure_peak_h = Metrics.histogram m ~help:"peak outstanding at-risk value per run (cents)" "sim_exposure_peak";
-        exposure_ticks_h = Metrics.histogram m ~help:"virtual ticks with positive at-risk value per run" "sim_exposure_ticks";
-        obs_sampled = Metrics.counter m ~help:"sessions head-sampled into a live trace" "obs_sessions_sampled_total";
-        obs_kept_tail = Metrics.counter m ~help:"unsampled sessions promoted by a tail keep rule" "obs_sessions_kept_tail_total";
-        obs_ring_dropped = Metrics.counter m ~help:"trace-ring records evicted on wrap or refused oversized" "obs_ring_records_dropped_total";
-      })
-    metrics
+let recorders m =
+  {
+    admitted = Metrics.counter m ~help:"sessions admitted" "serve_sessions_total";
+    settled = Metrics.counter m ~help:"sessions that reached every preferred outcome" "serve_sessions_settled_total";
+    expired = Metrics.counter m ~help:"sessions unwound by the escrow deadline" "serve_sessions_expired_total";
+    aborted = Metrics.counter m ~help:"sessions whose synthesis failed" "serve_sessions_aborted_total";
+    lint_rejected = Metrics.counter m ~help:"sessions rejected by the admission linter" "serve_sessions_lint_rejected_total";
+    admission_denied = Metrics.counter m ~help:"sessions refused because their shape is deny-listed by trace mining" "serve_admission_denied_total";
+    retried_c = Metrics.counter m ~help:"drop-stalled sessions retried once" "serve_sessions_retried_total";
+    cache_hits = Metrics.counter m ~help:"protocol cache hits" "serve_cache_hits_total";
+    cache_misses = Metrics.counter m ~help:"protocol cache misses or bypasses" "serve_cache_misses_total";
+    engine_events = Metrics.counter m ~help:"discrete-event engine events" "serve_engine_events_total";
+    deliveries = Metrics.counter m ~help:"actions delivered" "serve_deliveries_total";
+    ticks_h = Metrics.histogram m ~help:"virtual session duration (ticks)" "serve_session_ticks";
+    events_h = Metrics.histogram m ~help:"engine events per session" "serve_session_events";
+    exposure_violations = Metrics.counter m ~help:"single-transfer bound violations across runs" "sim_exposure_violations_total";
+    exposure_peak_h = Metrics.histogram m ~help:"peak outstanding at-risk value per run (cents)" "sim_exposure_peak";
+    exposure_ticks_h = Metrics.histogram m ~help:"virtual ticks with positive at-risk value per run" "sim_exposure_ticks";
+    obs_sampled = Metrics.counter m ~help:"sessions head-sampled into a live trace" "obs_sessions_sampled_total";
+    obs_kept_tail = Metrics.counter m ~help:"unsampled sessions promoted by a tail keep rule" "obs_sessions_kept_tail_total";
+    obs_ring_dropped = Metrics.counter m ~help:"trace-ring records evicted on wrap or refused oversized" "obs_ring_records_dropped_total";
+  }
 
 let record rec_opt f = Option.iter f rec_opt
 
@@ -292,7 +287,7 @@ let process_session ?parent cfg cache policy rec_opt retried obs (session : Sess
       let status = run_once cfg ~obs ~parent:root entry policy session ~drops:true rec_opt in
       Session.transition session status;
       match status with
-      | Session.Expired when cfg.retry && cfg.drop_rate > 0. ->
+      | Session.Expired when cfg.drop_rate > 0. ->
         (* Stalled under injected drops: requeue once and retransmit
            over a reliable path (drops off). A second expiry sticks. *)
         ignore (Atomic.fetch_and_add retried 1);
@@ -321,10 +316,9 @@ let process_session ?parent cfg cache policy rec_opt retried obs (session : Sess
   | Session.Expired -> record rec_opt (fun r -> Metrics.incr r.expired)
   | _ -> ())
 
-let process_one ?metrics ?(obs = Obs.null) ?parent cfg cache (session : Session.t) =
-  let rec_opt = recorders metrics in
+let process_one ?recorders ?(obs = Obs.null) ?parent cfg cache (session : Session.t) =
   let retried = Atomic.make 0 in
-  process_session ?parent cfg cache (Cache.policy cache) rec_opt retried obs session
+  process_session ?parent cfg cache (Cache.policy cache) recorders retried obs session
 
 (* -- production tracing: head sampling, tail keep rules, ring sink -- *)
 
@@ -365,10 +359,44 @@ let replay ?parent cfg cache trace (session : Session.t) =
   process_session ?parent cfg cache (Cache.policy cache) None retried trace fresh;
   fresh
 
+(* The one retention step both front doors share. A head-sampled
+   session already ran under its live [trace]; an unsampled one that a
+   tail rule keeps is re-run through [replay] (into whatever sink the
+   caller owns). The keep verdict is then stamped on the root after the
+   fact (attrs on finished spans don't tick the clock): ring dumps and
+   the JSONL export agree on why each session was retained, which is
+   what lets Mine fold either one identically. The ring commit runs on
+   the calling domain, so under [run] it lands in the shard that domain
+   adopted (under that shard's lock). *)
+let retain ?recorders ?ring ~sampled trace session ~replay =
+  if sampled then record recorders (fun r -> Metrics.incr r.obs_sampled);
+  let keep =
+    match session with
+    | Some session -> keep_decision ~sampled session
+    | None -> if sampled then Some Ring.Sampled else None
+  in
+  Option.map
+    (fun keep ->
+      let trace =
+        if sampled then trace
+        else begin
+          record recorders (fun r -> Metrics.incr r.obs_kept_tail);
+          replay ()
+        end
+      in
+      Obs.attr trace (Obs.first_root trace) "keep" (Obs.Str (Ring.keep_label keep));
+      Option.iter
+        (fun ring ->
+          let evicted = Ring.record ring ~keep trace in
+          if evicted > 0 then record recorders (fun r -> Metrics.incr ~by:evicted r.obs_ring_dropped))
+        ring;
+      trace)
+    keep
+
 let run ?metrics ?(obs = Obs.no_batch) ?ring cfg cache sessions =
   if cfg.concurrency < 1 then invalid_arg "Scheduler.run: concurrency must be >= 1";
   if cfg.jobs < 1 then invalid_arg "Scheduler.run: jobs must be >= 1";
-  let rec_opt = recorders metrics in
+  let rec_opt = Option.map recorders metrics in
   let retried = Atomic.make 0 in
   let policy = Cache.policy cache in
   (* Tracing (batch export and/or ring sink) engages the sampler:
@@ -389,37 +417,16 @@ let run ?metrics ?(obs = Obs.no_batch) ?ring cfg cache sessions =
     let sampled = tracing && session_sampled cfg session.Session.id in
     let trace = if sampled then slot_trace session else Obs.null in
     process_session cfg cache policy rec_opt retried trace session;
-    if tracing then begin
-      if sampled then record rec_opt (fun r -> Metrics.incr r.obs_sampled);
-      match keep_decision ~sampled session with
-      | None -> ()
-      | Some keep ->
-        let trace =
-          if Obs.enabled trace then trace
-          else begin
-            (* tail promotion of an unsampled session: replay it into
-               the batch slot (or a standalone trace) so the durable
-               export carries it alongside the head-sampled set *)
-            record rec_opt (fun r -> Metrics.incr r.obs_kept_tail);
-            let slot = slot_trace session in
-            ignore (replay cfg cache slot session : Session.t);
-            slot
-          end
-        in
-        (* stamp the keep verdict on the root after the fact (attrs on
-           finished spans don't tick the clock): ring dumps and the
-           JSONL export then agree on why each session was retained,
-           which is what lets Mine fold either one identically *)
-        Obs.attr trace (Obs.first_root trace) "keep" (Obs.Str (Ring.keep_label keep));
-        Option.iter
-          (fun ring ->
-            (* runs on the worker domain, so the commit lands in the
-               shard this domain adopted (under that shard's lock) *)
-            let evicted = Ring.record ring ~keep trace in
-            if evicted > 0 then
-              record rec_opt (fun r -> Metrics.incr ~by:evicted r.obs_ring_dropped))
-          ring
-    end
+    if tracing then
+      (* tail promotion replays into the batch slot (or a standalone
+         trace) so the durable export carries it alongside the
+         head-sampled set *)
+      ignore
+        (retain ?recorders:rec_opt ?ring ~sampled trace (Some session) ~replay:(fun () ->
+             let slot = slot_trace session in
+             ignore (replay cfg cache slot session : Session.t);
+             slot)
+          : Obs.t option)
   in
   (* Phase 1 — execute. Every session owns its mutable record, the
      cache is sharded behind per-shard locks and the metrics are

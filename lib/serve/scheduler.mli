@@ -36,8 +36,9 @@ type config = {
   session_deadline : int;  (** per-session engine escrow deadline (ticks) *)
   latency : int;  (** per-session engine delivery latency *)
   max_events : int;
-  drop_rate : float;  (** per-delivery drop probability on first runs *)
-  retry : bool;  (** retry-once for drop-stalled sessions *)
+  drop_rate : float;
+      (** per-delivery drop probability on first runs; with
+          [drop_rate > 0] a drop-stalled session is retried once *)
   seed : int64;  (** fault-injection stream seed *)
   compiled : bool;
       (** execute cached compiled plans on the {!Trust_sim.Hotpath}
@@ -48,25 +49,37 @@ type config = {
           compiled and always run interpreted. *)
   sample_rate : float;
       (** fraction of sessions head-sampled into a live trace when
-          tracing is on ({!run} given a batch or a ring). The verdict
-          is {!Trust_obs.Sampler.decision} on [(seed, session id)] —
-          deterministic, jobs-independent, and monotone in the rate —
-          and unsampled sessions run untraced.
-          [1.0] (the default) traces everything, preserving the
-          pre-sampling behaviour of [--trace]. *)
+          tracing is on ({!run} given a batch or a ring, or a daemon
+          with a ring or a trace file). The verdict is
+          {!session_sampled}: {!Trust_obs.Sampler.decision} on
+          [(seed, session id)] — deterministic, jobs-independent, and
+          monotone in the rate — and unsampled sessions run untraced.
+          [1.0] (this default) traces everything, preserving the
+          pre-sampling behaviour of batch [--trace]; the daemon's
+          default config sets [0.01]. *)
 }
 
 val default_config : config
 (** 8 lanes, 1 job, deadline 1000, latency 1, 100k events, no drops,
-    retry on, seed 1, compiled path on, sample rate 1.0. *)
+    seed 1, compiled path on, sample rate 1.0. *)
 
 type stats = {
   makespan : int;  (** max lane clock after the batch, >= 1 per session *)
   retried : int;
 }
 
+type recorders
+(** The scheduler's metric families (session, cache, engine, exposure
+    and [obs_*] counters and histograms), registered once in a
+    {!Metrics.t} and bumped per session. *)
+
+val recorders : Metrics.t -> recorders
+(** Register (or, by name, resolve) every scheduler family in the
+    registry. Long-lived callers build this once and pass it to each
+    {!process_one} and {!retain}. *)
+
 val process_one :
-  ?metrics:Metrics.t ->
+  ?recorders:recorders ->
   ?obs:Trust_obs.Obs.t ->
   ?parent:Trust_obs.Obs.handle ->
   config ->
@@ -75,7 +88,7 @@ val process_one :
   unit
 (** Drive a single session through the full lifecycle (admission lint,
     cached synthesis, engine run with retry-once, audit, classification)
-    on the calling domain, recording into [metrics] when given. This is
+    on the calling domain, recording into [recorders] when given. This is
     the daemon's per-request entry point: no virtual-lane placement
     happens — long-lived services measure wall-clock latency instead —
     and the session's root span is parented under [parent] (the
@@ -108,6 +121,25 @@ val replay :
     a second synthesis, typically a hit. Returns the replayed session
     record. *)
 
+val retain :
+  ?recorders:recorders ->
+  ?ring:Trust_obs.Ring.t ->
+  sampled:bool ->
+  Trust_obs.Obs.t ->
+  Session.t option ->
+  replay:(unit -> Trust_obs.Obs.t) ->
+  Trust_obs.Obs.t option
+(** The retention step at session close, shared by {!run} and the
+    daemon: [retain ~sampled trace session ~replay] picks the keep
+    reason with {!keep_decision} ([None] for the session — a daemon
+    parse failure — keeps it only if [sampled]), takes [trace] for a
+    sampled session or calls [replay] for a tail-promoted one, stamps
+    [keep] on the trace's first root, commits it to [ring], and returns
+    the kept trace ([None] when nothing is kept). Bumps
+    [obs_sessions_sampled_total], [obs_sessions_kept_tail_total] and
+    [obs_ring_records_dropped_total] in [recorders]. Callers run it only
+    when some trace sink is attached. *)
+
 val run :
   ?metrics:Metrics.t ->
   ?obs:Trust_obs.Obs.batch ->
@@ -135,10 +167,10 @@ val run :
 
     Tracing engages the sampler: only sessions passing
     {!session_sampled} run with a live trace (the rest run untraced,
-    allocation-free), and at close {!keep_decision} either
-    drops the session or commits it — tail-promoted sessions are
-    {!replay}ed first so the batch export and the [ring] carry their
-    full spans. Ring commits happen on the worker domain at session
+    allocation-free), and at close {!retain} either drops the session
+    or commits it — tail-promoted sessions are {!replay}ed into their
+    slot first so the batch export and the [ring] carry their full
+    spans. Ring commits happen on the worker domain at session
     close (each domain owns a shard), so they carry the execution
     spans but {e not} the merge-phase [serve.place] annotation, which
     exists only in the batch export; the ring's live-byte residency is

@@ -9,15 +9,10 @@ type config = {
   concurrency : int;
   jobs : int;
   mode : Harness.mode;
-  shared : bool;
   rescue : bool;
   verify_cache : bool;
   cache_capacity : int;
-  session_deadline : int;
-  latency : int;
-  max_events : int;
   drop_rate : float;
-  retry : bool;
   defect_every : int option;
   trace : bool;
   compiled : bool;  (* execute cached plans on the allocation-free runtime *)
@@ -33,15 +28,10 @@ let default =
     concurrency = 8;
     jobs = 1;
     mode = Harness.Lockstep;
-    shared = false;
     rescue = true;
     verify_cache = false;
     cache_capacity = 4096;
-    session_deadline = 1000;
-    latency = 1;
-    max_events = 100_000;
     drop_rate = 0.;
-    retry = true;
     defect_every = None;
     trace = false;
     compiled = true;
@@ -76,17 +66,9 @@ let tally sessions =
 let sessions_of_config (config : config) =
   let rng = Prng.create config.seed in
   let specs = Gen.random_transactions rng config.mix config.sessions in
+  let every = Option.value ~default:0 config.defect_every in
   List.mapi
-    (fun i spec ->
-      let defectors =
-        match config.defect_every with
-        | Some n when n > 0 && (i + 1) mod n = 0 -> (
-          match Harness.defectable_principals spec with
-          | party :: _ -> [ (party, Harness.Silent) ]
-          | [] -> [])
-        | _ -> []
-      in
-      Session.make ~id:i ~defectors spec)
+    (fun i spec -> Session.make ~id:i ~defectors:(Harness.injected_defectors ~every i spec) spec)
     specs
 
 let run (config : config) =
@@ -95,8 +77,8 @@ let run (config : config) =
   let cache =
     Cache.create ~capacity:config.cache_capacity
       {
+        Cache.default_policy with
         Cache.mode = config.mode;
-        shared = config.shared;
         rescue = config.rescue;
         verify = config.verify_cache;
       }
@@ -104,13 +86,10 @@ let run (config : config) =
   let metrics = Metrics.create () in
   let scheduler_config =
     {
+      Scheduler.default_config with
       Scheduler.concurrency = config.concurrency;
       jobs = config.jobs;
-      session_deadline = config.session_deadline;
-      latency = config.latency;
-      max_events = config.max_events;
       drop_rate = config.drop_rate;
-      retry = config.retry;
       seed = Shape.mix64 config.seed;
       compiled = config.compiled;
       sample_rate = config.sample_rate;

@@ -15,18 +15,16 @@ type config = {
   concurrency : int;
   jobs : int;  (** worker domains for the scheduler, >= 1 *)
   mode : Trust_sim.Harness.mode;
-  shared : bool;
   rescue : bool;
   verify_cache : bool;
   cache_capacity : int;
-  session_deadline : int;
-  latency : int;
-  max_events : int;
   drop_rate : float;
-  retry : bool;
+      (** per-delivery drop probability on first runs; drop-stalled
+          sessions are retried once with drops off *)
   defect_every : int option;
-      (** inject a [Silent] defector into every n-th session (its first
-          defectable principal), for adversarial batches *)
+      (** inject a [Silent] defector into every n-th session, per
+          {!Trust_sim.Harness.injected_defectors}, for adversarial
+          batches *)
   trace : bool;
       (** record a per-session {!Trust_obs.Obs} trace for the whole
           batch; off by default — the null sink costs nothing *)
@@ -45,7 +43,10 @@ type config = {
 
 val default : config
 (** 100 sessions, seed 42, default mix, 8 lanes, 1 job, Lockstep,
-    rescue on, compiled path on, sample rate 1.0, no ring. *)
+    rescue on, compiled path on, sample rate 1.0, no ring. The cache
+    policy is {!Cache.default_policy} with [mode], [rescue] and
+    [verify_cache]; the engine deadline, latency and event budget are
+    {!Scheduler.default_config}'s. *)
 
 type outcome = {
   config : config;

@@ -64,16 +64,7 @@ type t = {
   duration : int;
 }
 
-(* §5: a feasible sequence keeps at most one transfer of a party in
-   flight, so its worst honest-run position is its single largest
-   outgoing transfer. *)
-let single_transfer_bound spec party =
-  List.fold_left
-    (fun acc (cref, d) ->
-      if Party.equal (Spec.commitment_principal d cref.Spec.side) party then
-        max acc (Trace.price_for spec party (Spec.commitment_sends d cref.Spec.side))
-      else acc)
-    0 (Spec.commitments spec)
+let single_transfer_bound = Spec.single_transfer_bound
 
 (* -- mutable fold state -- *)
 

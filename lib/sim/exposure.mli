@@ -82,9 +82,8 @@ type t = {
 }
 
 val single_transfer_bound : Spec.t -> Party.t -> Asset.money
-(** The §5 bound: the largest single transfer the party's commitments
-    ever put in flight — [max] over its deal sides of the value it
-    sends (documents at cost basis). *)
+(** {!Exchange.Spec.single_transfer_bound}: the §5 bound, the largest
+    single transfer the party's commitments ever put in flight. *)
 
 val of_result :
   ?plan:Trust_core.Indemnity.plan ->

@@ -16,13 +16,12 @@ type cast = {
 
 type defection = Silent | Partial of int
 
-let defectable_principals spec =
-  let personas =
-    Party.Map.fold (fun _ principal acc -> principal :: acc) spec.Spec.personas []
-  in
-  List.filter
-    (fun p -> not (List.exists (Party.equal p) personas))
-    (Spec.principals spec)
+let defectable_principals = Spec.defectable_principals
+
+let injected_defectors ~every id spec =
+  if every > 0 && (id + 1) mod every = 0 then
+    match defectable_principals spec with party :: _ -> [ (party, Silent) ] | [] -> []
+  else []
 
 let deposit_actions plan =
   match plan with

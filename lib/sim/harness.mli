@@ -126,10 +126,13 @@ val universal_run :
     audit should judge against. *)
 
 val defectable_principals : Spec.t -> Party.t list
-(** Principals that do not play a trusted role: the parties whose
-    defection the formalism claims to protect against. A persona is
-    trusted by construction, so its defection is out of scope (§4.2.3:
-    trusting someone who defects is a misplaced-trust loss, not a
-    protocol failure). *)
+(** {!Exchange.Spec.defectable_principals}: the principals that play no
+    trusted role, whose defection the formalism protects against. *)
+
+val injected_defectors : every:int -> int -> Spec.t -> (Party.t * defection) list
+(** The fault-injection rule batch and daemon share: session [id]'s
+    first defectable principal goes [Silent] when [every > 0] and
+    [(id + 1) mod every = 0]; otherwise nobody defects. Keyed on the
+    id alone, so a tail replay re-derives the identical cast. *)
 
 val pp_cast : Format.formatter -> cast -> unit

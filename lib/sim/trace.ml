@@ -23,33 +23,7 @@ let final_state t = t.result.Engine.state
 
 type exposure = { at : int; outlay : Asset.money; goods_out : int; covered : Asset.money }
 
-(* What an asset is worth to a given party: money at face value; a
-   document at what the party pays for it (its cost basis) or, failing
-   that, what it is paid for it. *)
-let price_for spec party asset =
-  match asset with
-  | Asset.Money m -> m
-  | Asset.Document _ ->
-    let deals_pricing ~receiving =
-      List.filter_map
-        (fun (cref, d) ->
-          let mine = Party.equal (Spec.commitment_principal d cref.Spec.side) party in
-          let flow =
-            if receiving then Spec.commitment_expects d cref.Spec.side
-            else Spec.commitment_sends d cref.Spec.side
-          in
-          if mine && Asset.equal flow asset then
-            let counter_flow =
-              if receiving then Spec.commitment_sends d cref.Spec.side
-              else Spec.commitment_expects d cref.Spec.side
-            in
-            Some (Asset.value counter_flow)
-          else None)
-        (Spec.commitments spec)
-    in
-    (match deals_pricing ~receiving:true with
-    | price :: _ -> price
-    | [] -> ( match deals_pricing ~receiving:false with price :: _ -> price | [] -> 0))
+let price_for = Spec.price_for
 
 let exposure_profile t party =
   let price = price_for t.spec party in

@@ -29,10 +29,8 @@ val final_state : t -> State.t
 (** {1 Exposure} *)
 
 val price_for : Spec.t -> Party.t -> Asset.t -> Asset.money
-(** What an asset is worth to a party: money at face value; a document
-    at what the party pays for it in the spec (its cost basis) or,
-    failing that, what it is paid for it; [0] when the party never
-    trades it. Shared with the {!Exposure} ledger. *)
+(** {!Exchange.Spec.price_for}: the cost-basis valuation, shared with
+    the {!Exposure} ledger. *)
 
 type exposure = {
   at : int;  (** tick *)

@@ -366,7 +366,11 @@ let decode_exn dump =
 let test_server_trace_drain () =
   (* sample everything so both submissions land in the ring *)
   with_server "tracedrain"
-    ~config:{ Server.default with Server.trace_sample = 1.0 }
+    ~config:
+      {
+        Server.default with
+        Server.scheduler = { Server.default.Server.scheduler with Scheduler.sample_rate = 1.0 };
+      }
     (fun addr _stop ->
       match Client.connect addr with
       | Error e -> Alcotest.fail e
@@ -409,8 +413,12 @@ let test_server_trace_tail_promotion () =
     ~config:
       {
         Server.default with
-        Server.trace_sample = 0.0;
-        scheduler = { Scheduler.default_config with Scheduler.session_deadline = 1 };
+        Server.scheduler =
+          {
+            Server.default.Server.scheduler with
+            Scheduler.sample_rate = 0.0;
+            session_deadline = 1;
+          };
       }
     (fun addr _stop ->
       match Client.connect addr with
@@ -450,6 +458,73 @@ let test_server_trace_disabled_is_empty () =
         Client.close client)
     (fun stats -> check_int "nothing served" 0 stats.Server.served)
 
+(* One retention rule for both front doors: the same specs, ids and
+   injected defectors under the same scheduler config must leave the
+   same (session id, keep) list in the daemon's ring as in a batch
+   Scheduler.run's — head-sampled at rate 0.5, tail-promoted otherwise. *)
+let test_server_keeps_match_batch () =
+  let universe =
+    Workload.Universe.create
+      { Workload.Universe.defect_heavy with Workload.Universe.principals = 10_000 }
+  in
+  let rng = Workload.Prng.create 11L in
+  let texts =
+    List.init 60 (fun _ -> Trust_lang.Printer.to_string (Workload.Universe.sample universe rng))
+  in
+  let every = 3 in
+  let scheduler =
+    { Server.default.Server.scheduler with Scheduler.drop_rate = 0.1; sample_rate = 0.5 }
+  in
+  let ring_bytes = 1 lsl 22 in
+  let keeps sessions =
+    List.map (fun s -> (s.Ring.s_id, Ring.keep_label s.Ring.s_keep)) sessions
+    |> List.sort compare
+  in
+  let daemon = ref [] in
+  with_server "keeps"
+    ~config:{ Server.default with Server.scheduler; defect_every = every; trace_ring = ring_bytes }
+    (fun addr _stop ->
+      match Client.connect addr with
+      | Error e -> Alcotest.fail e
+      | Ok client ->
+        List.iteri
+          (fun i spec ->
+            match Client.submit client ~id:(i + 1) ~spec with
+            | Ok (Wire.Result _ | Wire.Refused _) -> ()
+            | Ok _ -> Alcotest.fail "expected a result"
+            | Error e -> Alcotest.fail e)
+          texts;
+        (match Client.trace client ~id:0 with
+        | Error e -> Alcotest.fail e
+        | Ok dump -> daemon := keeps (fst (decode_exn dump)));
+        Client.close client)
+    (fun stats -> check_int "every submission served" 60 stats.Server.served);
+  let sessions =
+    List.mapi
+      (fun i text ->
+        match Trust_lang.Elaborate.from_string ~file:"<wire>" text with
+        | Error e -> Alcotest.fail e
+        | Ok spec ->
+          Trust_serve.Session.make ~id:i
+            ~defectors:(Trust_sim.Harness.injected_defectors ~every i spec)
+            spec)
+      texts
+  in
+  let ring = Ring.create ~capacity:ring_bytes () in
+  let cache = Trust_serve.Cache.create ~capacity:4096 Server.default.Server.policy in
+  ignore (Scheduler.run ~ring scheduler cache sessions : Scheduler.stats);
+  let batch =
+    match Ring.decode (Ring.dump ring) with
+    | Ok (sessions, _) -> keeps sessions
+    | Error e -> Alcotest.fail e
+  in
+  let show l = String.concat " " (List.map (fun (id, k) -> Printf.sprintf "%d:%s" id k) l) in
+  check_string "same (id, keep) list" (show batch) (show !daemon);
+  let labels = List.map snd batch in
+  check "some sessions head-sampled" true (List.mem "sampled" labels);
+  check "some sessions tail-promoted" true (List.exists (fun l -> l <> "sampled") labels);
+  check "some sessions dropped" true (List.length batch < 60)
+
 let () =
   Alcotest.run "daemon"
     [
@@ -483,5 +558,6 @@ let () =
           Alcotest.test_case "trace drains the ring" `Quick test_server_trace_drain;
           Alcotest.test_case "tail promotion over the wire" `Quick test_server_trace_tail_promotion;
           Alcotest.test_case "trace with tracing off" `Quick test_server_trace_disabled_is_empty;
+          Alcotest.test_case "keeps match the batch scheduler" `Quick test_server_keeps_match_batch;
         ] );
     ]
