@@ -107,14 +107,14 @@ let encode_shape t =
   Buffer.add_string buf "]";
   Buffer.contents buf
 
+(* A plain loop, not [String.iter]: a ref captured by a closure is boxed
+   on every update, while a local one stays an unboxed register. *)
 let shape_fnv1a s =
-  let prime = 0x100000001B3L in
   let h = ref 0xCBF29CE484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h prime)
-    s;
+  for i = 0 to String.length s - 1 do
+    let byte = Int64.of_int (Char.code (String.unsafe_get s i)) in
+    h := Int64.mul (Int64.logxor !h byte) 0x100000001B3L
+  done;
   !h
 
 (* Install a fresh memo: every construction site (make and the with_

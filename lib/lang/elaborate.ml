@@ -12,21 +12,20 @@ let compare_error a b =
 
 let sort_errors errors = List.stable_sort compare_error errors
 
-type env = {
-  mutable parties : (string * Party.t) list;  (* declaration order, reversed *)
-  mutable errors : error list;
-}
+type env = { parties : (string, Party.t) Hashtbl.t; mutable errors : error list }
+
+let new_env () = { parties = Hashtbl.create 16; errors = [] }
 
 let err env loc fmt =
   Format.kasprintf (fun message -> env.errors <- { message; loc } :: env.errors) fmt
 
 let declare env (name : string Loc.located) party =
-  if List.mem_assoc name.Loc.value env.parties then
+  if Hashtbl.mem env.parties name.Loc.value then
     err env name.Loc.loc "party %s declared twice" name.Loc.value
-  else env.parties <- env.parties @ [ (name.Loc.value, party) ]
+  else Hashtbl.replace env.parties name.Loc.value party
 
 let lookup env (name : string Loc.located) =
-  match List.assoc_opt name.Loc.value env.parties with
+  match Hashtbl.find_opt env.parties name.Loc.value with
   | Some party -> Some party
   | None ->
     err env name.Loc.loc "undeclared party %s" name.Loc.value;
@@ -59,13 +58,29 @@ let asset_of = function
 
 let side_of = function Ast.Buyer -> Spec.Left | Ast.Seller -> Spec.Right
 
-let cref_of env deals (c : Ast.cref) =
-  if not (List.exists (fun (d : Spec.deal) -> String.equal d.Spec.id c.Ast.deal.Loc.value) deals)
-  then err env c.Ast.deal.Loc.loc "unknown deal %s" c.Ast.deal.Loc.value;
+let cref_of env deal_ids (c : Ast.cref) =
+  if not (Hashtbl.mem deal_ids c.Ast.deal.Loc.value) then
+    err env c.Ast.deal.Loc.loc "unknown deal %s" c.Ast.deal.Loc.value;
   { Spec.deal = c.Ast.deal.Loc.value; side = side_of c.Ast.side }
 
+(* Parties are unique by name within a program, so a deal's unordered
+   pair of principal names identifies the deals a [trust] joins. *)
+let pair_key a b =
+  let a = Party.name a and b = Party.name b in
+  if String.compare a b <= 0 then (a, b) else (b, a)
+
+(* Deals by [pair_key] of their principals, each list in program order. *)
+let deals_by_pair deals =
+  let index = Hashtbl.create 16 in
+  List.iter
+    (fun (d : Spec.deal) ->
+      let key = pair_key d.Spec.left d.Spec.right in
+      Hashtbl.replace index key (d :: Option.value ~default:[] (Hashtbl.find_opt index key)))
+    (List.rev deals);
+  index
+
 let program decls =
-  let env = { parties = []; errors = [] } in
+  let env = new_env () in
   (* Pass 1: declarations. *)
   List.iter
     (function
@@ -96,44 +111,44 @@ let program decls =
         | _ -> None)
       decls
   in
-  (* Pass 3: marks and personas. *)
+  (* Pass 3: marks and personas, each accumulated in reverse. *)
+  let deal_ids = Hashtbl.create 16 in
+  List.iter (fun (d : Spec.deal) -> Hashtbl.replace deal_ids d.Spec.id ()) deals;
+  let by_pair = lazy (deals_by_pair deals) in
   let priorities = ref [] and splits = ref [] and personas = ref [] in
   List.iter
     (function
       | Ast.Priority { owner; target } -> (
         match lookup env owner with
-        | Some party -> priorities := !priorities @ [ (party, cref_of env deals target) ]
+        | Some party -> priorities := (party, cref_of env deal_ids target) :: !priorities
         | None -> ())
       | Ast.Split { owner; target } -> (
         match lookup env owner with
-        | Some party -> splits := !splits @ [ (party, cref_of env deals target) ]
+        | Some party -> splits := (party, cref_of env deal_ids target) :: !splits
         | None -> ())
       | Ast.Persona { trusted; principal } -> (
         match (lookup_trusted env trusted, lookup_principal env principal) with
-        | Some t, Some p -> personas := !personas @ [ (t, p) ]
+        | Some t, Some p -> personas := (t, p) :: !personas
         | _ -> ())
       | Ast.Trust { truster; trustee } -> (
         match (lookup_principal env truster, lookup_principal env trustee) with
-        | Some a, Some b ->
-          let joining =
-            List.filter
-              (fun (d : Spec.deal) ->
-                (Party.equal d.Spec.left a && Party.equal d.Spec.right b)
-                || (Party.equal d.Spec.left b && Party.equal d.Spec.right a))
-              deals
-          in
-          if joining = [] then
+        | Some a, Some b -> (
+          match Hashtbl.find_opt (Lazy.force by_pair) (pair_key a b) with
+          | None ->
             err env truster.Loc.loc "trust %s -> %s joins no deal" truster.Loc.value
               trustee.Loc.value
-          else
-            List.iter (fun (d : Spec.deal) -> personas := !personas @ [ (d.Spec.via, b) ]) joining
+          | Some joining ->
+            List.iter (fun (d : Spec.deal) -> personas := (d.Spec.via, b) :: !personas) joining)
         | _ -> ())
       | Ast.Principal _ | Ast.Trusted _ | Ast.Deal _ | Ast.Relay _ | Ast.Request _ -> ())
     decls;
   match List.rev env.errors with
   | _ :: _ as errors -> Error (sort_errors errors)
   | [] -> (
-    match Spec.make ~personas:!personas ~priorities:!priorities ~splits:!splits deals with
+    match
+      Spec.make ~personas:(List.rev !personas) ~priorities:(List.rev !priorities)
+        ~splits:(List.rev !splits) deals
+    with
     | Ok spec -> Ok spec
     | Error messages ->
       Error (List.map (fun message -> { message; loc = Loc.start }) messages))
@@ -147,7 +162,7 @@ type web = {
 let is_web decls = List.exists (function Ast.Request _ -> true | _ -> false) decls
 
 let web decls =
-  let env = { parties = []; errors = [] } in
+  let env = new_env () in
   List.iter
     (function
       | Ast.Principal { name; role } -> declare env name (role_of role name.Loc.value)
@@ -161,7 +176,7 @@ let web decls =
       | Ast.Trust _ | Ast.Relay _ | Ast.Request _ -> ())
     decls;
   let trusts = ref [] and relays = ref [] and requests = ref [] in
-  let seen_requests = ref [] in
+  let seen_requests = Hashtbl.create 16 in
   List.iter
     (function
       | Ast.Trust { truster; trustee } -> (
@@ -169,18 +184,18 @@ let web decls =
         | Some a, Some b ->
           if Party.is_trusted a then
             err env truster.Loc.loc "a trusted agent cannot be a truster"
-          else trusts := !trusts @ [ (a, b) ]
+          else trusts := (a, b) :: !trusts
         | _ -> ())
       | Ast.Relay name -> (
         match lookup_principal env name with
-        | Some p -> relays := !relays @ [ p ]
+        | Some p -> relays := p :: !relays
         | None -> ())
       | Ast.Request { id; buyer; good; seller; price } -> (
-        if List.mem id.Loc.value !seen_requests then
+        if Hashtbl.mem seen_requests id.Loc.value then
           err env id.Loc.loc "request %s declared twice" id.Loc.value
-        else seen_requests := id.Loc.value :: !seen_requests;
+        else Hashtbl.replace seen_requests id.Loc.value ();
         match (lookup_principal env buyer, lookup_principal env seller) with
-        | Some b, Some s -> requests := !requests @ [ (id.Loc.value, b, good, s, price) ]
+        | Some b, Some s -> requests := (id.Loc.value, b, good, s, price) :: !requests
         | _ -> ())
       | Ast.Principal _ | Ast.Trusted _ | Ast.Deal _ | Ast.Priority _ | Ast.Split _
       | Ast.Persona _ -> ())
@@ -189,7 +204,7 @@ let web decls =
      err env Loc.start "a web program needs at least one request");
   match List.rev env.errors with
   | _ :: _ as errors -> Error (sort_errors errors)
-  | [] -> Ok { trusts = !trusts; relays = !relays; requests = !requests }
+  | [] -> Ok { trusts = List.rev !trusts; relays = List.rev !relays; requests = List.rev !requests }
 
 let render_errors ?file errors =
   String.concat "\n" (List.map (fun e -> Format.asprintf "%a" (pp_error ?file) e) errors)

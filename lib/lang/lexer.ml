@@ -2,122 +2,143 @@ type error = { message : string; loc : Loc.t }
 
 let pp_error ppf e = Format.fprintf ppf "%a: %s" Loc.pp e.loc e.message
 
-type cursor = { src : string; mutable pos : int; mutable loc : Loc.t }
+(* The scan works by index over [src]. A location is built only where a
+   token or an error needs one: the column is the byte offset from the
+   start of the current line, which the whitespace skip keeps up to
+   date (newlines occur nowhere else outside comments). *)
+type cursor = {
+  src : string;
+  len : int;
+  mutable pos : int;
+  mutable line : int;
+  mutable bol : int;  (* offset of the current line's first byte *)
+}
 
-let peek cur = if cur.pos < String.length cur.src then Some cur.src.[cur.pos] else None
-
-let bump cur =
-  match peek cur with
-  | None -> ()
-  | Some c ->
-    cur.pos <- cur.pos + 1;
-    cur.loc <- Loc.advance cur.loc c
+let here cur = { Loc.line = cur.line; col = cur.pos - cur.bol + 1 }
 
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9') || c = '*'
 let is_digit c = c >= '0' && c <= '9'
 
-let take_while cur pred =
-  let buf = Buffer.create 8 in
-  let rec loop () =
-    match peek cur with
-    | Some c when pred c ->
-      Buffer.add_char buf c;
-      bump cur;
-      loop ()
-    | Some _ | None -> Buffer.contents buf
-  in
-  loop ()
+(* Advance past the longest run from [cur.pos] whose bytes satisfy [pred]. *)
+let skip_while cur pred =
+  while cur.pos < cur.len && pred (String.unsafe_get cur.src cur.pos) do
+    cur.pos <- cur.pos + 1
+  done
 
 exception Lex_error of error
 
 let fail loc fmt = Format.kasprintf (fun message -> raise (Lex_error { message; loc })) fmt
 
-let lex_string cur =
-  let start = cur.loc in
-  bump cur (* opening quote *);
-  let buf = Buffer.create 8 in
-  let rec loop () =
-    match peek cur with
-    | None -> fail start "unterminated string literal"
-    | Some '"' ->
-      bump cur;
-      Buffer.contents buf
-    | Some '\n' -> fail start "newline in string literal"
-    | Some c ->
-      Buffer.add_char buf c;
-      bump cur;
-      loop ()
-  in
-  loop ()
+(* A literal in an overflow message is cut short: the whole run may be
+   most of a frame. *)
+let shown lexeme =
+  if String.length lexeme <= 32 then lexeme else String.sub lexeme 0 29 ^ "..."
 
-let lex_money cur =
-  let start = cur.loc in
-  bump cur (* $ *);
-  let whole = take_while cur is_digit in
-  if whole = "" then fail start "expected digits after '$'";
-  let cents =
-    match peek cur with
-    | Some '.' ->
-      bump cur;
-      let frac = take_while cur is_digit in
-      if String.length frac <> 2 then fail start "money needs exactly two decimal digits";
-      (int_of_string whole * 100) + int_of_string frac
-    | Some _ | None -> int_of_string whole * 100
+(* The decimal value of [src.[start .. stop - 1]] (all digits), or
+   [None] past [max_int]. *)
+let decimal src start stop =
+  let rec go n i =
+    if i = stop then Some n
+    else
+      let d = Char.code (String.unsafe_get src i) - Char.code '0' in
+      if n > (max_int - d) / 10 then None else go ((n * 10) + d) (i + 1)
   in
-  Token.Money cents
+  go 0 start
+
+let lex_string cur start =
+  let first = cur.pos + 1 (* past the opening quote *) in
+  let rec close i =
+    if i = cur.len then fail start "unterminated string literal"
+    else
+      match String.unsafe_get cur.src i with
+      | '"' -> i
+      | '\n' -> fail start "newline in string literal"
+      | _ -> close (i + 1)
+  in
+  let stop = close first in
+  cur.pos <- stop + 1;
+  Token.String (String.sub cur.src first (stop - first))
+
+let lex_money cur start =
+  let dollar = cur.pos in
+  cur.pos <- cur.pos + 1;
+  let whole = cur.pos in
+  skip_while cur is_digit;
+  let whole_end = cur.pos in
+  if whole_end = whole then fail start "expected digits after '$'";
+  let frac =
+    if cur.pos < cur.len && cur.src.[cur.pos] = '.' then begin
+      cur.pos <- cur.pos + 1;
+      let first = cur.pos in
+      skip_while cur is_digit;
+      if cur.pos - first <> 2 then fail start "money needs exactly two decimal digits";
+      Option.get (decimal cur.src first cur.pos)
+    end
+    else 0
+  in
+  match decimal cur.src whole whole_end with
+  | Some n when n <= (max_int - frac) / 100 -> Token.Money ((n * 100) + frac)
+  | Some _ | None ->
+    fail start "money literal %s is too large"
+      (shown (String.sub cur.src dollar (cur.pos - dollar)))
+
+let lex_int cur start =
+  let first = cur.pos in
+  skip_while cur is_digit;
+  match decimal cur.src first cur.pos with
+  | Some n -> Token.Int n
+  | None ->
+    fail start "integer literal %s is too large"
+      (shown (String.sub cur.src first (cur.pos - first)))
+
+let rec skip_blank cur =
+  if cur.pos < cur.len then
+    match String.unsafe_get cur.src cur.pos with
+    | ' ' | '\t' | '\r' ->
+      cur.pos <- cur.pos + 1;
+      skip_blank cur
+    | '\n' ->
+      cur.pos <- cur.pos + 1;
+      cur.line <- cur.line + 1;
+      cur.bol <- cur.pos;
+      skip_blank cur
+    | '#' ->
+      skip_while cur (fun c -> c <> '\n');
+      skip_blank cur
+    | _ -> ()
+
+let punct cur loc token =
+  cur.pos <- cur.pos + 1;
+  Loc.at loc token
 
 let next_token cur =
-  let rec skip () =
-    match peek cur with
-    | Some (' ' | '\t' | '\r' | '\n') ->
-      bump cur;
-      skip ()
-    | Some '#' ->
-      let rec to_eol () =
-        match peek cur with
-        | Some '\n' | None -> ()
-        | Some _ ->
-          bump cur;
-          to_eol ()
-      in
-      to_eol ();
-      skip ()
-    | Some _ | None -> ()
-  in
-  skip ();
-  let loc = cur.loc in
-  match peek cur with
-  | None -> Loc.at loc Token.Eof
-  | Some ':' ->
-    bump cur;
-    Loc.at loc Token.Colon
-  | Some ';' ->
-    bump cur;
-    Loc.at loc Token.Semicolon
-  | Some '.' ->
-    bump cur;
-    Loc.at loc Token.Dot
-  | Some '-' ->
-    bump cur;
-    (match peek cur with
-    | Some '>' ->
-      bump cur;
-      Loc.at loc Token.Arrow
-    | _ -> fail loc "expected '>' after '-'")
-  | Some '"' -> Loc.at loc (Token.String (lex_string cur))
-  | Some '$' -> Loc.at loc (lex_money cur)
-  | Some c when is_digit c ->
-    let digits = take_while cur is_digit in
-    Loc.at loc (Token.Int (int_of_string digits))
-  | Some c when is_ident_start c ->
-    let word = take_while cur is_ident_char in
-    let token = match Token.keyword word with Some kw -> kw | None -> Token.Ident word in
-    Loc.at loc token
-  | Some c -> fail loc "unexpected character %C" c
+  skip_blank cur;
+  let loc = here cur in
+  if cur.pos = cur.len then Loc.at loc Token.Eof
+  else
+    match String.unsafe_get cur.src cur.pos with
+    | ':' -> punct cur loc Token.Colon
+    | ';' -> punct cur loc Token.Semicolon
+    | '.' -> punct cur loc Token.Dot
+    | '-' ->
+      if cur.pos + 1 < cur.len && cur.src.[cur.pos + 1] = '>' then begin
+        cur.pos <- cur.pos + 2;
+        Loc.at loc Token.Arrow
+      end
+      else fail loc "expected '>' after '-'"
+    | '"' -> Loc.at loc (lex_string cur loc)
+    | '$' -> Loc.at loc (lex_money cur loc)
+    | c when is_digit c -> Loc.at loc (lex_int cur loc)
+    | c when is_ident_start c ->
+      let first = cur.pos in
+      skip_while cur is_ident_char;
+      let word = String.sub cur.src first (cur.pos - first) in
+      Loc.at loc (match Token.keyword word with Some kw -> kw | None -> Token.Ident word)
+    | c -> fail loc "unexpected character %C" c
 
 let tokenize src =
-  let cur = { src; pos = 0; loc = Loc.start } in
+  let cur = { src; len = String.length src; pos = 0; line = 1; bol = 0 } in
   let rec loop acc =
     let tok = next_token cur in
     match tok.Loc.value with

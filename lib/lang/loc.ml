@@ -2,10 +2,6 @@ type t = { line : int; col : int }
 
 let start = { line = 1; col = 1 }
 
-let advance pos = function
-  | '\n' -> { line = pos.line + 1; col = 1 }
-  | _ -> { pos with col = pos.col + 1 }
-
 let compare a b =
   match Int.compare a.line b.line with 0 -> Int.compare a.col b.col | c -> c
 

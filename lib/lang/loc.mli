@@ -3,9 +3,6 @@
 type t = { line : int; col : int }
 
 val start : t
-val advance : t -> char -> t
-(** Next position after reading the character (newline resets column). *)
-
 val compare : t -> t -> int
 (** Document order: by line, then column. Used to sort collected
     diagnostics deterministically. *)

@@ -61,7 +61,12 @@ let keywords =
     ("right", Kw_right);
   ]
 
-let keyword word = List.assoc_opt word keywords
+let keyword_table =
+  let table = Hashtbl.create 32 in
+  List.iter (fun (word, token) -> Hashtbl.replace table word token) keywords;
+  table
+
+let keyword word = Hashtbl.find_opt keyword_table word
 
 let to_string = function
   | Ident s -> s

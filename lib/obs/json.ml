@@ -31,15 +31,28 @@ let parse line =
       v)
     else fail (Printf.sprintf "expected %s" word)
   in
+  let hex_digit c =
+    match c with
+    | '0' .. '9' -> Char.code c - Char.code '0'
+    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+    | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+    | _ -> fail "bad \\u escape"
+  in
   let string_lit () =
     expect '"';
     let buf = Buffer.create 16 in
     let rec go () =
+      (* blit the run of plain characters up to the next quote or escape *)
+      let start = !pos in
+      while !pos < n && (match line.[!pos] with '"' | '\\' -> false | _ -> true) do
+        incr pos
+      done;
+      Buffer.add_substring buf line start (!pos - start);
       if !pos >= n then fail "unterminated string"
       else
         match line.[!pos] with
         | '"' -> incr pos
-        | '\\' ->
+        | _ (* a backslash *) ->
           incr pos;
           if !pos >= n then fail "dangling escape"
           else (
@@ -55,7 +68,11 @@ let parse line =
             | 'u' ->
               if !pos + 4 >= n then fail "truncated \\u escape"
               else (
-                let code = int_of_string ("0x" ^ String.sub line (!pos + 1) 4) in
+                let code = ref 0 in
+                for i = !pos + 1 to !pos + 4 do
+                  code := (!code lsl 4) lor hex_digit line.[i]
+                done;
+                let code = !code in
                 pos := !pos + 4;
                 if code < 0x80 then Buffer.add_char buf (Char.chr code)
                 else if code < 0x800 then (
@@ -68,10 +85,6 @@ let parse line =
             | c -> fail (Printf.sprintf "bad escape '\\%c'" c));
             incr pos;
             go ())
-        | c ->
-          Buffer.add_char buf c;
-          incr pos;
-          go ()
     in
     go ();
     Buffer.contents buf

@@ -145,13 +145,24 @@ let test_wire_response_roundtrip () =
       | Error e -> Alcotest.fail ("response round trip failed: " ^ e))
     cases
 
+let bad_escape_ping = "{\"type\":\"ping\",\"id\":1,\"x\":\"\\uzzzz\"}"
+
 let test_wire_malformed () =
   List.iter
     (fun payload ->
       match Wire.decode_request payload with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail ("decoded malformed request: " ^ payload))
-    [ ""; "nonsense"; "{}"; "{\"type\":\"warp\"}"; "{\"type\":\"submit\",\"id\":1}" ]
+    [
+      "";
+      "nonsense";
+      "{}";
+      "{\"type\":\"warp\"}";
+      "{\"type\":\"submit\",\"id\":1}";
+      (* [\u] escapes that are not four hex digits *)
+      bad_escape_ping;
+      "{\"type\":\"ping\",\"id\":1,\"x\":\"\\u12\"}";
+    ]
 
 (* -- admission -- *)
 
@@ -288,6 +299,46 @@ let test_server_garbage_before_handshake () =
     (fun stats ->
       check "garbage counted as a protocol error" true (stats.Server.protocol_errors > 0);
       check_int "the good submission served" 1 stats.Server.served;
+      check "drained" true stats.Server.drained)
+
+let test_server_bad_escape_frame () =
+  with_server "badescape"
+    (fun addr _stop ->
+      let path = String.sub addr 5 (String.length addr - 5) in
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX path);
+      let out =
+        Frame.encode (Wire.encode_request (Wire.Hello { version = Wire.version }))
+        ^ Frame.encode bad_escape_ping
+      in
+      ignore (Unix.write_substring fd out 0 (String.length out));
+      (* welcome, then refused, then the daemon closes; read to EOF *)
+      let d = Frame.create () in
+      let buf = Bytes.create 4096 in
+      let rec slurp acc =
+        match Unix.read fd buf 0 (Bytes.length buf) with
+        | 0 -> acc
+        | n -> slurp (acc @ Frame.feed d buf n)
+      in
+      let events = slurp [] in
+      Unix.close fd;
+      (match List.map Wire.decode_response (frames events) with
+      | [ Ok (Wire.Welcome _); Ok (Wire.Refused { id = None; _ }) ] -> ()
+      | _ -> Alcotest.fail "expected welcome then a refused answer");
+      (* the daemon survives: a new connection settles example1 *)
+      let spec = In_channel.with_open_bin "../specs/example1.exg" In_channel.input_all in
+      match Client.connect addr with
+      | Error e -> Alcotest.fail e
+      | Ok client ->
+        (match Client.submit client ~id:1 ~spec with
+        | Ok (Wire.Result { status; exit_code; _ }) ->
+          check_string "example1 settles" "settled" status;
+          check_int "exit 0" 0 exit_code
+        | _ -> Alcotest.fail "expected a result after the bad-escape frame");
+        Client.close client)
+    (fun stats ->
+      check_int "one protocol error" 1 stats.Server.protocol_errors;
+      check_int "example1 served" 1 stats.Server.served;
       check "drained" true stats.Server.drained)
 
 let test_server_zero_pending_is_busy () =
@@ -552,6 +603,7 @@ let () =
         [
           Alcotest.test_case "submit settles" `Quick test_server_submit_settles;
           Alcotest.test_case "garbage before handshake" `Quick test_server_garbage_before_handshake;
+          Alcotest.test_case "bad escape frame" `Quick test_server_bad_escape_frame;
           Alcotest.test_case "zero pending is busy" `Quick test_server_zero_pending_is_busy;
           Alcotest.test_case "drain with half frame" `Quick test_server_drain_with_half_frame;
           Alcotest.test_case "epoch aging live" `Quick test_server_epoch_aging_live;

@@ -47,7 +47,33 @@ let test_lex_errors () =
   check "lone dash" true (e3.Trust_lang.Lexer.message = "expected '>' after '-'");
   let e4 = expect_error "x pays $1.5" in
   check "one decimal digit" true
-    (e4.Trust_lang.Lexer.message = "money needs exactly two decimal digits")
+    (e4.Trust_lang.Lexer.message = "money needs exactly two decimal digits");
+  (* overlong literals are located errors, never an exception *)
+  let too_large src message line col =
+    let e = expect_error src in
+    Alcotest.(check string) src message e.Trust_lang.Lexer.message;
+    check_int (src ^ " line") line e.Trust_lang.Lexer.loc.Trust_lang.Loc.line;
+    check_int (src ^ " col") col e.Trust_lang.Lexer.loc.Trust_lang.Loc.col
+  in
+  too_large "deal d: a pays $99999999999999999999999;"
+    "money literal $99999999999999999999999 is too large" 1 16;
+  too_large "deal d: a pays $1; b gives \"x\"; via t\n  within 99999999999999999999999"
+    "integer literal 99999999999999999999999 is too large" 2 10;
+  (* an integer that fits but overflows on conversion to cents *)
+  too_large "$46116860184273880" "money literal $46116860184273880 is too large" 1 1;
+  too_large "$46116860184273879.04" "money literal $46116860184273879.04 is too large" 1 1;
+  too_large "4611686018427387904" "integer literal 4611686018427387904 is too large" 1 1;
+  too_large
+    ("$" ^ String.make 100 '9')
+    ("money literal $" ^ String.make 28 '9' ^ "... is too large")
+    1 1;
+  (* the bounds themselves still lex *)
+  let module T = Trust_lang.Token in
+  (match tokens_of "$46116860184273879.03 4611686018427387903 $00000000000000000000001" with
+  | [ T.Money m; T.Int n; T.Money 100; T.Eof ] ->
+    check_int "largest money" max_int m;
+    check_int "largest integer" max_int n
+  | _ -> Alcotest.fail "literals at the bound")
 
 let test_lex_positions () =
   match Trust_lang.Lexer.tokenize "trusted t\n  deal" with
@@ -216,6 +242,82 @@ let prop_roundtrip_generated =
         Trust_core.Feasibility.is_feasible spec = Trust_core.Feasibility.is_feasible spec'
         && List.length spec.Spec.deals = List.length spec'.Spec.deals)
 
+(* The index-scanning lexer against the char-by-char reference in
+   [Ref_lexer]: the same located tokens, or the same (message, loc)
+   error, on every spec file, on printed Universe samples and on seeded
+   byte mutations of them. An overlong literal is the one intended
+   difference: the reference raises [Failure] (or silently wraps a
+   money amount), the lexer reports "... is too large". *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let spec_files () =
+  List.concat_map
+    (fun dir ->
+      Sys.readdir dir |> Array.to_list
+      |> List.filter (fun f -> Filename.check_suffix f ".exg")
+      |> List.sort String.compare
+      |> List.map (Filename.concat dir))
+    [ "../specs"; "../specs/lint"; "../specs/scale" ]
+
+let universe_samples rng n =
+  let small config = Workload.Universe.create { config with Workload.Universe.principals = 10_000 } in
+  List.concat_map
+    (fun u -> List.init n (fun _ -> Trust_lang.Printer.to_string (Workload.Universe.sample u rng)))
+    [ small Workload.Universe.default_config; small Workload.Universe.defect_heavy ]
+
+(* Bytes that steer the lexer into every branch, plus arbitrary ones. *)
+let mutation_bytes = "$$..0123456789--> \"\"##\n\n\t\r:;*_aZ"
+
+let mutate rng src =
+  let byte () =
+    if Workload.Prng.int rng 4 = 0 then Char.chr (Workload.Prng.int rng 256)
+    else mutation_bytes.[Workload.Prng.int rng (String.length mutation_bytes)]
+  in
+  let edit s =
+    let n = String.length s in
+    let at = Workload.Prng.int rng (n + 1) in
+    let before = String.sub s 0 at and after = String.sub s at (n - at) in
+    match Workload.Prng.int rng 4 with
+    | 0 when n > at -> before ^ String.make 1 (byte ()) ^ String.sub after 1 (n - at - 1)
+    | 1 when n > at -> before ^ String.sub after 1 (n - at - 1)
+    | 2 -> before ^ String.make (1 + Workload.Prng.int rng 30) (byte ()) ^ after
+    | _ -> before ^ String.make 1 (byte ()) ^ after
+  in
+  let rec go k s = if k = 0 then s else go (k - 1) (edit s) in
+  go (1 + Workload.Prng.int rng 3) src
+
+let is_too_large (e : Trust_lang.Lexer.error) =
+  String.ends_with ~suffix:" is too large" e.Trust_lang.Lexer.message
+
+let lexers_agree src =
+  match (Ref_lexer.tokenize src, Trust_lang.Lexer.tokenize src) with
+  | exception Failure _ -> (
+    match Trust_lang.Lexer.tokenize src with Error e -> is_too_large e | Ok _ -> false)
+  | _, Error e when is_too_large e ->
+    String.starts_with ~prefix:"money literal" e.Trust_lang.Lexer.message
+  | Ok expected, Ok got -> expected = got
+  | Error expected, Error got ->
+    String.equal expected.Trust_lang.Lexer.message got.Trust_lang.Lexer.message
+    && expected.Trust_lang.Lexer.loc = got.Trust_lang.Lexer.loc
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+let test_lexer_matches_reference () =
+  let rng = Workload.Prng.create 20L in
+  let seeds = List.map read_file (spec_files ()) @ universe_samples rng 100 in
+  let checked = ref 0 in
+  List.iter
+    (fun seed ->
+      let mutations = if String.length seed > 2048 then 8 else 40 in
+      List.iter
+        (fun src ->
+          incr checked;
+          if not (lexers_agree src) then
+            Alcotest.failf "lexers disagree on %S" src)
+        (seed :: List.init mutations (fun _ -> mutate rng seed)))
+    seeds;
+  check "thousands of inputs" true (!checked > 5000)
+
 let () =
   Alcotest.run "lang"
     [
@@ -226,6 +328,7 @@ let () =
           Alcotest.test_case "strings" `Quick test_lex_strings;
           Alcotest.test_case "errors" `Quick test_lex_errors;
           Alcotest.test_case "positions" `Quick test_lex_positions;
+          Alcotest.test_case "matches the reference lexer" `Quick test_lexer_matches_reference;
         ] );
       ( "parser",
         [

@@ -43,6 +43,7 @@ let fixture_expectations =
     ("tl008_zero_leg.exg", [ "TL008" ], 0);
     ("tl009_rescuable.exg", [ "TL009" ], 0);
     ("tl010_parse_error.exg", [ "TL010" ], 2);
+    ("tl010_overlong_money.exg", [ "TL010" ], 2);
     ("tl011_undeclared_party.exg", [ "TL011"; "TL011"; "TL011" ], 1);
     ("tl013_double_spend.exg", [ "TL013" ], 1);
     (* the over-pledge's two enabling splits are each unbacked (TL003);
@@ -86,6 +87,7 @@ let test_fixture_locations () =
   line "tl007_vacuous_intermediary.exg" 9;
   line "tl008_zero_leg.exg" 7;
   line "tl010_parse_error.exg" 2;
+  line "tl010_overlong_money.exg" 4;
   line "tl013_double_spend.exg" 12;
   line "tl015_deadline_race.exg" 12
 
