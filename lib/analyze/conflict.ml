@@ -3,7 +3,7 @@
 
    TL013 (double spend): the same provenance asset is promised into
    more concurrent deals than the principal can supply copies of. The
-   initial endowment rule (Execution.initially_holds, §2.4) grants one
+   initial endowment rule (Spec.endowed, §2.4) grants one
    copy of a document the sender does not acquire elsewhere; every
    acquiring deal supplies one more. Promising past that is the
    double-spend shape of Herlihy–Liskov–Shrira's adversarial commerce:

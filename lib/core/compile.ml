@@ -13,7 +13,7 @@
      per-deal id triples;
    - initial endowments, per-deal expiry times, and the §5 audit and
      exposure lookup tables (send/receive candidates per commitment,
-     custody-holder flags, per-asset prices, single-transfer bounds).
+     per-asset prices, single-transfer bounds).
 
    The runtime that interprets these plans without re-elaboration lives
    in [Trust_sim.Hotpath]; [Trust_sim.Harness.behaviors_for] remains
@@ -103,8 +103,6 @@ type t = {
   deposit_expect : int array;  (** per action id: §6 deposit occurrences *)
   price_src : int array;  (** value of the asset to the releasing party *)
   price_tgt : int array;
-  custody_if_had : bool array;  (** target holds in custody, sender had custody *)
-  custody_if_not : bool array;
   src_principal : bool array;
   tgt_trusted : bool array;
   bound : int array;  (** per principal slot: §5 single-transfer bound *)
@@ -112,20 +110,21 @@ type t = {
 
 (* Trace attribution of an action: the first deal one of whose
    commitments sends or expects the transferred asset; [-1] for
-   notifications and unattributable transfers. *)
-let owning_deal spec action =
-  match action with
+   notifications and unattributable transfers. A deal's sides send and
+   expect the same two assets, so one table maps each asset to the
+   first deal that moves it. *)
+let owning_deal spec =
+  let first = Hashtbl.create 16 in
+  List.iteri
+    (fun i d ->
+      List.iter
+        (fun asset -> if not (Hashtbl.mem first asset) then Hashtbl.replace first asset i)
+        [ d.Spec.left_sends; d.Spec.right_sends ])
+    spec.Spec.deals;
+  function
   | Action.Notify _ -> -1
   | Action.Do tr | Action.Undo tr ->
-    let matches d side =
-      Asset.equal (Spec.commitment_sends d side) tr.Action.asset
-      || Asset.equal (Spec.commitment_expects d side) tr.Action.asset
-    in
-    let rec go i = function
-      | [] -> -1
-      | d :: rest -> if matches d Spec.Left || matches d Spec.Right then i else go (i + 1) rest
-    in
-    go 0 spec.Spec.deals
+    Option.value ~default:(-1) (Hashtbl.find_opt first tr.Action.asset)
 
 let party_index t party =
   let n = Array.length t.parties in
@@ -149,14 +148,6 @@ let compile ~lockstep ~shared ?plan ~price spec protocol =
     invalid_arg "Compile.compile: acceptability overrides are not compilable";
   let deals = Array.of_list spec.Spec.deals in
   let n_deals = Array.length deals in
-  let deal_index id =
-    let rec go i =
-      if i >= n_deals then -1
-      else if String.equal deals.(i).Spec.id id then i
-      else go (i + 1)
-    in
-    go 0
-  in
   (* -- party interning -- *)
   let party_tbl : (Party.t, int) Hashtbl.t = Hashtbl.create 16 in
   let party_rev = ref [] in
@@ -262,51 +253,43 @@ let compile ~lockstep ~shared ?plan ~price spec protocol =
     in
     Script { steps; persona }
   in
+  let atomic = Sequencing.atomic_escrow ~shared spec in
   let trusted_role party =
     let notifies =
       List.filter
         (fun s -> match s.Protocol.action with Action.Notify _ -> true | _ -> false)
         (Protocol.script_of protocol party)
     in
-    let coordinates =
-      List.exists (fun (_, agent) -> Party.equal agent party) (Sequencing.coordinated_bundles spec)
+    let slot d =
+      let side_transfer side =
+        Action.
+          {
+            source = Spec.commitment_principal d side;
+            target = d.Spec.via;
+            asset = Spec.commitment_sends d side;
+          }
+      in
+      let left_tr = side_transfer Spec.Left and right_tr = side_transfer Spec.Right in
+      let to_left =
+        Action.{ source = d.Spec.via; target = d.Spec.left; asset = d.Spec.right_sends }
+      in
+      let to_right =
+        Action.{ source = d.Spec.via; target = d.Spec.right; asset = d.Spec.left_sends }
+      in
+      let docs, money =
+        List.partition (fun tr -> Asset.is_document tr.Action.asset) [ to_left; to_right ]
+      in
+      let forwards = List.map (fun tr -> act_id (Action.Do tr)) (docs @ money) in
+      {
+        sl_deal = Spec.deal_index spec d.Spec.id;
+        sl_left_in = act_id (Action.Do left_tr);
+        sl_right_in = act_id (Action.Do right_tr);
+        sl_left_back = act_id (Action.Undo left_tr);
+        sl_right_back = act_id (Action.Undo right_tr);
+        sl_forwards = Array.of_list forwards;
+      }
     in
-    let mediated = ref [] in
-    Array.iteri
-      (fun i d ->
-        if Party.equal d.Spec.via party then begin
-          let side_transfer side =
-            Action.
-              {
-                source = Spec.commitment_principal d side;
-                target = d.Spec.via;
-                asset = Spec.commitment_sends d side;
-              }
-          in
-          let left_tr = side_transfer Spec.Left and right_tr = side_transfer Spec.Right in
-          let to_left =
-            Action.{ source = d.Spec.via; target = d.Spec.left; asset = d.Spec.right_sends }
-          in
-          let to_right =
-            Action.{ source = d.Spec.via; target = d.Spec.right; asset = d.Spec.left_sends }
-          in
-          let docs, money =
-            List.partition (fun tr -> Asset.is_document tr.Action.asset) [ to_left; to_right ]
-          in
-          let forwards = List.map (fun tr -> act_id (Action.Do tr)) (docs @ money) in
-          mediated :=
-            {
-              sl_deal = i;
-              sl_left_in = act_id (Action.Do left_tr);
-              sl_right_in = act_id (Action.Do right_tr);
-              sl_left_back = act_id (Action.Undo left_tr);
-              sl_right_back = act_id (Action.Undo right_tr);
-              sl_forwards = Array.of_list forwards;
-            }
-            :: !mediated
-        end)
-      deals;
-    let es_deals = Array.of_list (List.rev !mediated) in
+    let es_deals = Array.of_list (List.map slot (Spec.mediated_by spec party)) in
     let es_deposits =
       List.filter_map
         (fun (o : Indemnity.offer) ->
@@ -325,7 +308,7 @@ let compile ~lockstep ~shared ?plan ~price spec protocol =
                 dp_in = act_id (Action.Do tr);
                 dp_back = act_id (Action.Undo tr);
                 dp_forfeit = act_id (Action.Do forfeit);
-                dp_deal = deal_index o.Indemnity.piece.Spec.deal;
+                dp_deal = Spec.deal_index spec o.Indemnity.piece.Spec.deal;
                 dp_left = o.Indemnity.piece.Spec.side = Spec.Left;
               }
           end
@@ -333,10 +316,9 @@ let compile ~lockstep ~shared ?plan ~price spec protocol =
         offers
       |> Array.of_list
     in
-    let atomic = coordinates || ((not shared) && Array.length es_deals > 1) in
     Escrow
       {
-        es_atomic = atomic;
+        es_atomic = atomic party;
         es_deals;
         es_deposits;
         es_notifies = Array.of_list (List.map step_of notifies);
@@ -360,25 +342,21 @@ let compile ~lockstep ~shared ?plan ~price spec protocol =
       (Spec.parties spec)
   in
   let commit_checks party =
-    List.filter_map
+    List.map
       (fun (cref, d) ->
         let side = cref.Spec.side in
-        if not (Party.equal (Spec.commitment_principal d side) party) then None
-        else begin
-          let send = send_transfer spec d side in
-          let expects = Spec.commitment_expects d side in
-          let counterparty = Spec.commitment_principal d (Spec.other_side side) in
-          let recv src = Action.Do Action.{ source = src; target = party; asset = expects } in
-          Some
-            {
-              cc_send = act_id (Action.Do send);
-              cc_recv =
-                Array.of_list
-                  (List.map recv [ Spec.effective_agent spec d; d.Spec.via; counterparty ]
-                  |> List.map act_id);
-            }
-        end)
-      (Spec.commitments spec)
+        let send = send_transfer spec d side in
+        let expects = Spec.commitment_expects d side in
+        let counterparty = Spec.commitment_principal d (Spec.other_side side) in
+        let recv src = Action.Do Action.{ source = src; target = party; asset = expects } in
+        {
+          cc_send = act_id (Action.Do send);
+          cc_recv =
+            Array.of_list
+              (List.map recv [ Spec.effective_agent spec d; d.Spec.via; counterparty ]
+              |> List.map act_id);
+        })
+      (Spec.own_sides spec party)
     |> Array.of_list
   in
   let judged =
@@ -461,28 +439,8 @@ let compile ~lockstep ~shared ?plan ~price spec protocol =
   let act_undo = Array.make n_actions (-1) in
   let price_src = Array.make n_actions 0 in
   let price_tgt = Array.make n_actions 0 in
-  let custody_if_had = Array.make n_actions false in
-  let custody_if_not = Array.make n_actions false in
   let src_principal = Array.make n_actions false in
   let tgt_trusted = Array.make n_actions false in
-  (* Exposure's custody-holder predicate, precomputed for both values of
-     [src_had_custody] (see Trust_sim.Exposure.custody_holder_for). *)
-  let custody_holder ~src ~src_had_custody holder asset =
-    Party.is_trusted holder
-    || (Party.is_principal holder
-       && List.exists
-            (fun (cref, d) ->
-              Party.equal (Spec.effective_agent spec d) holder
-              && Asset.equal (Spec.commitment_sends d cref.Spec.side) asset
-              && (not (Party.equal (Spec.commitment_principal d cref.Spec.side) holder))
-              && (not
-                    (Party.equal
-                       (Spec.commitment_principal d (Spec.other_side cref.Spec.side))
-                       holder))
-              && (Party.equal (Spec.commitment_principal d cref.Spec.side) src
-                 || src_had_custody))
-            (Spec.commitments spec))
-  in
   Array.iteri
     (fun i action ->
       match action with
@@ -505,8 +463,6 @@ let compile ~lockstep ~shared ?plan ~price spec protocol =
         let xsrc = parties.(debit) and xtgt = parties.(credit) in
         price_src.(i) <- price xsrc tr.Action.asset;
         price_tgt.(i) <- price xtgt tr.Action.asset;
-        custody_if_had.(i) <- custody_holder ~src:xsrc ~src_had_custody:true xtgt tr.Action.asset;
-        custody_if_not.(i) <- custody_holder ~src:xsrc ~src_had_custody:false xtgt tr.Action.asset;
         src_principal.(i) <- Party.is_principal xsrc;
         tgt_trusted.(i) <- Party.is_trusted xtgt)
     actions;
@@ -534,33 +490,18 @@ let compile ~lockstep ~shared ?plan ~price spec protocol =
       let name = name_of.(pi) in
       endow_balance.(name) <- 0;
       Array.fill endow_docs.(name) 0 n_docs 0;
-      if not (Party.is_trusted party) then begin
-        List.iter
-          (fun (cref, d) ->
-            if Party.equal (Spec.commitment_principal d cref.Spec.side) party then begin
-              match Spec.commitment_sends d cref.Spec.side with
-              | Asset.Money m -> endow_balance.(name) <- endow_balance.(name) + m
-              | Asset.Document doc ->
-                let asset = Asset.Document doc in
-                let acquires_elsewhere =
-                  List.exists
-                    (fun (cref', d') ->
-                      Party.equal (Spec.commitment_principal d' cref'.Spec.side) party
-                      && Asset.equal (Spec.commitment_expects d' cref'.Spec.side) asset)
-                    (Spec.commitments spec)
-                in
-                if not acquires_elsewhere then begin
-                  let di = doc_id doc in
-                  endow_docs.(name).(di) <- endow_docs.(name).(di) + 1
-                end
-            end)
-          (Spec.commitments spec);
-        List.iter
-          (fun (o : Indemnity.offer) ->
-            if Party.equal o.Indemnity.offered_by party then
-              endow_balance.(name) <- endow_balance.(name) + o.Indemnity.amount)
-          offers
-      end)
+      List.iter
+        (function
+          | Asset.Money m -> endow_balance.(name) <- endow_balance.(name) + m
+          | Asset.Document doc ->
+            let di = doc_id doc in
+            endow_docs.(name).(di) <- endow_docs.(name).(di) + 1)
+        (Spec.endowment spec party);
+      List.iter
+        (fun (o : Indemnity.offer) ->
+          if Party.equal o.Indemnity.offered_by party then
+            endow_balance.(name) <- endow_balance.(name) + o.Indemnity.amount)
+        offers)
     roles;
   (* -- deadlines, bounds -- *)
   let expiries = ref [] in
@@ -568,18 +509,7 @@ let compile ~lockstep ~shared ?plan ~price spec protocol =
     (fun i d ->
       match d.Spec.deadline with Some dl -> expiries := (i, dl) :: !expiries | None -> ())
     deals;
-  let bound =
-    Array.of_list
-      (List.map
-         (fun party ->
-           List.fold_left
-             (fun acc (cref, d) ->
-               if Party.equal (Spec.commitment_principal d cref.Spec.side) party then
-                 max acc (price party (Spec.commitment_sends d cref.Spec.side))
-               else acc)
-             0 (Spec.commitments spec))
-         principals)
-  in
+  let bound = Array.of_list (List.map (Spec.single_transfer_bound spec) principals) in
   {
     spec;
     plan;
@@ -612,8 +542,6 @@ let compile ~lockstep ~shared ?plan ~price spec protocol =
     deposit_expect;
     price_src;
     price_tgt;
-    custody_if_had;
-    custody_if_not;
     src_principal;
     tgt_trusted;
     bound;

@@ -94,12 +94,11 @@ type t = {
   deposit_expect : int array;  (** per action id: §6 deposit occurrences *)
   price_src : int array;  (** asset value to the releasing party *)
   price_tgt : int array;
-  custody_if_had : bool array;
-      (** target takes custody (not ownership), given the sender had custody *)
-  custody_if_not : bool array;
   src_principal : bool array;
   tgt_trusted : bool array;
-  bound : int array;  (** per principal slot: §5 single-transfer bound *)
+      (** the target holds in custody: only a trusted role does, since a
+          persona is an endpoint of every deal its role mediates *)
+  bound : int array;  (** per principal slot: {!Exchange.Spec.single_transfer_bound} *)
 }
 
 val compile :
@@ -120,7 +119,8 @@ val compile :
 val owning_deal : Spec.t -> Action.t -> int
 (** Trace attribution of an action: the index of the first deal one of
     whose commitments sends or expects the transferred asset; [-1] for
-    notifications and unattributable transfers. *)
+    notifications and unattributable transfers. [owning_deal spec]
+    tables the deals once; apply the result per action. *)
 
 val party_index : t -> Party.t -> int
 (** Index of a party in [parties], [-1] if unknown to the plan. *)

@@ -229,33 +229,16 @@ let final_state sequence = State.of_actions (actions sequence)
 
 let message_count sequence = List.length sequence.steps
 
-(* Initial endowments (§2.4): money is always on hand; a document is on
-   hand unless the sender acquires it through another of its deals. *)
-let initially_holds spec party asset =
-  match asset with
-  | Asset.Money _ -> true
-  | Asset.Document _ ->
-    let acquires_elsewhere =
-      List.exists
-        (fun (cref, d) ->
-          Party.equal (Spec.commitment_principal d cref.Spec.side) party
-          && Asset.equal (Spec.commitment_expects d cref.Spec.side) asset)
-        (Spec.commitments spec)
-    in
-    not acquires_elsewhere
-
 let check_physical sequence =
   let spec = sequence.spec in
   let holdings : (string, Asset.Bag.t) Hashtbl.t = Hashtbl.create 16 in
   let bag_of party = Option.value ~default:Asset.Bag.empty (Hashtbl.find_opt holdings (Party.name party)) in
   let set_bag party bag = Hashtbl.replace holdings (Party.name party) bag in
-  (* Endow principals. *)
+  (* Endow principals (§2.4). *)
   List.iter
-    (fun (cref, d) ->
-      let p = Spec.commitment_principal d cref.Spec.side in
-      let asset = Spec.commitment_sends d cref.Spec.side in
-      if initially_holds spec p asset then set_bag p (Asset.Bag.add asset (bag_of p)))
-    (Spec.commitments spec);
+    (fun p ->
+      List.iter (fun asset -> set_bag p (Asset.Bag.add asset (bag_of p))) (Spec.endowment spec p))
+    (Spec.principals spec);
   let move source target asset =
     match Asset.Bag.remove asset (bag_of source) with
     | None ->

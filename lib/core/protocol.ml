@@ -9,44 +9,47 @@ type t = { spec : Spec.t; roles : (Party.t * scripted_step list) list }
 let observes party action =
   Party.equal (Action.beneficiary action) party || Party.equal (Action.performer action) party
 
+(* The trigger rule, one forward pass: each action waits for the latest
+   earlier action its performer observes as beneficiary, excluding the
+   performer's own earlier actions (local order already covers those);
+   [Now] when nothing observable precedes it. *)
+let triggers actions =
+  let latest = Hashtbl.create 16 in
+  List.rev
+    (List.fold_left
+       (fun acc action ->
+         let performer = Action.performer action in
+         let condition =
+           match Hashtbl.find_opt latest performer with Some a -> Observed a | None -> Now
+         in
+         let beneficiary = Action.beneficiary action in
+         if not (Party.equal beneficiary performer) then Hashtbl.replace latest beneficiary action;
+         condition :: acc)
+       [] actions)
+
+(* Each party of the spec that acts, with its steps in sequence order. *)
+let roles_of spec steps =
+  let mine = Hashtbl.create 16 in
+  List.iter
+    (fun step ->
+      let performer = Action.performer step.action in
+      Hashtbl.replace mine performer
+        (step :: Option.value ~default:[] (Hashtbl.find_opt mine performer)))
+    steps;
+  List.filter_map
+    (fun party ->
+      match Hashtbl.find_opt mine party with
+      | Some rev_steps -> Some (party, List.rev rev_steps)
+      | None -> None)
+    (Spec.parties spec)
+
 let synthesize (sequence : Execution.sequence) =
   let actions = Execution.actions sequence in
-  let step_for ~prefix action =
-    let performer = Action.performer action in
-    (* Latest earlier action the performer observes (excluding its own
-       earlier actions, which local order already covers). *)
-    let trigger =
-      List.fold_left
-        (fun acc earlier ->
-          if
-            Party.equal (Action.beneficiary earlier) performer
-            && not (Party.equal (Action.performer earlier) performer)
-          then Some earlier
-          else acc)
-        None prefix
-    in
-    let condition = match trigger with Some a -> Observed a | None -> Now in
-    (performer, { condition; action })
+  let steps =
+    List.map2 (fun condition action -> { condition; action }) (triggers actions) actions
   in
-  let rec walk prefix = function
-    | [] -> []
-    | action :: rest -> step_for ~prefix action :: walk (prefix @ [ action ]) rest
-  in
-  let assignments = walk [] actions in
-  let parties = Spec.parties sequence.Execution.spec in
-  let roles =
-    List.filter_map
-      (fun party ->
-        let steps =
-          List.filter_map
-            (fun (performer, step) ->
-              if Party.equal performer party then Some step else None)
-            assignments
-        in
-        if steps = [] then None else Some (party, steps))
-      parties
-  in
-  { spec = sequence.Execution.spec; roles }
+  let spec = sequence.Execution.spec in
+  { spec; roles = roles_of spec steps }
 
 (* Steps that must not be serialized across independent branches: a
    deferred red delivery waits only for the goods it ships (its branch),
@@ -72,58 +75,25 @@ let branch_local spec (step : Execution.step) =
 
 let synthesize_lockstep ?(prologue = []) (sequence : Execution.sequence) =
   let spec = sequence.Execution.spec in
-  let prologue_steps =
-    List.map (fun action -> { Execution.index = 0; action; origin = Execution.Forward "" }) prologue
-  in
   let steps_in_order =
-    List.map (fun s -> (s, false)) prologue_steps
-    @ List.map (fun s -> (s, branch_local spec s)) sequence.Execution.steps
+    List.map (fun action -> (action, false)) prologue
+    @ List.map (fun s -> (s.Execution.action, branch_local spec s)) sequence.Execution.steps
   in
-  let actions = List.map (fun (s, _) -> s.Execution.action) steps_in_order in
-  let local_trigger i action =
-    (* the latest earlier delivery the performer observes locally *)
-    let performer = Action.performer action in
-    let rec latest j best =
-      if j >= i then best
-      else
-        let earlier = List.nth actions j in
-        let best =
-          if
-            Party.equal (Action.beneficiary earlier) performer
-            && not (Party.equal (Action.performer earlier) performer)
-          then Some earlier
-          else best
-        in
-        latest (j + 1) best
-    in
-    match latest 0 None with Some a -> Observed a | None -> Now
-  in
-  let steps =
-    List.mapi
-      (fun i (step, local) ->
-        let action = step.Execution.action in
+  (* every action waits for the delivery of its global predecessor,
+     except a branch-local one, which waits for its trigger *)
+  let _, rev_steps =
+    List.fold_left2
+      (fun (previous, acc) (action, local) trigger ->
         let condition =
-          if i = 0 then Now
-          else if local then local_trigger i action
-          else Observed (List.nth actions (i - 1))
+          match previous with
+          | None -> Now
+          | Some prev -> if local then trigger else Observed prev
         in
-        (Action.performer action, { condition; action }))
-      steps_in_order
+        (Some action, { condition; action } :: acc))
+      (None, []) steps_in_order
+      (triggers (List.map fst steps_in_order))
   in
-  let roles =
-    List.filter_map
-      (fun party ->
-        match
-          List.filter_map
-            (fun (performer, step) ->
-              if Party.equal performer party then Some step else None)
-            steps
-        with
-        | [] -> None
-        | mine -> Some (party, mine))
-      (Spec.parties sequence.Execution.spec)
-  in
-  { spec = sequence.Execution.spec; roles }
+  { spec; roles = roles_of spec (List.rev rev_steps) }
 
 let script_of t party =
   match List.find_opt (fun (p, _) -> Party.equal p party) t.roles with

@@ -210,12 +210,14 @@ let coordinated_bundles spec =
         in
         if List.length pieces < 2 then None
         else begin
-          let red_free (cref, _) =
-            let counterpart = { Spec.deal = cref.Spec.deal; side = Spec.other_side cref.Spec.side } in
-            let marked c =
-              List.exists (fun (o, c') -> ignore o; Spec.equal_ref c' c) spec.Spec.priorities
+          (* a validated mark's owner is the commitment's principal or agent *)
+          let red_free (cref, d) =
+            let marked side =
+              let c = { cref with Spec.side } in
+              Spec.is_priority spec (Spec.commitment_principal d side) c
+              || Spec.is_priority spec d.Spec.via c
             in
-            (not (marked cref)) && not (marked counterpart)
+            (not (marked cref.Spec.side)) && not (marked (Spec.other_side cref.Spec.side))
           in
           match pieces with
           | (_, first) :: rest
@@ -229,6 +231,12 @@ let coordinated_bundles spec =
         end
       end)
     (Spec.internal_parties spec)
+
+let atomic_escrow ~shared spec =
+  let coordinators = List.map snd (coordinated_bundles spec) in
+  fun agent ->
+    List.exists (Party.equal agent) coordinators
+    || ((not shared) && List.compare_length_with (Spec.mediated_by spec agent) 1 > 0)
 
 let pp_colour ppf colour =
   Format.pp_print_string ppf (match colour with Red -> "red" | Black -> "black")

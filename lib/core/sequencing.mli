@@ -53,6 +53,15 @@ val coordinated_bundles : Spec.t -> (Party.t * Party.t) list
     are exactly the conjunctions {!Reduce.Rule3_shared} may split and
     the agents the runtime must make atomic. *)
 
+val atomic_escrow : shared:bool -> Spec.t -> Party.t -> bool
+(** Escrow atomicity, the one rule {!Compile} and the interpreted
+    harness share: a non-persona agent's escrow is all-or-nothing when
+    it coordinates a bundle (§9 / Rule #3) or — in the paper's
+    monolithic reading, i.e. without [shared] — when it mediates more
+    than one deal, whose single conjunction makes them all-or-nothing
+    by definition. [atomic_escrow ~shared spec] computes
+    {!coordinated_bundles} once; apply the result per agent. *)
+
 val copy : t -> t
 val spec : t -> Spec.t
 

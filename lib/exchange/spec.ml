@@ -12,12 +12,31 @@ type deal = {
 
 type commitment_ref = { deal : string; side : side }
 
+(* Built once per value by [cook]; every lookup below reads it instead
+   of rescanning the deal list. *)
+type party_entry = {
+  mutable sides : (commitment_ref * deal) list;
+      (* as principal or as trusted role, spec order *)
+  mutable mediates : deal list;  (* as trusted role, spec order *)
+}
+
+type mark = Priority | Split
+
+type index = {
+  deal_arr : deal array;
+  position : (string, int) Hashtbl.t;  (* first deal with each id *)
+  all : (commitment_ref * deal) list;  (* Left then Right per deal, spec order *)
+  by_party : (Party.t, party_entry) Hashtbl.t;
+  marks : (mark * Party.t * commitment_ref, unit) Hashtbl.t;
+}
+
 type t = {
   deals : deal list;
   personas : Party.t Party.Map.t;
   priorities : (Party.t * commitment_ref) list;
   splits : (Party.t * commitment_ref) list;
   overrides : State.acceptability Party.Map.t;
+  index : index;
   shape : (string * int64) Lazy.t;
 }
 
@@ -117,14 +136,72 @@ let shape_fnv1a s =
   done;
   !h
 
-(* Install a fresh memo: every construction site (make and the with_
-   updates) routes through here, so a spec's shape can never go stale.
+(* Shared by every spec without marks; never written. *)
+let no_marks = Hashtbl.create 1
+
+let index_of t =
+  let deal_arr = Array.of_list t.deals in
+  let n = Array.length deal_arr in
+  let position = Hashtbl.create n in
+  let by_party = Hashtbl.create (2 * n) in
+  let entry p =
+    match Hashtbl.find_opt by_party p with
+    | Some e -> e
+    | None ->
+      let e = { sides = []; mediates = [] } in
+      Hashtbl.add by_party p e;
+      e
+  in
+  let all = ref [] in
+  (* Walk backwards and prepend, so every list comes out in spec order
+     and the first deal with a repeated id wins the position table. *)
+  for i = n - 1 downto 0 do
+    let d = deal_arr.(i) in
+    Hashtbl.replace position d.id i;
+    let agent = entry d.via in
+    agent.mediates <- d :: agent.mediates;
+    let side s principal =
+      let c = ({ deal = d.id; side = s }, d) in
+      let e = entry principal in
+      all := c :: !all;
+      e.sides <- c :: e.sides;
+      if e != agent then agent.sides <- c :: agent.sides
+    in
+    side Right d.right;
+    side Left d.left
+  done;
+  let marks =
+    if t.priorities = [] && t.splits = [] then no_marks
+    else begin
+      let marks = Hashtbl.create 16 in
+      let mark kind (owner, cref) = Hashtbl.replace marks (kind, owner, cref) () in
+      List.iter (mark Priority) t.priorities;
+      List.iter (mark Split) t.splits;
+      marks
+    end
+  in
+  { deal_arr; position; all = !all; by_party; marks }
+
+(* Never read: [cook] replaces it before a spec escapes this module. *)
+let unindexed =
+  {
+    deal_arr = [||];
+    position = Hashtbl.create 1;
+    all = [];
+    by_party = Hashtbl.create 1;
+    marks = no_marks;
+  }
+
+(* Install a fresh index and shape memo: every construction site (make
+   and the with_ updates) routes through here, so neither can go stale.
    The recursive binding is constructive — the lazy body reads the
    cooked record's non-shape fields only. *)
 let cook base =
+  let index = index_of base in
   let rec cooked =
     {
       base with
+      index;
       shape =
         lazy
           (let key = encode_shape cooked in
@@ -166,15 +243,16 @@ let with_deadline deadline d = { d with deadline = Some deadline }
 let equal_ref a b = String.equal a.deal b.deal && a.side = b.side
 let other_side = function Left -> Right | Right -> Left
 
-let find_deal t id = List.find_opt (fun d -> String.equal d.id id) t.deals
+let find_deal t id =
+  match Hashtbl.find_opt t.index.position id with
+  | Some i -> Some t.index.deal_arr.(i)
+  | None -> None
+
+let deal_index t id = Option.value ~default:(-1) (Hashtbl.find_opt t.index.position id)
 let commitment_principal d = function Left -> d.left | Right -> d.right
 let commitment_sends d = function Left -> d.left_sends | Right -> d.right_sends
 let commitment_expects d side = commitment_sends d (other_side side)
-
-let commitments t =
-  List.concat_map
-    (fun d -> [ ({ deal = d.id; side = Left }, d); ({ deal = d.id; side = Right }, d) ])
-    t.deals
+let commitments t = t.index.all
 
 let dedup_parties parties =
   let rec loop seen = function
@@ -188,34 +266,22 @@ let principals t = dedup_parties (List.concat_map (fun d -> [ d.left; d.right ])
 let trusted_agents t = dedup_parties (List.map (fun d -> d.via) t.deals)
 let parties t = principals t @ trusted_agents t
 
-let commitments_of t party =
-  let incident (cref, d) =
-    if Party.equal (commitment_principal d cref.side) party || Party.equal d.via party then
-      Some cref
-    else None
-  in
-  (* A party that is both a principal of a deal and its trusted role
-     cannot happen post-validation; each commitment is incident to a
-     party at most once. *)
-  List.filter_map incident (commitments t)
+let incident t party =
+  match Hashtbl.find_opt t.index.by_party party with Some e -> e.sides | None -> []
 
-let internal_parties t =
-  (* one pass: count interaction edges per party *)
-  let counts = Hashtbl.create 64 in
-  let bump party =
-    let key = Party.to_string party in
-    Hashtbl.replace counts key (1 + Option.value ~default:0 (Hashtbl.find_opt counts key))
-  in
-  List.iter
-    (fun d ->
-      bump d.left;
-      bump d.right;
-      bump d.via;
-      bump d.via)
-    t.deals;
+let commitments_of t party = List.map fst (incident t party)
+
+let own_sides t party =
   List.filter
-    (fun p -> Option.value ~default:0 (Hashtbl.find_opt counts (Party.to_string p)) >= 2)
-    (parties t)
+    (fun (cref, d) -> Party.equal (commitment_principal d cref.side) party)
+    (incident t party)
+
+let mediated_by t agent =
+  match Hashtbl.find_opt t.index.by_party agent with Some e -> e.mediates | None -> []
+
+(* A conjunction owner has two or more interaction edges. *)
+let internal_parties t =
+  List.filter (fun p -> List.compare_length_with (incident t p) 2 >= 0) (parties t)
 
 let persona_of t trusted = Party.Map.find_opt trusted t.personas
 
@@ -230,11 +296,8 @@ let plays_own_agent t cref =
     | Some principal -> Party.equal principal (commitment_principal d cref.side)
     | None -> false)
 
-let mem_mark marks owner cref =
-  List.exists (fun (o, c) -> Party.equal o owner && equal_ref c cref) marks
-
-let is_priority t owner cref = mem_mark t.priorities owner cref
-let is_split t owner cref = mem_mark t.splits owner cref
+let is_priority t owner cref = Hashtbl.mem t.index.marks (Priority, owner, cref)
+let is_split t owner cref = Hashtbl.mem t.index.marks (Split, owner, cref)
 
 let linked_commitments_of t party =
   List.filter (fun cref -> not (is_split t party cref)) (commitments_of t party)
@@ -253,42 +316,53 @@ let indemnity_amount t owner cref =
 
 let acceptability_overrides t party = Party.Map.find_opt party t.overrides
 
+(* §2.4: money is always on hand; a document is on hand unless its
+   sender acquires it through another of its deals (the reselling
+   broker starts without it). *)
+let endowed t d side =
+  match commitment_sends d side with
+  | Asset.Money _ -> true
+  | Asset.Document _ as asset ->
+    let principal = commitment_principal d side in
+    not
+      (List.exists
+         (fun (cref, d') -> Asset.equal (commitment_expects d' cref.side) asset)
+         (own_sides t principal))
+
+let endowment t party =
+  List.filter_map
+    (fun (cref, d) -> if endowed t d cref.side then Some (commitment_sends d cref.side) else None)
+    (own_sides t party)
+
 (* What an asset is worth to a given party: money at face value; a
    document at what the party pays for it (its cost basis) or, failing
    that, what it is paid for it. *)
 let price_for t party asset =
   match asset with
   | Asset.Money m -> m
-  | Asset.Document _ ->
-    let deals_pricing ~receiving =
-      List.filter_map
+  | Asset.Document _ -> (
+    let sides = own_sides t party in
+    let priced ~receiving =
+      List.find_map
         (fun (cref, d) ->
-          let mine = Party.equal (commitment_principal d cref.side) party in
-          let flow =
-            if receiving then commitment_expects d cref.side else commitment_sends d cref.side
+          let flow, counter_flow =
+            if receiving then (commitment_expects d cref.side, commitment_sends d cref.side)
+            else (commitment_sends d cref.side, commitment_expects d cref.side)
           in
-          if mine && Asset.equal flow asset then
-            let counter_flow =
-              if receiving then commitment_sends d cref.side else commitment_expects d cref.side
-            in
-            Some (Asset.value counter_flow)
-          else None)
-        (commitments t)
+          if Asset.equal flow asset then Some (Asset.value counter_flow) else None)
+        sides
     in
-    (match deals_pricing ~receiving:true with
-    | price :: _ -> price
-    | [] -> ( match deals_pricing ~receiving:false with price :: _ -> price | [] -> 0))
+    match priced ~receiving:true with
+    | Some price -> price
+    | None -> Option.value ~default:0 (priced ~receiving:false))
 
 (* §5: a feasible sequence keeps at most one transfer of a party in
    flight, so its worst honest-run position is its single largest
    outgoing transfer. *)
 let single_transfer_bound t party =
   List.fold_left
-    (fun acc (cref, d) ->
-      if Party.equal (commitment_principal d cref.side) party then
-        max acc (price_for t party (commitment_sends d cref.side))
-      else acc)
-    0 (commitments t)
+    (fun acc (cref, d) -> max acc (price_for t party (commitment_sends d cref.side)))
+    0 (own_sides t party)
 
 let defectable_principals t =
   let personas = Party.Map.fold (fun _ principal acc -> principal :: acc) t.personas [] in
@@ -338,7 +412,7 @@ let validate t =
       err "persona: %a is not a trusted role" Party.pp trusted;
     if not (Party.is_principal principal) then
       err "persona: %a is not a principal" Party.pp principal;
-    let uses = List.filter (fun d -> Party.equal d.via trusted) t.deals in
+    let uses = mediated_by t trusted in
     if uses = [] then err "persona: trusted role %a mediates no deal" Party.pp trusted;
     let fits d = Party.equal d.left principal || Party.equal d.right principal in
     List.iter
@@ -376,6 +450,7 @@ let make ?(personas = []) ?(priorities = []) ?(splits = []) ?(overrides = []) de
         priorities;
         splits;
         overrides;
+        index = unindexed;
         shape = lazy (assert false);
       }
   in

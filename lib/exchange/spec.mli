@@ -29,6 +29,11 @@ type commitment_ref = { deal : string; side : side }
 (** One interaction-graph edge: the [side] principal's commitment to the
     deal's trusted intermediary. *)
 
+type index
+(** The lookup tables every accessor below reads: a deal-id table, each
+    party's commitments in spec order, the priority/split mark set and
+    the deals each trusted role mediates. *)
+
 type t = private {
   deals : deal list;
   personas : Party.t Party.Map.t;
@@ -41,6 +46,7 @@ type t = private {
   overrides : State.acceptability Party.Map.t;
       (** acceptability overrides; parties absent here use the
           generated defaults of {!Outcomes} *)
+  index : index;  (** built once per value by every constructor *)
   shape : (string * int64) Lazy.t;
       (** memoized canonical shape: the injective byte encoding of
           everything synthesis depends on, paired with its 64-bit
@@ -97,6 +103,10 @@ val with_override : Party.t -> State.acceptability -> t -> t
 (** {1 Accessors} *)
 
 val find_deal : t -> string -> deal option
+
+val deal_index : t -> string -> int
+(** Position of the deal in [deals], [-1] if absent. *)
+
 val commitment_principal : deal -> side -> Party.t
 val commitment_sends : deal -> side -> Asset.t
 val commitment_expects : deal -> side -> Asset.t
@@ -111,6 +121,13 @@ val commitments_of : t -> Party.t -> commitment_ref list
 (** Interaction edges incident to a party (as principal or as the
     trusted role — personas do {e not} merge here; the interaction graph
     keeps the abstract role separate, §3). *)
+
+val own_sides : t -> Party.t -> (commitment_ref * deal) list
+(** The deal sides a party takes part in as principal, spec order;
+    empty for a trusted role. *)
+
+val mediated_by : t -> Party.t -> deal list
+(** The deals a trusted role mediates, spec order. *)
 
 val principals : t -> Party.t list
 (** Distinct principals, first-appearance order. *)
@@ -152,7 +169,16 @@ val indemnity_amount : t -> Party.t -> commitment_ref -> Asset.money
 
 val acceptability_overrides : t -> Party.t -> State.acceptability option
 
-(** {1 Valuation and defection} *)
+(** {1 Endowment, valuation and defection} *)
+
+val endowed : t -> deal -> side -> bool
+(** §2.4: the side's principal holds what it sends from the start —
+    money always, a document unless the principal acquires it through
+    another of its deals (a reselling broker starts without it). *)
+
+val endowment : t -> Party.t -> Asset.t list
+(** What a party holds before any action: the assets of its
+    {!endowed} sides, spec order; empty for a trusted role. *)
 
 val price_for : t -> Party.t -> Asset.t -> Asset.money
 (** What an asset is worth to a party: money at face value; a document

@@ -367,27 +367,6 @@ module Escrow = struct
     returns @ settlements
 end
 
-(* Deposits the universal coordinator must see before anything becomes
-   irrevocable: all money sides, and the document sides their owners
-   hold from the start (resold copies cycle through later). *)
-let endowable_sides spec =
-  List.filter_map
-    (fun (cref, d) ->
-      let asset = Spec.commitment_sends d cref.Spec.side in
-      let principal = Spec.commitment_principal d cref.Spec.side in
-      match asset with
-      | Asset.Money _ -> Some cref
-      | Asset.Document _ ->
-        let acquires_elsewhere =
-          List.exists
-            (fun (cref', d') ->
-              Party.equal (Spec.commitment_principal d' cref'.Spec.side) principal
-              && Asset.equal (Spec.commitment_expects d' cref'.Spec.side) asset)
-            (Spec.commitments spec)
-        in
-        if acquires_elsewhere then None else Some cref)
-    (Spec.commitments spec)
-
 let coordinator spec me =
   let deals =
     List.map
@@ -398,7 +377,14 @@ let coordinator spec me =
   let state =
     Escrow.{ me; spec; atomic = false; deals; deposits = []; notify_script = Script.create [] }
   in
-  let required = endowable_sides spec in
+  (* Deposits to see before anything becomes irrevocable: all money
+     sides, and the document sides their owners hold from the start
+     (resold copies cycle through later). *)
+  let required =
+    List.filter_map
+      (fun (cref, d) -> if Spec.endowed spec d cref.Spec.side then Some cref else None)
+      (Spec.commitments spec)
+  in
   let have cref =
     List.exists
       (fun ds ->

@@ -24,51 +24,34 @@ type result = {
 }
 
 let initial_endowment spec ~deposits party =
-  if Party.is_trusted party then Asset.Bag.empty
-  else begin
-    let add_deal_side bag (cref, d) =
-      if Party.equal (Spec.commitment_principal d cref.Spec.side) party then begin
-        let asset = Spec.commitment_sends d cref.Spec.side in
-        match asset with
-        | Asset.Money _ -> Asset.Bag.add asset bag
-        | Asset.Document _ ->
-          (* A document acquired through another deal is not endowed:
-             the reselling broker starts without it. *)
-          let acquires_elsewhere =
-            List.exists
-              (fun (cref', d') ->
-                Party.equal (Spec.commitment_principal d' cref'.Spec.side) party
-                && Asset.equal (Spec.commitment_expects d' cref'.Spec.side) asset)
-              (Spec.commitments spec)
-          in
-          if acquires_elsewhere then bag else Asset.Bag.add asset bag
-      end
-      else bag
-    in
-    let bag = List.fold_left add_deal_side Asset.Bag.empty (Spec.commitments spec) in
-    List.fold_left
-      (fun bag offer ->
-        if Party.equal offer.Indemnity.offered_by party then
-          Asset.Bag.add (Asset.money offer.Indemnity.amount) bag
-        else bag)
-      bag deposits
-  end
+  let bag =
+    List.fold_left (fun bag a -> Asset.Bag.add a bag) Asset.Bag.empty (Spec.endowment spec party)
+  in
+  List.fold_left
+    (fun bag offer ->
+      if Party.equal offer.Indemnity.offered_by party then
+        Asset.Bag.add (Asset.money offer.Indemnity.amount) bag
+      else bag)
+    bag deposits
 
 type event = Deliver of Action.t | Fire_expiry of string | Fire_deadline
-
-(* Best-effort deal attribution for trace events ([Compile.owning_deal]:
-   the first deal one of whose commitments sends or expects the
-   transferred asset). Only evaluated when a trace is attached. *)
-let owning_deal spec action =
-  match Trust_core.Compile.owning_deal spec action with
-  | i when i < 0 -> None
-  | i -> Some (List.nth spec.Spec.deals i).Spec.id
 
 let deal_action_attrs ~deal ~at action =
   let base = [ ("at", Obs.Int at); ("action", Obs.Str (Action.to_string action)) ] in
   match deal with Some deal -> ("deal", Obs.Str deal) :: base | None -> base
 
-let action_attrs spec ~at action = deal_action_attrs ~deal:(owning_deal spec action) ~at action
+(* Best-effort deal attribution for trace events ([Compile.owning_deal]:
+   the first deal one of whose commitments sends or expects the
+   transferred asset), tabled on a run's first traced event. *)
+let action_attrs spec =
+  let owning_deal = lazy (Trust_core.Compile.owning_deal spec) in
+  fun ~at action ->
+    let deal =
+      match Lazy.force owning_deal action with
+      | i when i < 0 -> None
+      | i -> Some (List.nth spec.Spec.deals i).Spec.id
+    in
+    deal_action_attrs ~deal ~at action
 
 (* Asset flow of an action: (debited party, credited party, asset).
    Notifications carry nothing. *)
@@ -78,6 +61,7 @@ let flow = function
   | Action.Notify _ -> None
 
 let run ?(config = default_config) ?(obs = Obs.null) ?(span = Obs.none) spec ~deposits ~behaviors =
+  let action_attrs = action_attrs spec in
   let queue = Event_queue.create () in
   let holdings : (string, Asset.Bag.t) Hashtbl.t = Hashtbl.create 16 in
   let bag_of party =
@@ -109,7 +93,7 @@ let run ?(config = default_config) ?(obs = Obs.null) ?(span = Obs.none) spec ~de
       | Some drop ->
         let lost = drop seq action in
         if lost && Obs.enabled obs then
-          Obs.event obs span "drop" ~attrs:(("seq", Obs.Int seq) :: action_attrs spec ~at:now action);
+          Obs.event obs span "drop" ~attrs:(("seq", Obs.Int seq) :: action_attrs ~at:now action);
         lost
       | None -> false
     in
@@ -127,7 +111,7 @@ let run ?(config = default_config) ?(obs = Obs.null) ?(span = Obs.none) spec ~de
       | None ->
         if Obs.enabled obs then
           Obs.event obs span "park"
-            ~attrs:(("party", Obs.Str (Party.name party)) :: action_attrs spec ~at:now action);
+            ~attrs:(("party", Obs.Str (Party.name party)) :: action_attrs ~at:now action);
         pending := !pending @ [ (party, action) ])
   and retry_pending now party =
     let mine, others = List.partition (fun (p, _) -> Party.equal p party) !pending in
@@ -174,7 +158,7 @@ let run ?(config = default_config) ?(obs = Obs.null) ?(span = Obs.none) spec ~de
       | Some (now, Deliver action) ->
         incr events;
         if Obs.enabled obs then
-          Obs.event obs span "deliver" ~attrs:(action_attrs spec ~at:now action);
+          Obs.event obs span "deliver" ~attrs:(action_attrs ~at:now action);
         state := State.record action !state;
         log := { at = now; action } :: !log;
         (match flow action with

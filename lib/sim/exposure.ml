@@ -1,10 +1,11 @@
 (* The exposure ledger: a custody-tracking fold over the delivery log.
 
-   Each asset that enters a custody holder (a genuine trusted agent, or
-   a principal persona performing a deal's trusted role) is queued FIFO
-   with its original contributor and classification, so later forwards,
-   agent-to-agent migrations, deadline refunds and indemnity
-   settlements debit the right principal's position. A principal's
+   Each asset that enters a custody holder (a genuine trusted agent: a
+   persona is an endpoint of every deal its role mediates, so what it
+   receives is its own) is queued FIFO with its original contributor
+   and classification, so later forwards, agent-to-agent migrations,
+   deadline refunds and indemnity settlements debit the right
+   principal's position. A principal's
    at-risk value is what it has released into other principals' hands
    (directly, through a persona, or by an escrow settling its side)
    minus what it has received back — escrowed custody at genuine
@@ -268,29 +269,6 @@ let of_result ?plan ?(defectors = []) spec (result : Engine.result) =
       p.p_released <- p.p_released + v
     | Exposed -> ignore deal
   in
-  (* Is [holder] the custody holder this transfer is addressed to?
-     Genuine trusted parties always hold in trust. A persona holds in
-     trust only for a deal whose trusted role it performs, on the side
-     whose principal is someone else (and is the sender, or the sender
-     is itself forwarding custody), and only when it is not itself the
-     forward target — its own counter-side receipt is final. *)
-  let custody_holder_for ~src ~src_had_custody holder asset =
-    Party.is_trusted holder
-    || (Party.is_principal holder
-       && List.exists
-            (fun (cref, d) ->
-              Party.equal (Spec.effective_agent spec d) holder
-              && Asset.equal (Spec.commitment_sends d cref.Spec.side) asset
-              && (not
-                    (Party.equal (Spec.commitment_principal d cref.Spec.side) holder))
-              && (not
-                    (Party.equal
-                       (Spec.commitment_principal d (Spec.other_side cref.Spec.side))
-                       holder))
-              && (Party.equal (Spec.commitment_principal d cref.Spec.side) src
-                 || src_had_custody))
-            (Spec.commitments spec))
-  in
   let has_custody holder asset =
     match Hashtbl.find_opt agents (Party.name holder) with
     | None -> false
@@ -428,16 +406,8 @@ let of_result ?plan ?(defectors = []) spec (result : Engine.result) =
         | Asset.Money _ -> money_shortfall
       in
       let sends_own = (is_doc && consumed = []) || own_value > 0 in
-      let receiving_custody =
-        (not is_undo)
-        && (deposit_deal <> None || custody_holder_for ~src ~src_had_custody tgt asset)
-      in
-      if receiving_custody then begin
-        let to_cls =
-          if deposit_deal <> None then Deposit
-          else if Party.is_trusted tgt then Protected
-          else Exposed
-        in
+      if (not is_undo) && (deposit_deal <> None || Party.is_trusted tgt) then begin
+        let to_cls = if deposit_deal <> None then Deposit else Protected in
         (* migrate consumed provenance, preserving contributors *)
         let moved = List.map (fun (e, v) -> reclassify { e with e_value = v } to_cls) consumed in
         let own =

@@ -16,7 +16,7 @@
       or forfeited.
 
     Custody is tracked by provenance: each asset entering a trusted
-    agent (or persona acting as one) is queued FIFO with its original
+    agent is queued FIFO with its original
     contributor, so forwards, migrations between agents, §2.2 deadline
     refunds and §6 forfeitures all land on the right principal's
     ledger. Valuations follow the cost-basis rule of

@@ -45,6 +45,7 @@ let distributed_deposit_steps plan party =
    indemnity splits were applied. *)
 let behaviors_for ?(shared = false) ?plan ?(defectors = []) ~mode split_spec protocol =
   let offers = match plan with Some p -> p.Indemnity.offers | None -> [] in
+  let atomic = Trust_core.Sequencing.atomic_escrow ~shared split_spec in
   let defection_of party =
     List.find_map
       (fun (p, d) -> if Party.equal p party then Some d else None)
@@ -77,20 +78,7 @@ let behaviors_for ?(shared = false) ?plan ?(defectors = []) ~mode split_spec pro
             match step.Protocol.action with Action.Notify _ -> true | _ -> false)
           (Protocol.script_of protocol party)
       in
-      (* Atomic when it coordinates a bundle (§9 / Rule #3), or — in
-         the paper's monolithic reading, i.e. without [shared] — for
-         any multi-deal agent, whose single conjunction makes its
-         deals all-or-nothing by definition. *)
-      let coordinates =
-        List.exists
-          (fun (_, agent) -> Party.equal agent party)
-          (Trust_core.Sequencing.coordinated_bundles split_spec)
-      in
-      let mediates =
-        List.length (List.filter (fun d -> Party.equal d.Spec.via party) split_spec.Spec.deals)
-      in
-      let atomic = coordinates || ((not shared) && mediates > 1) in
-      Some (Behavior.escrow ~atomic split_spec party ~notifies ~indemnities:offers)
+      Some (Behavior.escrow ~atomic:(atomic party) split_spec party ~notifies ~indemnities:offers)
   in
   List.map principal_behavior (Spec.principals split_spec)
   @ List.filter_map trusted_behavior (Spec.trusted_agents split_spec)
@@ -189,32 +177,16 @@ let universal_run ?config ?(defectors = []) spec =
     List.find_map (fun (p, d) -> if Party.equal p party then Some d else None) defectors
   in
   let script_for party =
-    List.filter_map
+    List.map
       (fun (cref, d) ->
-        if not (Party.equal (Spec.commitment_principal d cref.Spec.side) party) then None
-        else begin
-          let asset = Spec.commitment_sends d cref.Spec.side in
-          let deposit = Action.Do Action.{ source = party; target = star; asset } in
-          let endowed =
-            match asset with
-            | Asset.Money _ -> true
-            | Asset.Document _ ->
-              not
-                (List.exists
-                   (fun (cref', d') ->
-                     Party.equal (Spec.commitment_principal d' cref'.Spec.side) party
-                     && Asset.equal (Spec.commitment_expects d' cref'.Spec.side) asset)
-                   (Spec.commitments uni))
-          in
-          let condition =
-            if endowed then Protocol.Now
-            else
-              Protocol.Observed
-                (Action.Do Action.{ source = star; target = party; asset })
-          in
-          Some Protocol.{ condition; action = deposit }
-        end)
-      (Spec.commitments uni)
+        let asset = Spec.commitment_sends d cref.Spec.side in
+        let deposit = Action.Do Action.{ source = party; target = star; asset } in
+        let condition =
+          if Spec.endowed uni d cref.Spec.side then Protocol.Now
+          else Protocol.Observed (Action.Do Action.{ source = star; target = party; asset })
+        in
+        Protocol.{ condition; action = deposit })
+      (Spec.own_sides uni party)
   in
   let principal_behavior party =
     match defection_of party with

@@ -911,10 +911,9 @@ let apply_delivery s (p : C.t) a =
       else shortfall
     in
     let sends_own = (is_doc && consumed = []) || own_value > 0 in
-    let custody = if src_had then p.C.custody_if_had.(a) else p.C.custody_if_not.(a) in
-    if (not is_undo) && (deposit_deal || custody) then begin
+    if (not is_undo) && (deposit_deal || p.C.tgt_trusted.(a)) then begin
       (* value stays in custody at the target *)
-      let to_cls = if deposit_deal then 2 else if p.C.tgt_trusted.(a) then 0 else 1 in
+      let to_cls = if deposit_deal then 2 else 0 in
       let moved = List.map (fun (c, v, cls) -> reclassify_move s p c v cls to_cls) consumed in
       let own =
         if sends_own then begin

@@ -37,6 +37,16 @@ let test_chain50_fixture () =
       (Shape.encode (Gen.chain ~brokers:50))
       (Shape.encode spec)
 
+(* specs/scale/fan128.exg is the committed rendering of the 128-document
+   fan the daemon smoke step submits next to chain50. *)
+let test_fan128_fixture () =
+  match Trust_lang.Elaborate.from_file "../specs/scale/fan128.exg" with
+  | Error e -> Alcotest.failf "fan128.exg: %s" e
+  | Ok spec ->
+    check_string "fan128.exg is Gen.fan over 128 prices"
+      (Shape.encode (Gen.fan ~prices:(List.init 128 (fun i -> 100 + i))))
+      (Shape.encode spec)
+
 let test_hash_collisions () =
   let rng = Prng.create 99L in
   let specs =
@@ -371,6 +381,8 @@ let () =
           Alcotest.test_case "collision sanity" `Quick test_hash_collisions;
           Alcotest.test_case "chain50 fixture is the generator's shape" `Quick
             test_chain50_fixture;
+          Alcotest.test_case "fan128 fixture is the generator's shape" `Quick
+            test_fan128_fixture;
           Alcotest.test_case "override bypass" `Quick test_override_bypasses;
         ] );
       ( "cache",

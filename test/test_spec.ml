@@ -68,6 +68,147 @@ let test_validate_marks () =
        (fun e -> e = "priority: p:producer is not an endpoint of commitment cb.left")
        errors2)
 
+(* One malformed spec carrying every mark and persona error at once:
+   the index-backed validator must report the reference's list, in the
+   reference's order. *)
+let test_validate_matches_reference () =
+  let bp = Spec.sale ~id:"bp" ~buyer:b ~seller:p ~via:t2 ~price:(Asset.dollars 8) ~good:"d" in
+  (* a second "cb", between other parties: marks must resolve to the first *)
+  let shadow = Spec.sale ~id:"cb" ~buyer:p ~seller:c ~via:t2 ~price:(Asset.dollars 3) ~good:"e" in
+  let deals = [ sale; bp; shadow ] in
+  let personas = [ (t1, p); (Party.trusted "t9", c); (t2, b) ] in
+  let priorities =
+    [
+      (c, { Spec.deal = "nope"; side = Spec.Left });
+      (p, { Spec.deal = "cb"; side = Spec.Left });
+      (b, { Spec.deal = "cb"; side = Spec.Right });
+      (t1, { Spec.deal = "gone"; side = Spec.Right });
+      (c, { Spec.deal = "bp"; side = Spec.Right });
+    ]
+  in
+  let splits =
+    [
+      (c, { Spec.deal = "cb"; side = Spec.Right });
+      (b, { Spec.deal = "missing"; side = Spec.Left });
+      (t2, { Spec.deal = "bp"; side = Spec.Left });
+      (p, { Spec.deal = "cb"; side = Spec.Left });
+    ]
+  in
+  let expected =
+    match Ref_spec.validate ~personas ~priorities ~splits deals with
+    | Ok () -> Alcotest.fail "the reference must reject the malformed spec"
+    | Error es -> es
+  in
+  check "the reference sees every kind of error" true (List.length expected >= 8);
+  match Spec.make ~personas ~priorities ~splits deals with
+  | Ok _ -> Alcotest.fail "expected validation failure"
+  | Error errors -> Alcotest.(check (list string)) "same errors, same order" expected errors
+
+(* The index-backed lookups against the list scans of [Ref_spec] on
+   the scenarios, 200 printed random transactions (Universe samples of
+   both profiles and a direct-trust density of 1.0) and the chain, fan
+   and bundle generators up to 64 with an indemnity split applied. *)
+let corpus () =
+  let printed spec =
+    match Trust_lang.Elaborate.from_string (Trust_lang.Printer.to_string spec) with
+    | Ok spec -> spec
+    | Error e -> Alcotest.failf "printed spec does not elaborate: %s" e
+  in
+  let universe config n =
+    let u = Workload.Universe.create { config with Workload.Universe.principals = 10_000 } in
+    let rng = Workload.Prng.create 21L in
+    List.init n (fun _ -> printed (Workload.Universe.sample u rng))
+  in
+  let dense =
+    let rng = Workload.Prng.create 22L in
+    let mix = { Workload.Gen.default_mix with Workload.Gen.trust_density = 1.0 } in
+    List.init 60 (fun _ -> printed (Workload.Gen.random_transaction rng mix))
+  in
+  let sizes = [ 1; 2; 3; 5; 8; 16; 32; 64 ] in
+  let generated =
+    List.concat_map
+      (fun k ->
+        [
+          Workload.Gen.chain ~brokers:k;
+          Workload.Gen.fan ~prices:(List.init k (fun i -> Asset.dollars (10 + i)));
+          Workload.Gen.bundle ~docs:k;
+        ])
+      sizes
+  in
+  let with_split spec =
+    match Spec.internal_parties spec |> List.filter Party.is_principal with
+    | owner :: _ -> (
+      match Spec.linked_commitments_of spec owner with
+      | cref :: _ -> [ Spec.with_split owner cref spec ]
+      | [] -> [])
+    | [] -> []
+  in
+  List.map snd Workload.Scenarios.all
+  @ universe Workload.Universe.default_config 70
+  @ universe Workload.Universe.defect_heavy 70
+  @ dense @ generated
+  @ List.concat_map with_split generated
+
+let agrees_with_reference spec =
+  let fail what = Alcotest.failf "%s differs from the reference on\n%a" what Spec.pp spec in
+  let same what a b = if a <> b then fail what in
+  same "commitments" (Ref_spec.commitments spec) (Spec.commitments spec);
+  same "internal_parties" (Ref_spec.internal_parties spec) (Spec.internal_parties spec);
+  let ids = "no such deal" :: List.map (fun d -> d.Spec.id) spec.Spec.deals in
+  List.iter
+    (fun id ->
+      same "find_deal" (Ref_spec.find_deal spec id) (Spec.find_deal spec id);
+      same "deal_index" (Ref_spec.deal_index spec id) (Spec.deal_index spec id))
+    ids;
+  let parties = Party.consumer "stranger" :: Spec.parties spec in
+  let first = List.hd spec.Spec.deals in
+  List.iter
+    (fun party ->
+      (* what the party trades, plus what it does not *)
+      let assets =
+        Asset.document "no such document" :: first.Spec.left_sends :: first.Spec.right_sends
+        :: List.concat_map
+             (fun cref ->
+               match Ref_spec.find_deal spec cref.Spec.deal with
+               | Some d -> [ d.Spec.left_sends; d.Spec.right_sends ]
+               | None -> [])
+             (Ref_spec.commitments_of spec party)
+      in
+      same "commitments_of" (Ref_spec.commitments_of spec party) (Spec.commitments_of spec party);
+      same "linked_commitments_of"
+        (Ref_spec.linked_commitments_of spec party)
+        (Spec.linked_commitments_of spec party);
+      same "single_transfer_bound"
+        (Ref_spec.single_transfer_bound spec party)
+        (Spec.single_transfer_bound spec party);
+      same "endowment" (Ref_spec.endowment spec party) (Spec.endowment spec party);
+      List.iter
+        (fun asset -> same "price_for" (Ref_spec.price_for spec party asset) (Spec.price_for spec party asset))
+        assets)
+    parties;
+  let marks = spec.Spec.priorities @ spec.Spec.splits in
+  let everyone = List.hd (Spec.parties spec) in
+  List.iter
+    (fun ((cref : Spec.commitment_ref), d) ->
+      same "endowed" (Ref_spec.endowed spec d cref.Spec.side) (Spec.endowed spec d cref.Spec.side);
+      let marked = List.filter_map (fun (o, c) -> if c.Spec.deal = d.Spec.id then Some o else None) marks in
+      List.iter
+        (fun owner ->
+          same "is_priority" (Ref_spec.is_priority spec owner cref) (Spec.is_priority spec owner cref);
+          same "is_split" (Ref_spec.is_split spec owner cref) (Spec.is_split spec owner cref))
+        (everyone :: d.Spec.via :: Spec.commitment_principal d cref.Spec.side :: marked))
+    (Ref_spec.commitments spec);
+  same "validate"
+    (Ref_spec.validate
+       ~personas:(Party.Map.bindings spec.Spec.personas)
+       ~priorities:spec.Spec.priorities ~splits:spec.Spec.splits spec.Spec.deals)
+    (Spec.validate spec)
+
+let test_index_matches_reference () =
+  let specs = corpus () in
+  check "the corpus has every source" true (List.length specs > 250);
+  List.iter agrees_with_reference specs
+
 let test_commitments () =
   let refs = List.map fst (Spec.commitments example1) in
   check_int "two deals, four commitments" 4 (List.length refs);
@@ -178,6 +319,7 @@ let () =
           Alcotest.test_case "persona constraints" `Quick test_validate_persona;
           Alcotest.test_case "marks reference endpoints" `Quick test_validate_marks;
           Alcotest.test_case "all scenarios validate" `Quick test_all_scenarios_validate;
+          Alcotest.test_case "errors match the reference" `Quick test_validate_matches_reference;
         ] );
       ( "accessors",
         [
@@ -190,6 +332,7 @@ let () =
           Alcotest.test_case "priority marks" `Quick test_priority_marks;
           Alcotest.test_case "splits" `Quick test_splits;
           Alcotest.test_case "with_priority" `Quick test_with_priority;
+          Alcotest.test_case "index matches the reference" `Quick test_index_matches_reference;
         ] );
       ( "indemnity arithmetic (paper 6)",
         [
