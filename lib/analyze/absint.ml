@@ -242,7 +242,7 @@ let worst_case steps touched party =
   in
   (risk, kept_steps, stalled)
 
-let interval_of spec steps defectables party =
+let interval_of spec steps reaches party =
   let bound = Spec.single_transfer_bound spec party in
   let lo, honest_steps, _ = worst_case steps [] party in
   let honest =
@@ -250,26 +250,27 @@ let interval_of spec steps defectables party =
   in
   let worst =
     List.fold_left
-      (fun acc q ->
+      (fun acc (q, touched) ->
         if Party.equal q party then acc
+        else if touched = [] then acc
         else
-          let touched = touched_deals spec q in
-          if touched = [] then acc
-          else
-            let risk, kept, stalled = worst_case steps touched party in
-            if risk > acc.w_at_risk then
-              { w_defector = Some q; w_at_risk = risk; w_kept = kept; w_stalled = stalled }
-            else acc)
-      honest defectables
+          let risk, kept, stalled = worst_case steps touched party in
+          if risk > acc.w_at_risk then
+            { w_defector = Some q; w_at_risk = risk; w_kept = kept; w_stalled = stalled }
+          else acc)
+      honest reaches
   in
   { i_party = party; i_bound = bound; i_lo = lo; i_hi = worst.w_at_risk; i_witness = worst }
 
 let of_sequence (seq : Execution.sequence) =
   let spec = seq.Execution.spec in
   let steps = List.map (compile_step spec) seq.Execution.steps in
-  let defectables = Spec.defectable_principals spec in
+  (* a defector's reach does not depend on whose exposure is measured *)
+  let reaches =
+    List.map (fun q -> (q, touched_deals spec q)) (Spec.defectable_principals spec)
+  in
   let intervals =
-    List.map (interval_of spec steps defectables) (Spec.principals spec)
+    List.map (interval_of spec steps reaches) (Spec.principals spec)
   in
   { spec; steps; intervals }
 

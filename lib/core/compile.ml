@@ -15,9 +15,13 @@
      exposure lookup tables (send/receive candidates per commitment,
      per-asset prices, single-transfer bounds).
 
-   The runtime that interprets these plans without re-elaboration lives
-   in [Trust_sim.Hotpath]; [Trust_sim.Harness.behaviors_for] remains
-   the interpreted oracle it is property-tested against. *)
+   Which party runs which script, persona duties or escrow is read off
+   [Protocol.role_table], the table [Trust_sim.Harness.behaviors_for]
+   builds the interpreted behaviours from, and every transfer comes
+   from its one constructor in [Spec] or [Indemnity]. The runtime that
+   interprets these plans without re-elaboration lives in
+   [Trust_sim.Hotpath]; the interpreted behaviours remain the oracle it
+   is property-tested against. *)
 
 open Exchange
 
@@ -90,7 +94,7 @@ type t = {
   deal_ids : string array;  (** spec order *)
   docs : string array;
   n_docs : int;
-  (* behaviours, [Harness.behaviors_for] order *)
+  (* behaviours, [Protocol.role_table] order *)
   roles : (int * role) array;  (** (party index, role) *)
   behavior_of : int array;  (** party index -> roles index, [-1] *)
   (* engine scaffolding *)
@@ -132,16 +136,6 @@ let party_index t party =
     if i >= n then -1 else if Party.equal t.parties.(i) party then i else go (i + 1)
   in
   go 0
-
-(* The §4.2.4 visible send of a principal's commitment (Outcomes.send_transfer). *)
-let send_transfer spec d side =
-  let principal = Spec.commitment_principal d side in
-  let agent = Spec.effective_agent spec d in
-  let target =
-    if Party.equal agent principal then Spec.commitment_principal d (Spec.other_side side)
-    else agent
-  in
-  Action.{ source = principal; target; asset = Spec.commitment_sends d side }
 
 let compile ~lockstep ~shared ?plan ~price spec protocol =
   if not (Party.Map.is_empty spec.Spec.overrides) then
@@ -194,147 +188,58 @@ let compile ~lockstep ~shared ?plan ~price spec protocol =
   in
   let offers = match plan with Some p -> p.Indemnity.offers | None -> [] in
   let deposit_actions = match plan with Some p -> Indemnity.deposits p | None -> [] in
-  let distributed_steps party =
-    List.filter_map
-      (fun action ->
-        if Party.equal (Action.performer action) party then
-          Some Protocol.{ condition = Now; action }
-        else None)
-      deposit_actions
+  let persona_entry (pd : Protocol.persona_deal) =
+    {
+      pc_deal = Spec.deal_index spec pd.Protocol.deal.Spec.id;
+      pc_incoming = act_id (Action.Do pd.Protocol.incoming);
+      pc_return = act_id (Action.Undo pd.Protocol.incoming);
+      pc_forward = act_id (Action.Do pd.Protocol.forward);
+    }
   in
-  let script_for party =
-    if lockstep then Protocol.script_of protocol party
-    else distributed_steps party @ Protocol.script_of protocol party
+  let slot d =
+    let left_tr = Spec.commit_transfer spec d Spec.Left in
+    let right_tr = Spec.commit_transfer spec d Spec.Right in
+    let forwards = List.map (fun tr -> act_id (Action.Do tr)) (Spec.forwards spec d) in
+    {
+      sl_deal = Spec.deal_index spec d.Spec.id;
+      sl_left_in = act_id (Action.Do left_tr);
+      sl_right_in = act_id (Action.Do right_tr);
+      sl_left_back = act_id (Action.Undo left_tr);
+      sl_right_back = act_id (Action.Undo right_tr);
+      sl_forwards = Array.of_list forwards;
+    }
   in
-  let deposit_transfer (o : Indemnity.offer) =
-    Action.
-      {
-        source = o.Indemnity.offered_by;
-        target = o.Indemnity.via;
-        asset = Asset.money o.Indemnity.amount;
-      }
+  let deposit (o : Indemnity.offer) =
+    let tr = Indemnity.deposit_transfer o in
+    {
+      dp_in = act_id (Action.Do tr);
+      dp_back = act_id (Action.Undo tr);
+      dp_forfeit = act_id (Action.Do (Indemnity.forfeit_transfer o));
+      dp_deal = Spec.deal_index spec o.Indemnity.piece.Spec.deal;
+      dp_left = o.Indemnity.piece.Spec.side = Spec.Left;
+    }
   in
-  (* -- behaviours, principals first (Harness.behaviors_for order) -- *)
-  let principal_role party =
-    let steps = Array.of_list (List.map step_of (script_for party)) in
-    let plays_a_role =
-      Party.Map.exists (fun _ p -> Party.equal p party) spec.Spec.personas
-    in
-    let persona =
-      if not plays_a_role then [||]
-      else begin
-        let entries = ref [] in
-        Array.iteri
-          (fun i d ->
-            if Spec.persona_of spec d.Spec.via = Some party then begin
-              let my_side = if Party.equal d.Spec.left party then Spec.Left else Spec.Right in
-              let other = Spec.other_side my_side in
-              let counterparty = Spec.commitment_principal d other in
-              let incoming =
-                Action.
-                  { source = counterparty; target = party; asset = Spec.commitment_sends d other }
-              in
-              let forward =
-                Action.
-                  { source = party; target = counterparty; asset = Spec.commitment_sends d my_side }
-              in
-              entries :=
-                {
-                  pc_deal = i;
-                  pc_incoming = act_id (Action.Do incoming);
-                  pc_return = act_id (Action.Undo incoming);
-                  pc_forward = act_id (Action.Do forward);
-                }
-                :: !entries
-            end)
-          deals;
-        Array.of_list (List.rev !entries)
-      end
-    in
-    Script { steps; persona }
+  let role_of = function
+    | Protocol.Principal { script; persona } ->
+      let steps = Array.of_list (List.map step_of script) in
+      Script { steps; persona = Array.of_list (List.map persona_entry persona) }
+    | Protocol.Agent { notifies; deals; deposits; atomic } ->
+      let es_deals = Array.of_list (List.map slot deals) in
+      let es_deposits = Array.of_list (List.map deposit deposits) in
+      Escrow
+        {
+          es_atomic = atomic;
+          es_deals;
+          es_deposits;
+          es_notifies = Array.of_list (List.map step_of notifies);
+        }
   in
-  let atomic = Sequencing.atomic_escrow ~shared spec in
-  let trusted_role party =
-    let notifies =
-      List.filter
-        (fun s -> match s.Protocol.action with Action.Notify _ -> true | _ -> false)
-        (Protocol.script_of protocol party)
-    in
-    let slot d =
-      let side_transfer side =
-        Action.
-          {
-            source = Spec.commitment_principal d side;
-            target = d.Spec.via;
-            asset = Spec.commitment_sends d side;
-          }
-      in
-      let left_tr = side_transfer Spec.Left and right_tr = side_transfer Spec.Right in
-      let to_left =
-        Action.{ source = d.Spec.via; target = d.Spec.left; asset = d.Spec.right_sends }
-      in
-      let to_right =
-        Action.{ source = d.Spec.via; target = d.Spec.right; asset = d.Spec.left_sends }
-      in
-      let docs, money =
-        List.partition (fun tr -> Asset.is_document tr.Action.asset) [ to_left; to_right ]
-      in
-      let forwards = List.map (fun tr -> act_id (Action.Do tr)) (docs @ money) in
-      {
-        sl_deal = Spec.deal_index spec d.Spec.id;
-        sl_left_in = act_id (Action.Do left_tr);
-        sl_right_in = act_id (Action.Do right_tr);
-        sl_left_back = act_id (Action.Undo left_tr);
-        sl_right_back = act_id (Action.Undo right_tr);
-        sl_forwards = Array.of_list forwards;
-      }
-    in
-    let es_deals = Array.of_list (List.map slot (Spec.mediated_by spec party)) in
-    let es_deposits =
-      List.filter_map
-        (fun (o : Indemnity.offer) ->
-          if Party.equal o.Indemnity.via party then begin
-            let tr = deposit_transfer o in
-            let forfeit =
-              Action.
-                {
-                  source = party;
-                  target = o.Indemnity.owner;
-                  asset = Asset.money o.Indemnity.amount;
-                }
-            in
-            Some
-              {
-                dp_in = act_id (Action.Do tr);
-                dp_back = act_id (Action.Undo tr);
-                dp_forfeit = act_id (Action.Do forfeit);
-                dp_deal = Spec.deal_index spec o.Indemnity.piece.Spec.deal;
-                dp_left = o.Indemnity.piece.Spec.side = Spec.Left;
-              }
-          end
-          else None)
-        offers
-      |> Array.of_list
-    in
-    Escrow
-      {
-        es_atomic = atomic party;
-        es_deals;
-        es_deposits;
-        es_notifies = Array.of_list (List.map step_of notifies);
-      }
-  in
-  let principals = Spec.principals spec in
   let roles =
-    List.map (fun p -> (party_id p, principal_role p)) principals
-    @ List.filter_map
-        (fun p ->
-          match Spec.persona_of spec p with
-          | Some _ -> None
-          | None -> Some (party_id p, trusted_role p))
-        (Spec.trusted_agents spec)
+    Protocol.role_table ~shared ?plan ~lockstep spec protocol
+    |> List.map (fun (p, role) -> (party_id p, role_of role))
     |> Array.of_list
   in
+  let principals = Spec.principals spec in
   (* -- audit candidate actions, then close the table under Undo -- *)
   let judged_src =
     List.filter
@@ -345,7 +250,7 @@ let compile ~lockstep ~shared ?plan ~price spec protocol =
     List.map
       (fun (cref, d) ->
         let side = cref.Spec.side in
-        let send = send_transfer spec d side in
+        let send = Spec.send_transfer spec d side in
         let expects = Spec.commitment_expects d side in
         let counterparty = Spec.commitment_principal d (Spec.other_side side) in
         let recv src = Action.Do Action.{ source = src; target = party; asset = expects } in
@@ -475,7 +380,7 @@ let compile ~lockstep ~shared ?plan ~price spec protocol =
   let deposit_expect = Array.make n_actions 0 in
   List.iter
     (fun (o : Indemnity.offer) ->
-      let i = Hashtbl.find act_tbl (Action.Do (deposit_transfer o)) in
+      let i = Hashtbl.find act_tbl (Action.Do (Indemnity.deposit_transfer o)) in
       deposit_expect.(i) <- deposit_expect.(i) + 1)
     offers;
   (* -- behaviours index -- *)

@@ -104,18 +104,6 @@ let defer_reds spec events =
   let front, back = List.partition (fun e -> not (is_deferred e)) events in
   front @ order_deferred spec back
 
-let forward_transfers spec (d : Spec.deal) =
-  let agent = Spec.effective_agent spec d in
-  let to_left = Action.{ source = agent; target = d.Spec.left; asset = d.Spec.right_sends } in
-  let to_right = Action.{ source = agent; target = d.Spec.right; asset = d.Spec.left_sends } in
-  (* Documents forwarded before payments — this is what puts "Trusted2
-     sends document to Broker" before "Trusted2 sends money to Producer"
-     in the paper's worked Example #1 sequence. *)
-  let docs, money =
-    List.partition (fun tr -> Asset.is_document tr.Action.asset) [ to_left; to_right ]
-  in
-  docs @ money
-
 let real_transfer tr = not (Party.equal tr.Action.source tr.Action.target)
 
 type guard = Persona_secured of Party.t | Agent_complete of Party.t
@@ -150,9 +138,8 @@ let expand spec events =
   in
   let agent_done agent =
     List.for_all
-      (fun (d : Spec.deal) ->
-        (not (Party.equal d.Spec.via agent)) || Hashtbl.mem completed d.Spec.id)
-      spec.Spec.deals
+      (fun (d : Spec.deal) -> Hashtbl.mem completed d.Spec.id)
+      (Spec.mediated_by spec agent)
   in
   let guard_open = function
     | Persona_secured p -> secured p
@@ -172,25 +159,18 @@ let expand spec events =
   let commit (c : Sequencing.commitment) =
     let cref = c.Sequencing.cref in
     let d = deal_of spec cref in
-    let principal = c.Sequencing.principal in
-    let agent = Spec.effective_agent spec d in
-    let transfer =
-      Action.{ source = principal; target = agent; asset = Spec.commitment_sends d cref.Spec.side }
-    in
+    let transfer = Spec.commit_transfer spec d cref.Spec.side in
     if real_transfer transfer then emit (Commit cref) (Action.Do transfer);
     let sides = Option.value ~default:[] (Hashtbl.find_opt escrow d.Spec.id) in
     let sides = if List.mem cref.Spec.side sides then sides else cref.Spec.side :: sides in
     Hashtbl.replace escrow d.Spec.id sides;
     if List.length sides = 2 then begin
       Hashtbl.replace completed d.Spec.id ();
-      let forwards = List.filter real_transfer (forward_transfers spec d) in
-      let mediates =
-        List.length (List.filter (fun d' -> Party.equal d'.Spec.via d.Spec.via) spec.Spec.deals)
-      in
+      let forwards = List.filter real_transfer (Spec.forwards spec d) in
       (match Spec.persona_of spec d.Spec.via with
       | Some persona ->
         pending := !pending @ [ (d.Spec.id, Persona_secured persona, forwards) ]
-      | None when mediates > 1 ->
+      | None when List.compare_length_with (Spec.mediated_by spec d.Spec.via) 1 > 0 ->
         pending := !pending @ [ (d.Spec.id, Agent_complete d.Spec.via, forwards) ]
       | None -> List.iter (fun tr -> emit (Forward d.Spec.id) (Action.Do tr)) forwards);
       flush_secured ()

@@ -87,6 +87,7 @@ let apply plan spec =
   List.fold_left (fun spec o -> Spec.with_split o.owner o.piece spec) spec plan.offers
 
 let deposit_transfer o = Action.{ source = o.offered_by; target = o.via; asset = Asset.money o.amount }
+let forfeit_transfer o = Action.{ source = o.via; target = o.owner; asset = Asset.money o.amount }
 
 let deposits plan = List.map (fun o -> Action.Do (deposit_transfer o)) plan.offers
 let refunds plan = List.map (fun o -> Action.Undo (deposit_transfer o)) plan.offers

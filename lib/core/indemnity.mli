@@ -61,6 +61,14 @@ val exhaustive_minimum : Spec.t -> owner:Party.t -> Asset.money
 val apply : plan -> Spec.t -> Spec.t
 (** Record every offer's split in the spec. *)
 
+val deposit_transfer : offer -> Action.transfer
+(** The offerer's escrow deposit with the intermediary; its [Undo] is
+    the refund. *)
+
+val forfeit_transfer : offer -> Action.transfer
+(** The intermediary pays the deposited amount to the protected owner:
+    the §6 forfeit when the covered piece never completes. *)
+
 val deposits : plan -> Action.t list
 (** The escrow deposits, performed before the main execution. *)
 

@@ -100,6 +100,61 @@ let script_of t party =
   | Some (_, steps) -> steps
   | None -> []
 
+type persona_deal = { deal : Spec.deal; incoming : Action.transfer; forward : Action.transfer }
+
+type role =
+  | Principal of { script : scripted_step list; persona : persona_deal list }
+  | Agent of {
+      notifies : scripted_step list;
+      deals : Spec.deal list;
+      deposits : Indemnity.offer list;
+      atomic : bool;
+    }
+
+let role_table ?(shared = false) ?plan ~lockstep spec t =
+  let offers = match plan with Some p -> p.Indemnity.offers | None -> [] in
+  let atomic = Sequencing.atomic_escrow ~shared spec in
+  (* Distributed mode prepends unconditional deposits to each offerer's
+     script; lockstep mode chains them through the protocol prologue. *)
+  let deposit_steps party =
+    List.filter_map
+      (fun o ->
+        if Party.equal o.Indemnity.offered_by party then
+          Some { condition = Now; action = Action.Do (Indemnity.deposit_transfer o) }
+        else None)
+      offers
+  in
+  let principal party =
+    let script = if lockstep then script_of t party else deposit_steps party @ script_of t party in
+    let persona =
+      if not (Party.Map.exists (fun _ p -> Party.equal p party) spec.Spec.personas) then []
+      else
+        List.filter_map
+          (fun d ->
+            if Spec.persona_of spec d.Spec.via = Some party then
+              let incoming, forward = Spec.persona_transfers spec d party in
+              Some { deal = d; incoming; forward }
+            else None)
+          spec.Spec.deals
+    in
+    (party, Principal { script; persona })
+  in
+  let agent party =
+    match Spec.persona_of spec party with
+    | Some _ -> None (* the persona principal acts; no separate agent *)
+    | None ->
+      let notifies =
+        List.filter
+          (fun s -> match s.action with Action.Notify _ -> true | _ -> false)
+          (script_of t party)
+      in
+      let deposits = List.filter (fun o -> Party.equal o.Indemnity.via party) offers in
+      Some
+        ( party,
+          Agent { notifies; deals = Spec.mediated_by spec party; deposits; atomic = atomic party } )
+  in
+  List.map principal (Spec.principals spec) @ List.filter_map agent (Spec.trusted_agents spec)
+
 let equal_condition a b =
   match (a, b) with
   | Now, Now -> true

@@ -42,6 +42,39 @@ val synthesize_lockstep : ?prologue:Action.t list -> Execution.sequence -> t
 val script_of : t -> Party.t -> scripted_step list
 (** Empty for parties with no actions. *)
 
+(** {1 The role table}
+
+    What every party of a run executes, derived once for both runtimes:
+    [Trust_sim.Harness.behaviors_for] turns it into behaviours and
+    {!Compile.compile} into plan arrays. *)
+
+type persona_deal = {
+  deal : Spec.deal;  (** a deal whose trusted role the principal plays (§4.2.3) *)
+  incoming : Action.transfer;  (** the counterparty's commit into the persona *)
+  forward : Action.transfer;  (** the persona's own counterpart transfer *)
+}
+(** {!Exchange.Spec.persona_transfers}, with the deal they belong to. *)
+
+type role =
+  | Principal of { script : scripted_step list; persona : persona_deal list }
+      (** its script, and the deals it mediates as a persona, spec order *)
+  | Agent of {
+      notifies : scripted_step list;  (** the notification steps of its script *)
+      deals : Spec.deal list;  (** {!Exchange.Spec.mediated_by}, spec order *)
+      deposits : Indemnity.offer list;  (** the §6 deposits it holds, offer order *)
+      atomic : bool;  (** {!Sequencing.atomic_escrow} *)
+    }  (** a trusted role no principal plays *)
+
+val role_table :
+  ?shared:bool -> ?plan:Indemnity.plan -> lockstep:bool -> Spec.t -> t -> (Party.t * role) list
+(** Every principal, then every trusted role without a persona, in
+    {!Exchange.Spec.principals} and {!Exchange.Spec.trusted_agents}
+    order. [spec] is the {e split} spec the protocol was synthesized
+    from. A principal's script is its protocol script, preceded off
+    [lockstep] (the distributed runtime) by its unconditional [plan]
+    deposits; lockstep chains those through the protocol prologue
+    instead. *)
+
 val equal_condition : condition -> condition -> bool
 val equal_step : scripted_step -> scripted_step -> bool
 

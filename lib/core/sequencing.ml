@@ -50,11 +50,8 @@ let build ?(granular = false) spec =
     List.concat_map
       (fun owner ->
         if granular && Party.is_trusted owner then
-          let deals =
-            List.filter (fun d -> Party.equal d.Spec.via owner) spec.Spec.deals
-          in
-          match deals with
-          | _ :: _ :: _ -> List.map (fun d -> (owner, Some d.Spec.id)) deals
+          match Spec.mediated_by spec owner with
+          | _ :: _ :: _ as deals -> List.map (fun d -> (owner, Some d.Spec.id)) deals
           | _ -> [ (owner, None) ]
         else [ (owner, None) ])
       (Spec.internal_parties spec)

@@ -17,19 +17,6 @@ let deal_and_side spec cref =
   | None -> invalid_arg ("Outcomes: unknown deal " ^ cref.Spec.deal)
   | Some d -> (d, cref.Spec.side)
 
-(* The transfer a principal performs for its commitment: its item goes to
-   whoever actually plays the trusted role (§4.2.3 personas included).
-   When the principal plays the role itself, the deposit is a no-op and
-   its visible send is the direct delivery to the counterparty. *)
-let send_transfer spec d side =
-  let principal = Spec.commitment_principal d side in
-  let agent = Spec.effective_agent spec d in
-  let target =
-    if Party.equal agent principal then Spec.commitment_principal d (Spec.other_side side)
-    else agent
-  in
-  Action.{ source = principal; target; asset = Spec.commitment_sends d side }
-
 let received_from_deal spec ~party d side state =
   let expects = Spec.commitment_expects d side in
   let counterparty = Spec.commitment_principal d (Spec.other_side side) in
@@ -52,7 +39,7 @@ let classify spec ~party cref state =
   let d, side = deal_and_side spec cref in
   if not (Party.equal (Spec.commitment_principal d side) party) then
     invalid_arg "Outcomes.classify: party is not the principal of that commitment";
-  let transfer = send_transfer spec d side in
+  let transfer = Spec.send_transfer spec d side in
   let sent = State.mem (Action.Do transfer) state in
   let refunded = State.mem (Action.Undo transfer) state in
   let received = received_from_deal spec ~party d side state in
@@ -74,7 +61,7 @@ let extraneous_loss spec ~party state =
       (fun cref ->
         let d, side = deal_and_side spec cref in
         if Party.equal (Spec.commitment_principal d side) party then
-          Some (send_transfer spec d side)
+          Some (Spec.send_transfer spec d side)
         else None)
       (Spec.commitments_of spec party)
   in
@@ -174,7 +161,7 @@ let product options_per_deal ~max_size =
 
 let principal_deal_patterns spec ~party cref =
   let d, side = deal_and_side spec cref in
-  let tr = send_transfer spec d side in
+  let tr = Spec.send_transfer spec d side in
   let expects = Spec.commitment_expects d side in
   let sent = Pattern.of_action (Action.Do tr) in
   let undone = Pattern.of_action (Action.Undo tr) in
@@ -219,7 +206,7 @@ let principal_descriptions spec party ~max_size =
   State.{ descriptions = combos; preferred = all_complete }
 
 let trusted_descriptions spec party ~max_size =
-  let mediated = List.filter (fun d -> Party.equal d.Spec.via party) spec.Spec.deals in
+  let mediated = Spec.mediated_by spec party in
   let deal_options d =
     let left_tr = Action.{ source = d.Spec.left; target = party; asset = d.Spec.left_sends } in
     let right_tr = Action.{ source = d.Spec.right; target = party; asset = d.Spec.right_sends } in

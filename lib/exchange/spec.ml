@@ -288,6 +288,41 @@ let persona_of t trusted = Party.Map.find_opt trusted t.personas
 let effective_agent t d =
   match persona_of t d.via with Some principal -> principal | None -> d.via
 
+(* The deal-transfer rules (§4.2.3–§5). A principal commits its side to
+   whoever actually plays the deal's trusted role. *)
+let commit_transfer t d side =
+  Action.
+    {
+      source = commitment_principal d side;
+      target = effective_agent t d;
+      asset = commitment_sends d side;
+    }
+
+(* The principal's visible send (§4.2.4): when it plays the role itself
+   the commit moves nothing, and what it sends is the direct delivery to
+   the counterparty. *)
+let send_transfer t d side =
+  let tr = commit_transfer t d side in
+  if Party.equal tr.Action.source tr.Action.target then
+    { tr with Action.target = commitment_principal d (other_side side) }
+  else tr
+
+(* Documents forwarded before payments — this is what puts "Trusted2
+   sends document to Broker" before "Trusted2 sends money to Producer"
+   in the paper's worked Example #1 sequence. *)
+let forwards t d =
+  let agent = effective_agent t d in
+  let to_left = Action.{ source = agent; target = d.left; asset = d.right_sends } in
+  let to_right = Action.{ source = agent; target = d.right; asset = d.left_sends } in
+  let docs, money =
+    List.partition (fun tr -> Asset.is_document tr.Action.asset) [ to_left; to_right ]
+  in
+  docs @ money
+
+let persona_transfers t d persona =
+  let mine = if Party.equal d.left persona then Left else Right in
+  (commit_transfer t d (other_side mine), send_transfer t d mine)
+
 let plays_own_agent t cref =
   match find_deal t cref.deal with
   | None -> false

@@ -145,6 +145,30 @@ val effective_agent : t -> deal -> Party.t
 (** The party that actually performs the trusted role of a deal: the
     persona when declared, the abstract trusted party otherwise. *)
 
+(** {2 Deal transfers}
+
+    Each transfer a mediated deal is made of, built in one place for the
+    sequence, both runtimes and the outcome classifier. *)
+
+val commit_transfer : t -> deal -> side -> Action.transfer
+(** The side's principal sends its item to the {!effective_agent}; a
+    no-op (source = target) when the principal plays the role itself. *)
+
+val send_transfer : t -> deal -> side -> Action.transfer
+(** The principal's visible send for its side (§4.2.4): the
+    {!commit_transfer}, or the direct delivery to the counterparty when
+    the principal plays the deal's trusted role itself. *)
+
+val forwards : t -> deal -> Action.transfer list
+(** The {!effective_agent}'s completion of the deal: each side's item
+    forwarded to the other side's principal, documents before money
+    (Example #1's §5 sequence). *)
+
+val persona_transfers : t -> deal -> Party.t -> Action.transfer * Action.transfer
+(** For a principal playing the deal's trusted role (§4.2.3), an
+    endpoint of the deal: the counterparty's commit into it, and its own
+    counterpart transfer to the counterparty. *)
+
 val plays_own_agent : t -> commitment_ref -> bool
 (** Rule #1 clause 2 (§4.2.4): the commitment's principal itself plays
     the deal's trusted-agent role. *)

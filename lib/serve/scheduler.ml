@@ -96,6 +96,28 @@ let recorders m =
 
 let record rec_opt f = Option.iter f rec_opt
 
+(* What one run adds to its session and to the metrics, the same on
+   both runtimes: ticks and events accumulate, the exposure peak keeps
+   the worst attempt, risk ticks and violations accumulate across the
+   retry. *)
+let account (session : Session.t) rec_opt ~duration ~events ~deliveries ~stalled ~peak
+    ~risk_ticks ~violations =
+  let duration = max 1 duration in
+  session.Session.ticks <- session.Session.ticks + duration;
+  session.Session.events <- session.Session.events + events;
+  session.Session.stalled <- stalled;
+  session.Session.exposure_peak <- max session.Session.exposure_peak peak;
+  session.Session.exposure_ticks <- session.Session.exposure_ticks + risk_ticks;
+  session.Session.exposure_violations <- session.Session.exposure_violations + violations;
+  record rec_opt (fun r ->
+      Metrics.incr ~by:events r.engine_events;
+      Metrics.incr ~by:deliveries r.deliveries;
+      Metrics.observe r.ticks_h duration;
+      Metrics.observe r.events_h events;
+      Metrics.observe r.exposure_peak_h peak;
+      Metrics.observe r.exposure_ticks_h risk_ticks;
+      if violations > 0 then Metrics.incr ~by:violations r.exposure_violations)
+
 (* One run of an already-synthesized session on the compiled runtime:
    the cached instruction plan executes against per-domain scratch with
    no per-run protocol allocation when untraced. A live [obs] makes the
@@ -122,24 +144,12 @@ let run_compiled cfg ?obs ?parent (plan : Trust_core.Compile.t) (session : Sessi
   let summary =
     Trust_sim.Hotpath.exec ~config ~defectors:session.Session.defectors ?obs ?parent plan
   in
-  let duration = max 1 summary.Trust_sim.Hotpath.duration in
-  session.Session.ticks <- session.Session.ticks + duration;
-  session.Session.events <- session.Session.events + summary.Trust_sim.Hotpath.events;
-  session.Session.stalled <- summary.Trust_sim.Hotpath.stalled;
-  let peak = Trust_sim.Hotpath.total_peak_risk summary in
-  let risk_ticks = Trust_sim.Hotpath.total_risk_ticks summary in
-  let violations = summary.Trust_sim.Hotpath.violations in
-  session.Session.exposure_peak <- max session.Session.exposure_peak peak;
-  session.Session.exposure_ticks <- session.Session.exposure_ticks + risk_ticks;
-  session.Session.exposure_violations <- session.Session.exposure_violations + violations;
-  record rec_opt (fun r ->
-      Metrics.incr ~by:summary.Trust_sim.Hotpath.events r.engine_events;
-      Metrics.incr ~by:summary.Trust_sim.Hotpath.deliveries r.deliveries;
-      Metrics.observe r.ticks_h duration;
-      Metrics.observe r.events_h summary.Trust_sim.Hotpath.events;
-      Metrics.observe r.exposure_peak_h peak;
-      Metrics.observe r.exposure_ticks_h risk_ticks;
-      if violations > 0 then Metrics.incr ~by:violations r.exposure_violations);
+  account session rec_opt ~duration:summary.Trust_sim.Hotpath.duration
+    ~events:summary.Trust_sim.Hotpath.events ~deliveries:summary.Trust_sim.Hotpath.deliveries
+    ~stalled:summary.Trust_sim.Hotpath.stalled
+    ~peak:(Trust_sim.Hotpath.total_peak_risk summary)
+    ~risk_ticks:(Trust_sim.Hotpath.total_risk_ticks summary)
+    ~violations:summary.Trust_sim.Hotpath.violations;
   if summary.Trust_sim.Hotpath.all_preferred && summary.Trust_sim.Hotpath.stalled = 0 then
     Session.Settled
   else Session.Expired
@@ -180,31 +190,17 @@ let run_interpreted cfg ?(obs = Obs.null) ?parent (entry : Cache.entry) policy
     }
   in
   let result = Harness.run_cast ~config:engine_config ~obs ?parent cast in
-  let duration = max 1 (virtual_duration result) in
-  session.Session.ticks <- session.Session.ticks + duration;
-  session.Session.events <- session.Session.events + result.Engine.events;
-  session.Session.stalled <- List.length result.Engine.stalled;
-  (* Exposure ledger over this run: peak keeps the worst attempt, risk
-     ticks and violations accumulate across the retry. *)
   let exposure =
     Trust_sim.Exposure.of_result ?plan:entry.Cache.plan
       ~defectors:(List.map fst session.Session.defectors)
       entry.Cache.split_spec result
   in
-  let peak = Trust_sim.Exposure.total_peak_at_risk exposure in
-  let risk_ticks = Trust_sim.Exposure.total_risk_ticks exposure in
-  let violations = List.length exposure.Trust_sim.Exposure.violations in
-  session.Session.exposure_peak <- max session.Session.exposure_peak peak;
-  session.Session.exposure_ticks <- session.Session.exposure_ticks + risk_ticks;
-  session.Session.exposure_violations <- session.Session.exposure_violations + violations;
-  record rec_opt (fun r ->
-      Metrics.incr ~by:result.Engine.events r.engine_events;
-      Metrics.incr ~by:(List.length result.Engine.log) r.deliveries;
-      Metrics.observe r.ticks_h duration;
-      Metrics.observe r.events_h result.Engine.events;
-      Metrics.observe r.exposure_peak_h peak;
-      Metrics.observe r.exposure_ticks_h risk_ticks;
-      if violations > 0 then Metrics.incr ~by:violations r.exposure_violations);
+  account session rec_opt ~duration:(virtual_duration result) ~events:result.Engine.events
+    ~deliveries:(List.length result.Engine.log)
+    ~stalled:(List.length result.Engine.stalled)
+    ~peak:(Trust_sim.Exposure.total_peak_at_risk exposure)
+    ~risk_ticks:(Trust_sim.Exposure.total_risk_ticks exposure)
+    ~violations:(List.length exposure.Trust_sim.Exposure.violations);
   let report =
     Audit.audit ~obs ?parent session.Session.spec ?plan:entry.Cache.plan
       ~defectors:(List.map fst session.Session.defectors)

@@ -56,75 +56,42 @@ let silent party = { party; react = (fun _ -> []) }
 
 (* Escrow duties of a principal playing trusted roles: return deposits of
    deals it never completed (its own counterpart transfer never fired). *)
-let with_persona_duties spec party inner =
-  let persona_deals =
-    List.filter
-      (fun d -> Spec.persona_of spec d.Spec.via = Some party)
-      spec.Spec.deals
-  in
-  let my_side d = if Party.equal d.Spec.left party then Spec.Left else Spec.Right in
-  let counterparty d = Spec.commitment_principal d (Spec.other_side (my_side d)) in
-  (* the trusting counterparty's deposit into me *)
-  let incoming_of d =
-    Action.
-      {
-        source = counterparty d;
-        target = party;
-        asset = Spec.commitment_sends d (Spec.other_side (my_side d));
-      }
-  in
-  (* my own irrevocable counterpart transfer *)
-  let forward_of d =
-    Action.
-      {
-        source = party;
-        target = counterparty d;
-        asset = Spec.commitment_sends d (my_side d);
-      }
-  in
+let with_persona_duties party persona inner =
   let received : (string, Action.transfer) Hashtbl.t = Hashtbl.create 4 in
   let completed : (string, unit) Hashtbl.t = Hashtbl.create 4 in
   let note_incoming action =
     match action with
     | Action.Do tr when Party.equal tr.Action.target party ->
       List.iter
-        (fun d ->
-          if Action.equal (Action.Do tr) (Action.Do (incoming_of d)) then
-            Hashtbl.replace received d.Spec.id tr)
-        persona_deals
+        (fun pd ->
+          if Action.equal (Action.Do tr) (Action.Do pd.Protocol.incoming) then
+            Hashtbl.replace received pd.Protocol.deal.Spec.id tr)
+        persona
     | Action.Do _ | Action.Undo _ | Action.Notify _ -> ()
   in
   let note_outgoing actions =
     List.iter
       (fun action ->
         List.iter
-          (fun d ->
-            if Action.equal action (Action.Do (forward_of d)) then
-              Hashtbl.replace completed d.Spec.id ())
-          persona_deals)
+          (fun pd ->
+            if Action.equal action (Action.Do pd.Protocol.forward) then
+              Hashtbl.replace completed pd.Protocol.deal.Spec.id ())
+          persona)
       actions
   in
-  let returns_at_deadline () =
+  (* return the deposits of the unfinished deals [due] selects *)
+  let return_unfinished due =
     List.filter_map
-      (fun d ->
-        match Hashtbl.find_opt received d.Spec.id with
-        | Some tr when not (Hashtbl.mem completed d.Spec.id) ->
-          Hashtbl.replace completed d.Spec.id ();
-          Some (Action.Undo tr)
-        | Some _ | None -> None)
-      persona_deals
-  in
-  let return_one deal_id =
-    List.filter_map
-      (fun d ->
-        if not (String.equal d.Spec.id deal_id) then None
+      (fun pd ->
+        let id = pd.Protocol.deal.Spec.id in
+        if not (due id) then None
         else
-          match Hashtbl.find_opt received d.Spec.id with
-          | Some tr when not (Hashtbl.mem completed d.Spec.id) ->
-            Hashtbl.replace completed d.Spec.id ();
+          match Hashtbl.find_opt received id with
+          | Some tr when not (Hashtbl.mem completed id) ->
+            Hashtbl.replace completed id ();
             Some (Action.Undo tr)
           | Some _ | None -> None)
-      persona_deals
+      persona
   in
   let react obs =
     (match obs with
@@ -133,8 +100,8 @@ let with_persona_duties spec party inner =
     let actions = react inner obs in
     note_outgoing actions;
     match obs with
-    | Deadline -> actions @ returns_at_deadline ()
-    | Expired deal_id -> actions @ return_one deal_id
+    | Deadline -> actions @ return_unfinished (fun _ -> true)
+    | Expired deal_id -> actions @ return_unfinished (String.equal deal_id)
     | Start | Incoming _ -> actions
   in
   { party; react }
@@ -159,6 +126,9 @@ let partial party steps ~keep =
 module Escrow = struct
   type deal_state = {
     deal : Spec.deal;
+    left_in : Action.transfer;  (** the Left side's commit *)
+    right_in : Action.transfer;
+    forwards : Action.t list;  (** completion, documents before money *)
     mutable got_left : bool;
     mutable got_right : bool;
     mutable completed : bool;
@@ -172,35 +142,25 @@ module Escrow = struct
   }
 
   type state = {
-    me : Party.t;
-    spec : Spec.t;
     atomic : bool;
     deals : deal_state list;
     deposits : deposit_state list;
     notify_script : Script.state;
   }
 
-  let side_transfer ds side =
-    let d = ds.deal in
-    let principal = Spec.commitment_principal d side in
-    Action.{ source = principal; target = d.Spec.via; asset = Spec.commitment_sends d side }
+  let track spec d =
+    {
+      deal = d;
+      left_in = Spec.commit_transfer spec d Spec.Left;
+      right_in = Spec.commit_transfer spec d Spec.Right;
+      forwards = List.map (fun tr -> Action.Do tr) (Spec.forwards spec d);
+      got_left = false;
+      got_right = false;
+      completed = false;
+      closed = false;
+    }
 
-  let forwards ds =
-    let d = ds.deal in
-    let to_left = Action.{ source = d.Spec.via; target = d.Spec.left; asset = d.Spec.right_sends } in
-    let to_right = Action.{ source = d.Spec.via; target = d.Spec.right; asset = d.Spec.left_sends } in
-    let docs, money =
-      List.partition (fun tr -> Asset.is_document tr.Action.asset) [ to_left; to_right ]
-    in
-    List.map (fun tr -> Action.Do tr) (docs @ money)
-
-  let deposit_transfer dep =
-    Action.
-      {
-        source = dep.offer.Indemnity.offered_by;
-        target = dep.offer.Indemnity.via;
-        asset = Asset.money dep.offer.Indemnity.amount;
-      }
+  let side_transfer ds = function Spec.Left -> ds.left_in | Spec.Right -> ds.right_in
 
   (* Deposits covering a deal are returned the moment the deal completes. *)
   let settle_on_completion state deal_id =
@@ -211,7 +171,7 @@ module Escrow = struct
           && String.equal dep.offer.Indemnity.piece.Spec.deal deal_id
         then begin
           dep.settled <- true;
-          [ Action.Undo (deposit_transfer dep) ]
+          [ Action.Undo (Indemnity.deposit_transfer dep.offer) ]
         end
         else [])
       state.deposits
@@ -235,7 +195,7 @@ module Escrow = struct
     List.find_opt
       (fun dep ->
         (not dep.received) && (not dep.settled)
-        && Action.equal (Action.Do (deposit_transfer dep)) (Action.Do tr))
+        && Action.equal (Action.Do (Indemnity.deposit_transfer dep.offer)) (Action.Do tr))
       state.deposits
 
   let ready ds = ds.got_left && ds.got_right
@@ -245,7 +205,7 @@ module Escrow = struct
      ready, then flushes them all (§8's coordinated transaction). *)
   let complete state ds =
     ds.completed <- true;
-    forwards ds @ settle_on_completion state ds.deal.Spec.id
+    ds.forwards @ settle_on_completion state ds.deal.Spec.id
 
   let on_incoming state tr =
     match match_deal_side state tr with
@@ -269,16 +229,17 @@ module Escrow = struct
            trusted component returns what it cannot account for. *)
         [ Action.Undo tr ])
 
-  (* §6: forfeit to the protected party when it paid for the covered
-     piece and the piece never completed; return to the offerer
+  (* §6: settle the outstanding deposits whose covered deal [due]
+     selects — forfeit to the protected party when it paid for the
+     covered piece and the piece never completed; return to the offerer
      otherwise. *)
-  let settle_at_deadline state =
+  let settle state due =
     List.concat_map
       (fun dep ->
-        if dep.settled || not dep.received then []
+        let piece = dep.offer.Indemnity.piece in
+        if dep.settled || (not dep.received) || not (due piece.Spec.deal) then []
         else begin
           dep.settled <- true;
-          let piece = dep.offer.Indemnity.piece in
           let covered =
             List.find_opt (fun ds -> String.equal ds.deal.Spec.id piece.Spec.deal) state.deals
           in
@@ -292,16 +253,8 @@ module Escrow = struct
             match covered with Some ds -> ds.completed | None -> false
           in
           if owner_paid && not piece_completed then
-            [
-              Action.Do
-                Action.
-                  {
-                    source = state.me;
-                    target = dep.offer.Indemnity.owner;
-                    asset = Asset.money dep.offer.Indemnity.amount;
-                  };
-            ]
-          else [ Action.Undo (deposit_transfer dep) ]
+            [ Action.Do (Indemnity.forfeit_transfer dep.offer) ]
+          else [ Action.Undo (Indemnity.deposit_transfer dep.offer) ]
         end)
       state.deposits
 
@@ -317,8 +270,7 @@ module Escrow = struct
       return Spec.Left ds.got_left @ return Spec.Right ds.got_right
     end
 
-  let on_deadline state =
-    List.concat_map close state.deals @ settle_at_deadline state
+  let on_deadline state = List.concat_map close state.deals @ settle state (fun _ -> true)
 
   (* A single deal's own deadline (§2.2): unwind that deal and settle the
      deposits that covered it — the notification tied to it has expired,
@@ -329,54 +281,12 @@ module Escrow = struct
         (fun ds -> if String.equal ds.deal.Spec.id deal_id then close ds else [])
         state.deals
     in
-    let settlements =
-      List.concat_map
-        (fun dep ->
-          if
-            dep.settled || (not dep.received)
-            || not (String.equal dep.offer.Indemnity.piece.Spec.deal deal_id)
-          then []
-          else begin
-            dep.settled <- true;
-            let covered =
-              List.find_opt (fun ds -> String.equal ds.deal.Spec.id deal_id) state.deals
-            in
-            let owner_paid =
-              match covered with
-              | None -> false
-              | Some ds -> (
-                match dep.offer.Indemnity.piece.Spec.side with
-                | Spec.Left -> ds.got_left
-                | Spec.Right -> ds.got_right)
-            in
-            let piece_completed = match covered with Some ds -> ds.completed | None -> false in
-            if owner_paid && not piece_completed then
-              [
-                Action.Do
-                  Action.
-                    {
-                      source = state.me;
-                      target = dep.offer.Indemnity.owner;
-                      asset = Asset.money dep.offer.Indemnity.amount;
-                    };
-              ]
-            else [ Action.Undo (deposit_transfer dep) ]
-          end)
-        state.deposits
-    in
-    returns @ settlements
+    returns @ settle state (String.equal deal_id)
 end
 
 let coordinator spec me =
-  let deals =
-    List.map
-      (fun d ->
-        Escrow.{ deal = d; got_left = false; got_right = false; completed = false; closed = false })
-      spec.Spec.deals
-  in
-  let state =
-    Escrow.{ me; spec; atomic = false; deals; deposits = []; notify_script = Script.create [] }
-  in
+  let deals = List.map (Escrow.track spec) spec.Spec.deals in
+  let state = Escrow.{ atomic = false; deals; deposits = []; notify_script = Script.create [] } in
   (* Deposits to see before anything becomes irrevocable: all money
      sides, and the document sides their owners hold from the start
      (resold copies cycle through later). *)
@@ -422,26 +332,15 @@ let coordinator spec me =
   in
   { party = me; react }
 
-let escrow ?(atomic = false) spec me ~notifies ~indemnities =
-  let deals =
-    List.filter_map
-      (fun d ->
-        if Party.equal d.Spec.via me then
-          Some
-            Escrow.{ deal = d; got_left = false; got_right = false; completed = false; closed = false }
-        else None)
-      spec.Spec.deals
-  in
-  let deposits =
-    List.filter_map
-      (fun offer ->
-        if Party.equal offer.Indemnity.via me then
-          Some Escrow.{ offer; received = false; settled = false }
-        else None)
-      indemnities
-  in
+let escrow ?(atomic = false) spec me ~notifies ~deals ~deposits =
   let state =
-    Escrow.{ me; spec; atomic; deals; deposits; notify_script = Script.create notifies }
+    Escrow.
+      {
+        atomic;
+        deals = List.map (track spec) deals;
+        deposits = List.map (fun offer -> { offer; received = false; settled = false }) deposits;
+        notify_script = Script.create notifies;
+      }
   in
   let react obs =
     Script.note state.Escrow.notify_script obs;

@@ -38,17 +38,22 @@ val escrow :
   Spec.t ->
   Party.t ->
   notifies:Trust_core.Protocol.scripted_step list ->
-  indemnities:Trust_core.Indemnity.offer list ->
+  deals:Spec.deal list ->
+  deposits:Trust_core.Indemnity.offer list ->
   t
 (** The trusted-component automaton (§2.5) for a non-persona trusted
-    role: records incoming deal items; when both sides of a deal are in,
-    forwards them (documents first); runs its notification script
-    reactively; holds indemnity deposits, returning each when its
-    covered deal completes. At [Deadline] it returns every item of an
-    incomplete deal to its sender and settles outstanding deposits —
-    forfeiting a deposit to the protected party when that party had paid
-    for the covered piece and the piece never arrived (§6), returning it
-    to the offerer otherwise.
+    role, over the [deals] it mediates and the [deposits] it holds (its
+    {!Trust_core.Protocol.role_table} entry): records incoming deal
+    items ({!Exchange.Spec.commit_transfer}); when both sides of a deal
+    are in, forwards them ({!Exchange.Spec.forwards}, documents first);
+    runs its notification script reactively; holds indemnity deposits,
+    returning each when its covered deal completes. At [Deadline] it
+    returns every item of an incomplete deal to its sender and settles
+    outstanding deposits — forfeiting a deposit to the protected party
+    when that party had paid for the covered piece and the piece never
+    arrived (§6, {!Trust_core.Indemnity.forfeit_transfer}), returning it
+    to the offerer otherwise. A deal's own expiry does the same for that
+    deal and the deposits covering it.
 
     With [atomic] (default false) the agent behaves as §8's coordinating
     intermediary: nothing is forwarded until {e every} deal it mediates
@@ -66,13 +71,15 @@ val coordinator : Spec.t -> Party.t -> t
     (resold documents cycle out to the reseller and back in). At
     [Deadline] anything unfinished unwinds. *)
 
-val with_persona_duties : Spec.t -> Party.t -> t -> t
+val with_persona_duties : Party.t -> Trust_core.Protocol.persona_deal list -> t -> t
 (** Wrap a principal that plays one or more trusted roles (§4.2.3) with
-    the escrow duties those roles imply: it tracks what the trusting
-    counterparties deposited with it, and at [Deadline] returns any
-    deposit whose deal it has not completed (its own outbound transfer
-    for that deal never fired). Without this, a stalled exchange leaves
-    the truster's goods stranded with the persona. *)
+    the escrow duties those roles imply, over the persona deals of its
+    {!Trust_core.Protocol.role_table} entry: it tracks what the trusting
+    counterparties deposited with it, and at [Deadline] (or a deal's own
+    expiry) returns any deposit whose deal it has not completed (its own
+    outbound transfer for that deal never fired). Without this, a
+    stalled exchange leaves the truster's goods stranded with the
+    persona. *)
 
 val silent : Party.t -> t
 (** An adversary that never sends anything (receives are passive). *)

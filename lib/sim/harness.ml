@@ -28,60 +28,31 @@ let deposit_actions plan =
   | None -> []
   | Some plan -> Indemnity.deposits plan
 
-(* Distributed mode prepends unconditional deposits to each offerer's
-   script; lockstep mode chains them through the protocol prologue. *)
-let distributed_deposit_steps plan party =
-  List.filter_map
-    (fun action ->
-      if Party.equal (Action.performer action) party then
-        Some Protocol.{ condition = Now; action }
-      else None)
-    (deposit_actions plan)
-
 (* Behaviours are single-run stateful machines, so anything that reuses
    a synthesized protocol (notably the serve-layer protocol cache) must
    rebuild them per run; [assemble] shares this constructor. [split_spec]
    is the spec the protocol was synthesized from, i.e. after the plan's
    indemnity splits were applied. *)
-let behaviors_for ?(shared = false) ?plan ?(defectors = []) ~mode split_spec protocol =
-  let offers = match plan with Some p -> p.Indemnity.offers | None -> [] in
-  let atomic = Trust_core.Sequencing.atomic_escrow ~shared split_spec in
+let behaviors_for ?shared ?plan ?(defectors = []) ~mode split_spec protocol =
   let defection_of party =
     List.find_map
       (fun (p, d) -> if Party.equal p party then Some d else None)
       defectors
   in
-  let principal_behavior party =
-    let script =
-      match mode with
-      | Lockstep -> Protocol.script_of protocol party
-      | Distributed -> distributed_deposit_steps plan party @ Protocol.script_of protocol party
-    in
-    let plays_a_role =
-      Party.Map.exists (fun _ p -> Party.equal p party) split_spec.Spec.personas
-    in
-    let add_duties inner =
-      if plays_a_role then Behavior.with_persona_duties split_spec party inner else inner
-    in
-    match defection_of party with
-    | None -> add_duties (Behavior.scripted party script)
-    | Some Silent -> Behavior.silent party
-    | Some (Partial keep) -> Behavior.partial party script ~keep
+  let behavior (party, role) =
+    match role with
+    | Protocol.Principal { script; persona } -> (
+      match defection_of party with
+      | None ->
+        let honest = Behavior.scripted party script in
+        if persona = [] then honest else Behavior.with_persona_duties party persona honest
+      | Some Silent -> Behavior.silent party
+      | Some (Partial keep) -> Behavior.partial party script ~keep)
+    | Protocol.Agent { notifies; deals; deposits; atomic } ->
+      Behavior.escrow ~atomic split_spec party ~notifies ~deals ~deposits
   in
-  let trusted_behavior party =
-    match Spec.persona_of split_spec party with
-    | Some _ -> None (* the persona principal acts; no separate agent *)
-    | None ->
-      let notifies =
-        List.filter
-          (fun step ->
-            match step.Protocol.action with Action.Notify _ -> true | _ -> false)
-          (Protocol.script_of protocol party)
-      in
-      Some (Behavior.escrow ~atomic:(atomic party) split_spec party ~notifies ~indemnities:offers)
-  in
-  List.map principal_behavior (Spec.principals split_spec)
-  @ List.filter_map trusted_behavior (Spec.trusted_agents split_spec)
+  List.map behavior
+    (Protocol.role_table ?shared ?plan ~lockstep:(mode = Lockstep) split_spec protocol)
 
 (* Every sequence about to become a protocol first passes the
    independent §5 verifier: the synthesizer is never its own witness. *)

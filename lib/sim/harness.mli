@@ -42,8 +42,10 @@ val behaviors_for :
   Trust_core.Protocol.t ->
   Behavior.t list
 (** Build fresh behaviours for one run of an already-synthesized
-    protocol: scripted principals (replaced by the requested defection
-    for parties listed in [defectors]) and escrow automata for every
+    protocol from its {!Trust_core.Protocol.role_table} (the table
+    {!Trust_core.Compile.compile} reads too): scripted principals with
+    their persona duties (replaced by the requested defection for
+    parties listed in [defectors]) and escrow automata for every
     non-persona trusted role. The [Spec.t] argument is the {e split}
     spec the protocol was synthesized from. Behaviours are single-run
     stateful machines — callers that reuse a protocol across runs (the

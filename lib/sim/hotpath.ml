@@ -6,9 +6,11 @@
    runs) instead of rebuilding behaviours, bags and ledgers per
    session. Every semantic decision — heap tie-breaks, script firing,
    escrow/persona automata, parking and retry, custody provenance,
-   sampling — replicates the interpreted modules line for line;
-   [Harness.behaviors_for] remains the oracle and the replication is
-   property-tested in test_hotpath.
+   sampling — replicates the interpreted modules line for line. Who
+   runs what, and every transfer, is not replicated: the plan and
+   [Harness.behaviors_for] are both built from [Protocol.role_table].
+   The behaviours remain the oracle and the replication of their
+   automata is property-tested in test_hotpath.
 
    The only per-run allocations are the exposure provenance lists
    (small, proportional to in-flight custody) and the returned summary;

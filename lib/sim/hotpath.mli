@@ -4,9 +4,10 @@
     [Audit.audit], traced or not: runs a [Trust_core.Compile.t]
     instruction plan against per-domain scratch arrays, allocating no
     protocol structures per untraced session. Semantics replicate the interpreted
-    modules exactly — [Harness.behaviors_for] remains the oracle, and
-    test_hotpath property-tests the equivalence over random specs and
-    defection batteries. *)
+    modules exactly — the plan and [Harness.behaviors_for] read one
+    [Protocol.role_table], the behaviours remain the oracle, and
+    test_hotpath property-tests the equivalence over random specs,
+    named worked examples and defection batteries. *)
 
 open Exchange
 

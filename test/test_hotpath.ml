@@ -196,22 +196,32 @@ let test_random_specs () =
       policies
   done
 
+(* Named inputs, so the comparison always covers the paths the role
+   table builds: §6 deposits with their refunds and forfeits (fig7),
+   rescued specs with one plan (example2) and with a persona
+   (example2_broker_trusts_source), two plans (two_bundles) and personas
+   on every deal (example1 under direct trust). *)
 let test_worked_examples () =
-  let specs =
-    [
-      Workload.Scenarios.simple_sale;
-      Workload.Scenarios.example1;
-      Workload.Scenarios.example2_source_trusts_broker;
-      Gen.chain ~brokers:3;
-      Gen.bundle ~docs:3;
-      Gen.fan ~prices:[ Asset.dollars 10; Asset.dollars 20; Asset.dollars 30 ];
-    ]
+  let two_bundles =
+    match Trust_lang.Elaborate.from_file "../specs/two_bundles.exg" with
+    | Ok spec -> spec
+    | Error e -> Alcotest.failf "two_bundles.exg: %s" e
   in
-  List.iteri
-    (fun i spec ->
+  let specs =
+    Workload.Scenarios.all
+    @ [
+        ("two_bundles.exg", two_bundles);
+        ( "example1 direct trust",
+          Trust_core.Cost.with_all_direct_trust Workload.Scenarios.example1 );
+        ("chain 3", Gen.chain ~brokers:3);
+        ("bundle 3", Gen.bundle ~docs:3);
+        ("fan 10/20/30", Gen.fan ~prices:[ Asset.dollars 10; Asset.dollars 20; Asset.dollars 30 ]);
+      ]
+  in
+  List.iter
+    (fun (label, spec) ->
       List.iteri
-        (fun j policy ->
-          check_spec ~ctx:(Printf.sprintf "example %d policy %d" i j) policy spec)
+        (fun j policy -> check_spec ~ctx:(Printf.sprintf "%s policy %d" label j) policy spec)
         policies)
     specs
 

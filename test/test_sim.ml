@@ -262,7 +262,7 @@ let test_unexpected_arrival_bounced () =
     [
       Trust_sim.Behavior.scripted stray_sender
         [ { Trust_core.Protocol.condition = Trust_core.Protocol.Now; action = Action.Do stray } ];
-      Trust_sim.Behavior.escrow spec t ~notifies:[] ~indemnities:[];
+      Trust_sim.Behavior.escrow spec t ~notifies:[] ~deals:(Spec.mediated_by spec t) ~deposits:[];
     ]
   in
   let result = Engine.run spec ~deposits:[] ~behaviors in
