@@ -5,22 +5,36 @@ module Obs = Trust_obs.Obs
 
 type format = Human | Json | Sarif
 
+type tally = { diagnostics : int; errors : int; warnings : int }
+
+let tally diagnostics =
+  let by severity =
+    List.length (List.filter (fun d -> d.Diagnostic.severity = severity) diagnostics)
+  in
+  {
+    diagnostics = List.length diagnostics;
+    errors = by Diagnostic.Error;
+    warnings = by Diagnostic.Warning;
+  }
+
+let with_span obs ?parent ~deep f =
+  Obs.with_span obs ?parent ~phase:"lint" "lint" (fun h ->
+      let result, t = f () in
+      if Obs.enabled obs then begin
+        Obs.attr obs h "deep" (Obs.Bool deep);
+        Obs.attr obs h "diagnostics" (Obs.Int t.diagnostics);
+        Obs.attr obs h "errors" (Obs.Int t.errors);
+        Obs.attr obs h "warnings" (Obs.Int t.warnings)
+      end;
+      result)
+
 let check_spec ?(obs = Obs.null) ?parent ?file ?decls ?static ?(deep = true)
     spec =
-  Obs.with_span obs ?parent ~phase:"lint" "lint" (fun h ->
+  with_span obs ?parent ~deep (fun () ->
       let diagnostics =
         Diagnostic.sort (Rules.check ?file ?decls ?static ~deep spec)
       in
-      if Obs.enabled obs then begin
-        let by severity =
-          List.length (List.filter (fun d -> d.Diagnostic.severity = severity) diagnostics)
-        in
-        Obs.attr obs h "deep" (Obs.Bool deep);
-        Obs.attr obs h "diagnostics" (Obs.Int (List.length diagnostics));
-        Obs.attr obs h "errors" (Obs.Int (by Diagnostic.Error));
-        Obs.attr obs h "warnings" (Obs.Int (by Diagnostic.Warning))
-      end;
-      diagnostics)
+      (diagnostics, tally diagnostics))
 
 let elaboration_diags ?file errors =
   List.map

@@ -26,6 +26,17 @@ val check_spec :
     deterministically. [obs]/[parent] attach a ["lint"] span (diagnostic
     tallies) to a trace; the default null sink records nothing. *)
 
+type tally = { diagnostics : int; errors : int; warnings : int }
+(** What a ["lint"] span reports of a diagnostic list. *)
+
+val tally : Diagnostic.t list -> tally
+
+val with_span :
+  Trust_obs.Obs.t -> ?parent:Trust_obs.Obs.handle -> deep:bool -> (unit -> 'a * tally) -> 'a
+(** The ["lint"] span {!check_spec} records, around a lint whose tally
+    may come from elsewhere (the serve admission memo): [deep] and the
+    tally's three counts, in that order. *)
+
 val lint_source :
   ?file:string -> ?static:bool -> ?deep:bool -> string -> Diagnostic.t list
 (** Parse, elaborate and lint DSL source. Lex/parse failures yield a

@@ -64,10 +64,14 @@ type role =
 
 type commit_check = {
   cc_send : int;  (** the principal's visible send for this commitment *)
-  cc_recv : int array;  (** candidate deliveries that complete it *)
+  cc_recv : int array;  (** [Spec.deliveries]: any one of them completes it *)
+  cc_split : bool;  (** split off the principal's conjunction (§6) *)
+  cc_payouts : int array;  (** split only: money it accepts as its indemnity payout *)
 }
 
-type judge = Judge_principal of int * commit_check array | Judge_trusted of int
+type judge =
+  | Judge_principal of { party : int; checks : commit_check array; extraneous : int array }
+  | Judge_trusted of int
 
 type t = {
   spec : Spec.t;  (** the split spec the protocol was synthesized from *)
@@ -103,6 +107,8 @@ type t = {
   expiries : (int * int) array;  (** (deal index, expiry tick), spec order *)
   (* audit *)
   judged : judge array;
+  initial_money : int;  (** behaviour parties' initial endowments, summed *)
+  initial_docs : int;
   (* exposure *)
   deposit_expect : int array;  (** per action id: §6 deposit occurrences *)
   price_src : int array;  (** value of the asset to the releasing party *)
@@ -246,31 +252,24 @@ let compile ~lockstep ~shared ?plan ~price spec protocol =
       (fun party -> not (Party.is_trusted party && Spec.persona_of spec party <> None))
       (Spec.parties spec)
   in
-  let commit_checks party =
+  (* per own side: its send, its deliveries and, when split, the
+     indemnity amount a payout must cover (0 when unsplit) *)
+  let own_checks party =
     List.map
       (fun (cref, d) ->
         let side = cref.Spec.side in
-        let send = Spec.send_transfer spec d side in
-        let expects = Spec.commitment_expects d side in
-        let counterparty = Spec.commitment_principal d (Spec.other_side side) in
-        let recv src = Action.Do Action.{ source = src; target = party; asset = expects } in
-        {
-          cc_send = act_id (Action.Do send);
-          cc_recv =
-            Array.of_list
-              (List.map recv [ Spec.effective_agent spec d; d.Spec.via; counterparty ]
-              |> List.map act_id);
-        })
+        let split = Spec.is_split spec party cref in
+        let recv =
+          Array.of_list (List.map (fun tr -> act_id (Action.Do tr)) (Spec.deliveries spec d side))
+        in
+        let send = act_id (Action.Do (Spec.send_transfer spec d side)) in
+        (send, recv, split, if split then Spec.indemnity_amount spec party cref else 0))
       (Spec.own_sides spec party)
-    |> Array.of_list
   in
-  let judged =
-    Array.of_list
-      (List.map
-         (fun party ->
-           if Party.is_trusted party then Judge_trusted (party_id party)
-           else Judge_principal (party_id party, commit_checks party))
-         judged_src)
+  let judged_src =
+    List.map
+      (fun party -> (party, if Party.is_trusted party then [] else own_checks party))
+      judged_src
   in
   List.iter (fun a -> ignore (act_id a)) deposit_actions;
   let do_snapshot = List.rev !act_rev in
@@ -346,6 +345,9 @@ let compile ~lockstep ~shared ?plan ~price spec protocol =
   let price_tgt = Array.make n_actions 0 in
   let src_principal = Array.make n_actions false in
   let tgt_trusted = Array.make n_actions false in
+  (* audit candidates bucketed by party: every [Do] it sends, and every
+     money [Do] it receives *)
+  let sends_of = Array.make n_parties [] and paid_to = Array.make n_parties [] in
   Array.iteri
     (fun i action ->
       match action with
@@ -364,6 +366,10 @@ let compile ~lockstep ~shared ?plan ~price spec protocol =
         (match tr.Action.asset with
         | Asset.Document d -> act_doc.(i) <- doc_id d
         | Asset.Money m -> act_amount.(i) <- m);
+        if is_do then begin
+          sends_of.(source) <- i :: sends_of.(source);
+          if act_doc.(i) < 0 then paid_to.(target) <- i :: paid_to.(target)
+        end;
         (* exposure views the releasing side as src: Do source / Undo target *)
         let xsrc = parties.(debit) and xtgt = parties.(credit) in
         price_src.(i) <- price xsrc tr.Action.asset;
@@ -377,6 +383,38 @@ let compile ~lockstep ~shared ?plan ~price spec protocol =
         act_undo.(Hashtbl.find act_tbl a) <- Hashtbl.find act_tbl (Action.Undo tr)
       | Action.Undo _ | Action.Notify _ -> ())
     actions;
+  (* -- audit: each principal's checks; its extraneous sends are the
+     [Do]s it makes outside its own sides, which must end undone -- *)
+  let own_send = Array.make n_actions false in
+  List.iter
+    (fun (_, checks) -> List.iter (fun (send, _, _, _) -> own_send.(send) <- true) checks)
+    judged_src;
+  let judged =
+    Array.of_list
+      (List.map
+         (fun (party, checks) ->
+           let pi = party_id party in
+           if Party.is_trusted party then Judge_trusted pi
+           else
+             let check (send, recv, split, amount) =
+               let covers a = act_amount.(a) >= amount in
+               {
+                 cc_send = send;
+                 cc_recv = recv;
+                 cc_split = split;
+                 cc_payouts =
+                   (if amount > 0 then Array.of_list (List.filter covers paid_to.(pi)) else [||]);
+               }
+             in
+             Judge_principal
+               {
+                 party = pi;
+                 checks = Array.of_list (List.map check checks);
+                 extraneous =
+                   Array.of_list (List.filter (fun a -> not own_send.(a)) sends_of.(pi));
+               })
+         judged_src)
+  in
   let deposit_expect = Array.make n_actions 0 in
   List.iter
     (fun (o : Indemnity.offer) ->
@@ -389,6 +427,7 @@ let compile ~lockstep ~shared ?plan ~price spec protocol =
   (* -- endowments (Engine.initial_endowment, per behaviour party) -- *)
   let endow_balance = Array.make n_names 0 in
   let endow_docs = Array.init n_names (fun _ -> Array.make n_docs 0) in
+  let initial_money = ref 0 and initial_docs = ref 0 in
   Array.iter
     (fun (pi, _) ->
       let party = parties.(pi) in
@@ -406,7 +445,9 @@ let compile ~lockstep ~shared ?plan ~price spec protocol =
         (fun (o : Indemnity.offer) ->
           if Party.equal o.Indemnity.offered_by party then
             endow_balance.(name) <- endow_balance.(name) + o.Indemnity.amount)
-        offers)
+        offers;
+      initial_money := !initial_money + endow_balance.(name);
+      initial_docs := Array.fold_left ( + ) !initial_docs endow_docs.(name))
     roles;
   (* -- deadlines, bounds -- *)
   let expiries = ref [] in
@@ -444,6 +485,8 @@ let compile ~lockstep ~shared ?plan ~price spec protocol =
     endow_docs;
     expiries = Array.of_list (List.rev !expiries);
     judged;
+    initial_money = !initial_money;
+    initial_docs = !initial_docs;
     deposit_expect;
     price_src;
     price_tgt;

@@ -53,12 +53,29 @@ type role =
   | Script of { steps : step array; persona : persona_deal array }
   | Escrow of escrow
 
+(** One own side of a judged principal, enough to classify it as
+    [Exchange.Outcomes.classify] does from the delivered actions. *)
 type commit_check = {
   cc_send : int;  (** the principal's visible send for this commitment *)
-  cc_recv : int array;  (** candidate deliveries completing it *)
+  cc_recv : int array;
+      (** {!Exchange.Spec.deliveries}: any one delivered completes it *)
+  cc_split : bool;  (** split off the principal's conjunction by an indemnity (§6) *)
+  cc_payouts : int array;
+      (** split sides only: the money [Do]s into the principal that
+          cover its indemnity amount, so that a refund plus any one of
+          them is [Indemnified]; empty when unsplit or the amount is 0 *)
 }
 
-type judge = Judge_principal of int * commit_check array | Judge_trusted of int
+(** Per judged party, [Trust_sim.Audit] order: what the §3 audit reads. *)
+type judge =
+  | Judge_principal of {
+      party : int;
+      checks : commit_check array;  (** its own sides, spec order *)
+      extraneous : int array;
+          (** every [Do] it sends outside its own sides (a §6 deposit, a
+              bounce); each one delivered must also be undone *)
+    }
+  | Judge_trusted of int  (** judged a clean conduit: net flows zero *)
 
 type t = {
   spec : Spec.t;  (** the split spec the protocol was synthesized from *)
@@ -91,6 +108,11 @@ type t = {
   endow_docs : int array array;  (** per name index, per doc id *)
   expiries : (int * int) array;  (** (deal index, expiry tick), spec order *)
   judged : judge array;
+  initial_money : int;
+      (** money over the behaviour parties' initial endowments, one
+          term per role — what the audit's conservation check compares
+          the final holdings with *)
+  initial_docs : int;  (** documents over the same endowments *)
   deposit_expect : int array;  (** per action id: §6 deposit occurrences *)
   price_src : int array;  (** asset value to the releasing party *)
   price_tgt : int array;

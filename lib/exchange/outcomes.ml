@@ -17,12 +17,8 @@ let deal_and_side spec cref =
   | None -> invalid_arg ("Outcomes: unknown deal " ^ cref.Spec.deal)
   | Some d -> (d, cref.Spec.side)
 
-let received_from_deal spec ~party d side state =
-  let expects = Spec.commitment_expects d side in
-  let counterparty = Spec.commitment_principal d (Spec.other_side side) in
-  let sources = [ Spec.effective_agent spec d; d.Spec.via; counterparty ] in
-  let came_from src = State.mem (Action.Do { source = src; target = party; asset = expects }) state in
-  List.exists came_from sources
+let received_from_deal spec d side state =
+  List.exists (fun tr -> State.mem (Action.Do tr) state) (Spec.deliveries spec d side)
 
 let payout_received spec ~party cref state =
   let amount = Spec.indemnity_amount spec party cref in
@@ -42,7 +38,7 @@ let classify spec ~party cref state =
   let transfer = Spec.send_transfer spec d side in
   let sent = State.mem (Action.Do transfer) state in
   let refunded = State.mem (Action.Undo transfer) state in
-  let received = received_from_deal spec ~party d side state in
+  let received = received_from_deal spec d side state in
   match (sent, received, refunded) with
   | true, true, _ -> Complete
   | true, false, true ->

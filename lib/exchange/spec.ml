@@ -307,6 +307,15 @@ let send_transfer t d side =
     { tr with Action.target = commitment_principal d (other_side side) }
   else tr
 
+(* The audit's delivery rule: a principal has its expected item when
+   the party playing the role, the abstract role or the counterparty
+   sent it. *)
+let deliveries t d side =
+  let asset = commitment_expects d side and target = commitment_principal d side in
+  List.map
+    (fun source -> Action.{ source; target; asset })
+    [ effective_agent t d; d.via; commitment_principal d (other_side side) ]
+
 (* Documents forwarded before payments — this is what puts "Trusted2
    sends document to Broker" before "Trusted2 sends money to Producer"
    in the paper's worked Example #1 sequence. *)

@@ -159,6 +159,12 @@ val send_transfer : t -> deal -> side -> Action.transfer
     {!commit_transfer}, or the direct delivery to the counterparty when
     the principal plays the deal's trusted role itself. *)
 
+val deliveries : t -> deal -> side -> Action.transfer list
+(** The transfers that count as the side's principal receiving what it
+    expects (the audit's delivery rule): the expected item sent to it by
+    the {!effective_agent}, by the abstract trusted role, or by the
+    counterparty directly. *)
+
 val forwards : t -> deal -> Action.transfer list
 (** The {!effective_agent}'s completion of the deal: each side's item
     forwarded to the other side's principal, documents before money

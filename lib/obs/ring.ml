@@ -118,9 +118,16 @@ let rec put_varint s v =
     put_varint s (v lsr 7)
   end
 
+(* at most two blits, split where the string wraps (a committed record
+   never exceeds the capacity) *)
 let put_str s str =
-  put_varint s (String.length str);
-  String.iter (fun c -> put_byte s (Char.code c)) str
+  let len = String.length str in
+  put_varint s len;
+  let off = s.total mod s.cap in
+  let first = min len (s.cap - off) in
+  Bytes.blit_string str 0 s.buf off first;
+  Bytes.blit_string str first s.buf 0 (len - first);
+  s.total <- s.total + len
 
 let put_f64 s f =
   let bits = Int64.bits_of_float f in

@@ -3,6 +3,7 @@ module Harness = Trust_sim.Harness
 module Feasibility = Trust_core.Feasibility
 module Indemnity = Trust_core.Indemnity
 module Protocol = Trust_core.Protocol
+module Obs = Trust_obs.Obs
 
 type policy = { mode : Harness.mode; shared : bool; rescue : bool; verify : bool }
 
@@ -33,12 +34,16 @@ type cached = {
 
 module Denied = Set.Make (String)
 
+(* A shallow admission lint: the abort reason of the first error-level
+   diagnostic ([None] when the spec passes), and the tally its traced
+   lint span carries. *)
+type lint = { verdict : string option; tally : Trust_analyze.Lint.tally }
+
 type shard = {
   lock : Mutex.t;
   table : (string, cached) Hashtbl.t;
   order : string Queue.t;
-  admission : (string, string option) Hashtbl.t;
-      (* memoized shallow-lint verdict by shape: None clean, Some reason *)
+  admission : (string, lint) Hashtbl.t;  (* memoized shallow lint by shape *)
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -305,28 +310,24 @@ let rec allow t hex =
 let denied t = Denied.elements (Atomic.get t.denied_set)
 let denied_count t = Atomic.get t.denied_hits
 
-(* Admission lint is a pure function of the spec, so the serve path
-   memoizes the shallow verdict by shape. Returns [None] when the spec
-   passes, [Some reason] (the scheduler's abort reason, formatted) for
-   the first error-level diagnostic. Non-cacheable specs are linted
-   fresh. The memo is bounded: a full shard table is reset wholesale
-   (entries are small strings, and correctness never depends on
-   residency). *)
-let lint_verdict ?obs ?parent spec =
-  match
-    List.find_opt
-      (fun d -> d.Trust_analyze.Diagnostic.severity = Trust_analyze.Diagnostic.Error)
-      (Trust_analyze.Lint.check_spec ?obs ?parent ~deep:false spec)
-  with
-  | Some first ->
-    Some
-      (Printf.sprintf "lint: [%s] %s"
-         (Trust_analyze.Diagnostic.code_id first.Trust_analyze.Diagnostic.code)
-         first.Trust_analyze.Diagnostic.message)
-  | None -> None
+let lint spec =
+  let module D = Trust_analyze.Diagnostic in
+  let diagnostics = Trust_analyze.Lint.check_spec ~deep:false spec in
+  {
+    verdict =
+      Option.map
+        (fun first -> Printf.sprintf "lint: [%s] %s" (D.code_id first.D.code) first.D.message)
+        (List.find_opt (fun d -> d.D.severity = D.Error) diagnostics);
+    tally = Trust_analyze.Lint.tally diagnostics;
+  }
 
-let admission t spec =
-  if not (Shape.cacheable spec) then lint_verdict spec
+(* Admission lint is a pure function of the spec, so the serve path
+   memoizes it by shape, verdict and tallies together; non-cacheable
+   specs are linted fresh. The memo is bounded: a full shard table is
+   reset wholesale (entries are small, and correctness never depends on
+   residency). *)
+let memo_lint t spec =
+  if not (Shape.cacheable spec) then lint spec
   else begin
     let key = Shape.encode spec in
     let shard = t.shards.(shard_of t spec) in
@@ -335,14 +336,22 @@ let admission t spec =
       ~finally:(fun () -> Mutex.unlock shard.lock)
       (fun () ->
         match Hashtbl.find_opt shard.admission key with
-        | Some verdict -> verdict
+        | Some l -> l
         | None ->
-          let verdict = lint_verdict spec in
+          let l = lint spec in
           if Hashtbl.length shard.admission >= 4 * t.shard_capacity then
             Hashtbl.reset shard.admission;
-          Hashtbl.add shard.admission key verdict;
-          verdict)
+          Hashtbl.add shard.admission key l;
+          l)
   end
+
+(* Traced, the span [Lint.check_spec] records, written from the memo. *)
+let admission ?(obs = Obs.null) ?parent t spec =
+  if not (Obs.enabled obs) then (memo_lint t spec).verdict
+  else
+    Trust_analyze.Lint.with_span obs ?parent ~deep:false (fun () ->
+        let l = memo_lint t spec in
+        (l.verdict, l.tally))
 
 let epoch t = Atomic.get t.epoch
 

@@ -139,21 +139,18 @@ val denied_reason : t -> Spec.t -> string option
     this before the admission lint. Lock-free: reads an atomically
     swapped immutable set. *)
 
-val lint_verdict :
-  ?obs:Trust_obs.Obs.t -> ?parent:Trust_obs.Obs.handle -> Spec.t -> string option
-(** Unmemoized shallow admission lint ([Lint.check_spec ~deep:false],
-    spans under [parent] when [obs] traces): [None] when the spec
-    passes, [Some "lint: [code] message"] for the first error-level
-    diagnostic. *)
-
-val admission : t -> Spec.t -> string option
-(** Memoized shallow admission lint ([Lint.check_spec ~deep:false]):
-    [None] when the spec passes, [Some reason] — the formatted abort
-    reason of the first error-level diagnostic — when it is rejected.
-    The verdict is a pure function of the spec, memoized by shape in
-    the same shards as synthesis; non-cacheable specs are linted
-    fresh. Callers needing lint {e spans} (tracing enabled) call
-    {!lint_verdict} instead. *)
+val admission :
+  ?obs:Trust_obs.Obs.t -> ?parent:Trust_obs.Obs.handle -> t -> Spec.t -> string option
+(** Shallow admission lint ([Lint.check_spec ~deep:false]): [None] when
+    the spec passes, [Some reason] — ["lint: [code] message"] of the
+    first error-level diagnostic — when it is rejected. The verdict and
+    the diagnostic tallies are a pure function of the spec, memoized
+    together by shape in the same shards as synthesis; non-cacheable
+    (override) specs are linted fresh. With a live [obs] the call also
+    opens the ["lint"] span under [parent] that [Lint.check_spec]
+    records — [deep], [diagnostics], [errors], [warnings], in that
+    order — written from the memo, so a warm traced admission costs a
+    lookup, not a lint. *)
 
 val synthesize : t -> Spec.t -> (entry, string) result * [ `Hit | `Miss | `Bypass ]
 (** Memoized synthesis. [`Bypass] means the spec was not {!Shape.cacheable}

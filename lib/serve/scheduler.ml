@@ -229,9 +229,9 @@ let process_session ?parent cfg cache policy rec_opt retried obs (session : Sess
   record rec_opt (fun r -> Metrics.incr r.admitted);
   Session.transition session Session.Synthesizing;
   (* Admission lint: structural (cheap) rules only — error-level
-     diagnostics abort the session before any synthesis work. With
-     tracing off the verdict comes from the cache's per-shape memo;
-     traced runs lint directly so the span carries its tallies. *)
+     diagnostics abort the session before any synthesis work. Traced or
+     not, the verdict comes from the cache's per-shape memo, which also
+     keeps the tallies a traced session's lint span carries. *)
   let lint_reason =
     (* the trace-mining deny list outranks the linter: a deny-listed
        shape is refused before any lint or synthesis work, traced or
@@ -240,8 +240,7 @@ let process_session ?parent cfg cache policy rec_opt retried obs (session : Sess
     match Cache.denied_reason cache session.Session.spec with
     | Some _ as denied -> denied
     | None ->
-    if Obs.enabled obs then Cache.lint_verdict ~obs ~parent:root session.Session.spec
-    else Cache.admission cache session.Session.spec
+    Cache.admission ~obs ~parent:root cache session.Session.spec
   in
   (match lint_reason with
   | Some reason ->

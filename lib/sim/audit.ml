@@ -27,6 +27,15 @@ let bag_totals bags =
       (money + Asset.Bag.balance bag, docs))
     (0, 0) bags
 
+let of_verdicts ~conserved verdicts =
+  {
+    verdicts;
+    honest_all_acceptable = List.for_all (fun v -> (not v.honest) || v.acceptable) verdicts;
+    honest_no_loss = List.for_all (fun v -> (not v.honest) || v.no_loss) verdicts;
+    all_preferred = List.for_all (fun v -> v.preferred) verdicts;
+    conserved;
+  }
+
 let judge ~deposits spec ~defectors (result : Engine.result) =
   let judged_parties =
     List.filter
@@ -46,11 +55,6 @@ let judge ~deposits spec ~defectors (result : Engine.result) =
         })
       judged_parties
   in
-  let honest_all_acceptable =
-    List.for_all (fun v -> (not v.honest) || v.acceptable) verdicts
-  in
-  let honest_no_loss = List.for_all (fun v -> (not v.honest) || v.no_loss) verdicts in
-  let all_preferred = List.for_all (fun v -> v.preferred) verdicts in
   let initial_total =
     bag_totals
       (List.map
@@ -58,13 +62,7 @@ let judge ~deposits spec ~defectors (result : Engine.result) =
          result.Engine.holdings)
   in
   let final_total = bag_totals (List.map snd result.Engine.holdings) in
-  {
-    verdicts;
-    honest_all_acceptable;
-    honest_no_loss;
-    all_preferred;
-    conserved = initial_total = final_total;
-  }
+  of_verdicts ~conserved:(initial_total = final_total) verdicts
 
 let record obs ?parent report record_exposure =
   Obs.with_span obs ?parent ~phase:"audit" "audit" (fun span ->

@@ -43,14 +43,10 @@ val audit :
     actions. [obs]/[parent] attach an ["audit"] span (verdict tallies
     and the four report booleans) to a trace. *)
 
-val judge :
-  deposits:Trust_core.Indemnity.offer list ->
-  Spec.t ->
-  defectors:Party.t list ->
-  Engine.result ->
-  report
-(** {!audit}'s verdicts over an already-split spec, with the plan's
-    deposits given directly; records nothing. *)
+val of_verdicts : conserved:bool -> verdict list -> report
+(** The report over per-party verdicts judged elsewhere (the compiled
+    audit in [Hotpath]): the three tallies folded as {!audit} folds
+    them. *)
 
 val record :
   Trust_obs.Obs.t -> ?parent:Trust_obs.Obs.handle -> report ->

@@ -16,14 +16,23 @@
    (small, proportional to in-flight custody) and the returned summary;
    everything else lives in [scratch] under [Domain.DLS].
 
+   The audit reads the plan's per-party tables ([C.judge]) against the
+   delivered-action set: each own side is classified as
+   [Outcomes.classify] would (Complete, Refunded, Windfall, Indemnified,
+   Loss), then folded with the bundle rule, split pieces and undone
+   extraneous sends as [Outcomes.judge] does; conservation compares the
+   final holdings with the plan's initial totals. An untraced run needs
+   only the preferred-outcome half.
+
    With a live [Obs] sink the same loop also records the engine's event
    timeline (deliver, park, retry, drop, expire, deadline) into scratch.
    After the run the traced entry emits the ["simulate"] span with those
    events and the ["audit"] span with its ["exposure"] child, reading
    the exposure figures from the same fold the summary comes from and
-   materializing the engine result once, for [Audit.judge]'s verdict
-   tallies — byte-identical to what [Harness.run_cast] + [Audit.audit]
-   record on the interpreted path (property-tested in test_hotpath). *)
+   the verdict tallies from the compiled audit — byte-identical to what
+   [Harness.run_cast] + [Audit.audit] record on the interpreted path
+   (property-tested in test_hotpath). No [Engine.result] is built on
+   either path; [to_result] materializes one for tests. *)
 
 open Exchange
 module C = Trust_core.Compile
@@ -1055,14 +1064,17 @@ let summarize_exposure s (p : C.t) =
   done;
   duration
 
-(* -- audit (Audit.audit over the delivered-action set) -- *)
+(* -- audit (Audit.judge over the delivered-action set) -- *)
 
+let seen s a = Bytes.get s.seen a <> '\000'
+
+(* a principal reached Complete on every own side; a trusted role is a
+   clean conduit (Outcomes.conduit_clean), which is all three of its
+   verdicts *)
 let judge_preferred s (p : C.t) = function
-  | C.Judge_principal (_, checks) ->
+  | C.Judge_principal { checks; _ } ->
     Array.for_all
-      (fun (cc : C.commit_check) ->
-        Bytes.get s.seen cc.C.cc_send <> '\000'
-        && Array.exists (fun r -> Bytes.get s.seen r <> '\000') cc.C.cc_recv)
+      (fun (cc : C.commit_check) -> seen s cc.C.cc_send && Array.exists (seen s) cc.C.cc_recv)
       checks
   | C.Judge_trusted pi ->
     if Array.length s.g_docs < p.C.n_docs then begin
@@ -1073,7 +1085,7 @@ let judge_preferred s (p : C.t) = function
     Array.fill s.l_docs 0 p.C.n_docs 0;
     let gained = ref 0 and lost = ref 0 in
     for a = 0 to p.C.n_actions - 1 do
-      if Bytes.get s.seen a <> '\000' && p.C.act_kind.(a) <> 2 then begin
+      if seen s a && p.C.act_kind.(a) <> 2 then begin
         let di = p.C.act_doc.(a) in
         if p.C.act_credit.(a) = pi then
           if di >= 0 then s.g_docs.(di) <- s.g_docs.(di) + 1
@@ -1089,7 +1101,77 @@ let judge_preferred s (p : C.t) = function
     done;
     !ok
 
-(* -- materialized results and the traced entry -- *)
+(* Outcomes.classify of one own side *)
+let classify s (p : C.t) (cc : C.commit_check) =
+  let received = Array.exists (seen s) cc.C.cc_recv in
+  if seen s cc.C.cc_send then
+    if received then Outcomes.Complete
+    else if not (seen s p.C.act_undo.(cc.C.cc_send)) then Outcomes.Loss
+    else if cc.C.cc_split && Array.exists (seen s) cc.C.cc_payouts then Outcomes.Indemnified
+    else Outcomes.Refunded
+  else if received then Outcomes.Windfall
+  else Outcomes.Nothing
+
+(* Outcomes.judge of a principal: (no_loss, acceptable). Unsplit sides
+   form the all-or-nothing bundle; split sides are judged alone, where a
+   bare refund breaks the indemnity's promise. *)
+let judge_principal s (p : C.t) checks extraneous =
+  let no_loss = ref true and delivered = ref true and inert = ref true and split_ok = ref true in
+  Array.iter
+    (fun (cc : C.commit_check) ->
+      let o = classify s p cc in
+      if o = Outcomes.Loss then no_loss := false;
+      if cc.C.cc_split then begin
+        if o = Outcomes.Refunded || o = Outcomes.Loss then split_ok := false
+      end
+      else begin
+        (match o with Outcomes.Complete | Outcomes.Windfall -> () | _ -> delivered := false);
+        match o with
+        | Outcomes.Nothing | Outcomes.Refunded | Outcomes.Windfall -> ()
+        | _ -> inert := false
+      end)
+    checks;
+  let whole =
+    !no_loss
+    && not (Array.exists (fun a -> seen s a && not (seen s p.C.act_undo.(a))) extraneous)
+  in
+  (whole, whole && (!delivered || !inert) && !split_ok)
+
+(* The [Audit.report] of the run in scratch, from the plan's audit
+   tables, the [preferred] verdicts already judged and the final
+   holdings. *)
+let audit_report s (p : C.t) defectors (preferred : bool array) =
+  let verdict i j =
+    let pi, no_loss, acceptable =
+      match j with
+      | C.Judge_principal { party; checks; extraneous } ->
+        let no_loss, acceptable = judge_principal s p checks extraneous in
+        (party, no_loss, acceptable)
+      | C.Judge_trusted pi -> (pi, preferred.(i), preferred.(i))
+    in
+    let party = p.C.parties.(pi) in
+    {
+      Audit.party;
+      honest = not (List.exists (fun (d, _) -> Party.equal d party) defectors);
+      acceptable;
+      no_loss;
+      preferred = preferred.(i);
+    }
+  in
+  let money = ref 0 and docs = ref 0 in
+  Array.iter
+    (fun (pi, _) ->
+      let name = p.C.name_of.(pi) in
+      money := !money + s.balance.(name);
+      for d = 0 to p.C.n_docs - 1 do
+        docs := !docs + s.doc_count.((name * p.C.n_docs) + d)
+      done)
+    p.C.roles;
+  Audit.of_verdicts
+    ~conserved:(!money = p.C.initial_money && !docs = p.C.initial_docs)
+    (Array.to_list (Array.mapi verdict p.C.judged))
+
+(* -- the materialized result (tests) and the traced entry -- *)
 
 let materialize s (p : C.t) =
   let state = ref State.empty in
@@ -1167,8 +1249,7 @@ let total_peak_risk (t : summary) = Array.fold_left ( + ) 0 t.peak_risk
 let total_risk_ticks (t : summary) = Array.fold_left ( + ) 0 t.risk_ticks
 
 (* The spans of a traced run, from the same exposure fold as its
-   summary; the audit span's verdict tallies come from [Audit.judge]
-   over the materialized result. *)
+   summary and the compiled audit. *)
 let emit_spans s (p : C.t) (summary : summary) defectors obs parent =
   let principal ps = p.C.parties.(fst p.C.roles.(ps)) in
   let peak_escrow = Array.fold_left ( + ) 0 (Array.sub s.peak_escrow 0 p.C.n_principals) in
@@ -1176,9 +1257,7 @@ let emit_spans s (p : C.t) (summary : summary) defectors obs parent =
       emit_events s p obs h;
       Harness.simulate_attrs obs h ~events:s.events ~deliveries:s.log_len ~stalled:s.pend_len
         ~peak_at_risk:(total_peak_risk summary) ~peak_escrow);
-  let deposits = match p.C.plan with Some plan -> plan.Trust_core.Indemnity.offers | None -> [] in
-  let report = Audit.judge ~deposits p.C.spec ~defectors:(List.map fst defectors) (materialize s p) in
-  Audit.record obs ?parent report (fun span ->
+  Audit.record obs ?parent (audit_report s p defectors summary.preferred) (fun span ->
       let violations =
         List.init s.violations (fun k ->
             let i = k * vio_stride in
@@ -1209,3 +1288,9 @@ let to_result ?(config = default_config) ?(defectors = []) (p : C.t) =
   s.tracing <- false;
   execute s p config defectors;
   materialize s p
+
+let report ?(config = default_config) ?(defectors = []) (p : C.t) =
+  let s = Domain.DLS.get scratch_key in
+  s.tracing <- false;
+  execute s p config defectors;
+  audit_report s p defectors (Array.map (judge_preferred s p) p.C.judged)

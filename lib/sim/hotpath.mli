@@ -51,9 +51,9 @@ val exec :
     attribute, event and virtual tick byte-identical to what
     [Harness.run_cast] and [Audit.audit] record for the same run on the
     interpreted engine. The spans read the exposure figures from the
-    same fold as the summary; the audit tallies come from
-    [Audit.judge] over one materialized [Engine.result]. The null sink
-    (the default) costs nothing. *)
+    same fold as the summary and the verdict tallies from the compiled
+    audit ({!report}'s verdicts); no [Engine.result] is materialized.
+    The null sink (the default) costs nothing. *)
 
 val total_peak_risk : summary -> int
 (** Sum of per-principal peaks — equals [Exposure.peak_risk] of the
@@ -61,10 +61,17 @@ val total_peak_risk : summary -> int
 
 val total_risk_ticks : summary -> int
 
+val report :
+  ?config:config -> ?defectors:(Party.t * Harness.defection) list ->
+  Trust_core.Compile.t -> Audit.report
+(** Run the plan and judge it from the plan's audit tables: every
+    per-party [acceptable], [no_loss] and [preferred] verdict, the
+    honest tallies and [conserved] equal [Audit.audit] of the
+    interpreted run. The report a traced {!exec} records. *)
+
 val to_result :
   ?config:config -> ?defectors:(Party.t * Harness.defection) list ->
   Trust_core.Compile.t -> Engine.result
 (** Run the plan and materialize a full [Engine.result] (state, log,
-    holdings, stalls) — byte-equivalent to the interpreted engine. Used
-    by tests and anywhere a caller needs the structured result rather
-    than the summary. *)
+    holdings, stalls) — byte-equivalent to the interpreted engine. For
+    tests: the serve path reads the summary and {!report} instead. *)

@@ -108,7 +108,7 @@ let check_result ~ctx (interp : Engine.result) (compiled : Engine.result) =
   Alcotest.(check int) (ctx ^ ": events") interp.Engine.events compiled.Engine.events
 
 let check_summary ~ctx (entry : Cache.entry) ~defectors (interp : Engine.result)
-    (summary : Hotpath.summary) =
+    (summary : Hotpath.summary) (compiled : Audit.report) =
   let duration =
     List.fold_left (fun acc (d : Engine.delivery) -> max acc d.Engine.at) 0 interp.Engine.log
   in
@@ -128,6 +128,21 @@ let check_summary ~ctx (entry : Cache.entry) ~defectors (interp : Engine.result)
     (ctx ^ ": per-party verdicts")
     (List.map (fun v -> v.Audit.preferred) report.Audit.verdicts)
     (Array.to_list summary.Hotpath.preferred);
+  let verdict (v : Audit.verdict) =
+    Printf.sprintf "%s honest=%b acceptable=%b no_loss=%b preferred=%b"
+      (Party.to_string v.Audit.party) v.Audit.honest v.Audit.acceptable v.Audit.no_loss
+      v.Audit.preferred
+  in
+  Alcotest.(check (list string))
+    (ctx ^ ": compiled audit verdicts")
+    (List.map verdict report.Audit.verdicts)
+    (List.map verdict compiled.Audit.verdicts);
+  Alcotest.(check (list bool))
+    (ctx ^ ": compiled audit tallies")
+    [ report.Audit.honest_all_acceptable; report.Audit.honest_no_loss;
+      report.Audit.all_preferred; report.Audit.conserved ]
+    [ compiled.Audit.honest_all_acceptable; compiled.Audit.honest_no_loss;
+      compiled.Audit.all_preferred; compiled.Audit.conserved ];
   let exposure =
     Exposure.of_result ?plan:entry.Cache.plan ~defectors:(List.map fst defectors)
       entry.Cache.split_spec interp
@@ -153,7 +168,10 @@ let check_summary ~ctx (entry : Cache.entry) ~defectors (interp : Engine.result)
     (Exposure.total_risk_ticks exposure)
     (Hotpath.total_risk_ticks summary)
 
-let check_spec ~ctx policy spec =
+(* Every principal silent in turn. *)
+let each_silent spec = List.map (fun p -> [ (p, Harness.Silent) ]) (Spec.principals spec)
+
+let check_spec ?(batteries = batteries) ~ctx policy spec =
   match Cache.fresh policy spec with
   | Error _ -> () (* infeasible and unrescued: nothing to execute *)
   | Ok entry ->
@@ -180,10 +198,10 @@ let check_spec ~ctx policy spec =
               Hotpath.to_result ~config:(hot_config ~deadline ?drops ()) ~defectors plan
             in
             check_result ~ctx interp compiled;
-            let summary =
-              Hotpath.exec ~config:(hot_config ~deadline ?drops ()) ~defectors plan
-            in
-            check_summary ~ctx entry ~defectors interp summary)
+            let config = hot_config ~deadline ?drops () in
+            let summary = Hotpath.exec ~config ~defectors plan in
+            check_summary ~ctx entry ~defectors interp summary
+              (Hotpath.report ~config ~defectors plan))
           variants)
       (batteries entry.Cache.split_spec)
 
@@ -200,7 +218,10 @@ let test_random_specs () =
    table builds: §6 deposits with their refunds and forfeits (fig7),
    rescued specs with one plan (example2) and with a persona
    (example2_broker_trusts_source), two plans (two_bundles) and personas
-   on every deal (example1 under direct trust). *)
+   on every deal (example1 under direct trust). fig7 and the split
+   example2_broker1_indemnifies also run with each principal silent, so
+   the audit's Indemnified (a forfeited deposit paid to the consumer)
+   and split-piece Refunded outcomes are always judged. *)
 let test_worked_examples () =
   let two_bundles =
     match Trust_lang.Elaborate.from_file "../specs/two_bundles.exg" with
@@ -223,7 +244,31 @@ let test_worked_examples () =
       List.iteri
         (fun j policy -> check_spec ~ctx:(Printf.sprintf "%s policy %d" label j) policy spec)
         policies)
-    specs
+    specs;
+  List.iter
+    (fun (label, spec) ->
+      List.iteri
+        (fun j policy ->
+          check_spec ~batteries:each_silent
+            ~ctx:(Printf.sprintf "%s silent policy %d" label j)
+            policy spec)
+        policies)
+    [
+      ("fig7", Workload.Scenarios.fig7);
+      ("example2_broker1_indemnifies", Workload.Scenarios.example2_broker1_indemnifies);
+    ];
+  (* the forfeit does reach the consumer: distributed fig7, second source silent *)
+  let policy = List.nth policies 1 in
+  let entry = Result.get_ok (Cache.fresh policy Workload.Scenarios.fig7) in
+  let interp =
+    run_interpreted entry policy ~config:(engine_config ())
+      ~defectors:[ (Party.producer "s2", Harness.Silent) ]
+  in
+  Alcotest.(check bool)
+    "fig7 silent s2: consumer indemnified" true
+    (Outcomes.classify entry.Cache.split_spec ~party:Workload.Scenarios.fig7_consumer
+       (Workload.Scenarios.fig7_sale_ref 2) interp.Engine.state
+    = Outcomes.Indemnified)
 
 (* Scratch buffers grow mid-run when a session outgrows them (heap,
    delivery log, reaction buffer, parked list); growth must keep what
@@ -248,8 +293,11 @@ let test_growth_keeps_contents () =
           Domain.join (Domain.spawn (fun () -> Hotpath.to_result ~config ~defectors:[] plan))
         in
         check_result ~ctx:label interp compiled;
-        let summary = Domain.join (Domain.spawn (fun () -> Hotpath.exec ~config plan)) in
-        check_summary ~ctx:label entry ~defectors:[] interp summary)
+        let summary, report =
+          Domain.join
+            (Domain.spawn (fun () -> (Hotpath.exec ~config plan, Hotpath.report ~config plan)))
+        in
+        check_summary ~ctx:label entry ~defectors:[] interp summary report)
     [ ("bundle 40", Gen.bundle ~docs:40); ("chain 24", Gen.chain ~brokers:24) ]
 
 (* Traced parity: a traced session on the compiled runtime must record

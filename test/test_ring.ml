@@ -212,6 +212,35 @@ let test_wraparound_newest_suffix () =
         (Ring.export Obs.Jsonl [ s ]))
     sessions
 
+(* A string that wraps past the buffer end is written in two pieces and
+   must read back whole. Padding sessions of every length up to the
+   capacity put the long attribute's first byte at every offset, so
+   many of them straddle the end. (1024 bytes is the smallest ring.) *)
+let test_long_string_straddles_end () =
+  let cap = 1024 in
+  let long = String.init 600 (fun i -> Char.chr (32 + (i mod 95))) in
+  let trace () =
+    let obs = Obs.create ~session:2 () in
+    Obs.with_span obs ~phase:"p" "long" (fun root -> Obs.attr obs root "s" (Obs.Str long));
+    obs
+  in
+  for pad = 0 to cap - 1 do
+    let ring = Ring.create ~capacity:cap () in
+    let filler = Obs.create ~session:1 () in
+    Obs.with_span filler ~phase:"p" "pad" (fun root ->
+        Obs.attr filler root "x" (Obs.Str (String.make pad 'x')));
+    ignore (Ring.record ring ~keep:Ring.Sampled filler : int);
+    ignore (Ring.record ring ~keep:Ring.Sampled (trace ()) : int);
+    let sessions, _ = decode_exn (Ring.dump ring) in
+    match List.filter (fun s -> s.Ring.s_id = 2) sessions with
+    | [ s ] ->
+      check_string
+        (Printf.sprintf "pad %d: decodes identically" pad)
+        (Obs.export Obs.Jsonl [ trace () ])
+        (Ring.export Obs.Jsonl [ s ])
+    | _ -> Alcotest.failf "pad %d: the long session is missing" pad
+  done
+
 let test_oversized_session_refused_whole () =
   let ring = Ring.create ~capacity:1024 () in
   let big = Obs.create ~session:9 () in
@@ -466,6 +495,7 @@ let () =
       ( "wraparound",
         [
           Alcotest.test_case "newest complete suffix" `Quick test_wraparound_newest_suffix;
+          Alcotest.test_case "long string straddles the end" `Quick test_long_string_straddles_end;
           Alcotest.test_case "oversized session refused" `Quick test_oversized_session_refused_whole;
           Alcotest.test_case "drain semantics" `Quick test_drain_semantics;
           Alcotest.test_case "garbage rejected" `Quick test_decode_rejects_garbage;

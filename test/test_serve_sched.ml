@@ -301,6 +301,55 @@ let test_service_deterministic () =
   check "cache pays" true (Cache.hit_rate a.Service.cache > 0.);
   check "defectors expired" true (t.Service.expired > 0)
 
+(* A traced admission writes its lint span from the per-shape memo. On
+   a warm memo it must export what a fresh cache exports, and its span
+   must be the one [Lint.check_spec] records when it lints directly.
+   Covers a clean spec, one with warnings, one the lint refuses and an
+   override spec (never memoized, linted fresh each time). *)
+let test_memoized_lint_span () =
+  let module Obs = Trust_obs.Obs in
+  let module Diagnostic = Trust_analyze.Diagnostic in
+  let load name =
+    match Trust_lang.Elaborate.from_file ("../specs/lint/" ^ name) with
+    | Ok spec -> spec
+    | Error e -> Alcotest.failf "%s: %s" name e
+  in
+  let export obs = Obs.export Obs.Jsonl [ obs ] in
+  let traced cache spec =
+    let obs = Obs.create ~session:7 () in
+    Scheduler.process_one ~obs Scheduler.default_config cache (Session.make ~id:7 spec);
+    export obs
+  in
+  let override =
+    Exchange.Spec.with_override (Exchange.Party.consumer "c") Exchange.State.always_acceptable
+      (Gen.chain ~brokers:1)
+  in
+  List.iter
+    (fun (label, spec, severity) ->
+      let diagnostics = Trust_analyze.Lint.check_spec ~deep:false spec in
+      Option.iter
+        (fun severity ->
+          check (label ^ ": lint finds that severity") true
+            (List.exists (fun d -> d.Diagnostic.severity = severity) diagnostics))
+        severity;
+      let warm = Cache.create Cache.default_policy in
+      ignore (Cache.admission warm spec : string option);
+      let expected = traced (Cache.create Cache.default_policy) spec in
+      check_string (label ^ ": warm memo") expected (traced warm spec);
+      check_string (label ^ ": warm memo, again") expected (traced warm spec);
+      let direct = Obs.create ~session:7 () in
+      ignore (Trust_analyze.Lint.check_spec ~obs:direct ~deep:false spec : Diagnostic.t list);
+      let admitted = Obs.create ~session:7 () in
+      ignore (Cache.admission ~obs:admitted warm spec : string option);
+      check_string (label ^ ": the span Lint.check_spec records") (export direct)
+        (export admitted))
+    [
+      ("clean", load "clean.exg", None);
+      ("warnings", load "tl014_over_pledged_indemnity.exg", Some Diagnostic.Warning);
+      ("refused", load "tl013_double_spend.exg", Some Diagnostic.Error);
+      ("override", override, None);
+    ]
+
 let () =
   Alcotest.run "serve_sched"
     [
@@ -312,6 +361,7 @@ let () =
           Alcotest.test_case "retry on drops" `Quick test_retry_on_drops;
           Alcotest.test_case "defector not retried" `Quick test_defector_not_retried;
           Alcotest.test_case "bounded concurrency" `Quick test_bounded_concurrency;
+          Alcotest.test_case "memoized lint span" `Quick test_memoized_lint_span;
         ] );
       ( "pool",
         [
