@@ -84,8 +84,7 @@ let run cfg =
                | "settled" -> incr settled
                | "expired" -> incr expired
                | _ -> incr aborted)
-             | Ok (Wire.Refused { reason; _ })
-               when String.length reason >= 7 && String.sub reason 0 7 = "denied:" ->
+             | Ok (Wire.Refused { reason; _ }) when String.starts_with ~prefix:"denied:" reason ->
                (* the trace-mining deny list refusing a shape is an
                   expected per-request outcome under --mine-deny, not a
                   transport failure: count it and keep driving *)

@@ -257,14 +257,15 @@ let zero_result ~id ~status ~exit_code ~reason =
       reason;
     }
 
-(* One traced pass over a submission: the [daemon.request] root span,
-   elaboration, and the full session lifecycle. Shared between the
-   sampled path (live trace from the start) and the tail-promotion
-   replay (deterministic re-run with a live sink after the fast
-   untraced pass turned out anomalous) — so both produce the same span
-   tree. [record] is false on replays: the first pass already counted
-   everything. *)
-let traced_pass srv ~record ~session:n ~id ~spec obs session_out =
+(* One pass over a submission: the [daemon.request] root span,
+   elaboration, then [run] writes the session part under the root and
+   returns the closed session. Shared between the first pass (a live
+   trace from the start when sampled) and the tail-promotion pass
+   (elaboration again for the prefix, then the session part rebuilt
+   from the first pass's capture) — so both produce the same span
+   tree. [record] is false on the tail-promotion pass: the first pass
+   already counted everything. *)
+let traced_pass srv ~record ~id ~spec obs ~run =
   Obs.with_span obs ~phase:"daemon" "daemon.request" (fun root ->
       if Obs.enabled obs then Obs.attr obs root "wire_id" (Obs.Int id);
       match Trust_lang.Elaborate.from_string ~obs ~parent:root ~file:"<wire>" spec with
@@ -272,16 +273,7 @@ let traced_pass srv ~record ~session:n ~id ~spec obs session_out =
         if record then srv.aborted <- srv.aborted + 1;
         zero_result ~id ~status:"error" ~exit_code:2 ~reason:(Some e)
       | Ok parsed ->
-        (* optional fault injection (CI smokes, soak tests), the batch
-           Service rule *)
-        let defectors =
-          Trust_sim.Harness.injected_defectors ~every:srv.cfg.defect_every n parsed
-        in
-        let session = Session.make ~id:n ~defectors parsed in
-        session_out := Some session;
-        Scheduler.process_one
-          ?recorders:(if record then Some srv.recorders else None)
-          ~obs ~parent:root srv.cfg.scheduler srv.cache session;
+        let session = run ~parent:root parsed in
         let status, exit_code, reason =
           match session.Session.status with
           | Session.Settled ->
@@ -317,8 +309,26 @@ let process_submit srv conn ~id ~spec =
   let tracing = srv.trace_ch <> None || srv.ring <> None in
   let sampled = tracing && Scheduler.session_sampled srv.cfg.scheduler n in
   let obs = if sampled then Obs.create ~session:n () else Obs.null in
-  let session_ref = ref None in
-  let resp = traced_pass srv ~record:true ~session:n ~id ~spec obs session_ref in
+  (* optional fault injection (CI smokes, soak tests), the batch
+     Service rule *)
+  let make parsed =
+    let defectors = Trust_sim.Harness.injected_defectors ~every:srv.cfg.defect_every n parsed in
+    Session.make ~id:n ~defectors parsed
+  in
+  let session_ref = ref None and captured = ref None in
+  let resp =
+    traced_pass srv ~record:true ~id ~spec obs ~run:(fun ~parent parsed ->
+        let session = make parsed in
+        session_ref := Some session;
+        if tracing && not sampled then
+          captured :=
+            Scheduler.process_unsampled ~recorders:srv.recorders srv.cfg.scheduler srv.cache
+              session
+        else
+          Scheduler.process_one ~recorders:srv.recorders ~obs ~parent srv.cfg.scheduler srv.cache
+            session;
+        session)
+  in
   (* remember the last spec per shape (bounded) so the mining tick can
      pre-warm a pin candidate that already aged out of the cache *)
   (match !session_ref with
@@ -327,13 +337,23 @@ let process_submit srv conn ~id ~spec =
     Hashtbl.replace srv.stash (Shape.hash_hex session.Session.spec) session.Session.spec
   | Some _ | None -> ());
   (if tracing then
-     (* tail promotion re-runs the whole request (root span and
-        elaboration included) with a live sink; an unsampled parse
-        failure never makes a session, so tail rules cannot see it —
-        the refused Result already tells the client *)
+     (* tail promotion elaborates the request again with a live sink
+        for the root span and the parse spans, then rebuilds the
+        session part from the capture; an unsampled parse failure never
+        makes a session, so tail rules cannot see it — the refused
+        Result already tells the client *)
      let replay () =
        let trace = Obs.create ~session:n () in
-       ignore (traced_pass srv ~record:false ~session:n ~id ~spec trace (ref None) : Wire.response);
+       ignore
+         (traced_pass srv ~record:false ~id ~spec trace ~run:(fun ~parent _parsed ->
+              (* kept unsampled means a tail rule fired on the first
+                 pass, which is exactly when it returned a capture *)
+              match (!captured, !session_ref) with
+              | Some c, Some session ->
+                Scheduler.rebuild ~parent srv.cfg.scheduler srv.cache trace session c;
+                session
+              | _ -> invalid_arg "Server: tail-kept session without a capture")
+           : Wire.response);
        trace
      in
      match
@@ -354,8 +374,7 @@ let process_submit srv conn ~id ~spec =
      distinct from an ordinary aborted result *)
   let resp =
     match resp with
-    | Wire.Result { id; reason = Some r; _ }
-      when String.length r >= 7 && String.sub r 0 7 = "denied:" ->
+    | Wire.Result { id; reason = Some r; _ } when String.starts_with ~prefix:"denied:" r ->
       Wire.Refused { id = Some id; reason = r }
     | resp -> resp
   in

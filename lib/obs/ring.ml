@@ -25,8 +25,18 @@
    happen after the writers are joined (batch) or on the only thread
    there is (the daemon's select loop).
 
-   The commit loop writes bytes with [Bytes.unsafe_set] arithmetic —
-   no buffer is allocated per record. The only per-commit allocations
+   A commit encodes the session once, in one linear pass, into a
+   per-domain scratch buffer outside any lock: each record's payload is
+   written after a one-byte length slot, and shifted up when its
+   length needs a longer varint. Under the shard lock the
+   commit then evicts whole records until the session fits, copies it
+   in with at most two blits (split where it wraps) and bumps the
+   counters — the same bytes, counters and eviction order as writing
+   the records one at a time (pinned against that per-byte writer,
+   test/ref_ring.ml, in test_ring). A session larger than its shard is
+   encoded only until it passes the shard size, since it is refused
+   whole, and a scratch grown past the shard size is given back after
+   the commit. The only per-commit allocations
    are the span views of the one kept session being encoded; unsampled
    sessions never reach this module at all, which is what keeps the
    rate-0 hot path allocation-free (gated structurally in
@@ -105,35 +115,6 @@ let unzigzag v = (v lsr 1) lxor (-(v land 1))
    the whole int range, so [v < 0x80] would misclassify them *)
 let fits7 v = v land lnot 0x7f = 0
 let rec varint_size v = if fits7 v then 1 else 1 + varint_size (v lsr 7)
-let str_size s = varint_size (String.length s) + String.length s
-
-let put_byte s b =
-  Bytes.unsafe_set s.buf (s.total mod s.cap) (Char.unsafe_chr (b land 0xff));
-  s.total <- s.total + 1
-
-let rec put_varint s v =
-  if fits7 v then put_byte s v
-  else begin
-    put_byte s (0x80 lor (v land 0x7f));
-    put_varint s (v lsr 7)
-  end
-
-(* at most two blits, split where the string wraps (a committed record
-   never exceeds the capacity) *)
-let put_str s str =
-  let len = String.length str in
-  put_varint s len;
-  let off = s.total mod s.cap in
-  let first = min len (s.cap - off) in
-  Bytes.blit_string str 0 s.buf off first;
-  Bytes.blit_string str first s.buf 0 (len - first);
-  s.total <- s.total + len
-
-let put_f64 s f =
-  let bits = Int64.bits_of_float f in
-  for i = 0 to 7 do
-    put_byte s (Int64.to_int (Int64.shift_right_logical bits (8 * i)) land 0xff)
-  done
 
 (* a varint already in the ring, at monotone offset [off] *)
 let read_varint_at s off =
@@ -152,133 +133,195 @@ let reserve s size =
     s.dropped <- s.dropped + 1
   done
 
-let put_record s psize emit =
-  reserve s (varint_size psize + psize);
-  put_varint s psize;
-  emit s;
-  s.written <- s.written + 1
+(* -- the session encoder: per-domain scratch, grown as needed, reused -- *)
+
+type enc = { mutable b : Bytes.t; mutable len : int }
+
+let enc_initial = 4096
+let enc_key = Domain.DLS.new_key (fun () -> { b = Bytes.create enc_initial; len = 0 })
+let scratch_bytes () = Bytes.length (Domain.DLS.get enc_key).b
+
+let room e n =
+  if e.len + n > Bytes.length e.b then begin
+    let b = Bytes.create (max (e.len + n) (2 * Bytes.length e.b)) in
+    Bytes.blit e.b 0 b 0 e.len;
+    e.b <- b
+  end
+
+(* the unchecked writers: callers have made [room] *)
+let byte e v =
+  Bytes.unsafe_set e.b e.len (Char.unsafe_chr (v land 0xff));
+  e.len <- e.len + 1
+
+let rec varint e v =
+  if fits7 v then byte e v
+  else begin
+    byte e (0x80 lor (v land 0x7f));
+    varint e (v lsr 7)
+  end
+
+(* the checked field writers; a 63-bit varint takes at most 9 bytes *)
+let put_byte e v =
+  room e 1;
+  byte e v
+
+let put_varint e v =
+  room e 9;
+  varint e v
+
+let put_str e str =
+  let len = String.length str in
+  room e (9 + len);
+  varint e len;
+  Bytes.unsafe_blit_string str 0 e.b e.len len;
+  e.len <- e.len + len
+
+let put_f64 e f =
+  room e 8;
+  let bits = Int64.bits_of_float f in
+  for i = 0 to 7 do
+    byte e (Int64.to_int (Int64.shift_right_logical bits (8 * i)))
+  done
+
+(* A record is [varint payload-length][payload]. The payload goes in
+   after a one-byte length slot; [close_record] writes the length, first
+   shifting the payload up when it needs a longer varint (a payload of
+   128 bytes or more). *)
+let open_record e =
+  room e 1;
+  let slot = e.len in
+  e.len <- slot + 1;
+  slot
+
+let close_record e slot =
+  let psize = e.len - slot - 1 in
+  let extra = varint_size psize - 1 in
+  if extra > 0 then begin
+    room e extra;
+    Bytes.blit e.b (slot + 1) e.b (slot + 1 + extra) psize
+  end;
+  let stop = e.len + extra in
+  e.len <- slot;
+  varint e psize;
+  e.len <- stop
 
 (* -- record payloads -- *)
 
 let tag_begin = 1 and tag_span = 2 and tag_event = 3 and tag_end = 4
 
-let value_size = function
-  | Obs.Int v -> 1 + varint_size (zigzag v)
-  | Obs.Float _ -> 1 + 8
-  | Obs.Str s -> 1 + str_size s
-  | Obs.Bool _ -> 2
-
-let put_value s = function
+let put_value e = function
   | Obs.Int v ->
-    put_byte s 0;
-    put_varint s (zigzag v)
+    put_byte e 0;
+    put_varint e (zigzag v)
   | Obs.Float f ->
-    put_byte s 1;
-    put_f64 s f
+    put_byte e 1;
+    put_f64 e f
   | Obs.Str str ->
-    put_byte s 2;
-    put_str s str
+    put_byte e 2;
+    put_str e str
   | Obs.Bool b ->
-    put_byte s 3;
-    put_byte s (if b then 1 else 0)
+    put_byte e 3;
+    put_byte e (if b then 1 else 0)
 
-let attrs_size attrs =
-  varint_size (List.length attrs)
-  + List.fold_left (fun acc (k, v) -> acc + str_size k + value_size v) 0 attrs
-
-let put_attrs s attrs =
-  put_varint s (List.length attrs);
+let put_attrs e attrs =
+  put_varint e (List.length attrs);
   List.iter
     (fun (k, v) ->
-      put_str s k;
-      put_value s v)
+      put_str e k;
+      put_value e v)
     attrs
 
-let begin_size ~session ~clock = 1 + varint_size session + varint_size clock + 1
-let end_size ~session = 1 + varint_size session
+let put_begin e ~session ~clock ~keep =
+  let r = open_record e in
+  put_byte e tag_begin;
+  put_varint e session;
+  put_varint e clock;
+  put_byte e (keep_code keep);
+  close_record e r
 
-let span_size (v : Obs.span_view) =
-  1
-  + varint_size v.Obs.view_id
-  + varint_size (match v.Obs.view_parent with Some p -> p + 1 | None -> 0)
-  + str_size v.Obs.view_phase + str_size v.Obs.view_name
-  + varint_size v.Obs.view_start
-  + varint_size (zigzag v.Obs.view_stop)
-  + attrs_size v.Obs.view_attrs
+let put_end e ~session =
+  let r = open_record e in
+  put_byte e tag_end;
+  put_varint e session;
+  close_record e r
 
-let event_size span_id (e : Obs.event_view) =
-  1 + varint_size span_id + varint_size e.Obs.ev_vt + str_size e.Obs.ev_name
-  + attrs_size e.Obs.ev_attrs
+let put_span e (v : Obs.span_view) =
+  let r = open_record e in
+  put_byte e tag_span;
+  put_varint e v.Obs.view_id;
+  put_varint e (match v.Obs.view_parent with Some p -> p + 1 | None -> 0);
+  put_str e v.Obs.view_phase;
+  put_str e v.Obs.view_name;
+  put_varint e v.Obs.view_start;
+  put_varint e (zigzag v.Obs.view_stop);
+  put_attrs e v.Obs.view_attrs;
+  close_record e r
 
-let put_begin s ~session ~clock ~keep =
-  put_byte s tag_begin;
-  put_varint s session;
-  put_varint s clock;
-  put_byte s (keep_code keep)
+let put_event e span_id (ev : Obs.event_view) =
+  let r = open_record e in
+  put_byte e tag_event;
+  put_varint e span_id;
+  put_varint e ev.Obs.ev_vt;
+  put_str e ev.Obs.ev_name;
+  put_attrs e ev.Obs.ev_attrs;
+  close_record e r
 
-let put_end s ~session =
-  put_byte s tag_end;
-  put_varint s session
-
-let put_span s (v : Obs.span_view) =
-  put_byte s tag_span;
-  put_varint s v.Obs.view_id;
-  put_varint s (match v.Obs.view_parent with Some p -> p + 1 | None -> 0);
-  put_str s v.Obs.view_phase;
-  put_str s v.Obs.view_name;
-  put_varint s v.Obs.view_start;
-  put_varint s (zigzag v.Obs.view_stop);
-  put_attrs s v.Obs.view_attrs
-
-let put_event s span_id (e : Obs.event_view) =
-  put_byte s tag_event;
-  put_varint s span_id;
-  put_varint s e.Obs.ev_vt;
-  put_str s e.Obs.ev_name;
-  put_attrs s e.Obs.ev_attrs
+(* The spans and their events, in commit order; returns the record
+   count. Once the encoding passes [cap] bytes the session cannot fit
+   and is refused whole, so the remaining records are only counted. *)
+let rec put_spans e ~cap records = function
+  | [] -> records
+  | (v : Obs.span_view) :: rest ->
+    if e.len <= cap then put_span e v;
+    let records =
+      List.fold_left
+        (fun n ev ->
+          if e.len <= cap then put_event e v.Obs.view_id ev;
+          n + 1)
+        (records + 1) v.Obs.view_events
+    in
+    put_spans e ~cap records rest
 
 (* -- committing one kept session -- *)
-
-let framed psize = varint_size psize + psize
 
 let record t ~keep obs =
   if not (Obs.enabled obs) then 0
   else begin
     let s = my_shard t in
     let session = Obs.session obs and clock = Obs.clock obs in
-    let views = Obs.views obs in
-    let records = ref 2 (* begin + end *) and bytes = ref 0 in
-    bytes := framed (begin_size ~session ~clock) + framed (end_size ~session);
-    List.iter
-      (fun v ->
-        incr records;
-        bytes := !bytes + framed (span_size v);
-        List.iter
-          (fun e ->
-            incr records;
-            bytes := !bytes + framed (event_size v.Obs.view_id e))
-          v.Obs.view_events)
-      views;
-    Mutex.protect s.lock @@ fun () ->
-    let dropped0 = s.dropped in
-    if !bytes > s.cap then
-      (* the whole session cannot fit: refusing it outright is the only
-         way to keep commits atomic (a partial write would evict its
-         own head records) — the drop counter owns up to every one *)
-      s.dropped <- s.dropped + !records
-    else begin
-      put_record s (begin_size ~session ~clock) (fun s -> put_begin s ~session ~clock ~keep);
-      List.iter
-        (fun (v : Obs.span_view) ->
-          put_record s (span_size v) (fun s -> put_span s v);
-          List.iter
-            (fun e -> put_record s (event_size v.Obs.view_id e) (fun s -> put_event s v.Obs.view_id e))
-            v.Obs.view_events)
-        views;
-      put_record s (end_size ~session) (fun s -> put_end s ~session);
-      s.sessions <- s.sessions + 1
-    end;
-    s.dropped - dropped0
+    let e = Domain.DLS.get enc_key in
+    e.len <- 0;
+    put_begin e ~session ~clock ~keep;
+    let records = put_spans e ~cap:s.cap 2 (* begin + end *) (Obs.views obs) in
+    put_end e ~session;
+    let size = e.len in
+    let dropped =
+      Mutex.protect s.lock @@ fun () ->
+      let dropped0 = s.dropped in
+      if size > s.cap then
+        (* the whole session cannot fit: refusing it outright is the only
+           way to keep commits atomic (a partial write would evict its
+           own head records) — the drop counter owns up to every one *)
+        s.dropped <- s.dropped + records
+      else begin
+        (* evicting for the whole session at once frees exactly what
+           evicting record by record would: the oldest whole records
+           until the newest [size] bytes fit *)
+        reserve s size;
+        let off = s.total mod s.cap in
+        let first = min size (s.cap - off) in
+        Bytes.blit e.b 0 s.buf off first;
+        Bytes.blit e.b first s.buf 0 (size - first);
+        s.total <- s.total + size;
+        s.written <- s.written + records;
+        s.sessions <- s.sessions + 1
+      end;
+      s.dropped - dropped0
+    in
+    (* a session near or past the shard size grew the scratch; give
+       that back rather than pin it for the domain's life *)
+    if Bytes.length e.b > max enc_initial s.cap then e.b <- Bytes.create enc_initial;
+    dropped
   end
 
 (* -- dumps: the linearized live region, one blob per shard --
@@ -319,10 +362,13 @@ let linearize ~consume t =
       Mutex.protect s.lock @@ fun () ->
       buf_varint b s.written;
       buf_varint b s.dropped;
-      buf_varint b (s.total - s.first);
-      for off = s.first to s.total - 1 do
-        Buffer.add_char b (Bytes.unsafe_get s.buf (off mod s.cap))
-      done;
+      let live = s.total - s.first in
+      buf_varint b live;
+      (* the live region, split where it wraps *)
+      let off = s.first mod s.cap in
+      let first = min live (s.cap - off) in
+      Buffer.add_subbytes b s.buf off first;
+      Buffer.add_subbytes b s.buf 0 (live - first);
       if consume then s.first <- s.total)
     t.shards;
   Buffer.contents b

@@ -52,6 +52,11 @@ val record : t -> keep:keep -> Obs.t -> int
 
 (** {2 Introspection (read after writers are quiescent)} *)
 
+val scratch_bytes : unit -> int
+(** Size of the calling domain's encode scratch, for tests: a commit
+    leaves it no larger than the larger of 4096 bytes and the shard
+    size, whatever the session's size. *)
+
 val shard_count : t -> int
 val capacity : t -> int
 (** Total preallocated bytes across shards. *)

@@ -345,13 +345,16 @@ let memo_lint t spec =
           l)
   end
 
-(* Traced, the span [Lint.check_spec] records, written from the memo. *)
-let admission ?(obs = Obs.null) ?parent t spec =
-  if not (Obs.enabled obs) then (memo_lint t spec).verdict
-  else
-    Trust_analyze.Lint.with_span obs ?parent ~deep:false (fun () ->
-        let l = memo_lint t spec in
-        (l.verdict, l.tally))
+(* The span [Lint.check_spec] records, written from a memoized lint. *)
+let lint_span obs ?parent l =
+  Trust_analyze.Lint.with_span obs ?parent ~deep:false (fun () -> ((), l.tally))
+
+let admit ?(obs = Obs.null) ?parent t spec =
+  let l = memo_lint t spec in
+  if Obs.enabled obs then lint_span obs ?parent l;
+  l
+
+let admission ?obs ?parent t spec = (admit ?obs ?parent t spec).verdict
 
 let epoch t = Atomic.get t.epoch
 

@@ -152,6 +152,18 @@ val admission :
     order — written from the memo, so a warm traced admission costs a
     lookup, not a lint. *)
 
+type lint = { verdict : string option; tally : Trust_analyze.Lint.tally }
+(** A memoized admission lint: {!admission}'s verdict and the
+    diagnostic tallies its ["lint"] span carries. *)
+
+val admit : ?obs:Trust_obs.Obs.t -> ?parent:Trust_obs.Obs.handle -> t -> Spec.t -> lint
+(** {!admission}, returning the memo record itself (no allocation on a
+    warm shape), so a caller can write the span later with
+    {!lint_span}. *)
+
+val lint_span : Trust_obs.Obs.t -> ?parent:Trust_obs.Obs.handle -> lint -> unit
+(** The ["lint"] span a traced {!admit} of this lint records. *)
+
 val synthesize : t -> Spec.t -> (entry, string) result * [ `Hit | `Miss | `Bypass ]
 (** Memoized synthesis. [`Bypass] means the spec was not {!Shape.cacheable}
     and was synthesized fresh without touching the table. [Error] is the

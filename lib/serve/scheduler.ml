@@ -121,12 +121,13 @@ let account (session : Session.t) rec_opt ~duration ~events ~deliveries ~stalled
 (* One run of an already-synthesized session on the compiled runtime:
    the cached instruction plan executes against per-domain scratch with
    no per-run protocol allocation when untraced. A live [obs] makes the
-   runtime record its events and emit the simulate and audit spans.
-   Verdicts, ticks, events, exposure aggregates and traces are
+   runtime record its events and emit the simulate and audit spans;
+   with [capture] an untraced run keeps them in the Hotpath scratch for
+   [Hotpath.capture]. Verdicts, ticks, events, exposure aggregates and traces are
    identical to [run_interpreted] (property-tested in test_hotpath), so
    the two paths may be mixed freely across sessions and domains. *)
-let run_compiled cfg ?obs ?parent (plan : Trust_core.Compile.t) (session : Session.t) ~drops
-    rec_opt =
+let run_compiled cfg ~capture ?obs ?parent (plan : Trust_core.Compile.t) (session : Session.t)
+    ~drops rec_opt =
   session.Session.attempts <- session.Session.attempts + 1;
   let drop =
     if drops && cfg.drop_rate > 0. then
@@ -142,7 +143,8 @@ let run_compiled cfg ?obs ?parent (plan : Trust_core.Compile.t) (session : Sessi
     }
   in
   let summary =
-    Trust_sim.Hotpath.exec ~config ~defectors:session.Session.defectors ?obs ?parent plan
+    Trust_sim.Hotpath.exec ~config ~defectors:session.Session.defectors ~capturable:capture ?obs
+      ?parent plan
   in
   account session rec_opt ~duration:summary.Trust_sim.Hotpath.duration
     ~events:summary.Trust_sim.Hotpath.events ~deliveries:summary.Trust_sim.Hotpath.deliveries
@@ -209,111 +211,17 @@ let run_interpreted cfg ?(obs = Obs.null) ?parent (entry : Cache.entry) policy
   if report.Audit.all_preferred && result.Engine.stalled = [] then Session.Settled
   else Session.Expired
 
-(* Traced or not, every compiled entry runs on the compiled runtime;
+(* The plan a session of this entry runs on the compiled runtime:
+   traced or not, every compiled entry does unless [compiled = false];
    the two paths agree on every observable outcome and span. *)
-let run_once cfg ?obs ?parent (entry : Cache.entry) policy (session : Session.t) ~drops rec_opt =
-  match entry.Cache.compiled with
-  | Some plan when cfg.compiled -> run_compiled cfg ?obs ?parent plan session ~drops rec_opt
-  | Some _ | None -> run_interpreted cfg ?obs ?parent entry policy session ~drops rec_opt
+let compiled_plan cfg (entry : Cache.entry) =
+  match entry.Cache.compiled with Some _ as plan when cfg.compiled -> plan | Some _ | None -> None
 
-(* The whole lifecycle of one session — admission lint, synthesis
-   through the cache, engine run(s), classification — with no shared
-   state beyond the (sharded) cache, the (atomic) metrics and the
-   [retried] tally. Sessions are independent end-to-end and the drop
-   schedule is keyed on (seed, session, seq), so this runs bit-for-bit
-   identically from any domain in any order. *)
-let process_session ?parent cfg cache policy rec_opt retried obs (session : Session.t) =
-  Obs.with_span obs ?parent ~phase:"session"
-    (if Obs.enabled obs then Printf.sprintf "session.%d" session.Session.id else "session")
-    (fun root ->
-  record rec_opt (fun r -> Metrics.incr r.admitted);
-  Session.transition session Session.Synthesizing;
-  (* Admission lint: structural (cheap) rules only — error-level
-     diagnostics abort the session before any synthesis work. Traced or
-     not, the verdict comes from the cache's per-shape memo, which also
-     keeps the tallies a traced session's lint span carries. *)
-  let lint_reason =
-    (* the trace-mining deny list outranks the linter: a deny-listed
-       shape is refused before any lint or synthesis work, traced or
-       not (the verdict is a lock-free set lookup, identical on both
-       paths) *)
-    match Cache.denied_reason cache session.Session.spec with
-    | Some _ as denied -> denied
-    | None ->
-    Cache.admission ~obs ~parent:root cache session.Session.spec
-  in
-  (match lint_reason with
-  | Some reason ->
-    Session.transition session (Session.Aborted reason);
-    (* an admission slot is never free, even to reject *)
-    session.Session.ticks <- 1;
-    let denied = String.length reason >= 7 && String.sub reason 0 7 = "denied:" in
-    record rec_opt (fun r ->
-        if denied then Metrics.incr r.admission_denied else Metrics.incr r.lint_rejected;
-        Metrics.incr r.aborted)
-  | None ->
-    let verdict, outcome =
-      (* Which of two racing sessions takes the miss for a shared shape
-         depends on domain scheduling, so hit/miss is volatile; the
-         bypass decision (Shape.cacheable) and the verify flag are
-         functions of the spec and policy alone, hence deterministic. *)
-      Obs.with_span obs ~parent:root ~phase:"serve" "serve.synthesize" (fun h ->
-          let verdict, outcome = Cache.synthesize cache session.Session.spec in
-          if Obs.enabled obs then begin
-            Obs.attr obs h "bypass" (Obs.Bool (outcome = `Bypass));
-            Obs.attr obs h "verify" (Obs.Bool policy.Cache.verify);
-            Obs.volatile_attr obs h "cache_hit" (Obs.Bool (outcome = `Hit))
-          end;
-          (verdict, outcome))
-    in
-    session.Session.cache_hit <- outcome = `Hit;
-    record rec_opt (fun r ->
-        match outcome with
-        | `Hit -> Metrics.incr r.cache_hits
-        | `Miss | `Bypass -> Metrics.incr r.cache_misses);
-    (match verdict with
-    | Error e ->
-      Session.transition session (Session.Aborted e);
-      (* an admission slot is never free, even to reject *)
-      session.Session.ticks <- 1;
-      record rec_opt (fun r -> Metrics.incr r.aborted)
-    | Ok entry -> (
-      Session.transition session Session.Running;
-      let status = run_once cfg ~obs ~parent:root entry policy session ~drops:true rec_opt in
-      Session.transition session status;
-      match status with
-      | Session.Expired when cfg.drop_rate > 0. ->
-        (* Stalled under injected drops: requeue once and retransmit
-           over a reliable path (drops off). A second expiry sticks. *)
-        ignore (Atomic.fetch_and_add retried 1);
-        record rec_opt (fun r -> Metrics.incr r.retried_c);
-        Session.transition session Session.Queued;
-        Session.transition session Session.Synthesizing;
-        Session.transition session Session.Running;
-        Session.transition session
-          (run_once cfg ~obs ~parent:root entry policy session ~drops:false rec_opt)
-      | _ -> ())));
-  if Obs.enabled obs then begin
-    (* deterministic outcome facts on the session root: everything the
-       trace miner (Trust_obs.Mine) needs to attribute the session to
-       its spec shape and classify the incident — all pure functions of
-       the session record, so identical at any --jobs *)
-    Obs.attr obs root "shape" (Obs.Str (Shape.hash_hex session.Session.spec));
-    Obs.attr obs root "status" (Obs.Str (Session.status_label session.Session.status));
-    Obs.attr obs root "attempts" (Obs.Int session.Session.attempts);
-    Obs.attr obs root "ticks" (Obs.Int session.Session.ticks);
-    Obs.attr obs root "events" (Obs.Int session.Session.events);
-    Obs.attr obs root "violations" (Obs.Int session.Session.exposure_violations);
-    Obs.attr obs root "exposure_ticks" (Obs.Int session.Session.exposure_ticks)
-  end;
-  match session.Session.status with
-  | Session.Settled -> record rec_opt (fun r -> Metrics.incr r.settled)
-  | Session.Expired -> record rec_opt (fun r -> Metrics.incr r.expired)
-  | _ -> ())
-
-let process_one ?recorders ?(obs = Obs.null) ?parent cfg cache (session : Session.t) =
-  let retried = Atomic.make 0 in
-  process_session ?parent cfg cache (Cache.policy cache) recorders retried obs session
+let run_once cfg ~capture ?obs ?parent (entry : Cache.entry) policy (session : Session.t) ~drops
+    rec_opt =
+  match compiled_plan cfg entry with
+  | Some plan -> run_compiled cfg ~capture ?obs ?parent plan session ~drops rec_opt
+  | None -> run_interpreted cfg ?obs ?parent entry policy session ~drops rec_opt
 
 (* -- production tracing: head sampling, tail keep rules, ring sink -- *)
 
@@ -332,32 +240,241 @@ let tail_reason (session : Session.t) =
   else
     match session.Session.status with
     | Session.Expired -> Some Ring.Expiry
-    | Session.Aborted r when String.length r >= 5 && String.sub r 0 5 = "lint:" -> Some Ring.Lint
+    | Session.Aborted r when String.starts_with ~prefix:"lint:" r -> Some Ring.Lint
     | _ -> None
 
 let keep_decision ~sampled session =
   if sampled then Some Ring.Sampled else tail_reason session
 
-(* Materialize the trace of a session that ran unsampled: re-run a
-   fresh copy through the full lifecycle with a live sink (on the same
-   compiled runtime, now recording events). Every input the run depends on —
-   spec, defectors, the (seed, session, seq)-keyed drop schedule — is
-   identical, so the replayed trace is byte-for-byte what head
-   sampling would have recorded. Only rare tail-kept sessions pay the
-   second run; metrics are not passed, so nothing double-counts (the
-   protocol cache does see a second synthesize, typically a hit). *)
+(* What the trace of a tail-kept session is rebuilt from, taken as its
+   unsampled run goes: the admission lint, the synthesis outcome
+   ([None] when admission refused it) and its runs — compiled ones as
+   the Hotpath scratch held them; interpreted ones leave no scratch, so
+   the rebuild runs them again from their entry with a live sink. *)
+type runs = Captured of Trust_sim.Hotpath.capture list | Rerun of Cache.entry
+
+type capture = {
+  lint : Cache.lint;
+  synthesized : [ `Hit | `Miss | `Bypass ] option;
+  runs : runs;
+}
+
+(* the compiled run still in this domain's Hotpath scratch *)
+let captured_run (session : Session.t) plan =
+  Trust_sim.Hotpath.capture ~defectors:session.Session.defectors plan
+
+let tail_kept ~capture session = capture && tail_reason session <> None
+
+(* The spans a session writes around its admission, synthesis and runs,
+   shared by the live run and the rebuild from a capture. *)
+let session_span obs ?parent (session : Session.t) f =
+  Obs.with_span obs ?parent ~phase:"session"
+    (if Obs.enabled obs then Printf.sprintf "session.%d" session.Session.id else "session")
+    f
+
+let synthesis_attrs obs h ~outcome ~verify =
+  if Obs.enabled obs then begin
+    Obs.attr obs h "bypass" (Obs.Bool (outcome = `Bypass));
+    Obs.attr obs h "verify" (Obs.Bool verify);
+    Obs.volatile_attr obs h "cache_hit" (Obs.Bool (outcome = `Hit))
+  end
+
+(* deterministic outcome facts on the session root: everything the
+   trace miner (Trust_obs.Mine) needs to attribute the session to its
+   spec shape and classify the incident — all pure functions of the
+   session record, so identical at any --jobs *)
+let outcome_attrs obs root (session : Session.t) =
+  if Obs.enabled obs then begin
+    Obs.attr obs root "shape" (Obs.Str (Shape.hash_hex session.Session.spec));
+    Obs.attr obs root "status" (Obs.Str (Session.status_label session.Session.status));
+    Obs.attr obs root "attempts" (Obs.Int session.Session.attempts);
+    Obs.attr obs root "ticks" (Obs.Int session.Session.ticks);
+    Obs.attr obs root "events" (Obs.Int session.Session.events);
+    Obs.attr obs root "violations" (Obs.Int session.Session.exposure_violations);
+    Obs.attr obs root "exposure_ticks" (Obs.Int session.Session.exposure_ticks)
+  end
+
+let refuse rec_opt (session : Session.t) reason =
+  Session.transition session (Session.Aborted reason);
+  (* an admission slot is never free, even to reject *)
+  session.Session.ticks <- 1;
+  let denied = String.starts_with ~prefix:"denied:" reason in
+  record rec_opt (fun r ->
+      if denied then Metrics.incr r.admission_denied else Metrics.incr r.lint_rejected;
+      Metrics.incr r.aborted)
+
+(* The runs of a synthesized session: one, or two when the first
+   stalled under injected drops. With [capture], returns how the runs
+   reach the trace when a tail rule fires. *)
+let run_attempts ~capture cfg ~obs ~root entry policy rec_opt retried (session : Session.t) =
+  Session.transition session Session.Running;
+  let status = run_once cfg ~capture ~obs ~parent:root entry policy session ~drops:true rec_opt in
+  Session.transition session status;
+  match status with
+  | Session.Expired when cfg.drop_rate > 0. ->
+    (* Stalled under injected drops: requeue once and retransmit over a
+       reliable path (drops off). A second expiry sticks. A retried
+       session is always kept, and the retry overwrites the scratch, so
+       the first run is captured now. *)
+    let plan = if capture then compiled_plan cfg entry else None in
+    let first = match plan with Some plan -> Some (captured_run session plan) | None -> None in
+    ignore (Atomic.fetch_and_add retried 1);
+    record rec_opt (fun r -> Metrics.incr r.retried_c);
+    Session.transition session Session.Queued;
+    Session.transition session Session.Synthesizing;
+    Session.transition session Session.Running;
+    Session.transition session
+      (run_once cfg ~capture ~obs ~parent:root entry policy session ~drops:false rec_opt);
+    if not capture then None
+    else (
+      match (plan, first) with
+      | Some plan, Some first -> Some (Captured [ first; captured_run session plan ])
+      | _ -> Some (Rerun entry))
+  | _ ->
+    if not (tail_kept ~capture session) then None
+    else (
+      match compiled_plan cfg entry with
+      | Some plan -> Some (Captured [ captured_run session plan ])
+      | None -> Some (Rerun entry))
+
+(* The whole lifecycle of one session — admission lint, synthesis
+   through the cache, engine run(s), classification — with no shared
+   state beyond the (sharded) cache, the (atomic) metrics and the
+   [retried] tally. Sessions are independent end-to-end and the drop
+   schedule is keyed on (seed, session, seq), so this runs bit-for-bit
+   identically from any domain in any order.
+
+   With [capture] (an unsampled session under tracing) the session runs
+   untraced, and if a tail rule fires the result is what [rebuild]
+   writes its trace from; [None] otherwise. *)
+let process_session ?parent ~capture cfg cache policy rec_opt retried obs (session : Session.t) =
+  session_span obs ?parent session (fun root ->
+      record rec_opt (fun r -> Metrics.incr r.admitted);
+      Session.transition session Session.Synthesizing;
+      let captured =
+        (* the trace-mining deny list outranks the linter: a deny-listed
+           shape is refused before any lint or synthesis work, traced or
+           not (the verdict is a lock-free set lookup, identical on both
+           paths); no tail rule keeps it *)
+        match Cache.denied_reason cache session.Session.spec with
+        | Some reason ->
+          refuse rec_opt session reason;
+          None
+        | None -> (
+          (* Admission lint: structural (cheap) rules only — error-level
+             diagnostics abort the session before any synthesis work.
+             Traced or not, the verdict comes from the cache's per-shape
+             memo, which also keeps the tallies a lint span carries. *)
+          let lint = Cache.admit ~obs ~parent:root cache session.Session.spec in
+          match lint.Cache.verdict with
+          | Some reason ->
+            refuse rec_opt session reason;
+            if tail_kept ~capture session then
+              Some { lint; synthesized = None; runs = Captured [] }
+            else None
+          | None -> (
+            let verdict, outcome =
+              (* Which of two racing sessions takes the miss for a shared
+                 shape depends on domain scheduling, so hit/miss is
+                 volatile; the bypass decision (Shape.cacheable) and the
+                 verify flag are functions of the spec and policy alone,
+                 hence deterministic. *)
+              Obs.with_span obs ~parent:root ~phase:"serve" "serve.synthesize" (fun h ->
+                  let verdict, outcome = Cache.synthesize cache session.Session.spec in
+                  synthesis_attrs obs h ~outcome ~verify:policy.Cache.verify;
+                  (verdict, outcome))
+            in
+            session.Session.cache_hit <- outcome = `Hit;
+            record rec_opt (fun r ->
+                match outcome with
+                | `Hit -> Metrics.incr r.cache_hits
+                | `Miss | `Bypass -> Metrics.incr r.cache_misses);
+            let runs =
+              match verdict with
+              | Error e ->
+                Session.transition session (Session.Aborted e);
+                (* an admission slot is never free, even to reject *)
+                session.Session.ticks <- 1;
+                record rec_opt (fun r -> Metrics.incr r.aborted);
+                if tail_kept ~capture session then Some (Captured []) else None
+              | Ok entry ->
+                run_attempts ~capture cfg ~obs ~root entry policy rec_opt retried session
+            in
+            match runs with
+            | Some runs -> Some { lint; synthesized = Some outcome; runs }
+            | None -> None))
+      in
+      outcome_attrs obs root session;
+      (match session.Session.status with
+      | Session.Settled -> record rec_opt (fun r -> Metrics.incr r.settled)
+      | Session.Expired -> record rec_opt (fun r -> Metrics.incr r.expired)
+      | _ -> ());
+      captured)
+
+let process_one ?recorders ?(obs = Obs.null) ?parent cfg cache (session : Session.t) =
+  let retried = Atomic.make 0 in
+  ignore
+    (process_session ?parent ~capture:false cfg cache (Cache.policy cache) recorders retried obs
+       session
+      : capture option)
+
+let process_unsampled ?recorders cfg cache (session : Session.t) =
+  let retried = Atomic.make 0 in
+  process_session ~capture:true cfg cache (Cache.policy cache) recorders retried Obs.null session
+
+(* The trace of a tail-kept session from its capture: the spans a
+   sampled run would have recorded, written in the same order from the
+   admission lint, synthesis outcome and runs the live run kept, and
+   the closed session record. Admission and synthesis never run again;
+   compiled runs are emitted from their captures, interpreted ones run
+   again on a fresh copy of the session (the interpreted engine keeps
+   no scratch to capture). *)
+let rebuild ?parent cfg cache trace (session : Session.t) c =
+  let policy = Cache.policy cache in
+  session_span trace ?parent session (fun root ->
+      Cache.lint_span trace ~parent:root c.lint;
+      (match c.synthesized with
+      | None -> ()
+      | Some outcome ->
+        Obs.with_span trace ~parent:root ~phase:"serve" "serve.synthesize" (fun h ->
+            synthesis_attrs trace h ~outcome ~verify:policy.Cache.verify));
+      (match c.runs with
+      | Captured runs -> List.iter (Trust_sim.Hotpath.emit trace ~parent:root) runs
+      | Rerun entry ->
+        let fresh =
+          Session.make ~id:session.Session.id ~defectors:session.Session.defectors
+            session.Session.spec
+        in
+        Session.transition fresh Session.Synthesizing;
+        ignore
+          (run_attempts ~capture:false cfg ~obs:trace ~root entry policy None (Atomic.make 0) fresh
+            : runs option));
+      outcome_attrs trace root session)
+
+(* The re-run reference for a session that ran unsampled: a fresh copy
+   goes through the full lifecycle with a live sink (on the same
+   compiled runtime, now recording events). Every input the run depends
+   on — spec, defectors, the (seed, session, seq)-keyed drop schedule —
+   is identical, so the replayed trace is byte-for-byte what head
+   sampling would have recorded, and what [rebuild] writes from a
+   capture (the tests hold the two together). Metrics are not passed,
+   so nothing double-counts; the protocol cache does see a second
+   admission and synthesis, typically hits. *)
 let replay ?parent cfg cache trace (session : Session.t) =
   let fresh =
     Session.make ~id:session.Session.id ~defectors:session.Session.defectors session.Session.spec
   in
   let retried = Atomic.make 0 in
-  process_session ?parent cfg cache (Cache.policy cache) None retried trace fresh;
+  ignore
+    (process_session ?parent ~capture:false cfg cache (Cache.policy cache) None retried trace fresh
+      : capture option);
   fresh
 
 (* The one retention step both front doors share. A head-sampled
    session already ran under its live [trace]; an unsampled one that a
-   tail rule keeps is re-run through [replay] (into whatever sink the
-   caller owns). The keep verdict is then stamped on the root after the
+   tail rule keeps gets its trace from [replay] (the caller's
+   [rebuild] from the session's capture, into whatever sink the caller
+   owns). The keep verdict is then stamped on the root after the
    fact (attrs on finished spans don't tick the clock): ring dumps and
    the JSONL export agree on why each session was retained, which is
    what lets Mine fold either one identically. The ring commit runs on
@@ -411,15 +528,22 @@ let run ?metrics ?(obs = Obs.no_batch) ?ring cfg cache sessions =
   let process (session : Session.t) =
     let sampled = tracing && session_sampled cfg session.Session.id in
     let trace = if sampled then slot_trace session else Obs.null in
-    process_session cfg cache policy rec_opt retried trace session;
+    let captured =
+      process_session ~capture:(tracing && not sampled) cfg cache policy rec_opt retried trace
+        session
+    in
     if tracing then
-      (* tail promotion replays into the batch slot (or a standalone
+      (* tail promotion rebuilds into the batch slot (or a standalone
          trace) so the durable export carries it alongside the
          head-sampled set *)
       ignore
         (retain ?recorders:rec_opt ?ring ~sampled trace (Some session) ~replay:(fun () ->
              let slot = slot_trace session in
-             ignore (replay cfg cache slot session : Session.t);
+             (* [retain] calls this only when a tail rule fired, which
+                is exactly when [process_session] returned a capture *)
+             (match captured with
+             | Some c -> rebuild cfg cache slot session c
+             | None -> invalid_arg "Scheduler.run: tail-kept session without a capture");
              slot)
           : Obs.t option)
   in

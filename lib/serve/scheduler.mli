@@ -112,14 +112,44 @@ val keep_decision : sampled:bool -> Session.t -> Trust_obs.Ring.keep option
 (** What to retain at session close: head-sampled sessions are kept as
     [Sampled]; unsampled ones are promoted iff {!tail_reason} fires. *)
 
+type capture
+(** What a tail-kept session's trace is rebuilt from, taken while its
+    unsampled run went: the admission lint's memo record, the synthesis
+    outcome, and each compiled run as {!Trust_sim.Hotpath.capture}
+    copied it out of the runtime's scratch — the first attempt at the
+    retry, the last after the session closed. A session that ran on the
+    interpreted engine keeps its cache entry instead. *)
+
+val process_unsampled : ?recorders:recorders -> config -> Cache.t -> Session.t -> capture option
+(** {!process_one} for an unsampled session while tracing is on: the
+    session runs untraced, and when a tail rule fires ({!tail_reason})
+    the result is the capture {!rebuild} writes its trace from; [None]
+    when no rule fires. *)
+
+val rebuild :
+  ?parent:Trust_obs.Obs.handle ->
+  config ->
+  Cache.t ->
+  Trust_obs.Obs.t ->
+  Session.t ->
+  capture ->
+  unit
+(** Write the trace of a tail-kept session from its capture and its
+    closed record: the spans, attributes, events and virtual ticks head
+    sampling would have recorded — byte-identical to {!replay}'s.
+    Admission and synthesis do not run again, and neither do compiled
+    runs; runs on the interpreted engine, which keeps nothing to
+    capture, run again from their cache entry with a live sink. *)
+
 val replay :
   ?parent:Trust_obs.Obs.handle -> config -> Cache.t -> Trust_obs.Obs.t -> Session.t -> Session.t
-(** Re-run a fresh copy of a (closed, unsampled) session with a live
-    trace sink, materializing the spans head sampling would have
-    recorded — determinism makes the two byte-identical. Metrics are
-    not recorded (nothing double-counts); the protocol cache does see
-    a second synthesis, typically a hit. Returns the replayed session
-    record. *)
+(** The re-run reference: re-run a fresh copy of a (closed, unsampled)
+    session through the whole lifecycle with a live trace sink,
+    materializing the spans head sampling would have recorded —
+    determinism makes the two byte-identical, and the tests hold
+    {!rebuild} against it. Metrics are not recorded (nothing
+    double-counts); the protocol cache does see a second admission and
+    synthesis, typically hits. Returns the replayed session record. *)
 
 val retain :
   ?recorders:recorders ->
@@ -133,7 +163,8 @@ val retain :
     daemon: [retain ~sampled trace session ~replay] picks the keep
     reason with {!keep_decision} ([None] for the session — a daemon
     parse failure — keeps it only if [sampled]), takes [trace] for a
-    sampled session or calls [replay] for a tail-promoted one, stamps
+    sampled session or calls [replay] for a tail-promoted one (the
+    caller's {!rebuild} from the session's capture), stamps
     [keep] on the trace's first root, commits it to [ring], and returns
     the kept trace ([None] when nothing is kept). Bumps
     [obs_sessions_sampled_total], [obs_sessions_kept_tail_total] and
@@ -168,9 +199,9 @@ val run :
     Tracing engages the sampler: only sessions passing
     {!session_sampled} run with a live trace (the rest run untraced,
     allocation-free), and at close {!retain} either drops the session
-    or commits it — tail-promoted sessions are {!replay}ed into their
-    slot first so the batch export and the [ring] carry their full
-    spans. Ring commits happen on the worker domain at session
+    or commits it — tail-promoted sessions get their slot filled first
+    by {!rebuild} from what their run captured, so the batch export and the [ring] carry their
+    full spans. Ring commits happen on the worker domain at session
     close (each domain owns a shard), so they carry the execution
     spans but {e not} the merge-phase [serve.place] annotation, which
     exists only in the batch export; the ring's live-byte residency is

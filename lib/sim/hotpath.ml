@@ -24,15 +24,19 @@
    final holdings with the plan's initial totals. An untraced run needs
    only the preferred-outcome half.
 
-   With a live [Obs] sink the same loop also records the engine's event
-   timeline (deliver, park, retry, drop, expire, deadline) into scratch.
-   After the run the traced entry emits the ["simulate"] span with those
-   events and the ["audit"] span with its ["exposure"] child, reading
-   the exposure figures from the same fold the summary comes from and
-   the verdict tallies from the compiled audit — byte-identical to what
-   [Harness.run_cast] + [Audit.audit] record on the interpreted path
-   (property-tested in test_hotpath). No [Engine.result] is built on
-   either path; [to_result] materializes one for tests. *)
+   A traced run, or an untraced one whose caller may still want its
+   spans ([capturable]), also records the engine's event timeline
+   (deliver, park, retry, drop, expire, deadline), the violation log and
+   the peak escrow into scratch, where they stay until the domain's next
+   run. A [capture] copies them out together with the compiled audit
+   report; [emit] turns a capture into the ["simulate"] span with those
+   events and the ["audit"] span with its ["exposure"] child —
+   byte-identical to what [Harness.run_cast] + [Audit.audit] record on
+   the interpreted path (property-tested in test_hotpath). A traced run
+   captures and emits at once; the scheduler runs an unsampled session
+   capturable while tracing is on, captures it only when a tail keep
+   rule fires, and emits it if the session is kept. No [Engine.result] is built on either path; [to_result]
+   materializes one for tests. *)
 
 open Exchange
 module C = Trust_core.Compile
@@ -117,16 +121,16 @@ type scratch = {
   mutable flagged : Bytes.t;
   mutable honest : Bytes.t;
   mutable violations : int;
-  (* traced runs only: ledger detail the exposure span reports *)
+  (* recording runs only: ledger detail the exposure span reports *)
   mutable peak_escrow : int array;
   mutable risk_since : int array;  (* first tick of the open risk window, -1 none *)
   mutable vio : int array;  (* [vio_stride] ints per violation *)
   (* audit scratch: trusted-conduit net flows *)
   mutable g_docs : int array;
   mutable l_docs : int array;
-  (* traced runs only: the engine event timeline, [ev_stride] ints per
-     event — kind, tick, and two kind-specific operands *)
-  mutable tracing : bool;
+  (* recording runs only: the engine event timeline, [ev_stride] ints
+     per event — kind, tick, and two kind-specific operands *)
+  mutable recording : bool;
   mutable ev : int array;
   mutable ev_len : int;
 }
@@ -185,7 +189,7 @@ let make_scratch () =
     vio = [||];
     g_docs = [||];
     l_docs = [||];
-    tracing = false;
+    recording = false;
     ev = [||];
     ev_len = 0;
   }
@@ -276,7 +280,7 @@ let reset s (p : C.t) defectors =
   Array.fill s.deposits 0 n_pr 0;
   Array.fill s.goods 0 n_pr 0;
   Array.fill s.peak_risk 0 n_pr 0;
-  if s.tracing then begin
+  if s.recording then begin
     s.peak_escrow <- grow_int s.peak_escrow n_pr;
     s.risk_since <- grow_int s.risk_since n_pr;
     Array.fill s.peak_escrow 0 n_pr 0;
@@ -414,8 +418,8 @@ let record_event s kind at a b =
   s.ev.(i + 3) <- b;
   s.ev_len <- s.ev_len + 1
 
-(* inlined, so an untraced run pays one test per event *)
-let[@inline] trace_event s kind at a b = if s.tracing then record_event s kind at a b
+(* inlined, so a run that records nothing pays one test per event *)
+let[@inline] trace_event s kind at a b = if s.recording then record_event s kind at a b
 
 let pend_push s party act =
   if s.pend_len = Array.length s.pend_party then begin
@@ -979,12 +983,13 @@ let apply_delivery s (p : C.t) a =
     end
   end
 
-(* violation log, traced runs only: principal slot, tick, kind (0 bound
-   exceeded, 1 unsettled), amount (the at-risk value or the residual) *)
+(* violation log, recording runs only: principal slot, tick, kind (0
+   bound exceeded, 1 unsettled), amount (the at-risk value or the
+   residual) *)
 let vio_stride = 4
 
 let count_violation s ps at kind amount =
-  if s.tracing then begin
+  if s.recording then begin
     let i = s.violations * vio_stride in
     s.vio <- extend_int s.vio (i + vio_stride);
     s.vio.(i) <- ps;
@@ -1017,7 +1022,7 @@ let sample_tick s (p : C.t) at =
       s.s_goods.(ps) <- s.goods.(ps);
       if risk > s.peak_risk.(ps) then s.peak_risk.(ps) <- risk;
       if s.prev_risk.(ps) > 0 then s.risk_ticks.(ps) <- s.risk_ticks.(ps) + (at - s.prev_at.(ps));
-      if s.tracing then begin
+      if s.recording then begin
         if s.escrowed.(ps) > s.peak_escrow.(ps) then s.peak_escrow.(ps) <- s.escrowed.(ps);
         if risk > 0 && s.risk_since.(ps) < 0 then s.risk_since.(ps) <- at;
         if risk = 0 then s.risk_since.(ps) <- -1
@@ -1057,7 +1062,7 @@ let summarize_exposure s (p : C.t) =
       s.risk_ticks.(ps) <- s.risk_ticks.(ps) + (duration - s.prev_at.(ps) + 1);
       if Bytes.get s.honest ps <> '\000' then begin
         (* reported at the start of the open risk window, when known *)
-        let since = if s.tracing then s.risk_since.(ps) else -1 in
+        let since = if s.recording then s.risk_since.(ps) else -1 in
         count_violation s ps (if since >= 0 then since else duration) 1 s.prev_risk.(ps)
       end
     end
@@ -1171,7 +1176,7 @@ let audit_report s (p : C.t) defectors (preferred : bool array) =
     ~conserved:(!money = p.C.initial_money && !docs = p.C.initial_docs)
     (Array.to_list (Array.mapi verdict p.C.judged))
 
-(* -- the materialized result (tests) and the traced entry -- *)
+(* -- the materialized result (tests) -- *)
 
 let materialize s (p : C.t) =
   let state = ref State.empty in
@@ -1202,32 +1207,6 @@ let materialize s (p : C.t) =
   done;
   { Engine.state = !state; log = !log; holdings; stalled = !stalled; events = s.events }
 
-(* Replay the recorded timeline onto the ["simulate"] span, exactly as
-   [Engine.run] emits it live. *)
-let emit_events s (p : C.t) obs h =
-  let action_attrs ~at a =
-    let d = p.C.act_deal.(a) in
-    Engine.deal_action_attrs
-      ~deal:(if d < 0 then None else Some p.C.deal_ids.(d))
-      ~at p.C.actions.(a)
-  in
-  let party i = Obs.Str (Party.name p.C.parties.(i)) in
-  for k = 0 to s.ev_len - 1 do
-    let i = k * ev_stride in
-    let kind = s.ev.(i) and at = s.ev.(i + 1) and a = s.ev.(i + 2) and b = s.ev.(i + 3) in
-    if kind = ev_deliver then Obs.event obs h "deliver" ~attrs:(action_attrs ~at a)
-    else if kind = ev_park then
-      Obs.event obs h "park" ~attrs:(("party", party b) :: action_attrs ~at a)
-    else if kind = ev_retry then
-      Obs.event obs h "retry"
-        ~attrs:[ ("party", party a); ("parked", Obs.Int b); ("at", Obs.Int at) ]
-    else if kind = ev_drop then
-      Obs.event obs h "drop" ~attrs:(("seq", Obs.Int b) :: action_attrs ~at a)
-    else if kind = ev_expire then
-      Obs.event obs h "expire" ~attrs:[ ("deal", Obs.Str p.C.deal_ids.(a)); ("at", Obs.Int at) ]
-    else Obs.event obs h "deadline" ~attrs:[ ("at", Obs.Int at) ]
-  done
-
 (* The summary of the run in scratch: the exposure fold and the
    compiled audit verdicts. *)
 let summarize s (p : C.t) =
@@ -1248,49 +1227,111 @@ let summarize s (p : C.t) =
 let total_peak_risk (t : summary) = Array.fold_left ( + ) 0 t.peak_risk
 let total_risk_ticks (t : summary) = Array.fold_left ( + ) 0 t.risk_ticks
 
-(* The spans of a traced run, from the same exposure fold as its
-   summary and the compiled audit. *)
-let emit_spans s (p : C.t) (summary : summary) defectors obs parent =
+(* -- captures: a finished run, copied out of scratch for emission -- *)
+
+type capture = {
+  c_plan : C.t;
+  c_timeline : int array;  (* [ev_stride] ints per event *)
+  c_events : int;
+  c_deliveries : int;
+  c_stalled : int;
+  c_peak_at_risk : int;
+  c_peak_escrow : int;
+  c_peaks : (Party.t * int) list;  (* per principal slot *)
+  c_risk_ticks : int;
+  c_report : Audit.report;
+  c_violations : Exposure.violation list;
+}
+
+(* The run in scratch, judged with its [preferred] verdicts; every
+   other figure is read off the scratch the run left. *)
+let capture_run s (p : C.t) defectors preferred =
+  let n_pr = p.C.n_principals in
   let principal ps = p.C.parties.(fst p.C.roles.(ps)) in
-  let peak_escrow = Array.fold_left ( + ) 0 (Array.sub s.peak_escrow 0 p.C.n_principals) in
+  let sum a = Array.fold_left ( + ) 0 (Array.sub a 0 n_pr) in
+  {
+    c_plan = p;
+    c_timeline = Array.sub s.ev 0 (s.ev_len * ev_stride);
+    c_events = s.events;
+    c_deliveries = s.log_len;
+    c_stalled = s.pend_len;
+    c_peak_at_risk = sum s.peak_risk;
+    c_peak_escrow = sum s.peak_escrow;
+    c_peaks = List.init n_pr (fun ps -> (principal ps, s.peak_risk.(ps)));
+    c_risk_ticks = sum s.risk_ticks;
+    c_report = audit_report s p defectors preferred;
+    c_violations =
+      List.init s.violations (fun k ->
+          let i = k * vio_stride in
+          let ps = s.vio.(i) and amount = s.vio.(i + 3) in
+          let v_kind =
+            if s.vio.(i + 2) = 0 then
+              Exposure.Bound_exceeded { at_risk = amount; bound = p.C.bound.(ps) }
+            else Exposure.Unsettled { residual = amount }
+          in
+          { Exposure.v_party = principal ps; v_at = s.vio.(i + 1); v_kind });
+  }
+
+(* The recorded timeline onto the ["simulate"] span, exactly as
+   [Engine.run] emits it live. *)
+let emit_events c obs h =
+  let p = c.c_plan and ev = c.c_timeline in
+  let action_attrs ~at a =
+    let d = p.C.act_deal.(a) in
+    Engine.deal_action_attrs
+      ~deal:(if d < 0 then None else Some p.C.deal_ids.(d))
+      ~at p.C.actions.(a)
+  in
+  let party i = Obs.Str (Party.name p.C.parties.(i)) in
+  for k = 0 to (Array.length ev / ev_stride) - 1 do
+    let i = k * ev_stride in
+    let kind = ev.(i) and at = ev.(i + 1) and a = ev.(i + 2) and b = ev.(i + 3) in
+    if kind = ev_deliver then Obs.event obs h "deliver" ~attrs:(action_attrs ~at a)
+    else if kind = ev_park then
+      Obs.event obs h "park" ~attrs:(("party", party b) :: action_attrs ~at a)
+    else if kind = ev_retry then
+      Obs.event obs h "retry"
+        ~attrs:[ ("party", party a); ("parked", Obs.Int b); ("at", Obs.Int at) ]
+    else if kind = ev_drop then
+      Obs.event obs h "drop" ~attrs:(("seq", Obs.Int b) :: action_attrs ~at a)
+    else if kind = ev_expire then
+      Obs.event obs h "expire" ~attrs:[ ("deal", Obs.Str p.C.deal_ids.(a)); ("at", Obs.Int at) ]
+    else Obs.event obs h "deadline" ~attrs:[ ("at", Obs.Int at) ]
+  done
+
+let emit obs ?parent c =
   Obs.with_span obs ?parent ~phase:"simulate" "simulate" (fun h ->
-      emit_events s p obs h;
-      Harness.simulate_attrs obs h ~events:s.events ~deliveries:s.log_len ~stalled:s.pend_len
-        ~peak_at_risk:(total_peak_risk summary) ~peak_escrow);
-  Audit.record obs ?parent (audit_report s p defectors summary.preferred) (fun span ->
-      let violations =
-        List.init s.violations (fun k ->
-            let i = k * vio_stride in
-            let ps = s.vio.(i) and amount = s.vio.(i + 3) in
-            let v_kind =
-              if s.vio.(i + 2) = 0 then
-                Exposure.Bound_exceeded { at_risk = amount; bound = p.C.bound.(ps) }
-              else Exposure.Unsettled { residual = amount }
-            in
-            { Exposure.v_party = principal ps; v_at = s.vio.(i + 1); v_kind })
-      in
-      Exposure.record_summary obs ~parent:span
-        ~peaks:(List.init p.C.n_principals (fun ps -> (principal ps, summary.peak_risk.(ps))))
-        ~peak_escrow ~risk_ticks:(total_risk_ticks summary) violations)
+      emit_events c obs h;
+      Harness.simulate_attrs obs h ~events:c.c_events ~deliveries:c.c_deliveries
+        ~stalled:c.c_stalled ~peak_at_risk:c.c_peak_at_risk ~peak_escrow:c.c_peak_escrow);
+  Audit.record obs ?parent c.c_report (fun span ->
+      Exposure.record_summary obs ~parent:span ~peaks:c.c_peaks ~peak_escrow:c.c_peak_escrow
+        ~risk_ticks:c.c_risk_ticks c.c_violations)
 
 (* -- entry points -- *)
 
-let exec ?(config = default_config) ?(defectors = []) ?(obs = Obs.null) ?parent (p : C.t) =
+let exec ?(config = default_config) ?(defectors = []) ?(capturable = false) ?(obs = Obs.null)
+    ?parent (p : C.t) =
   let s = Domain.DLS.get scratch_key in
-  s.tracing <- Obs.enabled obs;
+  s.recording <- capturable || Obs.enabled obs;
   execute s p config defectors;
   let summary = summarize s p in
-  if s.tracing then emit_spans s p summary defectors obs parent;
+  if Obs.enabled obs then emit obs ?parent (capture_run s p defectors summary.preferred);
   summary
+
+let capture ?(defectors = []) (p : C.t) =
+  let s = Domain.DLS.get scratch_key in
+  if not s.recording then invalid_arg "Hotpath.capture: the last run recorded no timeline";
+  capture_run s p defectors (Array.map (judge_preferred s p) p.C.judged)
 
 let to_result ?(config = default_config) ?(defectors = []) (p : C.t) =
   let s = Domain.DLS.get scratch_key in
-  s.tracing <- false;
+  s.recording <- false;
   execute s p config defectors;
   materialize s p
 
 let report ?(config = default_config) ?(defectors = []) (p : C.t) =
   let s = Domain.DLS.get scratch_key in
-  s.tracing <- false;
+  s.recording <- false;
   execute s p config defectors;
   audit_report s p defectors (Array.map (judge_preferred s p) p.C.judged)

@@ -38,7 +38,7 @@ type summary = {
 
 val exec :
   ?config:config -> ?defectors:(Exchange.Party.t * Harness.defection) list ->
-  ?obs:Trust_obs.Obs.t -> ?parent:Trust_obs.Obs.handle ->
+  ?capturable:bool -> ?obs:Trust_obs.Obs.t -> ?parent:Trust_obs.Obs.handle ->
   Trust_core.Compile.t -> summary
 (** Run the plan and fold exposure + audit over the result, without
     materializing engine structures. Deterministic for a fixed
@@ -53,7 +53,28 @@ val exec :
     interpreted engine. The spans read the exposure figures from the
     same fold as the summary and the verdict tallies from the compiled
     audit ({!report}'s verdicts); no [Engine.result] is materialized.
-    The null sink (the default) costs nothing. *)
+    With the null sink (the default) no span is written and, unless
+    [capturable] (default [false]), no timeline is kept either; a
+    capturable run keeps it in the domain's scratch, which {!capture}
+    reads, until the domain's next run. *)
+
+type capture
+(** One finished run, copied out of the scratch: its event timeline,
+    run tallies, compiled audit report, violation records and peak
+    escrow — everything the spans of a traced {!exec} are built from. *)
+
+val capture :
+  ?defectors:(Exchange.Party.t * Harness.defection) list -> Trust_core.Compile.t -> capture
+(** The run the calling domain's last {!exec} left in its scratch,
+    which must have been of this plan and these defectors; no other run
+    may come between. That run must have been traced or [capturable]
+    ([Invalid_argument] otherwise), so an untraced run that turns out
+    worth keeping need not be run again. *)
+
+val emit : Trust_obs.Obs.t -> ?parent:Trust_obs.Obs.handle -> capture -> unit
+(** Record the captured run's ["simulate"] and ["audit"] spans under
+    [parent]: the same spans, attributes, events and virtual ticks a
+    traced {!exec} of that run records at the same point of a trace. *)
 
 val total_peak_risk : summary -> int
 (** Sum of per-principal peaks — equals [Exposure.peak_risk] of the

@@ -576,6 +576,70 @@ let test_server_keeps_match_batch () =
   check "some sessions tail-promoted" true (List.exists (fun l -> l <> "sampled") labels);
   check "some sessions dropped" true (List.length batch < 60)
 
+(* A tail-promoted daemon trace is the head-sampled one: the same
+   stream of defect-heavy submissions with drops, at sampling 0 and
+   1.0, leaves each tail-kept session's spans — the daemon.request
+   root and its elaboration spans included — identical in the two
+   rings but for the root's keep attr. *)
+let test_server_tail_trace_matches_sampled () =
+  let universe =
+    Workload.Universe.create
+      { Workload.Universe.defect_heavy with Workload.Universe.principals = 10_000 }
+  in
+  let rng = Workload.Prng.create 13L in
+  let texts =
+    List.init 30 (fun _ -> Trust_lang.Printer.to_string (Workload.Universe.sample universe rng))
+  in
+  let stream name rate =
+    let scheduler =
+      { Server.default.Server.scheduler with Scheduler.drop_rate = 0.1; sample_rate = rate }
+    in
+    let decoded = ref [] in
+    with_server name
+      ~config:{ Server.default with Server.scheduler; defect_every = 3; trace_ring = 1 lsl 22 }
+      (fun addr _stop ->
+        match Client.connect addr with
+        | Error e -> Alcotest.fail e
+        | Ok client ->
+          List.iteri
+            (fun i spec ->
+              match Client.submit client ~id:(i + 1) ~spec with
+              | Ok (Wire.Result _ | Wire.Refused _) -> ()
+              | Ok _ -> Alcotest.fail "expected a result"
+              | Error e -> Alcotest.fail e)
+            texts;
+          (match Client.trace client ~id:0 with
+          | Error e -> Alcotest.fail e
+          | Ok dump -> decoded := fst (decode_exn dump));
+          Client.close client)
+      (fun stats -> check_int "every submission served" 30 stats.Server.served);
+    !decoded
+  in
+  let tail = stream "tailtrace0" 0.0 and head = stream "tailtrace1" 1.0 in
+  let without_keep views =
+    List.map
+      (fun (v : Trust_obs.Obs.span_view) ->
+        if v.Trust_obs.Obs.view_parent = None then
+          {
+            v with
+            Trust_obs.Obs.view_attrs =
+              List.filter (fun (k, _) -> k <> "keep") v.Trust_obs.Obs.view_attrs;
+          }
+        else v)
+      views
+  in
+  check "some sessions tail-promoted" true (tail <> []);
+  List.iter
+    (fun (t : Ring.session) ->
+      let here = Printf.sprintf "session %d (%s)" t.Ring.s_id (Ring.keep_label t.Ring.s_keep) in
+      match List.find_opt (fun h -> h.Ring.s_id = t.Ring.s_id) head with
+      | None -> Alcotest.failf "%s: missing at sampling 1.0" here
+      | Some h ->
+        check (here ^ ": spans equal the head-sampled trace's") true
+          (without_keep t.Ring.s_views = without_keep h.Ring.s_views);
+        check_int (here ^ ": clock") h.Ring.s_clock t.Ring.s_clock)
+    tail
+
 let () =
   Alcotest.run "daemon"
     [
@@ -611,5 +675,6 @@ let () =
           Alcotest.test_case "tail promotion over the wire" `Quick test_server_trace_tail_promotion;
           Alcotest.test_case "trace with tracing off" `Quick test_server_trace_disabled_is_empty;
           Alcotest.test_case "keeps match the batch scheduler" `Quick test_server_keeps_match_batch;
+          Alcotest.test_case "tail trace matches sampled" `Quick test_server_tail_trace_matches_sampled;
         ] );
     ]

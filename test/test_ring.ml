@@ -476,6 +476,303 @@ let test_shared_shard_commits () =
     check_int (ctx ^ ": every kept session decodes") kept (List.length decoded)
   done
 
+(* -- the single-pass encoder against the per-byte reference writer --
+
+   [Ref_ring] is the writer the ring had before it encoded sessions in
+   one pass: every comparison commits the same traces to both, in the
+   same order, and wants the same dump bytes, the same lifetime
+   counters and the same evictions per commit. *)
+
+let keeps = [| Ring.Sampled; Ring.Violation; Ring.Retry; Ring.Expiry; Ring.Lint |]
+
+let commit_both ring reference ?(keep = Ring.Sampled) obs =
+  let evicted = Ring.record ring ~keep obs in
+  check_int "evictions per commit" (Ref_ring.record reference ~keep obs) evicted
+
+let same_ring ctx ring reference =
+  check_string (ctx ^ ": dump bytes") (Ref_ring.dump reference) (Ring.dump ring);
+  check_int (ctx ^ ": written") (Ref_ring.records_written reference) (Ring.records_written ring);
+  check_int (ctx ^ ": dropped") (Ref_ring.records_dropped reference) (Ring.records_dropped ring);
+  check_int (ctx ^ ": sessions") (Ref_ring.sessions_recorded reference)
+    (Ring.sessions_recorded ring);
+  check_int (ctx ^ ": resident") (Ref_ring.bytes_resident reference) (Ring.bytes_resident ring)
+
+(* Walk a one-shard dump's records: (payload size, tag, the payload's
+   first varint — the session id of a begin record). *)
+let dump_records dump =
+  let pos = ref 0 in
+  let byte () =
+    let b = Char.code dump.[!pos] in
+    incr pos;
+    b
+  in
+  let varint () =
+    let rec go shift acc =
+      let b = byte () in
+      let acc = acc lor ((b land 0x7f) lsl shift) in
+      if b < 0x80 then acc else go (shift + 7) acc
+    in
+    go 0 0
+  in
+  pos := 4;
+  if varint () <> 1 then Alcotest.fail "expected a one-shard dump";
+  ignore (varint () : int);
+  ignore (varint () : int);
+  let stop = varint () + !pos in
+  let records = ref [] in
+  while !pos < stop do
+    let psize = varint () in
+    let next = !pos + psize in
+    let tag = byte () in
+    let first = varint () in
+    records := (psize, tag, first) :: !records;
+    pos := next
+  done;
+  List.rev !records
+
+let test_encoder_corpus () =
+  let traces = traced_batch 100 in
+  List.iter
+    (fun capacity ->
+      let ring = Ring.create ~capacity () and reference = Ref_ring.create ~capacity () in
+      List.iteri
+        (fun i obs ->
+          commit_both ring reference ~keep:keeps.(i mod Array.length keeps) obs;
+          (* a drain midway: later dumps start past a consumed region *)
+          if i = 49 then check_string "drain bytes" (Ref_ring.drain reference) (Ring.drain ring))
+        traces;
+      same_ring (Printf.sprintf "100 specs, %d-byte ring" capacity) ring reference)
+    [ 1 lsl 22; 1 lsl 16; 8192; 1024 ]
+
+let test_encoder_wraparound () =
+  let ring = Ring.create ~capacity:2048 () and reference = Ref_ring.create ~capacity:2048 () in
+  for i = 0 to 199 do
+    commit_both ring reference (small_trace i);
+    same_ring (Printf.sprintf "wraparound commit %d" i) ring reference
+  done
+
+let test_encoder_straddle () =
+  let cap = 1024 in
+  let long = String.init 600 (fun i -> Char.chr (32 + (i mod 95))) in
+  for pad = 0 to cap - 1 do
+    let ring = Ring.create ~capacity:cap () and reference = Ref_ring.create ~capacity:cap () in
+    let filler = Obs.create ~session:1 () in
+    Obs.with_span filler ~phase:"p" "pad" (fun root ->
+        Obs.attr filler root "x" (Obs.Str (String.make pad 'x')));
+    commit_both ring reference filler;
+    let obs = Obs.create ~session:2 () in
+    Obs.with_span obs ~phase:"p" "long" (fun root -> Obs.attr obs root "s" (Obs.Str long));
+    commit_both ring reference obs;
+    same_ring (Printf.sprintf "straddle pad %d" pad) ring reference
+  done
+
+(* span records of every payload size around the one-, two- and
+   three-byte length prefixes: 127/128 and 16383/16384 bytes *)
+let test_encoder_prefix_widths () =
+  let sizes = ref [] in
+  List.iter
+    (fun lengths ->
+      let ring = Ring.create ~capacity:(1 lsl 22) ()
+      and reference = Ref_ring.create ~capacity:(1 lsl 22) () in
+      List.iter
+        (fun len ->
+          for k = 0 to 2 do
+            let obs = Obs.create ~session:len () in
+            Obs.with_span obs ~phase:"p" "s" (fun root ->
+                Obs.attr obs root "s" (Obs.Str (String.make len 'a'));
+                Obs.attr obs root "t" (Obs.Str (String.make k 'b')));
+            commit_both ring reference obs
+          done)
+        lengths;
+      same_ring "prefix widths" ring reference;
+      List.iter
+        (fun (psize, tag, _) -> if tag = 2 then sizes := psize :: !sizes)
+        (dump_records (Ring.dump ring)))
+    [ List.init 60 (fun i -> 90 + i); List.init 60 (fun i -> 16_340 + i) ];
+  List.iter
+    (fun size ->
+      check (Printf.sprintf "a %d-byte payload was written" size) true (List.mem size !sizes))
+    [ 127; 128; 16_383; 16_384 ]
+
+let test_encoder_oversized () =
+  let ring = Ring.create ~capacity:1024 () and reference = Ref_ring.create ~capacity:1024 () in
+  commit_both ring reference (small_trace 0);
+  let big = Obs.create ~session:9 () in
+  Obs.with_span big ~phase:"p" "root" (fun root ->
+      for i = 0 to 199 do
+        Obs.with_span big ~parent:root ~phase:"fill" (Printf.sprintf "pad%d" i) (fun h ->
+            Obs.attr big h "filler" (Obs.Str (String.make 32 'x')))
+      done);
+  commit_both ring reference big;
+  same_ring "oversized session refused whole" ring reference;
+  commit_both ring reference (small_trace 1);
+  same_ring "the next session lands" ring reference;
+  (* A session a thousand times the shard: encoding stops once it
+     passes the shard size (a full encode allocates over 1 MiB of
+     scratch), and the commit leaves no grown scratch behind. *)
+  let huge = Obs.create ~session:10 () in
+  Obs.with_span huge ~phase:"p" "root" (fun root ->
+      for i = 0 to 63 do
+        Obs.with_span huge ~parent:root ~phase:"fill" (Printf.sprintf "big%d" i) (fun h ->
+            Obs.attr huge h "filler" (Obs.Str (String.make 16_384 'y')))
+      done);
+  let before = Gc.allocated_bytes () in
+  let evicted = Ring.record ring ~keep:Ring.Sampled huge in
+  let allocated = Gc.allocated_bytes () -. before in
+  check_int "huge session: evictions" (Ref_ring.record reference ~keep:Ring.Sampled huge) evicted;
+  same_ring "huge session refused whole" ring reference;
+  check (Printf.sprintf "huge session: %.0f bytes allocated, under 128 KiB" allocated) true
+    (allocated < 131_072.);
+  check_int "huge session: scratch back to 4096 bytes" 4096 (Ring.scratch_bytes ());
+  (* a session that fits but grows the scratch past a shard size that
+     is no power of two: given back after the commit too *)
+  let cap = 100_000 in
+  let ring = Ring.create ~capacity:cap () and reference = Ref_ring.create ~capacity:cap () in
+  let wide = Obs.create ~session:11 () in
+  Obs.with_span wide ~phase:"p" "root" (fun root ->
+      for i = 0 to 4 do
+        Obs.with_span wide ~parent:root ~phase:"fill" (Printf.sprintf "wide%d" i) (fun h ->
+            Obs.attr wide h "filler" (Obs.Str (String.make 18_000 'z')))
+      done);
+  commit_both ring reference wide;
+  same_ring "near-shard session lands" ring reference;
+  check_int "near-shard session lands whole" 1 (Ring.sessions_recorded ring);
+  check_int "near-shard session: scratch back to 4096 bytes" 4096 (Ring.scratch_bytes ())
+
+(* Four domains commit into one shard; the lock decides the order. The
+   begin records give that order, and the reference writer, fed the
+   same sessions in it, must produce the same dump. *)
+let test_encoder_four_writers () =
+  let traces = Array.of_list (traced_batch 100) in
+  for round = 1 to 4 do
+    let ring = Ring.create ~shards:1 ~capacity:(1 lsl 24) () in
+    let writers =
+      List.init 4 (fun w ->
+          Domain.spawn (fun () ->
+              for i = 0 to 24 do
+                ignore (Ring.record ring ~keep:Ring.Sampled traces.((4 * i) + w) : int)
+              done))
+    in
+    List.iter Domain.join writers;
+    let reference = Ref_ring.create ~capacity:(1 lsl 24) () in
+    List.iter
+      (fun (_, tag, session) ->
+        if tag = 1 then ignore (Ref_ring.record reference ~keep:Ring.Sampled traces.(session) : int))
+      (dump_records (Ring.dump ring));
+    same_ring (Printf.sprintf "four writers, round %d" round) ring reference
+  done
+
+(* -- tail promotion rebuilds the trace head sampling records --
+
+   A drop + defect battery, plus lint refusals and override specs
+   (never compiled, so re-run instead of rebuilt), through
+   [Scheduler.run] with a ring at sample rate 0 and 1.0: every
+   tail-kept session's spans equal the head-sampled session's, keep
+   attr aside, and what [Scheduler.replay] records for it. *)
+
+let oracle_battery () =
+  let config =
+    { Service.default with Service.sessions = 90; seed = 31L; defect_every = Some 5 }
+  in
+  let refused =
+    match Trust_lang.Elaborate.from_file "../specs/lint/tl013_double_spend.exg" with
+    | Ok spec -> spec
+    | Error _ -> Alcotest.fail "cannot load tl013_double_spend.exg"
+  in
+  let override =
+    Exchange.Spec.with_override (Exchange.Party.consumer "c") Exchange.State.always_acceptable
+      (Gen.chain ~brokers:1)
+  in
+  Service.sessions_of_config config
+  @ List.init 10 (fun k ->
+        let id = 90 + k in
+        let spec = if k mod 2 = 0 then refused else override in
+        Session.make ~id ~defectors:(Trust_sim.Harness.injected_defectors ~every:3 id spec) spec)
+
+let without_keep views =
+  List.map
+    (fun (v : Obs.span_view) ->
+      if v.Obs.view_parent = None then
+        { v with Obs.view_attrs = List.filter (fun (k, _) -> k <> "keep") v.Obs.view_attrs }
+      else v)
+    views
+
+let test_tail_promoted_equals_sampled () =
+  let kinds = ref [] in
+  List.iter
+    (fun (jobs, drop_rate) ->
+      let cfg rate =
+        {
+          Scheduler.default_config with
+          Scheduler.jobs;
+          sample_rate = rate;
+          drop_rate;
+          seed = 31L;
+        }
+      in
+      let run rate =
+        let sessions = oracle_battery () in
+        let cache = Cache.create Cache.default_policy in
+        let ring = Ring.create ~shards:jobs ~capacity:(1 lsl 24) () in
+        ignore (Scheduler.run ~ring (cfg rate) cache sessions : Scheduler.stats);
+        let decoded, stats = decode_exn (Ring.dump ring) in
+        check_int "the oracle ring must not wrap" 0 stats.Ring.d_dropped;
+        (sessions, cache, decoded)
+      in
+      let sessions, cache, tail = run 0.0 in
+      let _, _, head = run 1.0 in
+      let ctx = Printf.sprintf "jobs %d, drops %g" jobs drop_rate in
+      List.iter
+        (fun (t : Ring.session) ->
+          let id = t.Ring.s_id in
+          let here = Printf.sprintf "%s, session %d (%s)" ctx id (Ring.keep_label t.Ring.s_keep) in
+          kinds := t.Ring.s_keep :: !kinds;
+          match List.find_opt (fun h -> h.Ring.s_id = id) head with
+          | None -> Alcotest.failf "%s: missing at rate 1.0" here
+          | Some h ->
+            check (here ^ ": spans equal the head-sampled trace's") true
+              (without_keep t.Ring.s_views = without_keep h.Ring.s_views);
+            check_int (here ^ ": clock") h.Ring.s_clock t.Ring.s_clock;
+            let session = List.find (fun s -> s.Session.id = id) sessions in
+            let replayed = Obs.create ~session:id () in
+            ignore (Scheduler.replay (cfg 0.0) cache replayed session : Session.t);
+            check (here ^ ": spans equal Scheduler.replay's") true
+              (without_keep t.Ring.s_views = Obs.views replayed))
+        tail)
+    [ (1, 0.08); (2, 0.08); (1, 0.0); (2, 0.0) ];
+  List.iter
+    (fun k ->
+      check (Ring.keep_label k ^ " keeps were compared") true (List.mem k !kinds))
+    [ Ring.Violation; Ring.Retry; Ring.Expiry; Ring.Lint ]
+
+(* a tail-kept session is synthesized once: tail keeping at rate 0
+   looks the cache up exactly as often as an untraced run, compiled or
+   interpreted, so the batch snapshot's cache line does not move *)
+let test_tail_keep_synthesizes_once () =
+  let lookups ?ring compiled =
+    let cache = Cache.create Cache.default_policy in
+    let cfg =
+      {
+        Scheduler.default_config with
+        Scheduler.sample_rate = 0.0;
+        drop_rate = 0.08;
+        seed = 31L;
+        compiled;
+      }
+    in
+    ignore (Scheduler.run ?ring cfg cache (oracle_battery ()) : Scheduler.stats);
+    Cache.hits cache + Cache.misses cache + Cache.bypasses cache
+  in
+  List.iter
+    (fun compiled ->
+      let ring = Ring.create ~capacity:(1 lsl 24) () in
+      let traced = lookups ~ring compiled in
+      check "sessions were tail-kept" true (Ring.sessions_recorded ring > 0);
+      check_int
+        (Printf.sprintf "cache lookups with tail keeping (compiled %b)" compiled)
+        (lookups compiled) traced)
+    [ true; false ]
+
 let () =
   Alcotest.run "ring"
     [
@@ -509,5 +806,16 @@ let () =
           Alcotest.test_case "tail-keep oracle (rate 0.01)" `Quick test_tail_keep_oracle_sampled;
           Alcotest.test_case "zero-rate hot path" `Quick test_zero_rate_allocates_nothing;
           Alcotest.test_case "one shard, four writers" `Quick test_shared_shard_commits;
+          Alcotest.test_case "tail-promoted = head-sampled" `Quick test_tail_promoted_equals_sampled;
+          Alcotest.test_case "tail keeps synthesize once" `Quick test_tail_keep_synthesizes_once;
+        ] );
+      ( "reference writer",
+        [
+          Alcotest.test_case "100-spec corpus" `Quick test_encoder_corpus;
+          Alcotest.test_case "wraparound sweep" `Quick test_encoder_wraparound;
+          Alcotest.test_case "straddle sweep" `Quick test_encoder_straddle;
+          Alcotest.test_case "length-prefix widths" `Quick test_encoder_prefix_widths;
+          Alcotest.test_case "oversized session" `Quick test_encoder_oversized;
+          Alcotest.test_case "one shard, four writers" `Quick test_encoder_four_writers;
         ] );
     ]
