@@ -1,6 +1,6 @@
 (* The experiment harness: regenerates every claim-bearing figure and
    worked example of the paper (experiments E1-E12, see DESIGN.md and
-   EXPERIMENTS.md) and times the algorithms with Bechamel (B0-B8).
+   EXPERIMENTS.md) and times the algorithms with Bechamel (B0-B7).
 
    Usage:
      main.exe                 run every experiment table + timing benches
@@ -605,12 +605,6 @@ let bechamel_benches () =
                 | Ok _ -> ()
                 | Error e -> failwith e)));
       ]
-    @ List.map
-        (fun (n, g0) ->
-          Test.make
-            ~name:(Printf.sprintf "B8 worklist reduce chain %d (ablation)" n)
-            (Staged.stage (fun () -> ignore (Reduce.run_worklist (Sequencing.copy g0)))))
-        prebuilt
   in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
   let instance = Toolkit.Instance.monotonic_clock in
@@ -1073,7 +1067,7 @@ let mine_json () =
         (fun hex ->
           match Option.map (Cache.prewarm cache) (Hashtbl.find_opt spec_of hex) with
           | Some (`Hit | `Warmed) -> incr prewarmed
-          | Some (`Failed _ | `Uncacheable) | None -> ())
+          | Some (`Failed _) | None -> ())
         pins
     end;
     let batch = followup () in

@@ -72,6 +72,7 @@ type commit_check = {
 type judge =
   | Judge_principal of { party : int; checks : commit_check array; extraneous : int array }
   | Judge_trusted of int
+  | Judge_override of int
 
 type t = {
   spec : Spec.t;  (** the split spec the protocol was synthesized from *)
@@ -144,8 +145,6 @@ let party_index t party =
   go 0
 
 let compile ~lockstep ~shared ?plan ~price spec protocol =
-  if not (Party.Map.is_empty spec.Spec.overrides) then
-    invalid_arg "Compile.compile: acceptability overrides are not compilable";
   let deals = Array.of_list spec.Spec.deals in
   let n_deals = Array.length deals in
   (* -- party interning -- *)
@@ -394,7 +393,8 @@ let compile ~lockstep ~shared ?plan ~price spec protocol =
       (List.map
          (fun (party, checks) ->
            let pi = party_id party in
-           if Party.is_trusted party then Judge_trusted pi
+           if Spec.acceptability_overrides spec party <> None then Judge_override pi
+           else if Party.is_trusted party then Judge_trusted pi
            else
              let check (send, recv, split, amount) =
                let covers a = act_amount.(a) >= amount in

@@ -76,6 +76,11 @@ type judge =
               bounce); each one delivered must also be undone *)
     }
   | Judge_trusted of int  (** judged a clean conduit: net flows zero *)
+  | Judge_override of int
+      (** a party with an acceptability override: judged by
+          {!Exchange.Outcomes} against the override over the delivered
+          actions. Its own sides still intern their actions, so the
+          action table is the one an override-free spec gets. *)
 
 type t = {
   spec : Spec.t;  (** the split spec the protocol was synthesized from *)
@@ -134,9 +139,9 @@ val compile :
 (** Flatten a synthesized protocol. [price] is the deal-implied
     valuation used by exposure accounting (pass
     [Trust_sim.Trace.price_for spec]); [lockstep] and [shared] must
-    match the harness options the protocol will run under.
-    @raise Invalid_argument if the spec carries acceptability
-    overrides — those specs are not cacheable and never compiled. *)
+    match the harness options the protocol will run under. Every spec
+    compiles, acceptability overrides included: an overridden party
+    gets a {!Judge_override}. *)
 
 val owning_deal : Spec.t -> Action.t -> int
 (** Trace attribution of an action: the index of the first deal one of

@@ -225,10 +225,11 @@ let run_randomized ~choose g =
    external principals by index, then the remaining Rule #1 commitments.
    Picking the minimum of the first non-empty set therefore reproduces
    the rescanning reducer's deletion sequence edge for edge (the paper's
-   Example #1 walkthrough), which {!run_rescan} pins in the tests. *)
+   Example #1 walkthrough), which {!run_rescan} pins in the tests.
+   Near-linear instead of quadratic, it is the default synthesis path. *)
 module Int_set = Set.Make (Int)
 
-let run_worklist ?(obs = Obs.null) ?parent g =
+let run ?(obs = Obs.null) ?parent g =
   Obs.with_span obs ?parent ~phase:"reduce" "reduce.worklist" (fun obs_span ->
   let pushes = ref 0 in
   (* profiler hook, not control flow: a push is an insertion into one of
@@ -323,11 +324,6 @@ let run_worklist ?(obs = Obs.null) ?parent g =
   let outcome = finish g !deletions in
   record_outcome obs obs_span ~pushes:!pushes outcome;
   outcome)
-
-(* The worklist reducer replays the deterministic strategy incrementally
-   — identical deletion sequence, near-linear instead of quadratic — so
-   it is the default synthesis path. *)
-let run ?obs ?parent g = run_worklist ?obs ?parent g
 
 let feasible outcome = outcome.verdict = Feasible
 

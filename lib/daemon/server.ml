@@ -122,6 +122,7 @@ type srv = {
   mine_pins_c : Metrics.counter;
   mine_prewarms_c : Metrics.counter;
   mine_denies_c : Metrics.counter;
+  ring_dropped_c : Metrics.counter;
 }
 
 let send conn resp = Buffer.add_string conn.out (Frame.encode (Wire.encode_response resp))
@@ -234,7 +235,7 @@ let mine_tick srv =
               | Some spec -> (
                 match Cache.prewarm srv.cache spec with
                 | `Warmed -> Metrics.incr srv.mine_prewarms_c
-                | `Hit | `Failed _ | `Uncacheable -> ()))
+                | `Hit | `Failed _ -> ()))
         (Mine.pin_candidates ~min_incidents:srv.cfg.mine_pin srv.board)
     end;
     refresh_cache_gauges srv
@@ -356,9 +357,19 @@ let process_submit srv conn ~id ~spec =
            : Wire.response);
        trace
      in
-     match
+     let kept =
        Scheduler.retain ~recorders:srv.recorders ?ring:srv.ring ~sampled obs !session_ref ~replay
-     with
+     in
+     (* the ring's lifetime drop count as a counter: deterministic here,
+        where sessions commit in wire order on one thread, unlike the
+        batch scheduler's volatile gauge *)
+     Option.iter
+       (fun ring ->
+         Metrics.incr
+           ~by:(Ring.records_dropped ring - Metrics.value srv.ring_dropped_c)
+           srv.ring_dropped_c)
+       srv.ring;
+     match kept with
      | None -> ()
      | Some trace ->
        (* every kept session — head-sampled or tail-promoted — reaches
@@ -561,6 +572,9 @@ let run ?(stop = Atomic.make false) ?metrics cfg =
       mine_denies_c =
         Metrics.counter metrics ~help:"shapes deny-listed at admission by the mining policy"
           "obs_mine_denies_total";
+      ring_dropped_c =
+        Metrics.counter metrics ~help:"trace-ring records evicted on wrap or refused oversized"
+          "obs_ring_records_dropped_total";
     }
   in
   refresh_cache_gauges srv;

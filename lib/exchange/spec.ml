@@ -73,6 +73,53 @@ let enc_ref buf { deal; side } =
   enc_string buf deal;
   Buffer.add_char buf (match side with Left -> 'L' | Right -> 'R')
 
+(* Override descriptions: every pattern is parenthesised and every
+   pattern list is closed by a character no pattern starts with, so a
+   money amount never runs into the next field. *)
+let enc_party_pat buf = function
+  | Action.Pattern.Exactly p ->
+    Buffer.add_char buf '=';
+    enc_party buf p
+  | Action.Pattern.Any_party -> Buffer.add_char buf '*'
+  | Action.Pattern.Any_trusted -> Buffer.add_char buf 't'
+  | Action.Pattern.Any_principal -> Buffer.add_char buf 'p'
+
+let enc_asset_pat buf = function
+  | Action.Pattern.Exact_asset a ->
+    Buffer.add_char buf '=';
+    enc_asset buf a
+  | Action.Pattern.Any_document -> Buffer.add_char buf 'd'
+  | Action.Pattern.Money_at_least m ->
+    Buffer.add_char buf 'g';
+    Buffer.add_string buf (string_of_int m)
+  | Action.Pattern.Any_asset -> Buffer.add_char buf '*'
+
+let enc_pattern buf pat =
+  Buffer.add_char buf '(';
+  (match pat with
+  | Action.Pattern.P_do (src, tgt, asset) ->
+    Buffer.add_char buf 'D';
+    enc_party_pat buf src;
+    enc_party_pat buf tgt;
+    enc_asset_pat buf asset
+  | Action.Pattern.P_undo (src, tgt, asset) ->
+    Buffer.add_char buf 'U';
+    enc_party_pat buf src;
+    enc_party_pat buf tgt;
+    enc_asset_pat buf asset
+  | Action.Pattern.P_notify (agent, informed) ->
+    Buffer.add_char buf 'N';
+    enc_party_pat buf agent;
+    enc_party_pat buf informed);
+  Buffer.add_char buf ')'
+
+let enc_description buf (d : State.description) =
+  Buffer.add_char buf '{';
+  List.iter (enc_pattern buf) d.requires;
+  Buffer.add_char buf '|';
+  List.iter (enc_pattern buf) d.permits;
+  Buffer.add_char buf '}'
+
 let encode_shape t =
   let buf = Buffer.create 256 in
   Buffer.add_string buf "deals[";
@@ -118,9 +165,13 @@ let encode_shape t =
     t.splits;
   Buffer.add_string buf "]ovr[";
   List.iter
-    (fun (party, _) ->
+    (fun (party, (a : State.acceptability)) ->
       Buffer.add_char buf '(';
       enc_party buf party;
+      Buffer.add_char buf '[';
+      List.iter (enc_description buf) a.descriptions;
+      Buffer.add_char buf ']';
+      enc_description buf a.preferred;
       Buffer.add_char buf ')')
     (Party.Map.bindings t.overrides);
   Buffer.add_string buf "]";

@@ -49,7 +49,7 @@ type t = private {
   index : index;  (** built once per value by every constructor *)
   shape : (string * int64) Lazy.t;
       (** memoized canonical shape: the injective byte encoding of
-          everything synthesis depends on, paired with its 64-bit
+          everything synthesis and the audit depend on, paired with its 64-bit
           FNV-1a hash. Installed by every constructor, forced at most
           once per value — prefer {!shape_key}/{!shape_hash}. *)
 }
@@ -234,9 +234,11 @@ val defectable_principals : t -> Party.t list
 val shape_key : t -> string
 (** Injective canonical encoding of the spec: deals in spec order,
     parties with roles, assets with exact amounts, deadlines, personas,
-    priorities, splits, and override {e keys}. Equal strings iff equal
-    synthesis inputs. Memoized — repeated calls return the same
-    physical string. *)
+    priorities, splits, and each override's descriptions (their
+    [requires]/[permits] patterns and the preferred one). Equal strings
+    iff equal inputs to synthesis and to the audit, so specs that differ
+    only in an override never share a cached plan. Memoized — repeated
+    calls return the same physical string. *)
 
 val shape_hash : t -> int64
 (** FNV-1a (64-bit) of {!shape_key}, memoized alongside it. Stable

@@ -54,7 +54,6 @@ type t = {
   policy : policy;
   shard_capacity : int;
   shards : shard array;
-  bypasses : int Atomic.t;
   epoch : int Atomic.t;
       (* advanced only by long-lived services; batch runs stay at 0 *)
   denied_set : Denied.t Atomic.t;
@@ -86,7 +85,6 @@ let create ?(capacity = 4096) ?(shards = default_shards) policy =
             evictions = 0;
             aged_out = 0;
           });
-    bypasses = Atomic.make 0;
     epoch = Atomic.make 0;
     denied_set = Atomic.make Denied.empty;
     denied_hits = Atomic.make 0;
@@ -111,19 +109,15 @@ let fresh policy spec =
   let plan = s.Feasibility.plan and split_spec = s.Feasibility.analysis.Feasibility.spec in
   Result.map
     (fun protocol ->
-      (* The flat plan the allocation-free runtime executes on hits;
-         specs with acceptability overrides stay interpreted. *)
+      (* the flat plan the allocation-free runtime executes *)
       let compiled =
-        if Party.Map.is_empty split_spec.Spec.overrides then
-          Some
-            (Trust_core.Compile.compile
-               ~lockstep:(policy.mode = Harness.Lockstep)
-               ~shared:policy.shared ?plan
-               ~price:(Trust_sim.Trace.price_for split_spec)
-               split_spec protocol)
-        else None
+        Trust_core.Compile.compile
+          ~lockstep:(policy.mode = Harness.Lockstep)
+          ~shared:policy.shared ?plan
+          ~price:(Trust_sim.Trace.price_for split_spec)
+          split_spec protocol
       in
-      { split_spec; plan; protocol; compiled })
+      { split_spec; plan; protocol; compiled = Some compiled })
     (Harness.protocol_of ~mode:policy.mode s)
 
 (* Plans are plain data; the compiled plan derives from the rest. *)
@@ -181,31 +175,25 @@ let insert t shard key value ~pinned =
   Queue.add key shard.order
 
 let synthesize t spec =
-  if not (Shape.cacheable spec) then begin
-    ignore (Atomic.fetch_and_add t.bypasses 1);
-    (fresh t.policy spec, `Bypass)
-  end
-  else begin
-    let key = Shape.encode spec in
-    let shard = t.shards.(shard_of t spec) in
-    Mutex.lock shard.lock;
-    (* [verify] and [fresh] may raise (Divergence, synthesis bugs);
-       never leave the shard locked behind them. *)
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock shard.lock)
-      (fun () ->
-        match Hashtbl.find_opt shard.table key with
-        | Some cached ->
-          shard.hits <- shard.hits + 1;
-          cached.used_epoch <- Atomic.get t.epoch;
-          if t.policy.verify then verify t spec cached.payload;
-          (cached.payload, `Hit)
-        | None ->
-          let value = fresh t.policy spec in
-          insert t shard key value ~pinned:false;
-          shard.misses <- shard.misses + 1;
-          (value, `Miss))
-  end
+  let key = Shape.encode spec in
+  let shard = t.shards.(shard_of t spec) in
+  Mutex.lock shard.lock;
+  (* [verify] and [fresh] may raise (Divergence, synthesis bugs);
+     never leave the shard locked behind them. *)
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock shard.lock)
+    (fun () ->
+      match Hashtbl.find_opt shard.table key with
+      | Some cached ->
+        shard.hits <- shard.hits + 1;
+        cached.used_epoch <- Atomic.get t.epoch;
+        if t.policy.verify then verify t spec cached.payload;
+        (cached.payload, `Hit)
+      | None ->
+        let value = fresh t.policy spec in
+        insert t shard key value ~pinned:false;
+        shard.misses <- shard.misses + 1;
+        (value, `Miss))
 
 (* -- the trace-mining feedback policy: pin, deny, pre-warm --
 
@@ -260,26 +248,23 @@ let pinned_count t =
     0 t.shards
 
 let prewarm t spec =
-  if not (Shape.cacheable spec) then `Uncacheable
-  else begin
-    let key = Shape.encode spec in
-    let shard = t.shards.(shard_of t spec) in
-    Mutex.lock shard.lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock shard.lock)
-      (fun () ->
-        match Hashtbl.find_opt shard.table key with
-        | Some cached ->
-          cached.pinned <- true;
-          cached.used_epoch <- Atomic.get t.epoch;
-          (match cached.payload with Ok _ -> `Hit | Error e -> `Failed e)
-        | None ->
-          (* off the traffic path, so neither a hit nor a miss is
-             tallied: hit_rate keeps measuring what clients saw *)
-          let value = fresh t.policy spec in
-          insert t shard key value ~pinned:true;
-          (match value with Ok _ -> `Warmed | Error e -> `Failed e))
-  end
+  let key = Shape.encode spec in
+  let shard = t.shards.(shard_of t spec) in
+  Mutex.lock shard.lock;
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock shard.lock)
+    (fun () ->
+      match Hashtbl.find_opt shard.table key with
+      | Some cached ->
+        cached.pinned <- true;
+        cached.used_epoch <- Atomic.get t.epoch;
+        (match cached.payload with Ok _ -> `Hit | Error e -> `Failed e)
+      | None ->
+        (* off the traffic path, so neither a hit nor a miss is
+           tallied: hit_rate keeps measuring what clients saw *)
+        let value = fresh t.policy spec in
+        insert t shard key value ~pinned:true;
+        (match value with Ok _ -> `Warmed | Error e -> `Failed e))
 
 let deny_code = "TM001"
 
@@ -322,28 +307,24 @@ let lint spec =
   }
 
 (* Admission lint is a pure function of the spec, so the serve path
-   memoizes it by shape, verdict and tallies together; non-cacheable
-   specs are linted fresh. The memo is bounded: a full shard table is
-   reset wholesale (entries are small, and correctness never depends on
-   residency). *)
+   memoizes it by shape, verdict and tallies together. The memo is
+   bounded: a full shard table is reset wholesale (entries are small,
+   and correctness never depends on residency). *)
 let memo_lint t spec =
-  if not (Shape.cacheable spec) then lint spec
-  else begin
-    let key = Shape.encode spec in
-    let shard = t.shards.(shard_of t spec) in
-    Mutex.lock shard.lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock shard.lock)
-      (fun () ->
-        match Hashtbl.find_opt shard.admission key with
-        | Some l -> l
-        | None ->
-          let l = lint spec in
-          if Hashtbl.length shard.admission >= 4 * t.shard_capacity then
-            Hashtbl.reset shard.admission;
-          Hashtbl.add shard.admission key l;
-          l)
-  end
+  let key = Shape.encode spec in
+  let shard = t.shards.(shard_of t spec) in
+  Mutex.lock shard.lock;
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock shard.lock)
+    (fun () ->
+      match Hashtbl.find_opt shard.admission key with
+      | Some l -> l
+      | None ->
+        let l = lint spec in
+        if Hashtbl.length shard.admission >= 4 * t.shard_capacity then
+          Hashtbl.reset shard.admission;
+        Hashtbl.add shard.admission key l;
+        l)
 
 (* The span [Lint.check_spec] records, written from a memoized lint. *)
 let lint_span obs ?parent l =
@@ -395,7 +376,6 @@ let sum_shards t f =
 
 let hits t = sum_shards t (fun s -> s.hits)
 let misses t = sum_shards t (fun s -> s.misses)
-let bypasses t = Atomic.get t.bypasses
 let evictions t = sum_shards t (fun s -> s.evictions)
 let aged_out t = sum_shards t (fun s -> s.aged_out)
 let size t = sum_shards t (fun s -> Hashtbl.length s.table)

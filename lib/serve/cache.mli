@@ -33,8 +33,8 @@ type entry = {
   protocol : Trust_core.Protocol.t;
   compiled : Trust_core.Compile.t option;
       (** the flat instruction plan executed by the allocation-free
-          [Trust_sim.Hotpath] runtime on the serve path; [None] only
-          for specs carrying acceptability overrides (never cacheable).
+          [Trust_sim.Hotpath] runtime on the serve path; always [Some]
+          (every spec compiles, acceptability overrides included).
           Immutable and shared read-only across pool domains. *)
 }
 
@@ -110,13 +110,13 @@ val pinned : t -> string list
 
 val pinned_count : t -> int
 
-val prewarm : t -> Spec.t -> [ `Hit | `Warmed | `Failed of string | `Uncacheable ]
-(** Synthesize (if absent) and pin the spec's entry ahead of traffic.
-    Runs off the traffic path: neither a hit nor a miss is tallied, so
-    {!hit_rate} keeps measuring what clients saw. [`Hit] — already
-    resident, now pinned; [`Warmed] — synthesized, cached, pinned;
-    [`Failed] — synthesis failed (the negative verdict is cached and
-    pinned too); [`Uncacheable] — the spec bypasses the cache. *)
+val prewarm : t -> Spec.t -> [ `Hit | `Warmed | `Failed of string ]
+(** Synthesize (if absent) and pin the spec's entry ahead of traffic;
+    every spec has one. Runs off the traffic path: neither a hit nor a
+    miss is tallied, so {!hit_rate} keeps measuring what clients saw.
+    [`Hit] — already resident, now pinned; [`Warmed] — synthesized,
+    cached, pinned; [`Failed] — synthesis failed (the negative verdict
+    is cached and pinned too). *)
 
 val deny_code : string
 (** ["TM001"] — the diagnostic code of the deny refusal. *)
@@ -145,8 +145,7 @@ val admission :
     the spec passes, [Some reason] — ["lint: [code] message"] of the
     first error-level diagnostic — when it is rejected. The verdict and
     the diagnostic tallies are a pure function of the spec, memoized
-    together by shape in the same shards as synthesis; non-cacheable
-    (override) specs are linted fresh. With a live [obs] the call also
+    together by shape in the same shards as synthesis. With a live [obs] the call also
     opens the ["lint"] span under [parent] that [Lint.check_spec]
     records — [deep], [diagnostics], [errors], [warnings], in that
     order — written from the memo, so a warm traced admission costs a
@@ -164,10 +163,11 @@ val admit : ?obs:Trust_obs.Obs.t -> ?parent:Trust_obs.Obs.handle -> t -> Spec.t 
 val lint_span : Trust_obs.Obs.t -> ?parent:Trust_obs.Obs.handle -> lint -> unit
 (** The ["lint"] span a traced {!admit} of this lint records. *)
 
-val synthesize : t -> Spec.t -> (entry, string) result * [ `Hit | `Miss | `Bypass ]
-(** Memoized synthesis. [`Bypass] means the spec was not {!Shape.cacheable}
-    and was synthesized fresh without touching the table. [Error] is the
-    synthesis failure (infeasible and not rescued). *)
+val synthesize : t -> Spec.t -> (entry, string) result * [ `Hit | `Miss ]
+(** Memoized synthesis, keyed by {!Shape.encode}: every spec is cached,
+    acceptability overrides included, and every entry carries its
+    compiled plan. [Error] is the synthesis failure (infeasible and not
+    rescued). *)
 
 val fresh : policy -> Spec.t -> (entry, string) result
 (** Uncached synthesis — the reference the invariant compares against:
@@ -180,9 +180,8 @@ val entry_equal : entry -> entry -> bool
 
 val hits : t -> int
 val misses : t -> int
-val bypasses : t -> int
 val evictions : t -> int
 val size : t -> int
 
 val hit_rate : t -> float
-(** [hits / (hits + misses)] over cacheable lookups; [0.] before any. *)
+(** [hits / (hits + misses)]; [0.] before any. *)

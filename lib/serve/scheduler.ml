@@ -68,7 +68,6 @@ type recorders = {
   exposure_ticks_h : Metrics.histogram;
   obs_sampled : Metrics.counter;
   obs_kept_tail : Metrics.counter;
-  obs_ring_dropped : Metrics.counter;
 }
 
 let recorders m =
@@ -91,7 +90,6 @@ let recorders m =
     exposure_ticks_h = Metrics.histogram m ~help:"virtual ticks with positive at-risk value per run" "sim_exposure_ticks";
     obs_sampled = Metrics.counter m ~help:"sessions head-sampled into a live trace" "obs_sessions_sampled_total";
     obs_kept_tail = Metrics.counter m ~help:"unsampled sessions promoted by a tail keep rule" "obs_sessions_kept_tail_total";
-    obs_ring_dropped = Metrics.counter m ~help:"trace-ring records evicted on wrap or refused oversized" "obs_ring_records_dropped_total";
   }
 
 let record rec_opt f = Option.iter f rec_opt
@@ -157,9 +155,7 @@ let run_compiled cfg ~capture ?obs ?parent (plan : Trust_core.Compile.t) (sessio
   else Session.Expired
 
 (* One engine run of an already-synthesized session on the interpreted
-   reference engine: the test oracle ([compiled = false]) and the
-   fallback for specs with acceptability overrides, which are never
-   compiled. *)
+   reference engine: the oracle that [compiled = false] selects. *)
 let run_interpreted cfg ?(obs = Obs.null) ?parent (entry : Cache.entry) policy
     (session : Session.t) ~drops rec_opt =
   session.Session.attempts <- session.Session.attempts + 1;
@@ -212,10 +208,9 @@ let run_interpreted cfg ?(obs = Obs.null) ?parent (entry : Cache.entry) policy
   else Session.Expired
 
 (* The plan a session of this entry runs on the compiled runtime:
-   traced or not, every compiled entry does unless [compiled = false];
+   traced or not, every entry has one, run unless [compiled = false];
    the two paths agree on every observable outcome and span. *)
-let compiled_plan cfg (entry : Cache.entry) =
-  match entry.Cache.compiled with Some _ as plan when cfg.compiled -> plan | Some _ | None -> None
+let compiled_plan cfg (entry : Cache.entry) = if cfg.compiled then entry.Cache.compiled else None
 
 let run_once cfg ~capture ?obs ?parent (entry : Cache.entry) policy (session : Session.t) ~drops
     rec_opt =
@@ -255,7 +250,7 @@ type runs = Captured of Trust_sim.Hotpath.capture list | Rerun of Cache.entry
 
 type capture = {
   lint : Cache.lint;
-  synthesized : [ `Hit | `Miss | `Bypass ] option;
+  synthesized : [ `Hit | `Miss ] option;
   runs : runs;
 }
 
@@ -274,7 +269,8 @@ let session_span obs ?parent (session : Session.t) f =
 
 let synthesis_attrs obs h ~outcome ~verify =
   if Obs.enabled obs then begin
-    Obs.attr obs h "bypass" (Obs.Bool (outcome = `Bypass));
+    (* every spec is cached; the attribute stays for the trace schema *)
+    Obs.attr obs h "bypass" (Obs.Bool false);
     Obs.attr obs h "verify" (Obs.Bool verify);
     Obs.volatile_attr obs h "cache_hit" (Obs.Bool (outcome = `Hit))
   end
@@ -376,9 +372,8 @@ let process_session ?parent ~capture cfg cache policy rec_opt retried obs (sessi
             let verdict, outcome =
               (* Which of two racing sessions takes the miss for a shared
                  shape depends on domain scheduling, so hit/miss is
-                 volatile; the bypass decision (Shape.cacheable) and the
-                 verify flag are functions of the spec and policy alone,
-                 hence deterministic. *)
+                 volatile; the verify flag is a function of the policy
+                 alone, hence deterministic. *)
               Obs.with_span obs ~parent:root ~phase:"serve" "serve.synthesize" (fun h ->
                   let verdict, outcome = Cache.synthesize cache session.Session.spec in
                   synthesis_attrs obs h ~outcome ~verify:policy.Cache.verify;
@@ -388,7 +383,7 @@ let process_session ?parent ~capture cfg cache policy rec_opt retried obs (sessi
             record rec_opt (fun r ->
                 match outcome with
                 | `Hit -> Metrics.incr r.cache_hits
-                | `Miss | `Bypass -> Metrics.incr r.cache_misses);
+                | `Miss -> Metrics.incr r.cache_misses);
             let runs =
               match verdict with
               | Error e ->
@@ -497,11 +492,7 @@ let retain ?recorders ?ring ~sampled trace session ~replay =
         end
       in
       Obs.attr trace (Obs.first_root trace) "keep" (Obs.Str (Ring.keep_label keep));
-      Option.iter
-        (fun ring ->
-          let evicted = Ring.record ring ~keep trace in
-          if evicted > 0 then record recorders (fun r -> Metrics.incr ~by:evicted r.obs_ring_dropped))
-        ring;
+      Option.iter (fun ring -> ignore (Ring.record ring ~keep trace : int)) ring;
       trace)
     keep
 
@@ -594,11 +585,15 @@ let run ?metrics ?(obs = Obs.no_batch) ?ring cfg cache sessions =
     sessions;
   (match (metrics, ring) with
   | Some m, Some ring ->
-    (* which records survive eviction in which shard depends on domain
-       scheduling at jobs > 1, so residency is volatile here — the
-       single-threaded daemon registers the same gauge deterministically *)
+    (* which sessions share a shard, and so which records survive
+       eviction, depends on domain scheduling at jobs > 1: residency and
+       drops are volatile here — the single-threaded daemon registers
+       both deterministically *)
     Metrics.gauge m ~help:"trace-ring live bytes" ~volatile:true "obs_ring_bytes"
-      (float_of_int (Ring.bytes_resident ring))
+      (float_of_int (Ring.bytes_resident ring));
+    Metrics.gauge m ~help:"trace-ring records evicted on wrap or refused oversized"
+      ~volatile:true "obs_ring_records_dropped_total"
+      (float_of_int (Ring.records_dropped ring))
   | _ -> ());
   let makespan = Array.fold_left max 0 lanes in
   { makespan; retried = Atomic.get retried }

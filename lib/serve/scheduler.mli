@@ -45,8 +45,9 @@ type config = {
           runtime (default), traced or not — allocation-free when
           untraced; [false] forces the interpreted engine everywhere —
           the reference the benchmarks and the property tests compare
-          against. Specs with acceptability overrides are never
-          compiled and always run interpreted. *)
+          against. Every cache entry carries a compiled plan,
+          acceptability overrides included, so [true] runs every
+          session compiled. *)
   sample_rate : float;
       (** fraction of sessions head-sampled into a live trace when
           tracing is on ({!run} given a batch or a ring, or a daemon
@@ -118,7 +119,8 @@ type capture
     outcome, and each compiled run as {!Trust_sim.Hotpath.capture}
     copied it out of the runtime's scratch — the first attempt at the
     retry, the last after the session closed. A session that ran on the
-    interpreted engine keeps its cache entry instead. *)
+    interpreted engine ([compiled = false]) keeps its cache entry
+    instead. *)
 
 val process_unsampled : ?recorders:recorders -> config -> Cache.t -> Session.t -> capture option
 (** {!process_one} for an unsampled session while tracing is on: the
@@ -167,9 +169,10 @@ val retain :
     caller's {!rebuild} from the session's capture), stamps
     [keep] on the trace's first root, commits it to [ring], and returns
     the kept trace ([None] when nothing is kept). Bumps
-    [obs_sessions_sampled_total], [obs_sessions_kept_tail_total] and
-    [obs_ring_records_dropped_total] in [recorders]. Callers run it only
-    when some trace sink is attached. *)
+    [obs_sessions_sampled_total] and [obs_sessions_kept_tail_total] in
+    [recorders]; what the ring drops is {!Trust_obs.Ring.records_dropped},
+    which each caller publishes itself. Callers run it only when some
+    trace sink is attached. *)
 
 val run :
   ?metrics:Metrics.t ->
@@ -204,7 +207,10 @@ val run :
     full spans. Ring commits happen on the worker domain at session
     close (each domain owns a shard), so they carry the execution
     spans but {e not} the merge-phase [serve.place] annotation, which
-    exists only in the batch export; the ring's live-byte residency is
-    published as a volatile [obs_ring_bytes] gauge (eviction order is
-    scheduling-dependent at [jobs > 1]), while the [obs_*] counters
+    exists only in the batch export. Which sessions share a shard, and
+    so what a wrapping ring evicts, depends on domain scheduling at
+    [jobs > 1]: the ring's live bytes and drop count are published as
+    the volatile gauges [obs_ring_bytes] and
+    [obs_ring_records_dropped_total]. The [obs_*] counters —
+    [obs_sessions_sampled_total] and [obs_sessions_kept_tail_total] —
     are deterministic. *)

@@ -1,7 +1,5 @@
 open Exchange
 
-let cacheable spec = Party.Map.is_empty spec.Spec.overrides
-
 (* The canonical encoding and its FNV-1a hash are memoized inside
    [Spec.t] itself (computed at most once per constructed spec), so a
    cache lookup no longer re-canonicalizes the spec — these are thin

@@ -4,21 +4,18 @@
     a canonical byte encoding of everything synthesis depends on —
     deals in spec order (reduction is order-sensitive), parties with
     their roles, assets with exact amounts, deadlines, personas,
-    priorities and splits. Two specs with equal encodings are equal
-    inputs to the whole synthesis pipeline, so their protocols are
-    interchangeable. Workload generators emit structurally identical
-    specs for identical draws, which is what makes the cache pay off. *)
+    priorities, splits and acceptability overrides. Two specs with
+    equal encodings are equal inputs to the whole synthesis pipeline
+    and to the audit, so their protocols and compiled plans are
+    interchangeable and every spec is cached. Workload generators emit
+    structurally identical specs for identical draws, which is what
+    makes the cache pay off. *)
 
 open Exchange
 
-val cacheable : Spec.t -> bool
-(** False when the spec carries acceptability overrides: those contain
-    behavioural pattern data the encoding does not cover, so such specs
-    bypass the cache rather than risk a false hit. *)
-
 val encode : Spec.t -> string
-(** Injective canonical encoding (for cacheable specs): equal strings
-    iff structurally equal specs. *)
+(** {!Spec.shape_key}: injective canonical encoding, equal strings iff
+    structurally equal specs. *)
 
 val hash : Spec.t -> int64
 (** FNV-1a (64-bit) of {!encode}. Stable across runs and processes —

@@ -21,8 +21,11 @@
    [Outcomes.classify] would (Complete, Refunded, Windfall, Indemnified,
    Loss), then folded with the bundle rule, split pieces and undone
    extraneous sends as [Outcomes.judge] does; conservation compares the
-   final holdings with the plan's initial totals. An untraced run needs
-   only the preferred-outcome half.
+   final holdings with the plan's initial totals. A party with an
+   acceptability override is judged by [Outcomes] itself over the
+   delivered actions, so its judge allocates that final state; every
+   other judge reads the scratch alone. An untraced run needs only the
+   preferred-outcome half.
 
    A traced run, or an untraced one whose caller may still want its
    spans ([capturable]), also records the engine's event timeline
@@ -1073,9 +1076,17 @@ let summarize_exposure s (p : C.t) =
 
 let seen s a = Bytes.get s.seen a <> '\000'
 
+(* the delivered-action set as an [Engine.result] state *)
+let delivered_state s (p : C.t) =
+  let state = ref State.empty in
+  for a = 0 to p.C.n_actions - 1 do
+    if seen s a then state := State.record p.C.actions.(a) !state
+  done;
+  !state
+
 (* a principal reached Complete on every own side; a trusted role is a
    clean conduit (Outcomes.conduit_clean), which is all three of its
-   verdicts *)
+   verdicts; an overridden party reached its preferred description *)
 let judge_preferred s (p : C.t) = function
   | C.Judge_principal { checks; _ } ->
     Array.for_all
@@ -1105,6 +1116,8 @@ let judge_preferred s (p : C.t) = function
       if s.g_docs.(d) <> s.l_docs.(d) then ok := false
     done;
     !ok
+  | C.Judge_override pi ->
+    Outcomes.preferred_reached p.C.spec ~party:p.C.parties.(pi) (delivered_state s p)
 
 (* Outcomes.classify of one own side *)
 let classify s (p : C.t) (cc : C.commit_check) =
@@ -1153,6 +1166,11 @@ let audit_report s (p : C.t) defectors (preferred : bool array) =
         let no_loss, acceptable = judge_principal s p checks extraneous in
         (party, no_loss, acceptable)
       | C.Judge_trusted pi -> (pi, preferred.(i), preferred.(i))
+      | C.Judge_override pi ->
+        let no_loss, acceptable =
+          Outcomes.assess p.C.spec ~party:p.C.parties.(pi) (delivered_state s p)
+        in
+        (pi, no_loss, acceptable)
     in
     let party = p.C.parties.(pi) in
     {
@@ -1179,10 +1197,6 @@ let audit_report s (p : C.t) defectors (preferred : bool array) =
 (* -- the materialized result (tests) -- *)
 
 let materialize s (p : C.t) =
-  let state = ref State.empty in
-  for a = 0 to p.C.n_actions - 1 do
-    if Bytes.get s.seen a <> '\000' then state := State.record p.C.actions.(a) !state
-  done;
   let log = ref [] in
   for k = s.log_len - 1 downto 0 do
     log := { Engine.at = s.log_at.(k); action = p.C.actions.(s.log_act.(k)) } :: !log
@@ -1205,7 +1219,7 @@ let materialize s (p : C.t) =
   for k = s.pend_len - 1 downto 0 do
     stalled := (p.C.parties.(s.pend_party.(k)), p.C.actions.(s.pend_act.(k))) :: !stalled
   done;
-  { Engine.state = !state; log = !log; holdings; stalled = !stalled; events = s.events }
+  { Engine.state = delivered_state s p; log = !log; holdings; stalled = !stalled; events = s.events }
 
 (* The summary of the run in scratch: the exposure fold and the
    compiled audit verdicts. *)

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Drive two fixed submission streams through a fresh `trustseq serve`
 # each and leave every stream's JSONL trace sink and final metrics
-# snapshot in OUTDIR:
+# snapshot in OUTDIR, and the exit status of every submit (one
+# "spec status" line each) in <stream>.status:
 #
 #   sample1.jsonl / sample1.prom  --trace-sample 1.0
 #       example1, fig7, tl013, example1
@@ -9,8 +10,9 @@
 #       example1, fig7, example2, two_bundles, example1, fig7, trustweb,
 #       example1, tl013 (tail-promotes retry, violation and lint keeps)
 #
-# Both are deterministic, so CI compares them byte for byte against
-# test/golden/daemon_*. Run from the repository root:
+# All three are deterministic, so CI compares them byte for byte
+# against test/golden/daemon_*; a submit that fails outright shows up
+# as its own status line, not only as a trace diff. Run from the repository root:
 #
 #   sh test/daemon_streams.sh _build/default/bin/trustseq.exe OUTDIR
 set -eu
@@ -24,7 +26,7 @@ stream() {
   flags=$1
   shift
   sock="$out/$name.sock"
-  rm -f "$out/$name.jsonl" "$out/$name.prom"
+  rm -f "$out/$name.jsonl" "$out/$name.prom" "$out/$name.status"
   # shellcheck disable=SC2086
   "$bin" serve --socket "$sock" $flags \
     --trace "$out/$name.jsonl" --metrics-out "$out/$name.prom" 2> "$out/$name.err" &
@@ -32,8 +34,11 @@ stream() {
   for _ in $(seq 100); do [ -S "$sock" ] && break; sleep 0.1; done
   [ -S "$sock" ] || { echo "daemon socket never appeared"; kill "$pid"; exit 1; }
   for spec in "$@"; do
-    # expired, aborted and refused answers exit non-zero by design
-    "$bin" submit "$spec" --connect "$sock" > /dev/null 2>&1 || true
+    # expired, aborted and refused answers exit non-zero by design, so
+    # each status is recorded (and compared) rather than failing here
+    status=0
+    "$bin" submit "$spec" --connect "$sock" > /dev/null 2>&1 || status=$?
+    echo "$spec $status" >> "$out/$name.status"
   done
   kill -TERM "$pid"
   wait "$pid"

@@ -6,7 +6,8 @@
    tests draw random marketplace transactions and compare the two paths
    — delivery logs, final holdings, stalls, audit verdicts, per-party
    exposure peaks and risk ticks — under honest runs, fault injection,
-   defection batteries and tight deadlines, in both synthesis modes.
+   defection batteries and tight deadlines, in both synthesis modes,
+   with and without acceptability overrides.
 
    The allocation test pins the other half of the contract: a cache-hit
    session on the serve path stays within a fixed minor-heap budget. *)
@@ -168,6 +169,36 @@ let check_summary ~ctx (entry : Cache.entry) ~defectors (interp : Engine.result)
     (Exposure.total_risk_ticks exposure)
     (Hotpath.total_risk_ticks summary)
 
+(* Acceptability overrides (§2.3's general form): accept anything,
+   accept nothing, or accept exactly the states holding the party's own
+   sends — on the first principal, or on it and a second party (the
+   next principal, else the first trusted role). [k] picks one, so a
+   corpus walks through all four. *)
+let veto = State.{ descriptions = []; preferred = describes [] }
+
+let own_sends spec party =
+  let sends =
+    List.map
+      (fun ((cref : Spec.commitment_ref), d) ->
+        Action.Pattern.of_action (Action.Do (Spec.send_transfer spec d cref.Spec.side)))
+      (Spec.own_sides spec party)
+  in
+  State.{ descriptions = [ describes sends ]; preferred = describes sends }
+
+let with_override k spec =
+  match Spec.principals spec with
+  | [] -> spec
+  | a :: rest -> (
+    match k mod 4 with
+    | 0 -> Spec.with_override a State.always_acceptable spec
+    | 1 -> Spec.with_override a veto spec
+    | 2 -> Spec.with_override a (own_sends spec a) spec
+    | _ -> (
+      let spec = Spec.with_override a (own_sends spec a) spec in
+      match rest @ Spec.trusted_agents spec with
+      | b :: _ -> Spec.with_override b veto spec
+      | [] -> spec))
+
 (* Every principal silent in turn. *)
 let each_silent spec = List.map (fun p -> [ (p, Harness.Silent) ]) (Spec.principals spec)
 
@@ -178,7 +209,7 @@ let check_spec ?(batteries = batteries) ~ctx policy spec =
     let plan =
       match entry.Cache.compiled with
       | Some plan -> plan
-      | None -> Alcotest.failf "%s: cacheable spec missing a compiled plan" ctx
+      | None -> Alcotest.failf "%s: entry missing its compiled plan" ctx
     in
     let variants =
       [ ("honest", None, 1000); ("drops", Some drop_every_third, 1000); ("tight", None, 7) ]
@@ -210,7 +241,10 @@ let test_random_specs () =
   for i = 1 to spec_count do
     let spec = Gen.random_transaction prng mix in
     List.iteri
-      (fun j policy -> check_spec ~ctx:(Printf.sprintf "spec %d policy %d" i j) policy spec)
+      (fun j policy ->
+        check_spec ~ctx:(Printf.sprintf "spec %d policy %d" i j) policy spec;
+        check_spec ~ctx:(Printf.sprintf "spec %d override %d policy %d" i (i mod 4) j) policy
+          (with_override i spec))
       policies
   done
 
@@ -374,10 +408,45 @@ let test_traced_parity () =
                  (fun defectors -> [ (cache, (defectors, 0.)); (cache, (defectors, 0.05)) ])
                  (batteries spec))
              caches))
-      [ ("", corpus_spec); (" deadline", with_first_deadline 3 corpus_spec) ]
+      [
+        ("", corpus_spec);
+        (" deadline", with_first_deadline 3 corpus_spec);
+        (Printf.sprintf " override %d" (i mod 4), with_override i corpus_spec);
+      ]
   done;
   Alcotest.(check bool) "the corpus ran traced sessions" true (!traced_runs > 0);
   Alcotest.(check bool) "and traced per-deal expiries" true (!expiries > 0)
+
+(* Override specs through the batch scheduler: the same sessions at
+   [compiled] true and false, with drops and a defector every third
+   session, export the same trace JSONL and close with the same
+   session records. *)
+let test_override_batch () =
+  let prng = Prng.create 0xBEEF_L in
+  let specs =
+    List.init 60 (fun _ -> Gen.random_transaction prng mix)
+    |> List.concat_map (fun spec -> List.init 4 (fun k -> with_override k spec))
+  in
+  let run compiled =
+    let sessions =
+      List.mapi
+        (fun id spec ->
+          Session.make ~id ~defectors:(Harness.injected_defectors ~every:3 id spec) spec)
+        specs
+    in
+    let obs = Trust_obs.Obs.batch ~enabled:true ~sessions:(List.length sessions) in
+    let cfg =
+      { Scheduler.default_config with Scheduler.compiled; drop_rate = 0.08; seed = 7L }
+    in
+    ignore (Scheduler.run ~obs cfg (Cache.create Cache.default_policy) sessions : Scheduler.stats);
+    ( List.map session_record sessions,
+      Trust_obs.Obs.export Trust_obs.Obs.Jsonl (Trust_obs.Obs.batch_traces obs) )
+  in
+  let hot_records, hot_trace = run true and ref_records, ref_trace = run false in
+  Alcotest.(check (list string)) "session records" ref_records hot_records;
+  Alcotest.(check string) "trace JSONL" ref_trace hot_trace;
+  Alcotest.(check bool) "the batch audits some override unacceptable" true
+    (List.exists (fun r -> String.starts_with ~prefix:"status=expired" r) hot_records)
 
 (* Allocation regression: a cache-hit session on the serve path must
    stay within a fixed minor-heap budget. The interpreted path spent
@@ -413,6 +482,7 @@ let () =
           Alcotest.test_case "worked examples" `Quick test_worked_examples;
           Alcotest.test_case "random specs" `Quick test_random_specs;
           Alcotest.test_case "traced sessions" `Quick test_traced_parity;
+          Alcotest.test_case "override batch" `Quick test_override_batch;
           Alcotest.test_case "scratch growth" `Quick test_growth_keeps_contents;
         ] );
       ( "allocation",

@@ -176,7 +176,7 @@ let test_pin_survives_eviction_and_aging () =
   | Error e, _ -> Alcotest.fail e);
   (match Cache.synthesize cache spec_a with
   | Ok _, `Hit -> ()
-  | Ok _, (`Miss | `Bypass) -> Alcotest.fail "pinned entry was evicted"
+  | Ok _, `Miss -> Alcotest.fail "pinned entry was evicted"
   | Error e, _ -> Alcotest.fail e);
   (* epoch aging sweeps idle entries but never a pinned one *)
   for _ = 1 to 5 do
@@ -184,7 +184,7 @@ let test_pin_survives_eviction_and_aging () =
   done;
   (match Cache.synthesize cache spec_a with
   | Ok _, `Hit -> ()
-  | Ok _, (`Miss | `Bypass) -> Alcotest.fail "pinned entry was aged out"
+  | Ok _, `Miss -> Alcotest.fail "pinned entry was aged out"
   | Error e, _ -> Alcotest.fail e);
   check "unpin releases it" true (Cache.unpin cache hex);
   check_int "pinned gauge drops" 0 (Cache.pinned_count cache);
@@ -192,7 +192,7 @@ let test_pin_survives_eviction_and_aging () =
   ignore (Cache.advance_epoch ~max_idle:1 cache : int);
   match Cache.synthesize cache spec_a with
   | Ok _, `Miss -> ()
-  | Ok _, (`Hit | `Bypass) -> Alcotest.fail "unpinned entry should age out normally"
+  | Ok _, `Hit -> Alcotest.fail "unpinned entry should age out normally"
   | Error e, _ -> Alcotest.fail e
 
 let test_deny_and_allow () =
@@ -226,16 +226,15 @@ let test_prewarm () =
   (match Cache.prewarm cache spec_a with
   | `Warmed -> ()
   | `Hit -> Alcotest.fail "cold cache cannot hit"
-  | `Failed e -> Alcotest.fail e
-  | `Uncacheable -> Alcotest.fail "chain2 is cacheable");
+  | `Failed e -> Alcotest.fail e);
   check "pre-warm pins" true (List.mem (Shape.hash_hex spec_a) (Cache.pinned cache));
   (match Cache.prewarm cache spec_a with
   | `Hit -> ()
-  | `Warmed | `Failed _ | `Uncacheable -> Alcotest.fail "second pre-warm must hit");
+  | `Warmed | `Failed _ -> Alcotest.fail "second pre-warm must hit");
   (* the pre-warmed entry serves the first real synthesis as a hit *)
   match Cache.synthesize cache spec_a with
   | Ok _, `Hit -> ()
-  | Ok _, (`Miss | `Bypass) -> Alcotest.fail "pre-warmed entry must hit"
+  | Ok _, `Miss -> Alcotest.fail "pre-warmed entry must hit"
   | Error e, _ -> Alcotest.fail e
 
 (* -- the scheduler refuses denied shapes with the TM001 diagnostic -- *)

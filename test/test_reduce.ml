@@ -207,7 +207,7 @@ let test_worklist_scenarios () =
   List.iter
     (fun (name, spec) ->
       let naive = Reduce.run_rescan (Sequencing.build spec) in
-      let fast = Reduce.run_worklist (Sequencing.build spec) in
+      let fast = Reduce.run (Sequencing.build spec) in
       if not (same_outcome naive fast) then
         Alcotest.failf "%s: worklist diverges from the rescanning oracle" name)
     Workload.Scenarios.all
@@ -216,13 +216,13 @@ let test_worklist_counts () =
   (* a feasible reduction deletes every edge regardless of strategy *)
   let spec = Workload.Gen.chain ~brokers:5 in
   let edge_total = Sequencing.edge_count (Sequencing.build spec) in
-  let outcome = Reduce.run_worklist (Sequencing.build spec) in
+  let outcome = Reduce.run (Sequencing.build spec) in
   check "feasible" true (Reduce.feasible outcome);
   check_int "all edges deleted" edge_total (List.length outcome.Reduce.deletions)
 
 let prop_worklist_agrees =
-  (* The worklist reducer is the default path ([Reduce.run] delegates to
-     it); the rescanning implementation is kept as the oracle. The two
+  (* The worklist reducer is the default path ([Reduce.run]); the
+     rescanning implementation is kept as the oracle. The two
      must agree on the verdict *and* the deletion sequence — every step,
      rule, edge and colour — or the §5 execution sequences would drift. *)
   QCheck2.Test.make ~name:"worklist reducer replays the rescanning oracle exactly" ~count:200
@@ -231,7 +231,7 @@ let prop_worklist_agrees =
       let spec = Workload.Gen.random_transaction rng Workload.Gen.default_mix in
       same_outcome
         (Reduce.run_rescan (Sequencing.build spec))
-        (Reduce.run_worklist (Sequencing.build spec)))
+        (Reduce.run (Sequencing.build spec)))
 
 let prop_confluence =
   QCheck2.Test.make ~name:"randomized reduction order preserves the verdict" ~count:200

@@ -19,6 +19,11 @@ module Prng = Workload.Prng
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
+
+let contains hay needle =
+  let n = String.length hay and k = String.length needle in
+  let rec at i = i + k <= n && (String.sub hay i k = needle || at (i + 1)) in
+  at 0
 let all_formats = [ Obs.Jsonl; Obs.Chrome; Obs.Tree; Obs.Folded ]
 
 let decode_exn dump =
@@ -375,6 +380,42 @@ let test_service_jobs_identity () =
   in
   check_string "decoded ring byte-identical at jobs 1 vs 4" (export a) (export b)
 
+(* A 64 KiB ring wraps, and at jobs 4 which sessions share a shard —
+   so how many records it drops — depends on domain scheduling. The
+   drop count is a volatile gauge, so the stdout snapshot stays
+   byte-identical run to run and, worker-count lines aside, across
+   jobs. *)
+let test_wrapping_ring_snapshot () =
+  let run jobs =
+    Service.run
+      {
+        Service.default with
+        Service.sessions = 300;
+        seed = 42L;
+        jobs;
+        mix = { Gen.default_mix with Gen.trust_density = 0.5 };
+        drop_rate = 0.05;
+        defect_every = Some 3;
+        sample_rate = 1.0;
+        trace_ring = 65536;
+      }
+  in
+  let snapshot o =
+    Format.asprintf "%a" Service.report o
+    |> String.split_on_char '\n'
+    |> List.filter (fun line ->
+           not (contains line "worker domain" || contains line "serve_pool_workers"))
+    |> String.concat "\n"
+  in
+  let a = run 4 in
+  check "the ring wrapped" true (Ring.records_dropped (ring_of a) > 0);
+  check "the drop count is on the volatile channel" true
+    (contains (Trust_serve.Metrics.volatile_text a.Service.metrics)
+       "obs_ring_records_dropped_total");
+  let expected = snapshot a in
+  check_string "jobs 4, twice" expected (snapshot (run 4));
+  check_string "jobs 1 = jobs 4" expected (snapshot (run 1))
+
 (* the oracle: at sample rate 0 every anomalous session from a defect
    battery — and nothing else — is in the ring, with the right reason *)
 let test_tail_keep_oracle () =
@@ -664,11 +705,11 @@ let test_encoder_four_writers () =
 
 (* -- tail promotion rebuilds the trace head sampling records --
 
-   A drop + defect battery, plus lint refusals and override specs
-   (never compiled, so re-run instead of rebuilt), through
-   [Scheduler.run] with a ring at sample rate 0 and 1.0: every
-   tail-kept session's spans equal the head-sampled session's, keep
-   attr aside, and what [Scheduler.replay] records for it. *)
+   A drop + defect battery, plus lint refusals and override specs,
+   through [Scheduler.run] with a ring at sample rate 0 and 1.0, on
+   the compiled runtime and on the interpreted one: every tail-kept
+   session's spans equal the head-sampled session's, keep attr aside,
+   and what [Scheduler.replay] records for it. *)
 
 let oracle_battery () =
   let config =
@@ -700,7 +741,7 @@ let without_keep views =
 let test_tail_promoted_equals_sampled () =
   let kinds = ref [] in
   List.iter
-    (fun (jobs, drop_rate) ->
+    (fun ((jobs, drop_rate), compiled) ->
       let cfg rate =
         {
           Scheduler.default_config with
@@ -708,6 +749,7 @@ let test_tail_promoted_equals_sampled () =
           sample_rate = rate;
           drop_rate;
           seed = 31L;
+          compiled;
         }
       in
       let run rate =
@@ -721,7 +763,7 @@ let test_tail_promoted_equals_sampled () =
       in
       let sessions, cache, tail = run 0.0 in
       let _, _, head = run 1.0 in
-      let ctx = Printf.sprintf "jobs %d, drops %g" jobs drop_rate in
+      let ctx = Printf.sprintf "jobs %d, drops %g, compiled %b" jobs drop_rate compiled in
       List.iter
         (fun (t : Ring.session) ->
           let id = t.Ring.s_id in
@@ -739,7 +781,11 @@ let test_tail_promoted_equals_sampled () =
             check (here ^ ": spans equal Scheduler.replay's") true
               (without_keep t.Ring.s_views = Obs.views replayed))
         tail)
-    [ (1, 0.08); (2, 0.08); (1, 0.0); (2, 0.0) ];
+    (* compiled runs are rebuilt from their captures, interpreted ones
+       run again from their entry *)
+    (List.concat_map
+       (fun compiled -> List.map (fun c -> (c, compiled)) [ (1, 0.08); (2, 0.08); (1, 0.0); (2, 0.0) ])
+       [ true; false ]);
   List.iter
     (fun k ->
       check (Ring.keep_label k ^ " keeps were compared") true (List.mem k !kinds))
@@ -761,7 +807,7 @@ let test_tail_keep_synthesizes_once () =
       }
     in
     ignore (Scheduler.run ?ring cfg cache (oracle_battery ()) : Scheduler.stats);
-    Cache.hits cache + Cache.misses cache + Cache.bypasses cache
+    Cache.hits cache + Cache.misses cache
   in
   List.iter
     (fun compiled ->
@@ -802,6 +848,7 @@ let () =
         [
           Alcotest.test_case "sampled subset" `Quick test_service_sampled_subset;
           Alcotest.test_case "jobs identity" `Quick test_service_jobs_identity;
+          Alcotest.test_case "wrapping ring, stable snapshot" `Quick test_wrapping_ring_snapshot;
           Alcotest.test_case "tail-keep oracle (rate 0)" `Quick test_tail_keep_oracle;
           Alcotest.test_case "tail-keep oracle (rate 0.01)" `Quick test_tail_keep_oracle_sampled;
           Alcotest.test_case "zero-rate hot path" `Quick test_zero_rate_allocates_nothing;

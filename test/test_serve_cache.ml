@@ -12,7 +12,7 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
-let outcome_label = function `Hit -> "hit" | `Miss -> "miss" | `Bypass -> "bypass"
+let outcome_label = function `Hit -> "hit" | `Miss -> "miss"
 
 let test_hash_stable () =
   check_string "same spec, same hash"
@@ -157,13 +157,10 @@ let composed_fresh (policy : Cache.policy) spec =
   | Ok cast ->
     let split_spec = cast.Harness.spec and protocol = cast.Harness.protocol in
     let compiled =
-      if Party.Map.is_empty split_spec.Spec.overrides then
-        Some
-          (Trust_core.Compile.compile ~lockstep:(mode = Harness.Lockstep) ~shared ?plan
-             ~price:(Trust_sim.Trace.price_for split_spec) split_spec protocol)
-      else None
+      Trust_core.Compile.compile ~lockstep:(mode = Harness.Lockstep) ~shared ?plan
+        ~price:(Trust_sim.Trace.price_for split_spec) split_spec protocol
     in
-    Ok { Cache.split_spec; plan; protocol; compiled }
+    Ok { Cache.split_spec; plan; protocol; compiled = Some compiled }
 
 (* The compiled plans' arrays, with the spec and plan they carry
    compared by encoding and offers instead (the spec memoizes its
@@ -229,17 +226,28 @@ let test_negative_caching () =
   | Error _, `Hit -> ()
   | _ -> Alcotest.fail "the infeasible verdict must be cached too"
 
-let test_override_bypasses () =
-  let spec =
-    Spec.with_override (Party.consumer "c") State.always_acceptable (Gen.chain ~brokers:1)
-  in
-  check "override specs are not cacheable" false (Shape.cacheable spec);
+(* An override spec is cached and compiled like any other; its
+   override descriptions are part of the shape, so the same deals under
+   another override never hit its entry. *)
+let test_override_cached () =
+  let chain = Gen.chain ~brokers:1 and c = Party.consumer "c" in
+  let accepting = Spec.with_override c State.always_acceptable chain in
+  let veto = Spec.with_override c State.{ descriptions = []; preferred = describes [] } chain in
   let cache = Cache.create Cache.default_policy in
-  let _, first = Cache.synthesize cache spec in
-  let _, second = Cache.synthesize cache spec in
-  check_string "bypass" "bypass" (outcome_label first);
-  check_string "bypass again" "bypass" (outcome_label second);
-  check_int "nothing resident" 0 (Cache.size cache)
+  let compiled label = function
+    | Ok entry, outcome ->
+      check (label ^ ": compiled") true (entry.Cache.compiled <> None);
+      outcome_label outcome
+    | Error e, _ -> Alcotest.failf "%s: %s" label e
+  in
+  check_string "first lookup misses" "miss" (compiled "first" (Cache.synthesize cache accepting));
+  check_string "second lookup hits" "hit" (compiled "second" (Cache.synthesize cache accepting));
+  check "another override is another shape" false
+    (String.equal (Shape.encode accepting) (Shape.encode veto));
+  check "an override is not the bare spec's shape" false
+    (String.equal (Shape.encode accepting) (Shape.encode chain));
+  check_string "another override misses" "miss" (compiled "veto" (Cache.synthesize cache veto));
+  check_int "both resident" 2 (Cache.size cache)
 
 let test_eviction () =
   (* one shard = the unsharded FIFO semantics, pinned exactly *)
@@ -360,7 +368,7 @@ let prop_cached_equals_fresh =
             | Ok cached, Ok fresh -> Cache.entry_equal cached fresh
             | Error a, Error b -> String.equal a b
             | _ -> false)
-          | _, (`Miss | `Bypass) -> false)
+          | _, `Miss -> false)
         specs)
 
 let prop_hash_deterministic =
@@ -383,7 +391,7 @@ let () =
             test_chain50_fixture;
           Alcotest.test_case "fan128 fixture is the generator's shape" `Quick
             test_fan128_fixture;
-          Alcotest.test_case "override bypass" `Quick test_override_bypasses;
+          Alcotest.test_case "override cached" `Quick test_override_cached;
         ] );
       ( "cache",
         [

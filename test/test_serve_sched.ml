@@ -305,7 +305,7 @@ let test_service_deterministic () =
    a warm memo it must export what a fresh cache exports, and its span
    must be the one [Lint.check_spec] records when it lints directly.
    Covers a clean spec, one with warnings, one the lint refuses and an
-   override spec (never memoized, linted fresh each time). *)
+   override spec. *)
 let test_memoized_lint_span () =
   let module Obs = Trust_obs.Obs in
   let module Diagnostic = Trust_analyze.Diagnostic in
