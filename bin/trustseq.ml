@@ -1347,11 +1347,12 @@ let batch_cmd =
       value & opt float 1.0
       & info [ "trace-sample" ] ~docv:"RATE"
           ~doc:
-            "Head-sample this fraction of sessions into live traces (deterministic per seed and \
+            "Head-sample this fraction of sessions into the trace (deterministic per seed and \
              session id; the sampled set at rate r is a subset of the set at any higher rate). \
-             Unsampled sessions run untraced on the compiled fast path; tail keep rules still \
-             promote any session with an exposure violation, retry, expiry or lint refusal. \
-             Applies when --trace or a ring is active.")
+             Every session runs untraced on the compiled fast path; tail keep rules also keep \
+             any session with an exposure violation, retry, expiry or lint refusal, and each \
+             kept session's trace is rebuilt from its run. Applies when --trace or a ring is \
+             active.")
   in
   let trace_ring =
     Arg.(
@@ -1605,10 +1606,11 @@ let serve_cmd =
       & opt float Server.default.Server.scheduler.Trust_serve.Scheduler.sample_rate
       & info [ "trace-sample" ] ~docv:"RATE"
           ~doc:
-            "Head-sample this fraction of requests into live traces (deterministic in the \
-             scheduler seed and session id). Unsampled requests run untraced on the compiled \
-             fast path; tail keep rules still promote every session that closes with an \
-             exposure violation, retry, expiry or lint refusal. Default 0.01.")
+            "Head-sample this fraction of requests into the trace (deterministic in the \
+             scheduler seed and session id). Every request runs untraced on the compiled fast \
+             path; tail keep rules also keep every session that closes with an exposure \
+             violation, retry, expiry or lint refusal, and each kept request is traced after \
+             it was answered. Default 0.01.")
   in
   let mine_every =
     Arg.(

@@ -258,107 +258,92 @@ let zero_result ~id ~status ~exit_code ~reason =
       reason;
     }
 
-(* One pass over a submission: the [daemon.request] root span,
-   elaboration, then [run] writes the session part under the root and
-   returns the closed session. Shared between the first pass (a live
-   trace from the start when sampled) and the tail-promotion pass
-   (elaboration again for the prefix, then the session part rebuilt
-   from the first pass's capture) — so both produce the same span
-   tree. [record] is false on the tail-promotion pass: the first pass
-   already counted everything. *)
-let traced_pass srv ~record ~id ~spec obs ~run =
-  Obs.with_span obs ~phase:"daemon" "daemon.request" (fun root ->
-      if Obs.enabled obs then Obs.attr obs root "wire_id" (Obs.Int id);
-      match Trust_lang.Elaborate.from_string ~obs ~parent:root ~file:"<wire>" spec with
-      | Error e ->
-        if record then srv.aborted <- srv.aborted + 1;
-        zero_result ~id ~status:"error" ~exit_code:2 ~reason:(Some e)
-      | Ok parsed ->
-        let session = run ~parent:root parsed in
-        let status, exit_code, reason =
-          match session.Session.status with
-          | Session.Settled ->
-            if record then srv.settled <- srv.settled + 1;
-            ("settled", 0, None)
-          | Session.Expired ->
-            if record then srv.expired <- srv.expired + 1;
-            ("expired", 1, None)
-          | Session.Aborted r ->
-            if record then srv.aborted <- srv.aborted + 1;
-            ("aborted", 1, Some r)
-          | Session.Queued | Session.Synthesizing | Session.Running ->
-            ("error", 2, Some "internal: session did not reach a terminal state")
-        in
-        Wire.Result
-          {
-            id;
-            status;
-            exit_code;
-            cache_hit = session.Session.cache_hit;
-            ticks = session.Session.ticks;
-            events = session.Session.events;
-            attempts = session.Session.attempts;
-            exposure_peak = session.Session.exposure_peak;
-            exposure_ticks = session.Session.exposure_ticks;
-            exposure_violations = session.Session.exposure_violations;
-            reason;
-          })
+(* The answer to a closed session, counted into the daemon's tallies. *)
+let result_of srv ~id (session : Session.t) =
+  let status, exit_code, reason =
+    match session.Session.status with
+    | Session.Settled ->
+      srv.settled <- srv.settled + 1;
+      ("settled", 0, None)
+    | Session.Expired ->
+      srv.expired <- srv.expired + 1;
+      ("expired", 1, None)
+    | Session.Aborted r ->
+      srv.aborted <- srv.aborted + 1;
+      ("aborted", 1, Some r)
+    | Session.Queued | Session.Synthesizing | Session.Running ->
+      ("error", 2, Some "internal: session did not reach a terminal state")
+  in
+  Wire.Result
+    {
+      id;
+      status;
+      exit_code;
+      cache_hit = session.Session.cache_hit;
+      ticks = session.Session.ticks;
+      events = session.Session.events;
+      attempts = session.Session.attempts;
+      exposure_peak = session.Session.exposure_peak;
+      exposure_ticks = session.Session.exposure_ticks;
+      exposure_violations = session.Session.exposure_violations;
+      reason;
+    }
+
+(* The trace of a kept request, written after it was answered: the
+   [daemon.request] root span, elaboration again with a live sink for
+   the parse spans, then the session part rebuilt under the root from
+   the capture. A request that never made a session (a parse failure,
+   kept only when sampled) has no capture and ends after the parse
+   spans. *)
+let trace_request srv ~n ~id ~spec captured =
+  let trace = Obs.create ~session:n () in
+  Obs.with_span trace ~phase:"daemon" "daemon.request" (fun root ->
+      Obs.attr trace root "wire_id" (Obs.Int id);
+      ignore
+        (Trust_lang.Elaborate.from_string ~obs:trace ~parent:root ~file:"<wire>" spec
+          : (Exchange.Spec.t, string) result);
+      Option.iter (Scheduler.rebuild ~parent:root srv.cfg.scheduler srv.cache trace) captured);
+  trace
 
 let process_submit srv conn ~id ~spec =
   let n = srv.next_session in
   srv.next_session <- n + 1;
   let tracing = srv.trace_ch <> None || srv.ring <> None in
   let sampled = tracing && Scheduler.session_sampled srv.cfg.scheduler n in
-  let obs = if sampled then Obs.create ~session:n () else Obs.null in
-  (* optional fault injection (CI smokes, soak tests), the batch
-     Service rule *)
-  let make parsed =
-    let defectors = Trust_sim.Harness.injected_defectors ~every:srv.cfg.defect_every n parsed in
-    Session.make ~id:n ~defectors parsed
+  (* every request runs untraced; a kept one is traced afterwards *)
+  let resp, captured =
+    match Trust_lang.Elaborate.from_string ~file:"<wire>" spec with
+    | Error e ->
+      srv.aborted <- srv.aborted + 1;
+      (zero_result ~id ~status:"error" ~exit_code:2 ~reason:(Some e), None)
+    | Ok parsed ->
+      (* optional fault injection (CI smokes, soak tests), the batch
+         Service rule *)
+      let defectors = Trust_sim.Harness.injected_defectors ~every:srv.cfg.defect_every n parsed in
+      let session = Session.make ~id:n ~defectors parsed in
+      let captured =
+        if tracing then
+          Scheduler.process_traced ~recorders:srv.recorders ~sampled srv.cfg.scheduler srv.cache
+            session
+        else begin
+          Scheduler.process_one ~recorders:srv.recorders srv.cfg.scheduler srv.cache session;
+          None
+        end
+      in
+      (* remember the last spec per shape (bounded) so the mining tick
+         can pre-warm a pin candidate that already aged out of the cache *)
+      if srv.cfg.mine_every > 0 then begin
+        if Hashtbl.length srv.stash >= 4096 then Hashtbl.reset srv.stash;
+        Hashtbl.replace srv.stash (Shape.hash_hex parsed) parsed
+      end;
+      (result_of srv ~id session, captured)
   in
-  let session_ref = ref None and captured = ref None in
-  let resp =
-    traced_pass srv ~record:true ~id ~spec obs ~run:(fun ~parent parsed ->
-        let session = make parsed in
-        session_ref := Some session;
-        if tracing && not sampled then
-          captured :=
-            Scheduler.process_unsampled ~recorders:srv.recorders srv.cfg.scheduler srv.cache
-              session
-        else
-          Scheduler.process_one ~recorders:srv.recorders ~obs ~parent srv.cfg.scheduler srv.cache
-            session;
-        session)
-  in
-  (* remember the last spec per shape (bounded) so the mining tick can
-     pre-warm a pin candidate that already aged out of the cache *)
-  (match !session_ref with
-  | Some session when srv.cfg.mine_every > 0 ->
-    if Hashtbl.length srv.stash >= 4096 then Hashtbl.reset srv.stash;
-    Hashtbl.replace srv.stash (Shape.hash_hex session.Session.spec) session.Session.spec
-  | Some _ | None -> ());
   (if tracing then
-     (* tail promotion elaborates the request again with a live sink
-        for the root span and the parse spans, then rebuilds the
-        session part from the capture; an unsampled parse failure never
-        makes a session, so tail rules cannot see it — the refused
-        Result already tells the client *)
-     let replay () =
-       let trace = Obs.create ~session:n () in
-       ignore
-         (traced_pass srv ~record:false ~id ~spec trace ~run:(fun ~parent _parsed ->
-              (* kept unsampled means a tail rule fired on the first
-                 pass, which is exactly when it returned a capture *)
-              match (!captured, !session_ref) with
-              | Some c, Some session ->
-                Scheduler.rebuild ~parent srv.cfg.scheduler srv.cache trace session c;
-                session
-              | _ -> invalid_arg "Server: tail-kept session without a capture")
-           : Wire.response);
-       trace
-     in
+     (* an unsampled parse failure never makes a session, so tail rules
+        cannot see it — the refused Result already tells the client *)
      let kept =
-       Scheduler.retain ~recorders:srv.recorders ?ring:srv.ring ~sampled obs !session_ref ~replay
+       Scheduler.retain ~recorders:srv.recorders ?ring:srv.ring ~sampled captured ~trace:(fun () ->
+           trace_request srv ~n ~id ~spec captured)
      in
      (* the ring's lifetime drop count as a counter: deterministic here,
         where sessions commit in wire order on one thread, unlike the

@@ -6,10 +6,13 @@
     listener. The event loop is a single [select] thread: connections
     are nonblocking, input is reassembled per-connection by a
     {!Frame.decoder}, and each admitted submission runs synchronously
-    through {!Trust_serve.Scheduler.process_one} — the same lifecycle
-    (admission lint, cached synthesis, engine run, audit) a batch
-    session gets, parented under a [daemon.request] root span when
-    tracing.
+    and untraced through the same lifecycle (admission lint, cached
+    synthesis, engine run, audit) a batch session gets. When tracing,
+    a kept request's trace is written after it was answered: a
+    [daemon.request] root span, elaboration again with a live sink,
+    and the session part under it, rebuilt by
+    {!Trust_serve.Scheduler.rebuild} from what the untraced run
+    captured.
 
     {2 Admission and backpressure}
 
@@ -46,14 +49,14 @@ type config = {
   cache_capacity : int;
   scheduler : Trust_serve.Scheduler.config;
       (** per-request engine knobs, and the head-sampling rate:
-          [scheduler.sample_rate] picks the wire session ids traced
-          live, per {!Trust_serve.Scheduler.session_sampled} under the
-          scheduler seed ([serve --trace-sample]). Unsampled requests
-          run untraced on the compiled fast path; at close
-          {!Trust_serve.Scheduler.retain} promotes any session with an
-          exposure violation, retry, expiry or lint refusal by
-          re-running it with a live sink — determinism makes the
-          replayed trace what head sampling would have recorded. *)
+          [scheduler.sample_rate] picks the wire session ids kept,
+          per {!Trust_serve.Scheduler.session_sampled} under the
+          scheduler seed ([serve --trace-sample]). Every request runs
+          untraced on the compiled fast path; at close
+          {!Trust_serve.Scheduler.retain} keeps the sampled ones and
+          promotes any session with an exposure violation, retry,
+          expiry or lint refusal, and each kept trace is rebuilt from
+          the run's capture — the same bytes whichever rule kept it. *)
   max_pending : int;  (** admission bound; excess submissions get [busy] *)
   max_frame : int;  (** wire frame bound, bytes *)
   epoch_every : int;  (** served requests per cache epoch tick *)

@@ -132,9 +132,13 @@ let encode_shape t =
       enc_party buf d.via;
       enc_asset buf d.left_sends;
       enc_asset buf d.right_sends;
+      (* money ends in bare digits, so the deadline's digits need a
+         separator of their own *)
       (match d.deadline with
       | None -> Buffer.add_char buf '-'
-      | Some n -> Buffer.add_string buf (string_of_int n));
+      | Some n ->
+        Buffer.add_char buf '@';
+        Buffer.add_string buf (string_of_int n));
       Buffer.add_char buf ')')
     t.deals;
   Buffer.add_string buf "]personas[";

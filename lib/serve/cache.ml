@@ -3,7 +3,6 @@ module Harness = Trust_sim.Harness
 module Feasibility = Trust_core.Feasibility
 module Indemnity = Trust_core.Indemnity
 module Protocol = Trust_core.Protocol
-module Obs = Trust_obs.Obs
 
 type policy = { mode : Harness.mode; shared : bool; rescue : bool; verify : bool }
 
@@ -310,7 +309,7 @@ let lint spec =
    memoizes it by shape, verdict and tallies together. The memo is
    bounded: a full shard table is reset wholesale (entries are small,
    and correctness never depends on residency). *)
-let memo_lint t spec =
+let admit t spec =
   let key = Shape.encode spec in
   let shard = t.shards.(shard_of t spec) in
   Mutex.lock shard.lock;
@@ -330,12 +329,7 @@ let memo_lint t spec =
 let lint_span obs ?parent l =
   Trust_analyze.Lint.with_span obs ?parent ~deep:false (fun () -> ((), l.tally))
 
-let admit ?(obs = Obs.null) ?parent t spec =
-  let l = memo_lint t spec in
-  if Obs.enabled obs then lint_span obs ?parent l;
-  l
-
-let admission ?obs ?parent t spec = (admit ?obs ?parent t spec).verdict
+let admission t spec = (admit t spec).verdict
 
 let epoch t = Atomic.get t.epoch
 

@@ -139,29 +139,26 @@ val denied_reason : t -> Spec.t -> string option
     this before the admission lint. Lock-free: reads an atomically
     swapped immutable set. *)
 
-val admission :
-  ?obs:Trust_obs.Obs.t -> ?parent:Trust_obs.Obs.handle -> t -> Spec.t -> string option
+val admission : t -> Spec.t -> string option
 (** Shallow admission lint ([Lint.check_spec ~deep:false]): [None] when
     the spec passes, [Some reason] — ["lint: [code] message"] of the
     first error-level diagnostic — when it is rejected. The verdict and
     the diagnostic tallies are a pure function of the spec, memoized
-    together by shape in the same shards as synthesis. With a live [obs] the call also
-    opens the ["lint"] span under [parent] that [Lint.check_spec]
-    records — [deep], [diagnostics], [errors], [warnings], in that
-    order — written from the memo, so a warm traced admission costs a
-    lookup, not a lint. *)
+    together by shape in the same shards as synthesis. *)
 
 type lint = { verdict : string option; tally : Trust_analyze.Lint.tally }
 (** A memoized admission lint: {!admission}'s verdict and the
     diagnostic tallies its ["lint"] span carries. *)
 
-val admit : ?obs:Trust_obs.Obs.t -> ?parent:Trust_obs.Obs.handle -> t -> Spec.t -> lint
+val admit : t -> Spec.t -> lint
 (** {!admission}, returning the memo record itself (no allocation on a
     warm shape), so a caller can write the span later with
     {!lint_span}. *)
 
 val lint_span : Trust_obs.Obs.t -> ?parent:Trust_obs.Obs.handle -> lint -> unit
-(** The ["lint"] span a traced {!admit} of this lint records. *)
+(** The ["lint"] span [Lint.check_spec] records for this spec — [deep],
+    [diagnostics], [errors], [warnings], in that order — written from
+    the memo, so a warm admission's span costs a lookup, not a lint. *)
 
 val synthesize : t -> Spec.t -> (entry, string) result * [ `Hit | `Miss ]
 (** Memoized synthesis, keyed by {!Shape.encode}: every spec is cached,

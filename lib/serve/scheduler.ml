@@ -118,14 +118,14 @@ let account (session : Session.t) rec_opt ~duration ~events ~deliveries ~stalled
 
 (* One run of an already-synthesized session on the compiled runtime:
    the cached instruction plan executes against per-domain scratch with
-   no per-run protocol allocation when untraced. A live [obs] makes the
-   runtime record its events and emit the simulate and audit spans;
-   with [capture] an untraced run keeps them in the Hotpath scratch for
-   [Hotpath.capture]. Verdicts, ticks, events, exposure aggregates and traces are
-   identical to [run_interpreted] (property-tested in test_hotpath), so
-   the two paths may be mixed freely across sessions and domains. *)
-let run_compiled cfg ~capture ?obs ?parent (plan : Trust_core.Compile.t) (session : Session.t)
-    ~drops rec_opt =
+   no per-run protocol allocation. A [capturable] run also keeps its
+   events in the Hotpath scratch for [Hotpath.capture]. Verdicts,
+   ticks, events, exposure aggregates and the spans rebuilt from a
+   capture are identical to [run_interpreted]'s (property-tested in
+   test_hotpath), so the two paths may be mixed freely across sessions
+   and domains. *)
+let run_compiled cfg ~capturable (plan : Trust_core.Compile.t) (session : Session.t) ~drops
+    rec_opt =
   session.Session.attempts <- session.Session.attempts + 1;
   let drop =
     if drops && cfg.drop_rate > 0. then
@@ -141,8 +141,7 @@ let run_compiled cfg ~capture ?obs ?parent (plan : Trust_core.Compile.t) (sessio
     }
   in
   let summary =
-    Trust_sim.Hotpath.exec ~config ~defectors:session.Session.defectors ~capturable:capture ?obs
-      ?parent plan
+    Trust_sim.Hotpath.exec ~config ~defectors:session.Session.defectors ~capturable plan
   in
   account session rec_opt ~duration:summary.Trust_sim.Hotpath.duration
     ~events:summary.Trust_sim.Hotpath.events ~deliveries:summary.Trust_sim.Hotpath.deliveries
@@ -155,7 +154,9 @@ let run_compiled cfg ~capture ?obs ?parent (plan : Trust_core.Compile.t) (sessio
   else Session.Expired
 
 (* One engine run of an already-synthesized session on the interpreted
-   reference engine: the oracle that [compiled = false] selects. *)
+   reference engine: the oracle that [compiled = false] selects. A live
+   [obs] (given only by [rebuild]) records its simulate and audit spans
+   as the run goes. *)
 let run_interpreted cfg ?(obs = Obs.null) ?parent (entry : Cache.entry) policy
     (session : Session.t) ~drops rec_opt =
   session.Session.attempts <- session.Session.attempts + 1;
@@ -208,15 +209,14 @@ let run_interpreted cfg ?(obs = Obs.null) ?parent (entry : Cache.entry) policy
   else Session.Expired
 
 (* The plan a session of this entry runs on the compiled runtime:
-   traced or not, every entry has one, run unless [compiled = false];
-   the two paths agree on every observable outcome and span. *)
+   every entry has one, run unless [compiled = false]; the two paths
+   agree on every observable outcome and span. *)
 let compiled_plan cfg (entry : Cache.entry) = if cfg.compiled then entry.Cache.compiled else None
 
-let run_once cfg ~capture ?obs ?parent (entry : Cache.entry) policy (session : Session.t) ~drops
-    rec_opt =
+let run_once cfg ~capturable (entry : Cache.entry) policy (session : Session.t) ~drops rec_opt =
   match compiled_plan cfg entry with
-  | Some plan -> run_compiled cfg ~capture ?obs ?parent plan session ~drops rec_opt
-  | None -> run_interpreted cfg ?obs ?parent entry policy session ~drops rec_opt
+  | Some plan -> run_compiled cfg ~capturable plan session ~drops rec_opt
+  | None -> run_interpreted cfg entry policy session ~drops rec_opt
 
 (* -- production tracing: head sampling, tail keep rules, ring sink -- *)
 
@@ -227,8 +227,8 @@ let session_sampled cfg id = Sampler.decision ~seed:cfg.seed ~rate:cfg.sample_ra
    a retry outranks a plain expiry (the first attempt also expired),
    and a lint refusal is kept because rejected specs are exactly what
    an operator wants to see. All four are functions of the session
-   record alone, so the verdict is identical whether the session ran
-   traced or on the compiled fast path. *)
+   record alone, so the verdict is identical on either runtime and
+   at any sample rate. *)
 let tail_reason (session : Session.t) =
   if session.Session.exposure_violations > 0 then Some Ring.Violation
   else if session.Session.attempts > 1 then Some Ring.Retry
@@ -241,15 +241,18 @@ let tail_reason (session : Session.t) =
 let keep_decision ~sampled session =
   if sampled then Some Ring.Sampled else tail_reason session
 
-(* What the trace of a tail-kept session is rebuilt from, taken as its
-   unsampled run goes: the admission lint, the synthesis outcome
+(* What a kept session's trace is rebuilt from, taken as its untraced
+   run goes: why it is kept, its closed record, the admission lint
+   ([None] when the deny list refused it), the synthesis outcome
    ([None] when admission refused it) and its runs — compiled ones as
-   the Hotpath scratch held them; interpreted ones leave no scratch, so
-   the rebuild runs them again from their entry with a live sink. *)
+   the Hotpath scratch held them; interpreted ones leave no scratch,
+   so the rebuild runs them again from their entry with a live sink. *)
 type runs = Captured of Trust_sim.Hotpath.capture list | Rerun of Cache.entry
 
 type capture = {
-  lint : Cache.lint;
+  keep : Ring.keep;
+  session : Session.t;
+  lint : Cache.lint option;
   synthesized : [ `Hit | `Miss ] option;
   runs : runs;
 }
@@ -257,38 +260,6 @@ type capture = {
 (* the compiled run still in this domain's Hotpath scratch *)
 let captured_run (session : Session.t) plan =
   Trust_sim.Hotpath.capture ~defectors:session.Session.defectors plan
-
-let tail_kept ~capture session = capture && tail_reason session <> None
-
-(* The spans a session writes around its admission, synthesis and runs,
-   shared by the live run and the rebuild from a capture. *)
-let session_span obs ?parent (session : Session.t) f =
-  Obs.with_span obs ?parent ~phase:"session"
-    (if Obs.enabled obs then Printf.sprintf "session.%d" session.Session.id else "session")
-    f
-
-let synthesis_attrs obs h ~outcome ~verify =
-  if Obs.enabled obs then begin
-    (* every spec is cached; the attribute stays for the trace schema *)
-    Obs.attr obs h "bypass" (Obs.Bool false);
-    Obs.attr obs h "verify" (Obs.Bool verify);
-    Obs.volatile_attr obs h "cache_hit" (Obs.Bool (outcome = `Hit))
-  end
-
-(* deterministic outcome facts on the session root: everything the
-   trace miner (Trust_obs.Mine) needs to attribute the session to its
-   spec shape and classify the incident — all pure functions of the
-   session record, so identical at any --jobs *)
-let outcome_attrs obs root (session : Session.t) =
-  if Obs.enabled obs then begin
-    Obs.attr obs root "shape" (Obs.Str (Shape.hash_hex session.Session.spec));
-    Obs.attr obs root "status" (Obs.Str (Session.status_label session.Session.status));
-    Obs.attr obs root "attempts" (Obs.Int session.Session.attempts);
-    Obs.attr obs root "ticks" (Obs.Int session.Session.ticks);
-    Obs.attr obs root "events" (Obs.Int session.Session.events);
-    Obs.attr obs root "violations" (Obs.Int session.Session.exposure_violations);
-    Obs.attr obs root "exposure_ticks" (Obs.Int session.Session.exposure_ticks)
-  end
 
 let refuse rec_opt (session : Session.t) reason =
   Session.transition session (Session.Aborted reason);
@@ -300,38 +271,32 @@ let refuse rec_opt (session : Session.t) reason =
       Metrics.incr r.aborted)
 
 (* The runs of a synthesized session: one, or two when the first
-   stalled under injected drops. With [capture], returns how the runs
-   reach the trace when a tail rule fires. *)
-let run_attempts ~capture cfg ~obs ~root entry policy rec_opt retried (session : Session.t) =
+   stalled under injected drops. Returns the first run's capture when
+   the runs are [capturable] on the compiled runtime and it was
+   retried: a retried session is always kept, and the retry overwrites
+   the scratch. *)
+let run_attempts ~capturable cfg entry policy rec_opt retried (session : Session.t) =
   Session.transition session Session.Running;
-  let status = run_once cfg ~capture ~obs ~parent:root entry policy session ~drops:true rec_opt in
+  let status = run_once cfg ~capturable entry policy session ~drops:true rec_opt in
   Session.transition session status;
   match status with
   | Session.Expired when cfg.drop_rate > 0. ->
     (* Stalled under injected drops: requeue once and retransmit over a
-       reliable path (drops off). A second expiry sticks. A retried
-       session is always kept, and the retry overwrites the scratch, so
-       the first run is captured now. *)
-    let plan = if capture then compiled_plan cfg entry else None in
-    let first = match plan with Some plan -> Some (captured_run session plan) | None -> None in
+       reliable path (drops off). A second expiry sticks. *)
+    let first =
+      match compiled_plan cfg entry with
+      | Some plan when capturable -> Some (captured_run session plan)
+      | _ -> None
+    in
     ignore (Atomic.fetch_and_add retried 1);
     record rec_opt (fun r -> Metrics.incr r.retried_c);
     Session.transition session Session.Queued;
     Session.transition session Session.Synthesizing;
     Session.transition session Session.Running;
     Session.transition session
-      (run_once cfg ~capture ~obs ~parent:root entry policy session ~drops:false rec_opt);
-    if not capture then None
-    else (
-      match (plan, first) with
-      | Some plan, Some first -> Some (Captured [ first; captured_run session plan ])
-      | _ -> Some (Rerun entry))
-  | _ ->
-    if not (tail_kept ~capture session) then None
-    else (
-      match compiled_plan cfg entry with
-      | Some plan -> Some (Captured [ captured_run session plan ])
-      | None -> Some (Rerun entry))
+      (run_once cfg ~capturable entry policy session ~drops:false rec_opt);
+    first
+  | _ -> None
 
 (* The whole lifecycle of one session — admission lint, synthesis
    through the cache, engine run(s), classification — with no shared
@@ -340,99 +305,96 @@ let run_attempts ~capture cfg ~obs ~root entry policy rec_opt retried (session :
    schedule is keyed on (seed, session, seq), so this runs bit-for-bit
    identically from any domain in any order.
 
-   With [capture] (an unsampled session under tracing) the session runs
-   untraced, and if a tail rule fires the result is what [rebuild]
-   writes its trace from; [None] otherwise. *)
-let process_session ?parent ~capture cfg cache policy rec_opt retried obs (session : Session.t) =
-  session_span obs ?parent session (fun root ->
-      record rec_opt (fun r -> Metrics.incr r.admitted);
-      Session.transition session Session.Synthesizing;
-      let captured =
-        (* the trace-mining deny list outranks the linter: a deny-listed
-           shape is refused before any lint or synthesis work, traced or
-           not (the verdict is a lock-free set lookup, identical on both
-           paths); no tail rule keeps it *)
-        match Cache.denied_reason cache session.Session.spec with
-        | Some reason ->
-          refuse rec_opt session reason;
-          None
-        | None -> (
-          (* Admission lint: structural (cheap) rules only — error-level
-             diagnostics abort the session before any synthesis work.
-             Traced or not, the verdict comes from the cache's per-shape
-             memo, which also keeps the tallies a lint span carries. *)
-          let lint = Cache.admit ~obs ~parent:root cache session.Session.spec in
-          match lint.Cache.verdict with
-          | Some reason ->
-            refuse rec_opt session reason;
-            if tail_kept ~capture session then
-              Some { lint; synthesized = None; runs = Captured [] }
-            else None
-          | None -> (
-            let verdict, outcome =
-              (* Which of two racing sessions takes the miss for a shared
-                 shape depends on domain scheduling, so hit/miss is
-                 volatile; the verify flag is a function of the policy
-                 alone, hence deterministic. *)
-              Obs.with_span obs ~parent:root ~phase:"serve" "serve.synthesize" (fun h ->
-                  let verdict, outcome = Cache.synthesize cache session.Session.spec in
-                  synthesis_attrs obs h ~outcome ~verify:policy.Cache.verify;
-                  (verdict, outcome))
-            in
-            session.Session.cache_hit <- outcome = `Hit;
-            record rec_opt (fun r ->
-                match outcome with
-                | `Hit -> Metrics.incr r.cache_hits
-                | `Miss -> Metrics.incr r.cache_misses);
-            let runs =
-              match verdict with
-              | Error e ->
-                Session.transition session (Session.Aborted e);
-                (* an admission slot is never free, even to reject *)
-                session.Session.ticks <- 1;
-                record rec_opt (fun r -> Metrics.incr r.aborted);
-                if tail_kept ~capture session then Some (Captured []) else None
-              | Ok entry ->
-                run_attempts ~capture cfg ~obs ~root entry policy rec_opt retried session
-            in
-            match runs with
-            | Some runs -> Some { lint; synthesized = Some outcome; runs }
-            | None -> None))
-      in
-      outcome_attrs obs root session;
-      (match session.Session.status with
-      | Session.Settled -> record rec_opt (fun r -> Metrics.incr r.settled)
-      | Session.Expired -> record rec_opt (fun r -> Metrics.incr r.expired)
-      | _ -> ());
-      captured)
+   The session always runs untraced. With [tracing] its compiled runs
+   are capturable, and the result is what [rebuild] writes its trace
+   from when {!keep_decision} keeps it; [None] otherwise. *)
+let process_session ~tracing ~sampled cfg cache policy rec_opt retried (session : Session.t) =
+  record rec_opt (fun r -> Metrics.incr r.admitted);
+  Session.transition session Session.Synthesizing;
+  let lint, synthesized, ran =
+    (* the trace-mining deny list outranks the linter: a deny-listed
+       shape is refused before any lint or synthesis work (the verdict
+       is a lock-free set lookup); no tail rule keeps it *)
+    match Cache.denied_reason cache session.Session.spec with
+    | Some reason ->
+      refuse rec_opt session reason;
+      (None, None, None)
+    | None -> (
+      (* Admission lint: structural (cheap) rules only — error-level
+         diagnostics abort the session before any synthesis work. The
+         verdict comes from the cache's per-shape memo, which also keeps
+         the tallies a lint span carries. *)
+      let lint = Cache.admit cache session.Session.spec in
+      match lint.Cache.verdict with
+      | Some reason ->
+        refuse rec_opt session reason;
+        (Some lint, None, None)
+      | None -> (
+        let verdict, outcome = Cache.synthesize cache session.Session.spec in
+        session.Session.cache_hit <- outcome = `Hit;
+        record rec_opt (fun r ->
+            match outcome with
+            | `Hit -> Metrics.incr r.cache_hits
+            | `Miss -> Metrics.incr r.cache_misses);
+        match verdict with
+        | Error e ->
+          Session.transition session (Session.Aborted e);
+          (* an admission slot is never free, even to reject *)
+          session.Session.ticks <- 1;
+          record rec_opt (fun r -> Metrics.incr r.aborted);
+          (Some lint, Some outcome, None)
+        | Ok entry ->
+          let first =
+            run_attempts ~capturable:tracing cfg entry policy rec_opt retried session
+          in
+          (Some lint, Some outcome, Some (entry, first))))
+  in
+  (match session.Session.status with
+  | Session.Settled -> record rec_opt (fun r -> Metrics.incr r.settled)
+  | Session.Expired -> record rec_opt (fun r -> Metrics.incr r.expired)
+  | _ -> ());
+  match if tracing then keep_decision ~sampled session else None with
+  | None -> None
+  | Some keep ->
+    let runs =
+      match ran with
+      | None -> Captured []
+      | Some (entry, first) -> (
+        match compiled_plan cfg entry with
+        | Some plan -> Captured (Option.to_list first @ [ captured_run session plan ])
+        | None -> Rerun entry)
+    in
+    Some { keep; session; lint; synthesized; runs }
 
-let process_one ?recorders ?(obs = Obs.null) ?parent cfg cache (session : Session.t) =
-  let retried = Atomic.make 0 in
-  ignore
-    (process_session ?parent ~capture:false cfg cache (Cache.policy cache) recorders retried obs
-       session
-      : capture option)
+let process_traced ?recorders ~sampled cfg cache (session : Session.t) =
+  process_session ~tracing:true ~sampled cfg cache (Cache.policy cache) recorders (Atomic.make 0)
+    session
 
-let process_unsampled ?recorders cfg cache (session : Session.t) =
-  let retried = Atomic.make 0 in
-  process_session ~capture:true cfg cache (Cache.policy cache) recorders retried Obs.null session
-
-(* The trace of a tail-kept session from its capture: the spans a
-   sampled run would have recorded, written in the same order from the
-   admission lint, synthesis outcome and runs the live run kept, and
-   the closed session record. Admission and synthesis never run again;
+(* The trace of a kept session from its capture: the only writer of a
+   serve session's trace. Admission and synthesis never run again;
    compiled runs are emitted from their captures, interpreted ones run
-   again on a fresh copy of the session (the interpreted engine keeps
-   no scratch to capture). *)
-let rebuild ?parent cfg cache trace (session : Session.t) c =
-  let policy = Cache.policy cache in
-  session_span trace ?parent session (fun root ->
-      Cache.lint_span trace ~parent:root c.lint;
-      (match c.synthesized with
-      | None -> ()
-      | Some outcome ->
-        Obs.with_span trace ~parent:root ~phase:"serve" "serve.synthesize" (fun h ->
-            synthesis_attrs trace h ~outcome ~verify:policy.Cache.verify));
+   again, attempt by attempt, on a fresh copy of the session (the
+   interpreted engine keeps no scratch to capture). The root closes
+   with the outcome facts the trace miner (Trust_obs.Mine) attributes
+   and classifies the session by — all pure functions of the session
+   record, so identical at any --jobs. *)
+let rebuild ?parent cfg cache trace c =
+  let policy = Cache.policy cache and session = c.session in
+  Obs.with_span trace ?parent ~phase:"session" (Printf.sprintf "session.%d" session.Session.id)
+    (fun root ->
+      Option.iter (Cache.lint_span trace ~parent:root) c.lint;
+      Option.iter
+        (fun outcome ->
+          (* the verify flag is a function of the policy alone, hence
+             deterministic; which of two racing sessions takes the miss
+             for a shared shape depends on domain scheduling, so
+             hit/miss is volatile *)
+          Obs.with_span trace ~parent:root ~phase:"serve" "serve.synthesize" (fun h ->
+              (* every spec is cached; the attribute stays for the trace schema *)
+              Obs.attr trace h "bypass" (Obs.Bool false);
+              Obs.attr trace h "verify" (Obs.Bool policy.Cache.verify);
+              Obs.volatile_attr trace h "cache_hit" (Obs.Bool (outcome = `Hit))))
+        c.synthesized;
       (match c.runs with
       | Captured runs -> List.iter (Trust_sim.Hotpath.emit trace ~parent:root) runs
       | Rerun entry ->
@@ -440,57 +402,62 @@ let rebuild ?parent cfg cache trace (session : Session.t) c =
           Session.make ~id:session.Session.id ~defectors:session.Session.defectors
             session.Session.spec
         in
-        Session.transition fresh Session.Synthesizing;
-        ignore
-          (run_attempts ~capture:false cfg ~obs:trace ~root entry policy None (Atomic.make 0) fresh
-            : runs option));
-      outcome_attrs trace root session)
+        for attempt = 1 to session.Session.attempts do
+          ignore
+            (run_interpreted cfg ~obs:trace ~parent:root entry policy fresh ~drops:(attempt = 1)
+               None
+              : Session.status)
+        done);
+      Obs.attr trace root "shape" (Obs.Str (Shape.hash_hex session.Session.spec));
+      Obs.attr trace root "status" (Obs.Str (Session.status_label session.Session.status));
+      Obs.attr trace root "attempts" (Obs.Int session.Session.attempts);
+      Obs.attr trace root "ticks" (Obs.Int session.Session.ticks);
+      Obs.attr trace root "events" (Obs.Int session.Session.events);
+      Obs.attr trace root "violations" (Obs.Int session.Session.exposure_violations);
+      Obs.attr trace root "exposure_ticks" (Obs.Int session.Session.exposure_ticks))
 
-(* The re-run reference for a session that ran unsampled: a fresh copy
-   goes through the full lifecycle with a live sink (on the same
-   compiled runtime, now recording events). Every input the run depends
-   on — spec, defectors, the (seed, session, seq)-keyed drop schedule —
-   is identical, so the replayed trace is byte-for-byte what head
-   sampling would have recorded, and what [rebuild] writes from a
-   capture (the tests hold the two together). Metrics are not passed,
-   so nothing double-counts; the protocol cache does see a second
-   admission and synthesis, typically hits. *)
+let process_one ?recorders ?(obs = Obs.null) ?parent cfg cache (session : Session.t) =
+  process_session ~tracing:(Obs.enabled obs) ~sampled:true cfg cache (Cache.policy cache)
+    recorders (Atomic.make 0) session
+  |> Option.iter (rebuild ?parent cfg cache obs)
+
+(* The re-run reference for a closed session: a fresh copy goes through
+   the full lifecycle again and its trace is rebuilt into [trace].
+   Every input the run depends on — spec, defectors, the (seed,
+   session, seq)-keyed drop schedule — is identical, so the trace is
+   byte-for-byte what keeping the original wrote (the tests hold the
+   two together). Metrics are not passed, so nothing double-counts; the
+   protocol cache does see a second admission and synthesis, typically
+   hits. *)
 let replay ?parent cfg cache trace (session : Session.t) =
   let fresh =
     Session.make ~id:session.Session.id ~defectors:session.Session.defectors session.Session.spec
   in
-  let retried = Atomic.make 0 in
-  ignore
-    (process_session ?parent ~capture:false cfg cache (Cache.policy cache) None retried trace fresh
-      : capture option);
+  process_one ?parent ~obs:trace cfg cache fresh;
   fresh
 
-(* The one retention step both front doors share. A head-sampled
-   session already ran under its live [trace]; an unsampled one that a
-   tail rule keeps gets its trace from [replay] (the caller's
-   [rebuild] from the session's capture, into whatever sink the caller
-   owns). The keep verdict is then stamped on the root after the
-   fact (attrs on finished spans don't tick the clock): ring dumps and
-   the JSONL export agree on why each session was retained, which is
-   what lets Mine fold either one identically. The ring commit runs on
-   the calling domain, so under [run] it lands in the shard that domain
+(* The one retention step both front doors share. [captured] is what
+   the session's run returned — [Some] exactly when it is kept — or
+   [None] for a daemon request that never made a session, kept only
+   when [sampled]. The kept trace comes from the caller's [trace],
+   which rebuilds it from the capture into whatever sink the caller
+   owns. The keep verdict is then stamped on the root after the fact
+   (attrs on finished spans don't tick the clock): ring dumps and the
+   JSONL export agree on why each session was retained, which is what
+   lets Mine fold either one identically. The ring commit runs on the
+   calling domain, so under [run] it lands in the shard that domain
    adopted (under that shard's lock). *)
-let retain ?recorders ?ring ~sampled trace session ~replay =
+let retain ?recorders ?ring ~sampled captured ~trace =
   if sampled then record recorders (fun r -> Metrics.incr r.obs_sampled);
   let keep =
-    match session with
-    | Some session -> keep_decision ~sampled session
+    match captured with
+    | Some c -> Some c.keep
     | None -> if sampled then Some Ring.Sampled else None
   in
   Option.map
     (fun keep ->
-      let trace =
-        if sampled then trace
-        else begin
-          record recorders (fun r -> Metrics.incr r.obs_kept_tail);
-          replay ()
-        end
-      in
+      if not sampled then record recorders (fun r -> Metrics.incr r.obs_kept_tail);
+      let trace = trace () in
       Obs.attr trace (Obs.first_root trace) "keep" (Obs.Str (Ring.keep_label keep));
       Option.iter (fun ring -> ignore (Ring.record ring ~keep trace : int)) ring;
       trace)
@@ -503,9 +470,9 @@ let run ?metrics ?(obs = Obs.no_batch) ?ring cfg cache sessions =
   let retried = Atomic.make 0 in
   let policy = Cache.policy cache in
   (* Tracing (batch export and/or ring sink) engages the sampler:
-     sampled sessions run with a live trace, everything else runs
-     untraced — allocation-free — and is only looked at again by the
-     tail keep rules at close. *)
+     every session runs untraced — allocation-free unless kept — and
+     the sampled ones and those a tail rule keeps at close get their
+     trace rebuilt from what their run captured. *)
   let tracing = Obs.batch_enabled obs || Option.is_some ring in
   let slot_trace (session : Session.t) =
     (* Each slot of the batch registry is touched by exactly one
@@ -518,23 +485,14 @@ let run ?metrics ?(obs = Obs.no_batch) ?ring cfg cache sessions =
   in
   let process (session : Session.t) =
     let sampled = tracing && session_sampled cfg session.Session.id in
-    let trace = if sampled then slot_trace session else Obs.null in
-    let captured =
-      process_session ~capture:(tracing && not sampled) cfg cache policy rec_opt retried trace
-        session
-    in
+    let captured = process_session ~tracing ~sampled cfg cache policy rec_opt retried session in
     if tracing then
-      (* tail promotion rebuilds into the batch slot (or a standalone
-         trace) so the durable export carries it alongside the
-         head-sampled set *)
+      (* the rebuild fills the batch slot (or a standalone trace) so the
+         durable export and the ring carry the same kept set *)
       ignore
-        (retain ?recorders:rec_opt ?ring ~sampled trace (Some session) ~replay:(fun () ->
+        (retain ?recorders:rec_opt ?ring ~sampled captured ~trace:(fun () ->
              let slot = slot_trace session in
-             (* [retain] calls this only when a tail rule fired, which
-                is exactly when [process_session] returned a capture *)
-             (match captured with
-             | Some c -> rebuild cfg cache slot session c
-             | None -> invalid_arg "Scheduler.run: tail-kept session without a capture");
+             Option.iter (rebuild cfg cache slot) captured;
              slot)
           : Obs.t option)
   in

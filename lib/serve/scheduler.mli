@@ -49,12 +49,13 @@ type config = {
           acceptability overrides included, so [true] runs every
           session compiled. *)
   sample_rate : float;
-      (** fraction of sessions head-sampled into a live trace when
+      (** fraction of sessions head-sampled into the trace when
           tracing is on ({!run} given a batch or a ring, or a daemon
           with a ring or a trace file). The verdict is
           {!session_sampled}: {!Trust_obs.Sampler.decision} on
           [(seed, session id)] — deterministic, jobs-independent, and
-          monotone in the rate — and unsampled sessions run untraced.
+          monotone in the rate. Every session runs untraced; a kept
+          one's trace is rebuilt from its capture.
           [1.0] (this default) traces everything, preserving the
           pre-sampling behaviour of batch [--trace]; the daemon's
           default config sets [0.01]. *)
@@ -89,12 +90,13 @@ val process_one :
   unit
 (** Drive a single session through the full lifecycle (admission lint,
     cached synthesis, engine run with retry-once, audit, classification)
-    on the calling domain, recording into [recorders] when given. This is
-    the daemon's per-request entry point: no virtual-lane placement
-    happens — long-lived services measure wall-clock latency instead —
-    and the session's root span is parented under [parent] (the
-    daemon's per-request span) when tracing. The session record carries
-    the outcome ([session.status], ticks, events, exposure tallies). *)
+    on the calling domain, recording into [recorders] when given. No
+    virtual-lane placement happens — long-lived services measure
+    wall-clock latency instead. The session record carries the outcome
+    ([session.status], ticks, events, exposure tallies). With a live
+    [obs] the session runs as a sampled one under {!process_traced},
+    and {!rebuild} then writes its trace into [obs], the root parented
+    under [parent]. *)
 
 val session_sampled : config -> int -> bool
 (** The head-sampling verdict for a session id under this config's
@@ -114,65 +116,62 @@ val keep_decision : sampled:bool -> Session.t -> Trust_obs.Ring.keep option
     [Sampled]; unsampled ones are promoted iff {!tail_reason} fires. *)
 
 type capture
-(** What a tail-kept session's trace is rebuilt from, taken while its
-    unsampled run went: the admission lint's memo record, the synthesis
-    outcome, and each compiled run as {!Trust_sim.Hotpath.capture}
-    copied it out of the runtime's scratch — the first attempt at the
-    retry, the last after the session closed. A session that ran on the
-    interpreted engine ([compiled = false]) keeps its cache entry
-    instead. *)
+(** What a kept session's trace is rebuilt from, taken while its
+    untraced run went: the {!keep_decision} verdict, the closed session
+    record, the admission lint's memo record (none for a deny-listed
+    shape), the synthesis outcome, and each compiled run as
+    {!Trust_sim.Hotpath.capture} copied it out of the runtime's scratch
+    — the first attempt at the retry, the last after the session
+    closed. A session that ran on the interpreted engine
+    ([compiled = false]) keeps its cache entry instead. *)
 
-val process_unsampled : ?recorders:recorders -> config -> Cache.t -> Session.t -> capture option
-(** {!process_one} for an unsampled session while tracing is on: the
-    session runs untraced, and when a tail rule fires ({!tail_reason})
-    the result is the capture {!rebuild} writes its trace from; [None]
-    when no rule fires. *)
+val process_traced :
+  ?recorders:recorders -> sampled:bool -> config -> Cache.t -> Session.t -> capture option
+(** {!process_one} while tracing is on: the session runs untraced with
+    capturable compiled runs, and the result is the capture {!rebuild}
+    writes its trace from exactly when {!keep_decision} keeps it —
+    [sampled], or a tail rule fired; [None] otherwise. *)
 
 val rebuild :
-  ?parent:Trust_obs.Obs.handle ->
-  config ->
-  Cache.t ->
-  Trust_obs.Obs.t ->
-  Session.t ->
-  capture ->
-  unit
-(** Write the trace of a tail-kept session from its capture and its
-    closed record: the spans, attributes, events and virtual ticks head
-    sampling would have recorded — byte-identical to {!replay}'s.
-    Admission and synthesis do not run again, and neither do compiled
-    runs; runs on the interpreted engine, which keeps nothing to
-    capture, run again from their cache entry with a live sink. *)
+  ?parent:Trust_obs.Obs.handle -> config -> Cache.t -> Trust_obs.Obs.t -> capture -> unit
+(** Write the trace of a kept session from its capture: the root
+    [session.N] span (under [parent]) with its admission-lint,
+    synthesis, simulate and audit children and the outcome attributes
+    on the root. This is the only writer of a serve session's trace,
+    head-sampled and tail-kept alike. Admission and synthesis do not
+    run again, and neither do compiled runs; runs on the interpreted
+    engine, which keeps nothing to capture, run again from their cache
+    entry with a live sink — the independent reference the
+    [--no-compiled] traces are compared against. *)
 
 val replay :
   ?parent:Trust_obs.Obs.handle -> config -> Cache.t -> Trust_obs.Obs.t -> Session.t -> Session.t
-(** The re-run reference: re-run a fresh copy of a (closed, unsampled)
-    session through the whole lifecycle with a live trace sink,
-    materializing the spans head sampling would have recorded —
-    determinism makes the two byte-identical, and the tests hold
-    {!rebuild} against it. Metrics are not recorded (nothing
-    double-counts); the protocol cache does see a second admission and
-    synthesis, typically hits. Returns the replayed session record. *)
+(** The re-run reference: run a fresh copy of a closed session through
+    the whole lifecycle again and rebuild its trace into the sink —
+    determinism makes it byte-identical to the trace keeping the
+    original wrote, and the tests hold the two together. Metrics are
+    not recorded (nothing double-counts); the protocol cache does see a
+    second admission and synthesis, typically hits. Returns the
+    replayed session record. *)
 
 val retain :
   ?recorders:recorders ->
   ?ring:Trust_obs.Ring.t ->
   sampled:bool ->
-  Trust_obs.Obs.t ->
-  Session.t option ->
-  replay:(unit -> Trust_obs.Obs.t) ->
+  capture option ->
+  trace:(unit -> Trust_obs.Obs.t) ->
   Trust_obs.Obs.t option
 (** The retention step at session close, shared by {!run} and the
-    daemon: [retain ~sampled trace session ~replay] picks the keep
-    reason with {!keep_decision} ([None] for the session — a daemon
-    parse failure — keeps it only if [sampled]), takes [trace] for a
-    sampled session or calls [replay] for a tail-promoted one (the
-    caller's {!rebuild} from the session's capture), stamps
-    [keep] on the trace's first root, commits it to [ring], and returns
-    the kept trace ([None] when nothing is kept). Bumps
-    [obs_sessions_sampled_total] and [obs_sessions_kept_tail_total] in
-    [recorders]; what the ring drops is {!Trust_obs.Ring.records_dropped},
-    which each caller publishes itself. Callers run it only when some
-    trace sink is attached. *)
+    daemon: [retain ~sampled captured ~trace] keeps the session iff
+    [captured] is [Some] (for the reason it carries) or — a daemon
+    request that never made a session — [sampled]. A kept session's
+    trace comes from [trace] (the caller's {!rebuild} from the capture,
+    into a sink the caller owns); [retain] stamps [keep] on its first
+    root, commits it to [ring], and returns it ([None] when nothing is
+    kept). Bumps [obs_sessions_sampled_total] and
+    [obs_sessions_kept_tail_total] in [recorders]; what the ring drops
+    is {!Trust_obs.Ring.records_dropped}, which each caller publishes
+    itself. Callers run it only when some trace sink is attached. *)
 
 val run :
   ?metrics:Metrics.t ->
@@ -190,8 +189,8 @@ val run :
     plus the [serve_pool_*] gauges when [jobs > 1]. If sessions raise,
     re-raises the first exception once every session has run.
 
-    When [obs] is an enabled {!Trust_obs.Obs.batch}, each session
-    records into its own trace slot: a root [session.N] span with
+    When [obs] is an enabled {!Trust_obs.Obs.batch}, each kept
+    session's trace goes into its own slot: a root [session.N] span with
     admission-lint, synthesis, simulate and audit children, plus a
     [serve.place] child added during the sequential merge phase. Slots
     are written by exactly one domain each and published by the
@@ -199,12 +198,11 @@ val run :
     cache hit/miss — which races across jobs — is recorded as a
     volatile attribute that exporters skip.
 
-    Tracing engages the sampler: only sessions passing
-    {!session_sampled} run with a live trace (the rest run untraced,
-    allocation-free), and at close {!retain} either drops the session
-    or commits it — tail-promoted sessions get their slot filled first
-    by {!rebuild} from what their run captured, so the batch export and the [ring] carry their
-    full spans. Ring commits happen on the worker domain at session
+    Tracing engages the sampler: every session runs untraced, and at
+    close {!retain} either drops it or commits it — a session passing
+    {!session_sampled} or promoted by a tail rule gets its slot filled
+    first by {!rebuild} from what its run captured, so the batch export
+    and the [ring] carry its full spans. Ring commits happen on the worker domain at session
     close (each domain owns a shard), so they carry the execution
     spans but {e not} the merge-phase [serve.place] annotation, which
     exists only in the batch export. Which sessions share a shard, and

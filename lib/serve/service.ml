@@ -108,7 +108,7 @@ let run (config : config) =
   let started = Unix.gettimeofday () in
   let stats = Scheduler.run ~metrics ~obs ?ring scheduler_config cache sessions in
   let wall_seconds = Unix.gettimeofday () -. started in
-  Metrics.gauge metrics ~help:"protocol cache hit rate over cacheable lookups"
+  Metrics.gauge metrics ~help:"protocol cache hits over lookups"
     "serve_cache_hit_rate" (Cache.hit_rate cache);
   Metrics.gauge metrics ~help:"sessions completed per 1000 virtual ticks"
     "serve_virtual_throughput"

@@ -33,7 +33,7 @@ type config = {
           {!Trust_sim.Hotpath} runtime (default); [false] benchmarks
           the interpreted reference path *)
   sample_rate : float;
-      (** fraction of sessions head-sampled into live traces when
+      (** fraction of sessions head-sampled into the trace when
           tracing is on — deterministic and monotone per
           {!Trust_obs.Sampler}; [1.0] (default) traces everything *)
   trace_ring : int;

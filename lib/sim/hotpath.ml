@@ -27,19 +27,18 @@
    other judge reads the scratch alone. An untraced run needs only the
    preferred-outcome half.
 
-   A traced run, or an untraced one whose caller may still want its
-   spans ([capturable]), also records the engine's event timeline
-   (deliver, park, retry, drop, expire, deadline), the violation log and
-   the peak escrow into scratch, where they stay until the domain's next
-   run. A [capture] copies them out together with the compiled audit
-   report; [emit] turns a capture into the ["simulate"] span with those
-   events and the ["audit"] span with its ["exposure"] child —
-   byte-identical to what [Harness.run_cast] + [Audit.audit] record on
-   the interpreted path (property-tested in test_hotpath). A traced run
-   captures and emits at once; the scheduler runs an unsampled session
-   capturable while tracing is on, captures it only when a tail keep
-   rule fires, and emits it if the session is kept. No [Engine.result] is built on either path; [to_result]
-   materializes one for tests. *)
+   A run whose caller may still want its spans ([capturable]) also
+   records the engine's event timeline (deliver, park, retry, drop,
+   expire, deadline), the violation log and the peak escrow into
+   scratch, where they stay until the domain's next run. A [capture]
+   copies them out together with the compiled audit report; [emit]
+   turns a capture into the ["simulate"] span with those events and the
+   ["audit"] span with its ["exposure"] child — byte-identical to what
+   [Harness.run_cast] + [Audit.audit] record on the interpreted path
+   (property-tested in test_hotpath). The scheduler runs every session
+   capturable while tracing is on and captures it only when the session
+   is kept; no run writes a span itself. No [Engine.result] is built;
+   [to_result] materializes one for tests. *)
 
 open Exchange
 module C = Trust_core.Compile
@@ -1324,14 +1323,11 @@ let emit obs ?parent c =
 
 (* -- entry points -- *)
 
-let exec ?(config = default_config) ?(defectors = []) ?(capturable = false) ?(obs = Obs.null)
-    ?parent (p : C.t) =
+let exec ?(config = default_config) ?(defectors = []) ?(capturable = false) (p : C.t) =
   let s = Domain.DLS.get scratch_key in
-  s.recording <- capturable || Obs.enabled obs;
+  s.recording <- capturable;
   execute s p config defectors;
-  let summary = summarize s p in
-  if Obs.enabled obs then emit obs ?parent (capture_run s p defectors summary.preferred);
-  summary
+  summarize s p
 
 let capture ?(defectors = []) (p : C.t) =
   let s = Domain.DLS.get scratch_key in

@@ -1,9 +1,9 @@
 (** Allocation-free execution of compiled plans.
 
     The serve-path twin of [Engine.run] + [Exposure.of_result] +
-    [Audit.audit], traced or not: runs a [Trust_core.Compile.t]
-    instruction plan against per-domain scratch arrays, allocating no
-    protocol structures per untraced session. Semantics replicate the interpreted
+    [Audit.audit]: runs a [Trust_core.Compile.t] instruction plan
+    against per-domain scratch arrays, allocating no protocol
+    structures per session. Semantics replicate the interpreted
     modules exactly — the plan and [Harness.behaviors_for] read one
     [Protocol.role_table], the behaviours remain the oracle, and
     test_hotpath property-tests the equivalence over random specs,
@@ -38,43 +38,36 @@ type summary = {
 
 val exec :
   ?config:config -> ?defectors:(Exchange.Party.t * Harness.defection) list ->
-  ?capturable:bool -> ?obs:Trust_obs.Obs.t -> ?parent:Trust_obs.Obs.handle ->
-  Trust_core.Compile.t -> summary
+  ?capturable:bool -> Trust_core.Compile.t -> summary
 (** Run the plan and fold exposure + audit over the result, without
     materializing engine structures. Deterministic for a fixed
-    (plan, config, defectors).
-
-    With a live [obs] sink the run also records its engine events and,
-    once it ends, attaches to [parent] the ["simulate"] span (the
-    deliver/park/retry/drop/expire/deadline timeline plus run tallies)
-    and the ["audit"] span with its ["exposure"] child: every span,
-    attribute, event and virtual tick byte-identical to what
-    [Harness.run_cast] and [Audit.audit] record for the same run on the
-    interpreted engine. The spans read the exposure figures from the
-    same fold as the summary and the verdict tallies from the compiled
-    audit ({!report}'s verdicts); no [Engine.result] is materialized.
-    With the null sink (the default) no span is written and, unless
-    [capturable] (default [false]), no timeline is kept either; a
-    capturable run keeps it in the domain's scratch, which {!capture}
-    reads, until the domain's next run. *)
+    (plan, config, defectors). No span is written. Unless [capturable]
+    (default [false]) no timeline is kept either; a capturable run keeps
+    its engine events, violation log and peak escrow in the domain's
+    scratch, which {!capture} reads, until the domain's next run. *)
 
 type capture
 (** One finished run, copied out of the scratch: its event timeline,
     run tallies, compiled audit report, violation records and peak
-    escrow — everything the spans of a traced {!exec} are built from. *)
+    escrow — everything {!emit} writes its spans from. *)
 
 val capture :
   ?defectors:(Exchange.Party.t * Harness.defection) list -> Trust_core.Compile.t -> capture
 (** The run the calling domain's last {!exec} left in its scratch,
     which must have been of this plan and these defectors; no other run
-    may come between. That run must have been traced or [capturable]
-    ([Invalid_argument] otherwise), so an untraced run that turns out
-    worth keeping need not be run again. *)
+    may come between. That run must have been [capturable]
+    ([Invalid_argument] otherwise), so a run that turns out worth
+    keeping need not be run again. *)
 
 val emit : Trust_obs.Obs.t -> ?parent:Trust_obs.Obs.handle -> capture -> unit
-(** Record the captured run's ["simulate"] and ["audit"] spans under
-    [parent]: the same spans, attributes, events and virtual ticks a
-    traced {!exec} of that run records at the same point of a trace. *)
+(** Record the captured run's ["simulate"] span (the
+    deliver/park/retry/drop/expire/deadline timeline plus run tallies)
+    and ["audit"] span with its ["exposure"] child under [parent]: every
+    span, attribute, event and virtual tick byte-identical to what
+    [Harness.run_cast] and [Audit.audit] record for the same run on the
+    interpreted engine. The exposure figures come from the same fold as
+    the summary, the verdict tallies from the compiled audit
+    ({!report}'s verdicts). *)
 
 val total_peak_risk : summary -> int
 (** Sum of per-principal peaks — equals [Exposure.peak_risk] of the
@@ -88,7 +81,7 @@ val report :
 (** Run the plan and judge it from the plan's audit tables: every
     per-party [acceptable], [no_loss] and [preferred] verdict, the
     honest tallies and [conserved] equal [Audit.audit] of the
-    interpreted run. The report a traced {!exec} records. *)
+    interpreted run. The report a {!capture} carries. *)
 
 val to_result :
   ?config:config -> ?defectors:(Party.t * Harness.defection) list ->

@@ -791,6 +791,101 @@ let test_tail_promoted_equals_sampled () =
       check (Ring.keep_label k ^ " keeps were compared") true (List.mem k !kinds))
     [ Ring.Violation; Ring.Retry; Ring.Expiry; Ring.Lint ]
 
+(* A head-sampled refusal's trace, pinned byte for byte with its
+   clock: a deny-listed shape (no lint span), a lint refusal and a
+   synthesis failure (rescue off, a bare fan), each through
+   [Scheduler.process_one ~obs] alone and under a [daemon.request]
+   root. *)
+let test_sampled_refusals () =
+  let session_line ~id ~parent ~start ~stop shape =
+    Printf.sprintf
+      {|{"type":"span","session":3,"id":%d,"parent":%s,"phase":"session","name":"session.3","start":%d,"stop":%d,"attrs":{"shape":"%s","status":"aborted","attempts":0,"ticks":1,"events":0,"violations":0,"exposure_ticks":0}}|}
+      id parent start stop shape
+  in
+  let lint_line ~id ~parent ~start ~errors =
+    Printf.sprintf
+      {|{"type":"span","session":3,"id":%d,"parent":%d,"phase":"lint","name":"lint","start":%d,"stop":%d,"attrs":{"deep":false,"diagnostics":%d,"errors":%d,"warnings":0}}|}
+      id parent start (start + 1) errors errors
+  in
+  let synth_line ~id ~parent ~start =
+    Printf.sprintf
+      {|{"type":"span","session":3,"id":%d,"parent":%d,"phase":"serve","name":"serve.synthesize","start":%d,"stop":%d,"attrs":{"bypass":false,"verify":false}}|}
+      id parent start (start + 1)
+  in
+  let request_line stop =
+    Printf.sprintf
+      {|{"type":"span","session":3,"id":0,"parent":null,"phase":"daemon","name":"daemon.request","start":0,"stop":%d,"attrs":{}}|}
+      stop
+  in
+  let tl013 =
+    match Trust_lang.Elaborate.from_file "../specs/lint/tl013_double_spend.exg" with
+    | Ok spec -> spec
+    | Error e -> Alcotest.fail e
+  in
+  let cases =
+    [
+      ( "denied",
+        Cache.default_policy,
+        Gen.chain ~brokers:1,
+        (* alone, then under a request root: clock, lines *)
+        (2, [ session_line ~id:0 ~parent:"null" ~start:0 ~stop:1 "c1dc6ceae41f53d2" ]),
+        (4, [ request_line 3; session_line ~id:1 ~parent:"0" ~start:1 ~stop:2 "c1dc6ceae41f53d2" ])
+      );
+      ( "lint",
+        Cache.default_policy,
+        tl013,
+        ( 4,
+          [
+            session_line ~id:0 ~parent:"null" ~start:0 ~stop:3 "665be75c0631ad0d";
+            lint_line ~id:1 ~parent:0 ~start:1 ~errors:1;
+          ] ),
+        ( 6,
+          [
+            request_line 5;
+            session_line ~id:1 ~parent:"0" ~start:1 ~stop:4 "665be75c0631ad0d";
+            lint_line ~id:2 ~parent:1 ~start:2 ~errors:1;
+          ] ) );
+      ( "synthesis",
+        { Cache.default_policy with Cache.rescue = false },
+        Gen.fan ~prices:[ Exchange.Asset.dollars 10; Exchange.Asset.dollars 20 ],
+        ( 6,
+          [
+            session_line ~id:0 ~parent:"null" ~start:0 ~stop:5 "cd1cf5bb024a006a";
+            lint_line ~id:1 ~parent:0 ~start:1 ~errors:0;
+            synth_line ~id:2 ~parent:0 ~start:3;
+          ] ),
+        ( 8,
+          [
+            request_line 7;
+            session_line ~id:1 ~parent:"0" ~start:1 ~stop:6 "cd1cf5bb024a006a";
+            lint_line ~id:2 ~parent:1 ~start:2 ~errors:0;
+            synth_line ~id:3 ~parent:1 ~start:4;
+          ] ) );
+    ]
+  in
+  List.iter
+    (fun (label, policy, spec, alone, under_request) ->
+      let traced ~parented =
+        let cache = Cache.create policy in
+        if label = "denied" then Cache.deny cache (Trust_serve.Shape.hash_hex spec);
+        let obs = Obs.create ~session:3 () in
+        let session = Session.make ~id:3 spec in
+        let run ?parent () = Scheduler.process_one ~obs ?parent Scheduler.default_config cache session in
+        if parented then
+          Obs.with_span obs ~phase:"daemon" "daemon.request" (fun root -> run ~parent:root ())
+        else run ();
+        check_string (label ^ ": aborted") "aborted" (Session.status_label session.Session.status);
+        (Obs.clock obs, Obs.export Obs.Jsonl [ obs ])
+      in
+      List.iter
+        (fun (parented, (clock, lines)) ->
+          let here = Printf.sprintf "%s (under a request root: %b)" label parented in
+          let got_clock, got = traced ~parented in
+          check_string (here ^ ": spans") (String.concat "" (List.map (fun l -> l ^ "\n") lines)) got;
+          check_int (here ^ ": clock") clock got_clock)
+        [ (false, alone); (true, under_request) ])
+    cases
+
 (* a tail-kept session is synthesized once: tail keeping at rate 0
    looks the cache up exactly as often as an untraced run, compiled or
    interpreted, so the batch snapshot's cache line does not move *)
@@ -855,6 +950,7 @@ let () =
           Alcotest.test_case "one shard, four writers" `Quick test_shared_shard_commits;
           Alcotest.test_case "tail-promoted = head-sampled" `Quick test_tail_promoted_equals_sampled;
           Alcotest.test_case "tail keeps synthesize once" `Quick test_tail_keep_synthesizes_once;
+          Alcotest.test_case "sampled refusals" `Quick test_sampled_refusals;
         ] );
       ( "reference writer",
         [

@@ -26,6 +26,30 @@ let test_hash_stable () =
      change it deliberately, not by accident. *)
   check_string "pinned chain-1 hash" "c1dc6ceae41f53d2" (Shape.hash_hex (Gen.chain ~brokers:1))
 
+(* A deadline follows the right side's asset in a deal's key; money
+   ends in bare digits, so without a separator a 23-cent right side
+   within 5 and a 2-cent one within 35 both read [m235] and the cache
+   would serve one spec's plan for the other. *)
+let test_deadline_keys () =
+  let swap ~cents ~within =
+    Spec.make_exn
+      [
+        Spec.with_deadline within
+          (Spec.deal ~id:"x" ~left:(Party.consumer "c") ~right:(Party.producer "p")
+             ~via:(Party.trusted "t") ~left_sends:(Asset.document "d")
+             ~right_sends:(Asset.money cents));
+      ]
+  in
+  let a = swap ~cents:23 ~within:5 and b = swap ~cents:2 ~within:35 in
+  check "distinct keys" false (String.equal (Shape.encode a) (Shape.encode b));
+  check "distinct hashes" false (Int64.equal (Shape.hash a) (Shape.hash b));
+  check "same deadline, same key" true
+    (String.equal (Shape.encode a) (Shape.encode (swap ~cents:23 ~within:5)));
+  (* deadline-free keys keep their bytes *)
+  check_string "pinned chain-1 key"
+    "deals[(5:link1B2:b1P1:pT2:t1m1000d1:d-)(5:link0C1:cB2:b1T2:t0m1100d1:d-)]personas[]prios[(B2:b15:link0R)]splits[]ovr[]"
+    (Shape.encode (Gen.chain ~brokers:1))
+
 (* specs/scale/chain50.exg is the committed rendering of the 51-link
    chain the daemon smoke step submits; it must stay the generator's
    shape. *)
@@ -387,6 +411,7 @@ let () =
         [
           Alcotest.test_case "hash stability" `Quick test_hash_stable;
           Alcotest.test_case "collision sanity" `Quick test_hash_collisions;
+          Alcotest.test_case "deadline keys" `Quick test_deadline_keys;
           Alcotest.test_case "chain50 fixture is the generator's shape" `Quick
             test_chain50_fixture;
           Alcotest.test_case "fan128 fixture is the generator's shape" `Quick

@@ -301,9 +301,10 @@ let test_service_deterministic () =
   check "cache pays" true (Cache.hit_rate a.Service.cache > 0.);
   check "defectors expired" true (t.Service.expired > 0)
 
-(* A traced admission writes its lint span from the per-shape memo. On
-   a warm memo it must export what a fresh cache exports, and its span
-   must be the one [Lint.check_spec] records when it lints directly.
+(* A kept session's lint span is written from the per-shape memo. On
+   a warm memo it must export what a fresh cache exports, and
+   [Cache.lint_span] of the memo record must write the span
+   [Lint.check_spec] records when it lints directly.
    Covers a clean spec, one with warnings, one the lint refuses and an
    override spec. *)
 let test_memoized_lint_span () =
@@ -340,7 +341,7 @@ let test_memoized_lint_span () =
       let direct = Obs.create ~session:7 () in
       ignore (Trust_analyze.Lint.check_spec ~obs:direct ~deep:false spec : Diagnostic.t list);
       let admitted = Obs.create ~session:7 () in
-      ignore (Cache.admission ~obs:admitted warm spec : string option);
+      Cache.lint_span admitted (Cache.admit warm spec);
       check_string (label ^ ": the span Lint.check_spec records") (export direct)
         (export admitted))
     [
