@@ -66,6 +66,19 @@ let or_die = function
     prerr_endline ("trustseq: " ^ message);
     exit 2
 
+(* The run flags batch and serve share, one rule each: a rate lies in
+   [0, 1] (a drop rate of 1 still settles: the retry runs clean) and a
+   ring capacity is non-negative. NaN is refused with the rest. *)
+let check_run_flags ~drop_rate ~trace_sample ~trace_ring =
+  let die message =
+    prerr_endline ("trustseq: " ^ message);
+    exit 2
+  in
+  let rate flag r = if not (r >= 0. && r <= 1.) then die (flag ^ " must lie in [0, 1]") in
+  rate "--drop-rate" drop_rate;
+  rate "--trace-sample" trace_sample;
+  if trace_ring < 0 then die "--trace-ring must be non-negative"
+
 let read_source file =
   match file with
   | "-" -> In_channel.input_all stdin
@@ -1178,9 +1191,7 @@ let batch_cmd =
     if jobs < 1 then (
       prerr_endline "trustseq: --jobs must be at least 1";
       exit 2);
-    if drop_rate < 0. || drop_rate > 1. then (
-      prerr_endline "trustseq: --drop-rate must lie in [0, 1]";
-      exit 2);
+    check_run_flags ~drop_rate ~trace_sample ~trace_ring;
     (match defect_every with
     | Some n when n < 1 ->
       prerr_endline "trustseq: --defect-every must be at least 1";
@@ -1195,12 +1206,6 @@ let batch_cmd =
         "trustseq: at most one output may claim stdout: batch --trace - needs --out FILE";
       exit 2
     | _ -> ());
-    if trace_sample < 0. || trace_sample > 1. then (
-      prerr_endline "trustseq: --trace-sample must lie in [0, 1]";
-      exit 2);
-    if trace_ring < 0 then (
-      prerr_endline "trustseq: --trace-ring must be non-negative";
-      exit 2);
     (* a binary ring dump is never a terminal artifact — refuse '-' *)
     (match ring_out with
     | Some "-" ->
@@ -1297,7 +1302,7 @@ let batch_cmd =
     Arg.(
       value & opt float 0.
       & info [ "drop-rate" ] ~docv:"P"
-          ~doc:"Per-delivery drop probability on first attempts (retried once without drops).")
+          ~doc:"Per-delivery drop probability in [0, 1] on first attempts (retried once without drops).")
   in
   let defect_every =
     Arg.(
@@ -1443,20 +1448,12 @@ let serve_cmd =
       prerr_endline "trustseq: serve --trace needs a file path, not '-'";
       exit 2
     | _ -> ());
-    if trace_ring < 0 then (
-      prerr_endline "trustseq: --trace-ring must be non-negative";
-      exit 2);
-    if trace_sample < 0. || trace_sample > 1. then (
-      prerr_endline "trustseq: --trace-sample must lie in [0, 1]";
-      exit 2);
+    check_run_flags ~drop_rate ~trace_sample ~trace_ring;
     if mine_every < 0 || mine_pin < 0 || mine_deny < 0 || defect_every < 0 then (
       prerr_endline "trustseq: --mine-every/--mine-pin/--mine-deny/--defect-every must be non-negative";
       exit 2);
     if mine_every > 0 && trace_ring = 0 then (
       prerr_endline "trustseq: --mine-every needs a live trace ring (--trace-ring > 0)";
-      exit 2);
-    if drop_rate < 0. || drop_rate >= 1. then (
-      prerr_endline "trustseq: --drop-rate must lie in [0, 1)";
       exit 2);
     let config =
       {
@@ -1658,8 +1655,8 @@ let serve_cmd =
       & opt float Trust_serve.Scheduler.default_config.Trust_serve.Scheduler.drop_rate
       & info [ "drop-rate" ] ~docv:"RATE"
           ~doc:
-            "Per-delivery message-drop probability on each session's first run (retries rerun \
-             clean), exercising the retry path. Default 0.")
+            "Per-delivery message-drop probability in [0, 1] on each session's first run \
+             (retries rerun clean), exercising the retry path. Default 0.")
   in
   let man =
     [

@@ -83,8 +83,7 @@ let exhaustive_minimum spec ~owner =
     (fun best order -> min best (plan_for_order spec ~owner order).total)
     max_int (permutations pieces)
 
-let apply plan spec =
-  List.fold_left (fun spec o -> Spec.with_split o.owner o.piece spec) spec plan.offers
+let apply plan spec = Spec.with_splits (List.map (fun o -> (o.owner, o.piece)) plan.offers) spec
 
 let deposit_transfer o = Action.{ source = o.offered_by; target = o.via; asset = Asset.money o.amount }
 let forfeit_transfer o = Action.{ source = o.via; target = o.owner; asset = Asset.money o.amount }

@@ -100,29 +100,23 @@ type srv = {
      candidates that already aged out can be pre-warmed *)
   mutable board : Mine.t;
   stash : (string, Exchange.Spec.t) Hashtbl.t;
-  (* tallies (the daemon loop is single-threaded) *)
+  (* the next wire session id, which is also the number of requests
+     processed so far (the daemon loop is single-threaded) *)
   mutable next_session : int;
-  mutable served : int;
-  mutable settled : int;
-  mutable expired : int;
-  mutable aborted : int;
-  mutable busy : int;
-  mutable protocol_errors : int;
-  mutable connections : int;
-  mutable epochs : int;
-  (* registered once, bumped per event *)
+  (* submissions that never made a session; the scheduler counts the
+     rest of the aborted ones *)
+  mutable parse_failures : int;
+  (* registered once, bumped per event; the series the cache and the
+     ring own are registered as reads in [run] *)
   requests_c : Metrics.counter;
   busy_c : Metrics.counter;
   proto_c : Metrics.counter;
   conns_c : Metrics.counter;
-  epochs_c : Metrics.counter;
-  aged_c : Metrics.counter;
   mine_ticks_c : Metrics.counter;
   mine_sessions_c : Metrics.counter;
   mine_pins_c : Metrics.counter;
   mine_prewarms_c : Metrics.counter;
   mine_denies_c : Metrics.counter;
-  ring_dropped_c : Metrics.counter;
 }
 
 let send conn resp = Buffer.add_string conn.out (Frame.encode (Wire.encode_response resp))
@@ -149,7 +143,6 @@ let try_flush conn =
 let has_output conn = conn.alive && Buffer.length conn.out > conn.out_off
 
 let protocol_error srv conn reason =
-  srv.protocol_errors <- srv.protocol_errors + 1;
   Metrics.incr srv.proto_c;
   send conn (Wire.Refused { id = None; reason });
   conn.closing <- true
@@ -165,28 +158,33 @@ let write_snapshot srv =
       Sys.rename tmp path)
     srv.cfg.snapshot_path
 
-let refresh_cache_gauges srv =
-  Metrics.gauge srv.metrics ~help:"current protocol-cache epoch" "serve_cache_epoch"
-    (float_of_int (Cache.epoch srv.cache));
-  Metrics.gauge srv.metrics ~help:"resident protocol-cache entries" "serve_cache_size"
-    (float_of_int (Cache.size srv.cache));
-  Metrics.gauge srv.metrics ~help:"cache entries pinned by the trace-mining policy"
-    "serve_cache_pinned"
-    (float_of_int (Cache.pinned_count srv.cache));
-  (* deterministic here, unlike the batch scheduler's volatile variant:
-     the select loop commits sessions in wire order on one thread *)
+(* The series whose state the cache and the ring own, registered as
+   reads so every render shows their current value. The ring's are
+   deterministic here, unlike the batch scheduler's volatile variants:
+   the select loop commits sessions in wire order on one thread. *)
+let register_reads metrics cache ring =
+  let cache_gauge help name read =
+    Metrics.gauge_read metrics ~help name (fun () -> float_of_int (read cache))
+  in
+  cache_gauge "current protocol-cache epoch" "serve_cache_epoch" Cache.epoch;
+  cache_gauge "resident protocol-cache entries" "serve_cache_size" Cache.size;
+  cache_gauge "cache entries pinned by the trace-mining policy" "serve_cache_pinned"
+    Cache.pinned_count;
+  Metrics.counter_read metrics ~help:"cache epoch ticks" "daemon_epochs_total" (fun () ->
+      Cache.epoch cache);
+  Metrics.counter_read metrics ~help:"cache entries swept by epoch aging"
+    "serve_cache_aged_out_total" (fun () -> Cache.aged_out cache);
+  Metrics.counter_read metrics ~help:"trace-ring records evicted on wrap or refused oversized"
+    "obs_ring_records_dropped_total" (fun () ->
+      match ring with Some ring -> Ring.records_dropped ring | None -> 0);
   Option.iter
     (fun ring ->
-      Metrics.gauge srv.metrics ~help:"trace-ring live bytes" "obs_ring_bytes"
-        (float_of_int (Ring.bytes_resident ring)))
-    srv.ring
+      Metrics.gauge_read metrics ~help:"trace-ring live bytes" "obs_ring_bytes" (fun () ->
+          float_of_int (Ring.bytes_resident ring)))
+    ring
 
 let epoch_tick srv =
-  let swept = Cache.advance_epoch ~max_idle:srv.cfg.max_idle_epochs srv.cache in
-  srv.epochs <- srv.epochs + 1;
-  Metrics.incr srv.epochs_c;
-  if swept > 0 then Metrics.incr ~by:swept srv.aged_c;
-  refresh_cache_gauges srv;
+  ignore (Cache.advance_epoch ~max_idle:srv.cfg.max_idle_epochs srv.cache : int);
   write_snapshot srv
 
 (* The feedback tick: self-drain the ring (the same consuming window
@@ -237,8 +235,7 @@ let mine_tick srv =
                 | `Warmed -> Metrics.incr srv.mine_prewarms_c
                 | `Hit | `Failed _ -> ()))
         (Mine.pin_candidates ~min_incidents:srv.cfg.mine_pin srv.board)
-    end;
-    refresh_cache_gauges srv
+    end
 
 (* -- request processing -- *)
 
@@ -258,19 +255,13 @@ let zero_result ~id ~status ~exit_code ~reason =
       reason;
     }
 
-(* The answer to a closed session, counted into the daemon's tallies. *)
-let result_of srv ~id (session : Session.t) =
+(* The answer to a closed session. *)
+let result_of ~id (session : Session.t) =
   let status, exit_code, reason =
     match session.Session.status with
-    | Session.Settled ->
-      srv.settled <- srv.settled + 1;
-      ("settled", 0, None)
-    | Session.Expired ->
-      srv.expired <- srv.expired + 1;
-      ("expired", 1, None)
-    | Session.Aborted r ->
-      srv.aborted <- srv.aborted + 1;
-      ("aborted", 1, Some r)
+    | Session.Settled -> ("settled", 0, None)
+    | Session.Expired -> ("expired", 1, None)
+    | Session.Aborted r -> ("aborted", 1, Some r)
     | Session.Queued | Session.Synthesizing | Session.Running ->
       ("error", 2, Some "internal: session did not reach a terminal state")
   in
@@ -314,7 +305,7 @@ let process_submit srv conn ~id ~spec =
   let resp, captured =
     match Trust_lang.Elaborate.from_string ~file:"<wire>" spec with
     | Error e ->
-      srv.aborted <- srv.aborted + 1;
+      srv.parse_failures <- srv.parse_failures + 1;
       (zero_result ~id ~status:"error" ~exit_code:2 ~reason:(Some e), None)
     | Ok parsed ->
       (* optional fault injection (CI smokes, soak tests), the batch
@@ -336,25 +327,15 @@ let process_submit srv conn ~id ~spec =
         if Hashtbl.length srv.stash >= 4096 then Hashtbl.reset srv.stash;
         Hashtbl.replace srv.stash (Shape.hash_hex parsed) parsed
       end;
-      (result_of srv ~id session, captured)
+      (result_of ~id session, captured)
   in
   (if tracing then
      (* an unsampled parse failure never makes a session, so tail rules
         cannot see it — the refused Result already tells the client *)
-     let kept =
+     match
        Scheduler.retain ~recorders:srv.recorders ?ring:srv.ring ~sampled captured ~trace:(fun () ->
            trace_request srv ~n ~id ~spec captured)
-     in
-     (* the ring's lifetime drop count as a counter: deterministic here,
-        where sessions commit in wire order on one thread, unlike the
-        batch scheduler's volatile gauge *)
-     Option.iter
-       (fun ring ->
-         Metrics.incr
-           ~by:(Ring.records_dropped ring - Metrics.value srv.ring_dropped_c)
-           srv.ring_dropped_c)
-       srv.ring;
-     match kept with
+     with
      | None -> ()
      | Some trace ->
        (* every kept session — head-sampled or tail-promoted — reaches
@@ -375,21 +356,25 @@ let process_submit srv conn ~id ~spec =
     | resp -> resp
   in
   send conn resp;
-  srv.served <- srv.served + 1;
   Metrics.incr srv.requests_c;
-  if srv.cfg.epoch_every > 0 && srv.served mod srv.cfg.epoch_every = 0 then epoch_tick srv;
-  if srv.cfg.mine_every > 0 && srv.served mod srv.cfg.mine_every = 0 then mine_tick srv
+  let served = srv.next_session in
+  if srv.cfg.epoch_every > 0 && served mod srv.cfg.epoch_every = 0 then epoch_tick srv;
+  if srv.cfg.mine_every > 0 && served mod srv.cfg.mine_every = 0 then mine_tick srv
 
+(* The stats answer, read from the registry and the cache: the daemon
+   keeps no tally of its own beyond the submissions that never made a
+   session. *)
 let snapshot ?(drained = false) srv =
+  let sessions = Scheduler.tally srv.recorders in
   {
-    served = srv.served;
-    settled = srv.settled;
-    expired = srv.expired;
-    aborted = srv.aborted;
-    busy = srv.busy;
-    protocol_errors = srv.protocol_errors;
-    connections = srv.connections;
-    epochs = srv.epochs;
+    served = Metrics.value srv.requests_c;
+    settled = sessions.Scheduler.settled;
+    expired = sessions.Scheduler.expired;
+    aborted = sessions.Scheduler.aborted + srv.parse_failures;
+    busy = Metrics.value srv.busy_c;
+    protocol_errors = Metrics.value srv.proto_c;
+    connections = Metrics.value srv.conns_c;
+    epochs = Cache.epoch srv.cache;
     aged_out = Cache.aged_out srv.cache;
     cache_size = Cache.size srv.cache;
     drained;
@@ -417,11 +402,9 @@ let handle_request srv conn = function
        since the previous one, base64ed over the ordinary text frame;
        with the ring disabled the reply is a valid zero-shard dump *)
     let dump = match srv.ring with Some ring -> Ring.drain ring | None -> Ring.empty_dump in
-    refresh_cache_gauges srv;
     send conn (Wire.Text { id; kind = "ring"; text = B64.encode dump })
   | Wire.Submit { id; spec } ->
     if not (Admission.try_push srv.pending (conn, id, spec)) then begin
-      srv.busy <- srv.busy + 1;
       Metrics.incr srv.busy_c;
       send conn (Wire.Busy { id })
     end
@@ -454,11 +437,22 @@ let rec drain_pending srv =
 
 (* -- listeners -- *)
 
+(* The socket file appears only once it accepts: bind and listen on a
+   temporary name in the same directory, then rename it into place, so
+   a client that waits for the file never sees a socket that refuses
+   connections. The temporary name never outlives startup. *)
 let listen_unix path =
-  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  let tmp = path ^ ".tmp" in
+  (try Unix.unlink tmp with Unix.Unix_error _ -> ());
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind fd (Unix.ADDR_UNIX path);
-  Unix.listen fd 128;
+  (try
+     Unix.bind fd (Unix.ADDR_UNIX tmp);
+     Unix.listen fd 128;
+     Unix.rename tmp path
+   with e ->
+     (try Unix.unlink tmp with Unix.Unix_error _ -> ());
+     Unix.close fd;
+     raise e);
   Unix.set_nonblock fd;
   fd
 
@@ -484,7 +478,6 @@ let accept_all srv listener conns =
     | exception Unix.Unix_error _ -> ()
     | fd, _ ->
       Unix.set_nonblock fd;
-      srv.connections <- srv.connections + 1;
       Metrics.incr srv.conns_c;
       conns :=
         {
@@ -508,27 +501,22 @@ let run ?(stop = Atomic.make false) ?metrics cfg =
     invalid_arg "Server.run: no listener configured";
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
+  let cache = Cache.create ~capacity:cfg.cache_capacity cfg.policy in
+  let ring = if cfg.trace_ring > 0 then Some (Ring.create ~capacity:cfg.trace_ring ()) else None in
+  register_reads metrics cache ring;
   let srv =
     {
       cfg;
       metrics;
       recorders = Scheduler.recorders metrics;
-      cache = Cache.create ~capacity:cfg.cache_capacity cfg.policy;
+      cache;
       pending = Admission.create ~bound:cfg.max_pending ();
       trace_ch = Option.map open_out cfg.trace_path;
-      ring =
-        (if cfg.trace_ring > 0 then Some (Ring.create ~capacity:cfg.trace_ring ()) else None);
+      ring;
       board = Mine.empty;
       stash = Hashtbl.create 256;
       next_session = 0;
-      served = 0;
-      settled = 0;
-      expired = 0;
-      aborted = 0;
-      busy = 0;
-      protocol_errors = 0;
-      connections = 0;
-      epochs = 0;
+      parse_failures = 0;
       requests_c =
         Metrics.counter metrics ~help:"wire submissions processed" "daemon_requests_total";
       busy_c =
@@ -538,10 +526,6 @@ let run ?(stop = Atomic.make false) ?metrics cfg =
         Metrics.counter metrics ~help:"handshake, framing and decode failures"
           "daemon_protocol_errors_total";
       conns_c = Metrics.counter metrics ~help:"connections accepted" "daemon_connections_total";
-      epochs_c = Metrics.counter metrics ~help:"cache epoch ticks" "daemon_epochs_total";
-      aged_c =
-        Metrics.counter metrics ~help:"cache entries swept by epoch aging"
-          "serve_cache_aged_out_total";
       mine_ticks_c =
         Metrics.counter metrics ~help:"trace-mining feedback ticks (self-drain + policy)"
           "obs_mine_ticks_total";
@@ -557,12 +541,8 @@ let run ?(stop = Atomic.make false) ?metrics cfg =
       mine_denies_c =
         Metrics.counter metrics ~help:"shapes deny-listed at admission by the mining policy"
           "obs_mine_denies_total";
-      ring_dropped_c =
-        Metrics.counter metrics ~help:"trace-ring records evicted on wrap or refused oversized"
-          "obs_ring_records_dropped_total";
     }
   in
-  refresh_cache_gauges srv;
   let listeners =
     (match cfg.unix_path with None -> [] | Some p -> [ listen_unix p ])
     @ (match cfg.tcp with None -> [] | Some hp -> [ listen_tcp hp ])
@@ -628,7 +608,6 @@ let run ?(stop = Atomic.make false) ?metrics cfg =
   in
   flush_all ();
   List.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) !conns;
-  refresh_cache_gauges srv;
   write_snapshot srv;
   Option.iter close_out srv.trace_ch;
   snapshot ~drained:true srv

@@ -28,10 +28,15 @@
     Every [epoch_every] served requests the daemon advances the cache
     epoch ({!Trust_serve.Cache.advance_epoch}), sweeping entries idle
     for [max_idle_epochs] — the Zipf long tail ages out while
-    heavy-hitter and catalog shapes stay warm. Each tick also refreshes
-    the [serve_cache_epoch] / [serve_cache_size] gauges, adds the sweep
-    to [serve_cache_aged_out_total], and rewrites the metrics snapshot
-    (atomic rename) when [snapshot_path] is set.
+    heavy-hitter and catalog shapes stay warm. Each tick rewrites the
+    metrics snapshot (atomic rename) when [snapshot_path] is set.
+
+    {2 Metrics}
+
+    What the cache and the ring own (epoch, residency, pins, aged-out
+    entries, ring bytes and drops) is registered as reads that run when
+    the registry renders, so every [metrics] answer is current. {!stats}
+    reads the same registry and the cache.
 
     {2 Graceful drain}
 
@@ -102,13 +107,13 @@ type stats = {
   served : int;  (** submissions fully processed *)
   settled : int;
   expired : int;
-  aborted : int;  (** includes parse/elaborate rejections *)
+  aborted : int;  (** includes parse/elaborate rejections, the daemon's one own count *)
   busy : int;  (** submissions bounced by admission control *)
   protocol_errors : int;  (** handshake/framing/decode failures *)
   connections : int;  (** accepted over the lifetime *)
   epochs : int;  (** cache epoch ticks *)
   aged_out : int;  (** cache entries swept by aging *)
-  cache_size : int;  (** resident entries at exit *)
+  cache_size : int;  (** resident entries (at exit, on the drain line) *)
   drained : bool;  (** the loop exited through the drain path *)
 }
 

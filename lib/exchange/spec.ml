@@ -566,9 +566,17 @@ let revalidate_exn what t =
   | Ok () -> t
   | Error es -> invalid_arg (what ^ ": " ^ String.concat "; " es)
 
-let with_split owner cref t =
-  if is_split t owner cref then t
-  else revalidate_exn "Spec.with_split" { t with splits = t.splits @ [ (owner, cref) ] }
+(* one index build and one validation for the whole list *)
+let with_splits marks t =
+  let seen = Hashtbl.create 16 in
+  let fresh ((owner, cref) as mark) =
+    (not (is_split t owner cref || Hashtbl.mem seen mark)) && (Hashtbl.add seen mark (); true)
+  in
+  match List.filter fresh marks with
+  | [] -> t
+  | added -> revalidate_exn "Spec.with_splits" { t with splits = t.splits @ added }
+
+let with_split owner cref t = with_splits [ (owner, cref) ] t
 
 let with_persona ~trusted ~principal t =
   revalidate_exn "Spec.with_persona"

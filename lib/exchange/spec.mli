@@ -93,6 +93,13 @@ val with_split : Party.t -> commitment_ref -> t -> t
 (** Record an indemnity split. Idempotent.
     @raise Invalid_argument if owner/commitment are not in the spec. *)
 
+val with_splits : (Party.t * commitment_ref) list -> t -> t
+(** Record several splits at once: the same spec as folding
+    {!with_split} over the list in order (already-recorded and repeated
+    pairs are skipped), but the index is built and the spec validated
+    once, not once per split.
+    @raise Invalid_argument if an owner/commitment is not in the spec. *)
+
 val with_persona : trusted:Party.t -> principal:Party.t -> t -> t
 (** Declare direct trust: [principal] plays the [trusted] role.
     @raise Invalid_argument on validation failure. *)

@@ -1,9 +1,9 @@
 (* Structured tracing with deterministic virtual timestamps: one
    monotonic counter per trace ticks on every span begin/end and event,
    so exports depend only on the instrumented computation — never on
-   wall time or domain scheduling. Wall instants and scheduling facts
-   are kept on the side (never exported), mirroring the
-   Metrics/Service.wall_line quarantine. *)
+   wall time or domain scheduling. Spans hold no wall instants, and
+   scheduling facts are kept on the side (never exported), mirroring
+   the Metrics/Service.wall_line quarantine. *)
 
 type value = Int of int | Float of float | Str of string | Bool of bool
 
@@ -20,8 +20,6 @@ type sp = {
   mutable sp_attrs : (string * value) list;  (* reversed *)
   mutable sp_vattrs : (string * value) list;  (* volatile: reversed, never exported *)
   mutable sp_events : ev list;  (* reversed *)
-  sp_wall_start : float;
-  mutable sp_wall_stop : float;
 }
 
 type trace = {
@@ -64,8 +62,6 @@ let span t ?(parent = none) ~phase name : handle =
         sp_attrs = [];
         sp_vattrs = [];
         sp_events = [];
-        sp_wall_start = Unix.gettimeofday ();
-        sp_wall_stop = nan;
       }
     in
     tr.tr_next <- tr.tr_next + 1;
@@ -74,9 +70,7 @@ let span t ?(parent = none) ~phase name : handle =
 
 let finish t h =
   match (t, h) with
-  | Active tr, Some sp ->
-    sp.sp_stop <- tick tr;
-    sp.sp_wall_stop <- Unix.gettimeofday ()
+  | Active tr, Some sp -> sp.sp_stop <- tick tr
   | (Null | Active _), _ -> ()
 
 let with_span t ?parent ~phase name f =
@@ -109,16 +103,6 @@ let first_root t : handle =
     List.fold_left
       (fun acc sp -> if sp.sp_parent = None then Some sp else acc)
       None tr.tr_spans
-
-let wall_seconds t =
-  match t with
-  | Null -> 0.
-  | Active tr ->
-    List.fold_left
-      (fun acc sp ->
-        if Float.is_nan sp.sp_wall_stop then acc
-        else max acc (sp.sp_wall_stop -. sp.sp_wall_start))
-      0. tr.tr_spans
 
 (* Batch registry: one slot per session, each written by exactly one
    domain; the scheduler's completion barrier publishes the slots
@@ -221,8 +205,8 @@ let views = function
 (* The inverse of [views], for offline decoders (Ring): rebuild an
    Active trace from span views so the byte-for-byte exporters above
    re-emit exactly what the original trace would have. Volatile attrs
-   and wall instants are gone by construction — no exporter ever
-   rendered them. [clock] restores the tree header's vt range. *)
+   are gone by construction — no exporter ever rendered them. [clock]
+   restores the tree header's vt range. *)
 let of_views ~session ~clock views =
   let spans =
     List.map
@@ -237,8 +221,6 @@ let of_views ~session ~clock views =
           sp_attrs = List.rev v.view_attrs;
           sp_vattrs = [];
           sp_events = List.rev v.view_events;
-          sp_wall_start = nan;
-          sp_wall_stop = nan;
         })
       views
   in

@@ -8,11 +8,11 @@
     counter that ticks once per span begin, span end and event. Two
     runs over the same input produce byte-identical exports, and —
     because each serve session owns its own trace and clock — so do
-    runs at any [--jobs]. Wall-clock instants are still captured on
-    every span, but they are {e annotations}: no exporter ever renders
-    them (the same quarantine {!Trust_serve.Metrics} applies to its
-    volatile gauges and {!Trust_serve.Service.wall_line} to
-    throughput). Facts that depend on domain scheduling rather than on
+    runs at any [--jobs]. Spans carry no wall-clock instants at all;
+    wall time lives outside the trace (the same quarantine
+    {!Trust_serve.Metrics} applies to its volatile gauges and
+    {!Trust_serve.Service.wall_line} to throughput). Facts that depend
+    on domain scheduling rather than on
     the seed (e.g. which of two racing sessions took the protocol-cache
     miss) must be recorded with {!volatile_attr}, which exporters skip.
 
@@ -76,10 +76,6 @@ val first_root : t -> handle
     the sink is {!null}) — lets late phases (e.g. lane placement after
     the pool join) parent onto the session root. *)
 
-val wall_seconds : t -> float
-(** Wall-clock duration between the first span begin and the last span
-    end — an annotation for stderr, never part of an export. *)
-
 (** {2 Batch registry (serve layer)}
 
     One trace per session, created from whichever domain runs the
@@ -134,8 +130,8 @@ val of_views : session:int -> clock:int -> span_view list -> t
 (** Rebuild a live trace from span views (in creation order) — the
     inverse of {!views}, used by the binary ring decoder ({!Ring}) so
     the exporters re-emit decoded traces byte-compatibly. Volatile
-    attrs and wall instants are absent by construction; no exporter
-    rendered them anyway. *)
+    attrs are absent by construction; no exporter rendered them
+    anyway. *)
 
 (** {2 Exporters} *)
 

@@ -1,14 +1,16 @@
 (* Domain-safe registry: counters are a single [Atomic.t] (lock-free
-   increments from pool workers), histograms and gauges take a
-   per-metric mutex, and registration takes the registry mutex. Reads
+   increments from pool workers), histograms take a per-metric mutex,
+   and registration takes the registry mutex. What renders a counter
+   or a gauge is its read function, swapped by one field write, so it
+   needs no lock: a pushed counter reads its atomic, a set gauge a
+   constant, and a series another structure owns reads that. Reads
    for snapshots are unsynchronized-by-design *after* the scheduler's
    completion barrier; concurrent snapshots would only ever see a
    momentarily-torn histogram, never a crash. *)
 
-type counter = { c_name : string; c_help : string; count : int Atomic.t }
+type counter = { c_help : string; count : int Atomic.t; mutable c_read : unit -> int }
 
 type histogram = {
-  h_name : string;
   h_help : string;
   h_lock : Mutex.t;
   bounds : int array;  (** strictly increasing upper bounds, [+Inf] implicit *)
@@ -21,13 +23,7 @@ type histogram = {
    counts): real registry series, but excluded from the deterministic
    {!to_text}/{!to_json} snapshots and rendered by {!volatile_text}
    instead — the same quarantine the service applies to wall-clock. *)
-type gauge = {
-  g_name : string;
-  g_help : string;
-  g_lock : Mutex.t;
-  g_volatile : bool;
-  mutable v : float;
-}
+type gauge = { g_help : string; g_volatile : bool; mutable g_read : unit -> float }
 
 type metric = Counter of counter | Histogram of histogram | Gauge of gauge
 
@@ -50,12 +46,14 @@ let register t name metric =
   resolved
 
 let counter t ?(help = "") name =
-  match register t name (Counter { c_name = name; c_help = help; count = Atomic.make 0 }) with
+  let count = Atomic.make 0 in
+  match register t name (Counter { c_help = help; count; c_read = (fun () -> Atomic.get count) }) with
   | Counter c -> c
   | Histogram _ | Gauge _ -> invalid_arg ("Metrics.counter: " ^ name ^ " is not a counter")
 
 let incr ?(by = 1) c = ignore (Atomic.fetch_and_add c.count by)
-let value c = Atomic.get c.count
+let value c = c.c_read ()
+let counter_read t ?help name read = (counter t ?help name).c_read <- read
 
 let histogram t ?(help = "") ?(buckets = default_buckets) name =
   (match buckets with
@@ -70,7 +68,6 @@ let histogram t ?(help = "") ?(buckets = default_buckets) name =
   let fresh =
     Histogram
       {
-        h_name = name;
         h_help = help;
         h_lock = Mutex.create ();
         bounds = Array.of_list buckets;
@@ -92,17 +89,12 @@ let observe h v =
   h.total <- h.total + 1;
   Mutex.unlock h.h_lock
 
-let gauge t ?(help = "") ?(volatile = false) name v =
-  match
-    register t name
-      (Gauge
-         { g_name = name; g_help = help; g_lock = Mutex.create (); g_volatile = volatile; v })
-  with
-  | Gauge g ->
-    Mutex.lock g.g_lock;
-    g.v <- v;
-    Mutex.unlock g.g_lock
+let gauge_read t ?(help = "") ?(volatile = false) name read =
+  match register t name (Gauge { g_help = help; g_volatile = volatile; g_read = read }) with
+  | Gauge g -> g.g_read <- read
   | Counter _ | Histogram _ -> invalid_arg ("Metrics.gauge: " ^ name ^ " is not a gauge")
+
+let gauge t ?help ?volatile name v = gauge_read t ?help ?volatile name (Fun.const v)
 
 let sorted t =
   Mutex.lock t.lock;
@@ -120,12 +112,12 @@ let to_text t =
       | Counter c ->
         help name c.c_help;
         typ name "counter";
-        Buffer.add_string buf (Printf.sprintf "%s %d\n" name (Atomic.get c.count))
+        Buffer.add_string buf (Printf.sprintf "%s %d\n" name (value c))
       | Gauge g when g.g_volatile -> ()
       | Gauge g ->
         help name g.g_help;
         typ name "gauge";
-        Buffer.add_string buf (Printf.sprintf "%s %.6f\n" name g.v)
+        Buffer.add_string buf (Printf.sprintf "%s %.6f\n" name (g.g_read ()))
       | Histogram h ->
         help name h.h_help;
         typ name "histogram";
@@ -151,12 +143,12 @@ let to_json t =
   let pick f = List.filter_map f metrics in
   let counters =
     pick (function
-      | name, Counter c -> Some (Printf.sprintf "%S:%d" name (Atomic.get c.count))
+      | name, Counter c -> Some (Printf.sprintf "%S:%d" name (value c))
       | _ -> None)
   in
   let gauges =
     pick (function
-      | name, Gauge g when not g.g_volatile -> Some (Printf.sprintf "%S:%.6f" name g.v)
+      | name, Gauge g when not g.g_volatile -> Some (Printf.sprintf "%S:%.6f" name (g.g_read ()))
       | _ -> None)
   in
   let histograms =
@@ -188,7 +180,7 @@ let volatile_text t =
     (fun (name, metric) ->
       match metric with
       | Gauge g when g.g_volatile ->
-        Buffer.add_string buf (Printf.sprintf "%s %.6f\n" name g.v)
+        Buffer.add_string buf (Printf.sprintf "%s %.6f\n" name (g.g_read ()))
       | Gauge _ | Counter _ | Histogram _ -> ())
     (sorted t);
   Buffer.contents buf

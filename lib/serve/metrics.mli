@@ -9,9 +9,15 @@
     registry — see {!Service.wall_line}. Snapshots render metrics
     sorted by name, never in hash-table order.
 
+    A series another structure already counts is not copied into the
+    registry: {!gauge_read} and {!counter_read} register a read of the
+    owner that runs when the registry renders, so every snapshot shows
+    its current state.
+
     The registry is {e domain-safe}: counters are a single [Atomic.t]
-    (lock-free increments), histograms and gauges are mutex-guarded,
-    and registration is serialized on the registry mutex, so pool
+    (lock-free increments), histograms are mutex-guarded, a gauge's
+    read is swapped by a single field write, and registration is
+    serialized on the registry mutex, so pool
     workers ({!Pool}) may record concurrently. Counter increments and
     histogram observations commute, which is what keeps snapshots
     byte-identical at any [--jobs]: the {e set} of recorded values is
@@ -32,6 +38,12 @@ val counter : t -> ?help:string -> string -> counter
 val incr : ?by:int -> counter -> unit
 val value : counter -> int
 
+val counter_read : t -> ?help:string -> string -> (unit -> int) -> unit
+(** Register a counter whose count another structure owns: {!value}
+    and every render return [read ()] (an {!incr} on it shows
+    nowhere), and it renders as any counter ([# TYPE … counter]).
+    Re-registering replaces the read. *)
+
 val histogram : t -> ?help:string -> ?buckets:int list -> string -> histogram
 (** Upper-bound buckets, strictly increasing; an implicit [+Inf] bucket
     is always appended. Defaults to a 1..10000 log-ish ladder suited to
@@ -39,8 +51,13 @@ val histogram : t -> ?help:string -> ?buckets:int list -> string -> histogram
 
 val observe : histogram -> int -> unit
 
+val gauge_read : t -> ?help:string -> ?volatile:bool -> string -> (unit -> float) -> unit
+(** Register a gauge rendered as [read ()], so it is never stale.
+    Re-registering replaces the read; [volatile] as in {!gauge}. *)
+
 val gauge : t -> ?help:string -> ?volatile:bool -> string -> float -> unit
-(** Set a gauge, registering it on first use. [volatile] (default
+(** Set a gauge to a fixed value (a constant {!gauge_read}),
+    registering it on first use. [volatile] (default
     false) marks timing telemetry — queue high-water marks, wait
     counts — whose value depends on scheduling, not on the seed: it
     stays a real registry series but is excluded from {!to_text} and

@@ -80,7 +80,7 @@ let recorders m =
     admission_denied = Metrics.counter m ~help:"sessions refused because their shape is deny-listed by trace mining" "serve_admission_denied_total";
     retried_c = Metrics.counter m ~help:"drop-stalled sessions retried once" "serve_sessions_retried_total";
     cache_hits = Metrics.counter m ~help:"protocol cache hits" "serve_cache_hits_total";
-    cache_misses = Metrics.counter m ~help:"protocol cache misses or bypasses" "serve_cache_misses_total";
+    cache_misses = Metrics.counter m ~help:"protocol cache misses" "serve_cache_misses_total";
     engine_events = Metrics.counter m ~help:"discrete-event engine events" "serve_engine_events_total";
     deliveries = Metrics.counter m ~help:"actions delivered" "serve_deliveries_total";
     ticks_h = Metrics.histogram m ~help:"virtual session duration (ticks)" "serve_session_ticks";
@@ -88,8 +88,17 @@ let recorders m =
     exposure_violations = Metrics.counter m ~help:"single-transfer bound violations across runs" "sim_exposure_violations_total";
     exposure_peak_h = Metrics.histogram m ~help:"peak outstanding at-risk value per run (cents)" "sim_exposure_peak";
     exposure_ticks_h = Metrics.histogram m ~help:"virtual ticks with positive at-risk value per run" "sim_exposure_ticks";
-    obs_sampled = Metrics.counter m ~help:"sessions head-sampled into a live trace" "obs_sessions_sampled_total";
+    obs_sampled = Metrics.counter m ~help:"sessions head-sampled into the trace" "obs_sessions_sampled_total";
     obs_kept_tail = Metrics.counter m ~help:"unsampled sessions promoted by a tail keep rule" "obs_sessions_kept_tail_total";
+  }
+
+type tally = { settled : int; expired : int; aborted : int }
+
+let tally (r : recorders) =
+  {
+    settled = Metrics.value r.settled;
+    expired = Metrics.value r.expired;
+    aborted = Metrics.value r.aborted;
   }
 
 let record rec_opt f = Option.iter f rec_opt
@@ -390,8 +399,6 @@ let rebuild ?parent cfg cache trace c =
              for a shared shape depends on domain scheduling, so
              hit/miss is volatile *)
           Obs.with_span trace ~parent:root ~phase:"serve" "serve.synthesize" (fun h ->
-              (* every spec is cached; the attribute stays for the trace schema *)
-              Obs.attr trace h "bypass" (Obs.Bool false);
               Obs.attr trace h "verify" (Obs.Bool policy.Cache.verify);
               Obs.volatile_attr trace h "cache_hit" (Obs.Bool (outcome = `Hit))))
         c.synthesized;
@@ -467,6 +474,18 @@ let run ?metrics ?(obs = Obs.no_batch) ?ring cfg cache sessions =
   if cfg.concurrency < 1 then invalid_arg "Scheduler.run: concurrency must be >= 1";
   if cfg.jobs < 1 then invalid_arg "Scheduler.run: jobs must be >= 1";
   let rec_opt = Option.map recorders metrics in
+  (match (metrics, ring) with
+  | Some m, Some ring ->
+    (* which sessions share a shard, and so which records survive
+       eviction, depends on domain scheduling at jobs > 1: residency and
+       drops are volatile here — the single-threaded daemon registers
+       both deterministically *)
+    Metrics.gauge_read m ~help:"trace-ring live bytes" ~volatile:true "obs_ring_bytes" (fun () ->
+        float_of_int (Ring.bytes_resident ring));
+    Metrics.gauge_read m ~help:"trace-ring records evicted on wrap or refused oversized"
+      ~volatile:true "obs_ring_records_dropped_total" (fun () ->
+        float_of_int (Ring.records_dropped ring))
+  | _ -> ());
   let retried = Atomic.make 0 in
   let policy = Cache.policy cache in
   (* Tracing (batch export and/or ring sink) engages the sampler:
@@ -541,17 +560,5 @@ let run ?metrics ?(obs = Obs.no_batch) ?ring cfg cache sessions =
             Obs.attr trace h "started_at" (Obs.Int session.Session.started_at);
             Obs.attr trace h "finished_at" (Obs.Int session.Session.finished_at)))
     sessions;
-  (match (metrics, ring) with
-  | Some m, Some ring ->
-    (* which sessions share a shard, and so which records survive
-       eviction, depends on domain scheduling at jobs > 1: residency and
-       drops are volatile here — the single-threaded daemon registers
-       both deterministically *)
-    Metrics.gauge m ~help:"trace-ring live bytes" ~volatile:true "obs_ring_bytes"
-      (float_of_int (Ring.bytes_resident ring));
-    Metrics.gauge m ~help:"trace-ring records evicted on wrap or refused oversized"
-      ~volatile:true "obs_ring_records_dropped_total"
-      (float_of_int (Ring.records_dropped ring))
-  | _ -> ());
   let makespan = Array.fold_left max 0 lanes in
   { makespan; retried = Atomic.get retried }

@@ -80,6 +80,13 @@ val recorders : Metrics.t -> recorders
     registry. Long-lived callers build this once and pass it to each
     {!process_one} and {!retain}. *)
 
+type tally = { settled : int; expired : int; aborted : int }
+
+val tally : recorders -> tally
+(** The closed sessions counted so far in [serve_sessions_settled_total],
+    [serve_sessions_expired_total] and [serve_sessions_aborted_total]
+    (admission refusals and synthesis failures). *)
+
 val process_one :
   ?recorders:recorders ->
   ?obs:Trust_obs.Obs.t ->
@@ -169,9 +176,10 @@ val retain :
     into a sink the caller owns); [retain] stamps [keep] on its first
     root, commits it to [ring], and returns it ([None] when nothing is
     kept). Bumps [obs_sessions_sampled_total] and
-    [obs_sessions_kept_tail_total] in [recorders]; what the ring drops
-    is {!Trust_obs.Ring.records_dropped}, which each caller publishes
-    itself. Callers run it only when some trace sink is attached. *)
+    [obs_sessions_kept_tail_total] in [recorders]; what the ring holds
+    and drops each caller registers as reads of the ring
+    ({!Metrics.gauge_read}, {!Metrics.counter_read}). Callers run it
+    only when some trace sink is attached. *)
 
 val run :
   ?metrics:Metrics.t ->
@@ -207,8 +215,9 @@ val run :
     spans but {e not} the merge-phase [serve.place] annotation, which
     exists only in the batch export. Which sessions share a shard, and
     so what a wrapping ring evicts, depends on domain scheduling at
-    [jobs > 1]: the ring's live bytes and drop count are published as
+    [jobs > 1]: the ring's live bytes and drop count are registered as
     the volatile gauges [obs_ring_bytes] and
-    [obs_ring_records_dropped_total]. The [obs_*] counters —
+    [obs_ring_records_dropped_total], read from the ring whenever the
+    registry renders. The [obs_*] counters —
     [obs_sessions_sampled_total] and [obs_sessions_kept_tail_total] —
     are deterministic. *)

@@ -50,19 +50,6 @@ type outcome = {
   ring : Trust_obs.Ring.t option;
 }
 
-type tally = { settled : int; expired : int; aborted : int }
-
-let tally sessions =
-  List.fold_left
-    (fun acc (s : Session.t) ->
-      match s.Session.status with
-      | Session.Settled -> { acc with settled = acc.settled + 1 }
-      | Session.Expired -> { acc with expired = acc.expired + 1 }
-      | Session.Aborted _ -> { acc with aborted = acc.aborted + 1 }
-      | Session.Queued | Session.Synthesizing | Session.Running -> acc)
-    { settled = 0; expired = 0; aborted = 0 }
-    sessions
-
 let sessions_of_config (config : config) =
   let rng = Prng.create config.seed in
   let specs = Gen.random_transactions rng config.mix config.sessions in
@@ -108,8 +95,8 @@ let run (config : config) =
   let started = Unix.gettimeofday () in
   let stats = Scheduler.run ~metrics ~obs ?ring scheduler_config cache sessions in
   let wall_seconds = Unix.gettimeofday () -. started in
-  Metrics.gauge metrics ~help:"protocol cache hits over lookups"
-    "serve_cache_hit_rate" (Cache.hit_rate cache);
+  Metrics.gauge_read metrics ~help:"protocol cache hits over lookups" "serve_cache_hit_rate"
+    (fun () -> Cache.hit_rate cache);
   Metrics.gauge metrics ~help:"sessions completed per 1000 virtual ticks"
     "serve_virtual_throughput"
     (if stats.Scheduler.makespan = 0 then 0.
@@ -139,14 +126,16 @@ let virtual_throughput outcome =
     float_of_int outcome.config.sessions *. 1000.
     /. float_of_int outcome.stats.Scheduler.makespan
 
+(* the closed sessions as the registry counted them *)
+let closed outcome = Scheduler.tally (Scheduler.recorders outcome.metrics)
+
 let report ppf outcome =
-  let t = tally outcome.sessions in
+  let t = closed outcome in
   let cache = outcome.cache in
   Format.fprintf ppf "== trustseq batch ==@.";
   Format.fprintf ppf "sessions    %d (settled %d, expired %d, aborted %d, retried %d)@."
-    outcome.config.sessions t.settled t.expired t.aborted outcome.stats.Scheduler.retried;
-  (* every spec is cached: "bypasses 0" stays for the snapshot format *)
-  Format.fprintf ppf "cache       hits %d, misses %d, bypasses 0, evictions %d (hit rate %.4f)@."
+    outcome.config.sessions t.Scheduler.settled t.Scheduler.expired t.Scheduler.aborted outcome.stats.Scheduler.retried;
+  Format.fprintf ppf "cache       hits %d, misses %d, evictions %d (hit rate %.4f)@."
     (Cache.hits cache) (Cache.misses cache) (Cache.evictions cache) (Cache.hit_rate cache);
   Format.fprintf ppf "makespan    %d virtual ticks on %d lanes (%d worker domain%s)@."
     outcome.stats.Scheduler.makespan outcome.config.concurrency outcome.config.jobs
@@ -158,11 +147,11 @@ let report ppf outcome =
   Format.fprintf ppf "-- metrics --@.%s" (Metrics.to_text outcome.metrics)
 
 let json outcome =
-  let t = tally outcome.sessions in
+  let t = closed outcome in
   let x = exposure_tally outcome.sessions in
   Printf.sprintf
-    "{\"sessions\":%d,\"settled\":%d,\"expired\":%d,\"aborted\":%d,\"retried\":%d,\"cache\":{\"hits\":%d,\"misses\":%d,\"bypasses\":0,\"evictions\":%d,\"hit_rate\":%.4f},\"makespan_ticks\":%d,\"concurrency\":%d,\"jobs\":%d,\"virtual_throughput\":%.2f,\"exposure\":{\"peak_at_risk\":%d,\"risk_ticks\":%d,\"at_risk_sessions\":%d,\"violations\":%d},\"metrics\":%s}"
-    outcome.config.sessions t.settled t.expired t.aborted outcome.stats.Scheduler.retried
+    "{\"sessions\":%d,\"settled\":%d,\"expired\":%d,\"aborted\":%d,\"retried\":%d,\"cache\":{\"hits\":%d,\"misses\":%d,\"evictions\":%d,\"hit_rate\":%.4f},\"makespan_ticks\":%d,\"concurrency\":%d,\"jobs\":%d,\"virtual_throughput\":%.2f,\"exposure\":{\"peak_at_risk\":%d,\"risk_ticks\":%d,\"at_risk_sessions\":%d,\"violations\":%d},\"metrics\":%s}"
+    outcome.config.sessions t.Scheduler.settled t.Scheduler.expired t.Scheduler.aborted outcome.stats.Scheduler.retried
     (Cache.hits outcome.cache) (Cache.misses outcome.cache) (Cache.evictions outcome.cache) (Cache.hit_rate outcome.cache)
     outcome.stats.Scheduler.makespan outcome.config.concurrency outcome.config.jobs
     (virtual_throughput outcome) x.peak x.risk_ticks x.at_risk_sessions x.violations

@@ -63,10 +63,6 @@ type outcome = {
           dump/decode it with {!Trust_obs.Ring} *)
 }
 
-type tally = { settled : int; expired : int; aborted : int }
-
-val tally : Session.t list -> tally
-
 type exposure_tally = {
   peak : int;  (** worst per-session peak at-risk value, in cents *)
   risk_ticks : int;  (** at-risk virtual ticks summed over sessions *)

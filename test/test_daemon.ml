@@ -223,6 +223,33 @@ let with_server ?(config = Server.default) name f after =
      raise e);
   after (finally ())
 
+(* The socket file appears only once it accepts: the listener binds
+   and listens on a temporary name and renames it into place. Whether
+   startup succeeds or fails, the temporary name is gone. *)
+let test_server_socket_appears_listening () =
+  with_server "listening"
+    (fun addr _stop ->
+      check "no temporary name after startup" false
+        (Sys.file_exists (sock_path "listening" ^ ".tmp"));
+      match Client.connect addr with
+      | Error e -> Alcotest.fail e
+      | Ok client -> Client.close client)
+    (fun stats -> check "drained" true stats.Server.drained);
+  (* a path the rename cannot replace: a non-empty directory *)
+  let dir = sock_path "isdir" in
+  (try Unix.mkdir dir 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  let inside = Filename.concat dir "keep" in
+  Out_channel.with_open_text inside ignore;
+  let failed =
+    match Server.run ~stop:(Atomic.make true) { Server.default with Server.unix_path = Some dir } with
+    | _ -> false
+    | exception Unix.Unix_error _ -> true
+  in
+  check "startup fails" true failed;
+  check "the temporary name is removed" false (Sys.file_exists (dir ^ ".tmp"));
+  Sys.remove inside;
+  Unix.rmdir dir
+
 let test_server_submit_settles () =
   with_server "settle"
     (fun addr _stop ->
@@ -406,6 +433,68 @@ let test_server_epoch_aging_live () =
       check "epochs ticked" true (stats.Server.epochs >= 4);
       check "the one-shot tail ages out" true (stats.Server.aged_out > 0);
       check "resident stays below served" true (stats.Server.cache_size < 10))
+
+(* The metrics answer reads the cache and the ring when it renders, so
+   it is current between epoch ticks: three distinct submissions show
+   three resident entries, and whatever the ring kept shows as live
+   bytes. *)
+let test_server_metrics_current () =
+  let sample name text =
+    let prefix = name ^ " " in
+    match
+      List.find_opt (String.starts_with ~prefix) (String.split_on_char '\n' text)
+    with
+    | Some line ->
+      float_of_string (String.sub line (String.length prefix) (String.length line - String.length prefix))
+    | None -> Alcotest.fail (name ^ " missing from the metrics answer")
+  in
+  with_server "metricsnow"
+    ~config:
+      {
+        Server.default with
+        Server.scheduler = { Server.default.Server.scheduler with Scheduler.sample_rate = 1.0 };
+      }
+    (fun addr _stop ->
+      match Client.connect addr with
+      | Error e -> Alcotest.fail e
+      | Ok client ->
+        for i = 1 to 3 do
+          let spec =
+            String.concat "\n"
+              [
+                Printf.sprintf "principal c%d : consumer" i;
+                "principal p : producer";
+                "trusted t";
+                Printf.sprintf "deal d: c%d pays $10; p gives \"doc\"; via t" i;
+                "";
+              ]
+          in
+          match Client.submit client ~id:i ~spec with
+          | Ok (Wire.Result { status; _ }) -> check_string "settled" "settled" status
+          | Ok _ -> Alcotest.fail "expected a result"
+          | Error e -> Alcotest.fail e
+        done;
+        (match Client.request client (Wire.Metrics { id = 4 }) with
+        | Ok (Wire.Text { kind = "metrics"; text; _ }) ->
+          check "three resident entries" true
+            (List.mem "serve_cache_size 3.000000" (String.split_on_char '\n' text));
+          check "three misses" true (sample "serve_cache_misses_total" text = 3.);
+          let kept =
+            sample "obs_sessions_sampled_total" text +. sample "obs_sessions_kept_tail_total" text
+          in
+          check "the ring kept the sampled sessions" true (kept > 0.);
+          check "live ring bytes" true (sample "obs_ring_bytes" text > 0.)
+        | Ok _ -> Alcotest.fail "expected a metrics text"
+        | Error e -> Alcotest.fail e);
+        (match Client.request client (Wire.Stats { id = 5 }) with
+        | Ok (Wire.Text { kind = "stats"; text; _ }) ->
+          check_string "stats read the registry and the cache"
+            {|{"served":3,"settled":3,"expired":0,"aborted":0,"busy":0,"protocol_errors":0,"connections":1,"epochs":0,"aged_out":0,"cache_size":3,"drained":false}|}
+            text
+        | Ok _ -> Alcotest.fail "expected a stats text"
+        | Error e -> Alcotest.fail e);
+        Client.close client)
+    (fun stats -> check_int "three resident at drain" 3 stats.Server.cache_size)
 
 (* -- live tracing over the wire: the trace request drains the ring -- *)
 
@@ -676,5 +765,7 @@ let () =
           Alcotest.test_case "trace with tracing off" `Quick test_server_trace_disabled_is_empty;
           Alcotest.test_case "keeps match the batch scheduler" `Quick test_server_keeps_match_batch;
           Alcotest.test_case "tail trace matches sampled" `Quick test_server_tail_trace_matches_sampled;
+          Alcotest.test_case "metrics answer is current" `Quick test_server_metrics_current;
+          Alcotest.test_case "socket appears listening" `Quick test_server_socket_appears_listening;
         ] );
     ]

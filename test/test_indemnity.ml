@@ -139,6 +139,75 @@ let prop_apply_fan_feasible =
       let plan = Indemnity.plan_greedy spec ~owner:Workload.Gen.fan_consumer in
       Trust_core.Feasibility.is_feasible (Indemnity.apply plan spec))
 
+(* [apply] records a whole plan in one spec construction; the result
+   must be the spec the one-split-at-a-time fold builds, down to its
+   shape. Plans: each splittable owner's greedy plan, every linked
+   piece of every principal at once, and, up to 64 offers, either one
+   repeated (repeats and already-recorded splits are skipped) or
+   applied again. *)
+let test_apply_one_construction () =
+  let fold plan spec =
+    List.fold_left
+      (fun spec o -> Spec.with_split o.Indemnity.owner o.Indemnity.piece spec)
+      spec plan.Indemnity.offers
+  in
+  let sizes = [ 2; 3; 8; 32; 256 ] in
+  let specs =
+    Workload.Scenarios.all
+    @ List.concat_map
+        (fun n ->
+          [
+            ( Printf.sprintf "fan %d" n,
+              Workload.Gen.fan ~prices:(List.init n (fun i -> Asset.dollars (1 + (i * 7 mod 50))))
+            );
+            (Printf.sprintf "bundle %d" n, Workload.Gen.bundle ~docs:n);
+            (Printf.sprintf "chain %d" n, Workload.Gen.chain ~brokers:n);
+          ])
+        sizes
+  in
+  let plan_of offers = { Indemnity.offers; total = 0 } in
+  let compared = ref 0 in
+  List.iter
+    (fun (name, spec) ->
+      let every_piece =
+        List.concat_map
+          (fun owner ->
+            List.map (Indemnity.offer_for spec ~owner) (Indemnity.linked_pieces spec ~owner))
+          (Spec.principals spec)
+      in
+      let greedy =
+        List.filter_map
+          (fun owner ->
+            if Indemnity.splittable spec ~owner then
+              Some (Party.name owner, Indemnity.plan_greedy spec ~owner)
+            else None)
+          (Spec.principals spec)
+      in
+      List.iter
+        (fun (what, plan) ->
+          if plan.Indemnity.offers <> [] then begin
+            let here = Printf.sprintf "%s, %s" name what in
+            let same label want got =
+              Alcotest.(check string) (here ^ label ^ ": shape key") (Spec.shape_key want)
+                (Spec.shape_key got);
+              check (here ^ label ^ ": shape hash") true
+                (Int64.equal (Spec.shape_hash want) (Spec.shape_hash got));
+              check (here ^ label ^ ": splits in order") true (want.Spec.splits = got.Spec.splits)
+            in
+            let want = fold plan spec and got = Indemnity.apply plan spec in
+            same "" want got;
+            (* the fold is quadratic: the skip cases on the smaller plans *)
+            if List.length plan.Indemnity.offers <= 64 then begin
+              same " applied again" (fold plan want) (Indemnity.apply plan got);
+              let twice = plan_of (plan.Indemnity.offers @ List.rev plan.Indemnity.offers) in
+              same " repeated" (fold twice spec) (Indemnity.apply twice spec)
+            end;
+            incr compared
+          end)
+        (("every piece", plan_of every_piece) :: greedy))
+    specs;
+  check "every family compared" true (!compared >= List.length specs)
+
 let () =
   Alcotest.run "indemnity"
     [
@@ -159,6 +228,7 @@ let () =
           Alcotest.test_case "deposits and refunds" `Quick test_deposits_refunds;
           Alcotest.test_case "rescued run" `Quick test_rescued_run;
           Alcotest.test_case "example 2 single indemnity" `Quick test_example2_single_indemnity;
+          Alcotest.test_case "apply = the with_split fold" `Quick test_apply_one_construction;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -183,6 +183,33 @@ let test_synthetic_histogram_values () =
   check_int "le=10" 4 (bucket "10");
   check_int "le=+Inf" 5 (bucket "+Inf")
 
+(* Read series render their owner's state at render time: no copy to
+   go stale, a counter read is typed and valued like a pushed one, and
+   re-registering a name replaces its read. *)
+let test_read_series () =
+  let m = Metrics.create () in
+  let owned = ref 1 in
+  Metrics.gauge_read m ~help:"owned level" "test_owned" (fun () -> float_of_int !owned);
+  Metrics.counter_read m ~help:"owned count" "test_owned_total" (fun () -> 10 * !owned);
+  conformance (Metrics.dump m);
+  check "gauge typed" true (contains (Metrics.dump m) "# TYPE test_owned gauge");
+  check "read counter typed as a counter" true
+    (contains (Metrics.dump m) "# TYPE test_owned_total counter");
+  check "first read" true (contains (Metrics.dump m) "test_owned 1.000000\n");
+  owned := 3;
+  check "the next render reads again" true (contains (Metrics.dump m) "test_owned 3.000000\n");
+  check "counter read in text" true (contains (Metrics.dump m) "test_owned_total 30\n");
+  check "counter read in json" true (contains (Metrics.to_json m) "\"test_owned_total\":30");
+  check_int "value reads through the counter handle" 30
+    (Metrics.value (Metrics.counter m "test_owned_total"));
+  Metrics.gauge m "test_owned" 7.;
+  check "a set value replaces the read" true (contains (Metrics.dump m) "test_owned 7.000000\n");
+  Metrics.counter_read m "test_owned_total" (fun () -> 5);
+  check "re-registering replaces the read" true
+    (contains (Metrics.dump m) "test_owned_total 5\n");
+  check "help kept from the first registration" true
+    (contains (Metrics.dump m) "# HELP test_owned_total owned count")
+
 (* the real serve registry, end to end *)
 let test_batch_conformance () =
   let outcome =
@@ -222,5 +249,6 @@ let () =
           Alcotest.test_case "histogram buckets cumulative" `Quick test_synthetic_histogram_values;
           Alcotest.test_case "batch registry conforms" `Quick test_batch_conformance;
           Alcotest.test_case "daemon registry conforms" `Quick test_daemon_registry_conforms;
+          Alcotest.test_case "read series are current" `Quick test_read_series;
         ] );
     ]

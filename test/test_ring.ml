@@ -809,7 +809,7 @@ let test_sampled_refusals () =
   in
   let synth_line ~id ~parent ~start =
     Printf.sprintf
-      {|{"type":"span","session":3,"id":%d,"parent":%d,"phase":"serve","name":"serve.synthesize","start":%d,"stop":%d,"attrs":{"bypass":false,"verify":false}}|}
+      {|{"type":"span","session":3,"id":%d,"parent":%d,"phase":"serve","name":"serve.synthesize","start":%d,"stop":%d,"attrs":{"verify":false}}|}
       id parent start (start + 1)
   in
   let request_line stop =

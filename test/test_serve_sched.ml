@@ -295,11 +295,20 @@ let test_service_deterministic () =
   in
   let a = Service.run config and b = Service.run config in
   check_string "service json byte-identical" (Service.json a) (Service.json b);
-  let t = Service.tally a.Service.sessions in
+  let t = Scheduler.tally (Scheduler.recorders a.Service.metrics) in
   check_int "every session terminal" 60
-    (t.Service.settled + t.Service.expired + t.Service.aborted);
+    (t.Scheduler.settled + t.Scheduler.expired + t.Scheduler.aborted);
+  let closed label =
+    List.length
+      (List.filter
+         (fun (s : Session.t) -> Session.status_label s.Session.status = label)
+         a.Service.sessions)
+  in
+  check_int "registry settled = session records" (closed "settled") t.Scheduler.settled;
+  check_int "registry expired = session records" (closed "expired") t.Scheduler.expired;
+  check_int "registry aborted = session records" (closed "aborted") t.Scheduler.aborted;
   check "cache pays" true (Cache.hit_rate a.Service.cache > 0.);
-  check "defectors expired" true (t.Service.expired > 0)
+  check "defectors expired" true (t.Scheduler.expired > 0)
 
 (* A kept session's lint span is written from the per-shape memo. On
    a warm memo it must export what a fresh cache exports, and
