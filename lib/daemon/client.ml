@@ -1,6 +1,7 @@
 type t = {
   fd : Unix.file_descr;
   decoder : Frame.decoder;
+  buf : bytes;  (** the connection's read buffer, reused by every receive *)
   mutable inbox : string list;  (** decoded payloads not yet consumed *)
   mutable server : string;
 }
@@ -40,9 +41,8 @@ let recv_payload t =
     t.inbox <- rest;
     Ok p
   | [] ->
-    let buf = Bytes.create 65536 in
     let rec fill () =
-      match Unix.read t.fd buf 0 (Bytes.length buf) with
+      match Unix.read t.fd t.buf 0 (Bytes.length t.buf) with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill ()
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
         Error "timed out waiting for a response"
@@ -52,7 +52,7 @@ let recv_payload t =
         let frames =
           List.filter_map
             (function Frame.Frame p -> Some p | Frame.Oversized _ -> None)
-            (Frame.feed t.decoder buf n)
+            (Frame.feed t.decoder t.buf n)
         in
         if Frame.poisoned t.decoder then Error "oversized response frame"
         else
@@ -100,7 +100,7 @@ let connect ?(timeout = 10.) addr =
     | () -> (
       (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout
        with Unix.Unix_error _ | Invalid_argument _ -> ());
-      let t = { fd; decoder = Frame.create (); inbox = []; server = "" } in
+      let t = { fd; decoder = Frame.create (); buf = Bytes.create 65536; inbox = []; server = "" } in
       match request t (Wire.Hello { version = Wire.version }) with
       | Ok (Wire.Welcome { server; _ }) ->
         t.server <- server;

@@ -13,7 +13,7 @@ let encode payload =
 
 type decoder = {
   max_frame : int;
-  buf : Buffer.t;
+  pending : Bytebuf.t;  (** unread bytes; a frame header leads them *)
   mutable poisoned : bool;
 }
 
@@ -21,51 +21,49 @@ type event = Frame of string | Oversized of int
 
 let create ?(max_frame = default_max) () =
   if max_frame <= 0 then invalid_arg "Frame.create: max_frame must be positive";
-  { max_frame; buf = Buffer.create 256; poisoned = false }
+  { max_frame; pending = Bytebuf.create 256; poisoned = false }
 
-let header_length d =
-  (* the buffer is only ever consumed from the front by [drain], so the
-     first four bytes are the pending frame's big-endian length *)
-  let b = Buffer.nth d.buf in
-  (Char.code (b 0) lsl 24)
-  lor (Char.code (b 1) lsl 16)
-  lor (Char.code (b 2) lsl 8)
-  lor Char.code (b 3)
+let header_length q =
+  (Bytebuf.get_uint8 q 0 lsl 24)
+  lor (Bytebuf.get_uint8 q 1 lsl 16)
+  lor (Bytebuf.get_uint8 q 2 lsl 8)
+  lor Bytebuf.get_uint8 q 3
 
+(* Each complete frame is copied out once and consumed from the front;
+   the bytes behind it stay where they are. *)
 let rec drain d acc =
-  if Buffer.length d.buf < 4 then List.rev acc
+  let q = d.pending in
+  if Bytebuf.length q < 4 then List.rev acc
   else
-    let n = header_length d in
+    let n = header_length q in
     if n > d.max_frame then begin
       d.poisoned <- true;
-      Buffer.clear d.buf;
+      Bytebuf.clear q;
       List.rev (Oversized n :: acc)
     end
-    else if Buffer.length d.buf < 4 + n then List.rev acc
+    else if Bytebuf.length q < 4 + n then List.rev acc
     else begin
-      let contents = Buffer.contents d.buf in
-      let payload = String.sub contents 4 n in
-      Buffer.clear d.buf;
-      Buffer.add_substring d.buf contents (4 + n) (String.length contents - 4 - n);
+      let payload = Bytebuf.sub_string q 4 n in
+      Bytebuf.consume q (4 + n);
       drain d (Frame payload :: acc)
     end
 
 let feed d buf len =
   if d.poisoned then []
   else begin
-    Buffer.add_subbytes d.buf buf 0 len;
+    Bytebuf.add_subbytes d.pending buf 0 len;
     drain d []
   end
 
 let feed_string d s =
   if d.poisoned then []
   else begin
-    Buffer.add_string d.buf s;
+    Bytebuf.add_string d.pending s;
     drain d []
   end
 
-let buffered d = Buffer.length d.buf
-let mid_frame d = Buffer.length d.buf > 0
+let buffered d = Bytebuf.length d.pending
+let mid_frame d = Bytebuf.length d.pending > 0
 let poisoned d = d.poisoned
 
 let write_frame fd payload =

@@ -5,7 +5,9 @@
     arbitrary byte chunks — half a header, three frames at once, a
     header now and its payload next week. The {!decoder} is an
     incremental reassembler: feed it whatever [read] returned and it
-    yields every complete frame, keeping the remainder buffered.
+    yields every complete frame, keeping the remainder buffered. Each
+    fed byte is copied in once and each frame's payload out once, so a
+    feed costs time linear in its bytes however many frames it holds.
 
     Frames are bounded: a decoder created with [max_frame] reports any
     longer announcement as {!Oversized} and poisons itself — after a

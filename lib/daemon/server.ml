@@ -81,8 +81,7 @@ type conn = {
   fd : Unix.file_descr;
   decoder : Frame.decoder;
   mutable greeted : bool;
-  out : Buffer.t;  (** encoded frames awaiting the socket *)
-  mutable out_off : int;  (** bytes of [out] already written *)
+  out : Bytebuf.t;  (** encoded frames awaiting the socket *)
   mutable closing : bool;  (** close once [out] is flushed *)
   mutable alive : bool;
 }
@@ -119,28 +118,18 @@ type srv = {
   mine_denies_c : Metrics.counter;
 }
 
-let send conn resp = Buffer.add_string conn.out (Frame.encode (Wire.encode_response resp))
+let send conn resp = Bytebuf.add_string conn.out (Frame.encode (Wire.encode_response resp))
 
 let try_flush conn =
   if conn.alive then begin
-    let len = Buffer.length conn.out in
-    if len > conn.out_off then begin
-      let chunk = Buffer.to_bytes conn.out in
-      try
-        let n = Unix.write conn.fd chunk conn.out_off (len - conn.out_off) in
-        conn.out_off <- conn.out_off + n
-      with
-      | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-      | Unix.Unix_error _ -> conn.alive <- false
-    end;
-    if conn.alive && Buffer.length conn.out = conn.out_off then begin
-      Buffer.clear conn.out;
-      conn.out_off <- 0;
-      if conn.closing then conn.alive <- false
-    end
+    (if Bytebuf.length conn.out > 0 then
+       try Bytebuf.write conn.out conn.fd with
+       | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+       | Unix.Unix_error _ -> conn.alive <- false);
+    if conn.alive && conn.closing && Bytebuf.length conn.out = 0 then conn.alive <- false
   end
 
-let has_output conn = conn.alive && Buffer.length conn.out > conn.out_off
+let has_output conn = conn.alive && Bytebuf.length conn.out > 0
 
 let protocol_error srv conn reason =
   Metrics.incr srv.proto_c;
@@ -484,8 +473,7 @@ let accept_all srv listener conns =
           fd;
           decoder = Frame.create ~max_frame:srv.cfg.max_frame ();
           greeted = false;
-          out = Buffer.create 256;
-          out_off = 0;
+          out = Bytebuf.create 256;
           closing = false;
           alive = true;
         }

@@ -10,6 +10,12 @@
 #       example1, fig7, example2, two_bundles, example1, fig7, trustweb,
 #       example1, tl013 (tail-promotes retry, violation and lint keeps)
 #
+# The trustweb slot is a parse refusal on purpose: specs/trustweb.exg
+# is a trust web, not an exchange spec, so elaboration refuses it
+# ("bank is a trusted agent, expected a principal") and its submit
+# exits 2. It pins how a refused spec travels over the wire, in the
+# answer, the trace and the metrics, not a session.
+#
 # All three are deterministic, so CI compares them byte for byte
 # against test/golden/daemon_*; a submit that fails outright shows up
 # as its own status line, not only as a trace diff. Run from the repository root:

@@ -5,6 +5,7 @@
    drain. *)
 
 module Frame = Trust_daemon.Frame
+module Bytebuf = Trust_daemon.Bytebuf
 module Wire = Trust_daemon.Wire
 module Admission = Trust_daemon.Admission
 module Server = Trust_daemon.Server
@@ -79,6 +80,178 @@ let test_frame_empty_and_bounds () =
   Alcotest.(check (list string)) "empty payload frames fine" [ "" ]
     (frames (Frame.feed_string d (Frame.encode "")));
   check "feeding nothing is a no-op" true (Frame.feed_string d "" = [])
+
+(* -- framing properties -- *)
+
+let gen_payloads =
+  QCheck2.Gen.(list_size (int_range 0 12) (string_size ~gen:char (int_range 0 200)))
+
+(* Chunk sizes, cycled until the stream runs out. *)
+let gen_chunking = QCheck2.Gen.(list_size (int_range 1 8) (int_range 1 70))
+
+(* Feed [stream] in chunks through [Frame.feed], each chunk sitting in
+   a larger buffer so only [len] bytes may be read from it. *)
+let feed_chunked d stream sizes =
+  let sizes = Array.of_list sizes in
+  let total = String.length stream in
+  let rec go pos k acc =
+    if pos >= total then List.concat (List.rev acc)
+    else begin
+      let len = min sizes.(k mod Array.length sizes) (total - pos) in
+      let buf = Bytes.make (len + 7) 'Z' in
+      Bytes.blit_string stream pos buf 0 len;
+      go (pos + len) (k + 1) (Frame.feed d buf len :: acc)
+    end
+  in
+  go 0 0 []
+
+let prop_frame_any_chunking =
+  QCheck2.Test.make ~name:"any chunking yields the whole feed's frames" ~count:300
+    QCheck2.Gen.(pair gen_payloads gen_chunking)
+    (fun (payloads, sizes) ->
+      let stream = String.concat "" (List.map Frame.encode payloads) in
+      let whole = Frame.feed_string (Frame.create ()) stream in
+      let d = Frame.create () in
+      let chunked = feed_chunked d stream sizes in
+      chunked = whole
+      && frames chunked = payloads
+      && Frame.buffered d = 0
+      && not (Frame.mid_frame d))
+
+let prop_frame_oversized_any_boundary =
+  QCheck2.Test.make ~name:"an oversized header poisons at any chunk boundary" ~count:300
+    QCheck2.Gen.(
+      triple
+        (list_size (int_range 0 6) (string_size ~gen:char (int_range 0 64)))
+        (int_range 65 100_000) gen_chunking)
+    (fun (payloads, announced, sizes) ->
+      let header = String.sub (Frame.encode (String.make announced 'x')) 0 4 in
+      let stream = String.concat "" (List.map Frame.encode payloads) ^ header ^ "trailing bytes" in
+      let d = Frame.create ~max_frame:64 () in
+      let events = feed_chunked d stream sizes in
+      events = List.map (fun p -> Frame.Frame p) payloads @ [ Frame.Oversized announced ]
+      && Frame.poisoned d
+      && Frame.buffered d = 0
+      && Frame.feed_string d (Frame.encode "ok") = [])
+
+(* The byte queue under the decoder and the server's output, against a
+   string model: appends of any size interleaved with consumes, so the
+   store both compacts in place and grows. *)
+let prop_bytebuf_model =
+  QCheck2.Test.make ~name:"byte queue matches a string model" ~count:300
+    QCheck2.Gen.(
+      list_size (int_range 1 60)
+        (oneof
+           [
+             map (fun s -> `Add s) (string_size ~gen:printable (int_range 0 90));
+             map (fun k -> `Consume k) nat;
+           ]))
+    (fun ops ->
+      let q = Bytebuf.create 16 in
+      let model = ref "" in
+      List.for_all
+        (fun op ->
+          (match op with
+          | `Add s ->
+            if String.length s mod 2 = 0 then Bytebuf.add_string q s
+            else Bytebuf.add_subbytes q (Bytes.of_string ("<" ^ s ^ ">")) 1 (String.length s);
+            model := !model ^ s
+          | `Consume k ->
+            let k = k mod (String.length !model + 1) in
+            Bytebuf.consume q k;
+            model := String.sub !model k (String.length !model - k));
+          Bytebuf.length q = String.length !model
+          && Bytebuf.sub_string q 0 (Bytebuf.length q) = !model)
+        ops)
+
+(* Seeded mutation fuzz over valid request frames: byte flips,
+   truncations and splices, applied to the frame bytes or to the spec
+   inside a submit, must never make an exception escape the decoder,
+   the wire vocabulary or elaboration. Refusals are fine. *)
+let fuzz_specs =
+  lazy
+    (Array.map
+       (fun f -> In_channel.with_open_bin ("../specs/" ^ f) In_channel.input_all)
+       [| "example1.exg"; "example2.exg"; "fig7.exg"; "two_bundles.exg"; "trustweb.exg" |])
+
+let fuzz_requests =
+  lazy
+    (Array.append
+       (Array.mapi (fun id spec -> Wire.Submit { id; spec }) (Lazy.force fuzz_specs))
+       [|
+         Wire.Hello { version = Wire.version };
+         Wire.Ping { id = 1 };
+         Wire.Metrics { id = 2 };
+         Wire.Stats { id = 3 };
+         Wire.Trace { id = 4 };
+       |])
+
+let request_frame r = Frame.encode (Wire.encode_request r)
+let fuzz_frames = lazy (Array.map request_frame (Lazy.force fuzz_requests))
+
+type mutation =
+  | Flips of (int * int) list  (** position (scaled to the length), xor mask *)
+  | Truncate of int
+  | Splice of int * int * int  (** donor, cut in this one, cut in the donor *)
+
+let gen_mutation =
+  QCheck2.Gen.(
+    oneof
+      [
+        map (fun fs -> Flips fs) (list_size (int_range 1 4) (pair nat (int_range 1 255)));
+        map (fun n -> Truncate n) nat;
+        map (fun (a, b, c) -> Splice (a, b, c)) (triple nat nat nat);
+      ])
+
+let mutate pool s = function
+  | Flips fs ->
+    if s = "" then s
+    else begin
+      let b = Bytes.of_string s in
+      List.iter
+        (fun (pos, mask) ->
+          let i = pos mod Bytes.length b in
+          Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor mask))
+        fs;
+      Bytes.to_string b
+    end
+  | Truncate n -> String.sub s 0 (n mod (String.length s + 1))
+  | Splice (donor, i, j) ->
+    let t = pool.(donor mod Array.length pool) in
+    let i = i mod (String.length s + 1) and j = j mod (String.length t + 1) in
+    String.sub s 0 i ^ String.sub t j (String.length t - j)
+
+(* Run every layer the daemon runs on a frame stream. *)
+let digest_frames stream =
+  List.iter
+    (function
+      | Frame.Oversized _ -> ()
+      | Frame.Frame payload -> (
+        match Wire.decode_request payload with
+        | Ok (Wire.Submit { spec; _ }) -> ignore (Trust_lang.Elaborate.from_string spec)
+        | Ok _ | Error _ -> ()))
+    (Frame.feed_string (Frame.create ()) stream)
+
+let prop_mutants_never_raise =
+  QCheck2.Test.make ~name:"mutated request frames never raise" ~count:10_000
+    QCheck2.Gen.(triple nat bool gen_mutation)
+    (fun (which, in_spec, m) ->
+      let reqs = Lazy.force fuzz_requests in
+      let k = which mod Array.length reqs in
+      match reqs.(k), in_spec with
+      | Wire.Submit { id; spec }, true ->
+        let spec = mutate (Lazy.force fuzz_specs) spec m in
+        ignore (Trust_lang.Elaborate.from_string spec);
+        digest_frames (request_frame (Wire.Submit { id; spec }));
+        true
+      | _ ->
+        let frames = Lazy.force fuzz_frames in
+        let stream = mutate frames frames.(k) m in
+        digest_frames stream;
+        (* the payload behind a truncated or spliced header, read as-is *)
+        if String.length stream >= 4 then
+          ignore (Wire.decode_request (String.sub stream 4 (String.length stream - 4)));
+        true)
 
 (* -- wire vocabulary -- *)
 
@@ -222,6 +395,36 @@ let with_server ?(config = Server.default) name f after =
      ignore (finally ());
      raise e);
   after (finally ())
+
+(* The client reads every response into the one buffer its connection
+   owns, so a submit round trip leaves the major heap alone: a per-read
+   64 KiB buffer would cost about 8,200 major words a submit. The
+   counters are this domain's; the server runs on its own. *)
+let test_client_allocation_budget () =
+  with_server "allocbudget"
+    (fun addr _stop ->
+      match Client.connect addr with
+      | Error e -> Alcotest.fail e
+      | Ok client ->
+        let submit id =
+          match Client.submit client ~id ~spec:good_spec with
+          | Ok (Wire.Result _) -> ()
+          | Ok _ -> Alcotest.fail "expected a result"
+          | Error e -> Alcotest.fail e
+        in
+        for id = 1 to 200 do
+          submit id
+        done;
+        let _, _, major0 = Gc.counters () in
+        for id = 201 to 1200 do
+          submit id
+        done;
+        let _, _, major1 = Gc.counters () in
+        Client.close client;
+        let per_submit = (major1 -. major0) /. 1000. in
+        if per_submit >= 64. then
+          Alcotest.failf "%.1f major words per submit (budget 64)" per_submit)
+    (fun stats -> check_int "every submission served" 1200 stats.Server.served)
 
 (* The socket file appears only once it accepts: the listener binds
    and listens on a temporary name and renames it into place. Whether
@@ -741,6 +944,16 @@ let () =
           Alcotest.test_case "ascii garbage is oversized" `Quick test_frame_ascii_garbage_is_oversized;
           Alcotest.test_case "empty payloads" `Quick test_frame_empty_and_bounds;
         ] );
+      ( "frame properties",
+        List.map
+          (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]))
+          [
+            prop_bytebuf_model;
+            prop_frame_any_chunking;
+            prop_frame_oversized_any_boundary;
+            prop_mutants_never_raise;
+          ]
+      );
       ( "wire",
         [
           Alcotest.test_case "request roundtrip" `Quick test_wire_request_roundtrip;
@@ -767,5 +980,6 @@ let () =
           Alcotest.test_case "tail trace matches sampled" `Quick test_server_tail_trace_matches_sampled;
           Alcotest.test_case "metrics answer is current" `Quick test_server_metrics_current;
           Alcotest.test_case "socket appears listening" `Quick test_server_socket_appears_listening;
+          Alcotest.test_case "client allocation budget" `Quick test_client_allocation_budget;
         ] );
     ]
