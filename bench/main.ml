@@ -952,6 +952,63 @@ let analyze_json () =
    anywhere), and the cache-hit minor-allocation budget the compiled
    path restores. *)
 
+(* Hit-path growth: the best [Hotpath.exec] (default config) of each
+   shape's cached plan at widths 64 .. 1024 (64 .. 512 under --quick),
+   in ms, over at least 5 runs and about 20 ms of them, so a
+   sub-millisecond point still sheds scheduler noise; with the
+   least-squares exponent of time against width on log-log axes. CI
+   gates the fan exponent of the quick curve; the 512 point is what
+   separates a quadratic hit path from a linear one there, since the
+   smaller ones are dominated by fixed costs and noise. *)
+let exec_curve () =
+  let sizes = if !quick then [ 64; 128; 256; 512 ] else [ 64; 128; 256; 512; 1024 ] in
+  let shapes =
+    [ ("chain", fun n -> Workload.Gen.chain ~brokers:n);
+      ("fan", fun n -> Workload.Gen.fan ~prices:(List.init n (fun i -> Asset.dollars (i + 1))));
+      ("bundle", fun n -> Workload.Gen.bundle ~docs:n) ]
+  in
+  let exec_ms plan =
+    let run () =
+      let t0 = Unix.gettimeofday () in
+      ignore (Sys.opaque_identity (Trust_sim.Hotpath.exec plan));
+      (Unix.gettimeofday () -. t0, ())
+    in
+    (* every point starts from a compacted heap, so the state an
+       earlier, larger plan left does not leak into its timing *)
+    Gc.compact ();
+    let runs = max 5 (min 1000 (int_of_float (0.02 /. fst (run ())))) in
+    fst (best_of runs run) *. 1e3
+  in
+  let exponent points =
+    let xs = List.map (fun (n, _) -> log (float_of_int n)) points
+    and ys = List.map (fun (_, ms) -> log ms) points in
+    let mean l = List.fold_left ( +. ) 0. l /. float_of_int (List.length l) in
+    let mx = mean xs and my = mean ys in
+    let sxy = List.fold_left2 (fun acc x y -> acc +. ((x -. mx) *. (y -. my))) 0. xs ys in
+    let sxx = List.fold_left (fun acc x -> acc +. ((x -. mx) *. (x -. mx))) 0. xs in
+    sxy /. sxx
+  in
+  let curve (shape, make) =
+    let points =
+      List.map
+        (fun n ->
+          match Cache.fresh Cache.default_policy (make n) with
+          | Ok { Cache.compiled = Some plan; _ } -> (n, exec_ms plan)
+          | Ok _ -> fail "hotpath bench: %s%d has no compiled plan" shape n
+          | Error e -> fail "hotpath bench: %s%d: %s" shape n e)
+        sizes
+    in
+    Json.Obj
+      [ ("shape", Json.Str shape);
+        ( "points",
+          Json.Arr
+            (List.map
+               (fun (n, ms) -> Json.Obj [ ("n", int n); ("exec_ms", num "%.3f" ms) ])
+               points) );
+        ("exponent", num "%.2f" (exponent points)) ]
+  in
+  Json.Arr (List.map curve shapes)
+
 let hotpath_json () =
   let sessions = if !quick then 200 else 1000 in
   let drop_rate = 0.02 in
@@ -1010,7 +1067,8 @@ let hotpath_json () =
       ("compiled", path comp1 comp4 words_comp);
       ("speedup_jobs1", num "%.2f" (ratio (fst comp1) (fst interp1)));
       ("alloc_reduction", num "%.1f" (ratio words_interp words_comp));
-      ("digests_match", Json.Bool (all_equal (List.map snd [ interp1; interp4; comp1; comp4 ]))) ]
+      ("digests_match", Json.Bool (all_equal (List.map snd [ interp1; interp4; comp1; comp4 ])));
+      ("exec_curve", exec_curve ()) ]
 
 (* Trace-mining feedback loop, end to end at the scheduler layer (the
    daemon wires the identical pieces behind --mine-every): a

@@ -906,75 +906,63 @@ let trace_decode_cmd =
   let module Client = Trust_daemon.Client in
   let run file connect timeout format out =
     let format = trace_format_or_die format in
-    let dump =
-      match (connect, file) with
-      | Some _, Some _ ->
-        prerr_endline "trustseq: trace-decode takes a dump FILE or --connect, not both";
-        exit 2
-      | None, None ->
-        prerr_endline "trustseq: trace-decode needs a dump FILE or --connect ADDR";
-        exit 2
-      | Some addr, None -> (
-        match Client.connect ~timeout addr with
-        | Error e ->
-          prerr_endline ("trustseq: " ^ e);
-          exit 2
-        | Ok client ->
-          let dump = Client.trace client ~id:1 in
-          Client.close client;
-          (match dump with
-          | Ok dump -> dump
-          | Error e ->
-            prerr_endline ("trustseq: " ^ e);
-            exit 2))
-      | None, Some "-" -> In_channel.input_all stdin
-      | None, Some path -> (
-        try In_channel.with_open_bin path In_channel.input_all
-        with Sys_error m ->
-          prerr_endline ("trustseq: " ^ m);
-          exit 2)
-    in
-    match Ring.decode dump with
-    | Error m ->
+    let die m =
       prerr_endline ("trustseq: " ^ m);
       exit 2
-    | Ok (sessions, stats) ->
-      land_output out (Ring.export ~producer:("trustseq " ^ version) format sessions);
-      (* the keep tally is the operator's first question — why is each
-         of these sessions here? — so it rides on stderr with the rest
-         of the annotations *)
-      let tally = Hashtbl.create 8 in
-      List.iter
-        (fun (s : Ring.session) ->
-          let k = Ring.keep_label s.Ring.s_keep in
-          Hashtbl.replace tally k (1 + Option.value ~default:0 (Hashtbl.find_opt tally k)))
-        sessions;
-      let kept =
-        String.concat ", "
-          (List.filter_map
-             (fun k ->
-               Option.map (Printf.sprintf "%s %d" k) (Hashtbl.find_opt tally k))
-             [ "sampled"; "violation"; "retry"; "expiry"; "lint" ])
-      in
-      let drop_ratio =
-        if stats.Ring.d_written = 0 then 0.
-        else float_of_int stats.Ring.d_dropped /. float_of_int stats.Ring.d_written
-      in
+    in
+    let decode dump = match Ring.decode dump with Ok d -> d | Error m -> die m in
+    let sessions, stats =
+      match (connect, file) with
+      | Some _, Some _ -> die "trace-decode takes a dump FILE or --connect, not both"
+      | None, None -> die "trace-decode needs a dump FILE or --connect ADDR"
+      | Some addr, None -> (
+        match Client.connect ~timeout addr with
+        | Error e -> die e
+        | Ok client ->
+          (* one answer carries what fits a frame: drain until empty *)
+          let decoded = Client.trace_sessions client in
+          Client.close client;
+          (match decoded with Ok d -> d | Error e -> die e))
+      | None, Some "-" -> decode (In_channel.input_all stdin)
+      | None, Some path -> (
+        try decode (In_channel.with_open_bin path In_channel.input_all) with Sys_error m -> die m)
+    in
+    land_output out (Ring.export ~producer:("trustseq " ^ version) format sessions);
+    (* the keep tally is the operator's first question — why is each
+       of these sessions here? — so it rides on stderr with the rest
+       of the annotations *)
+    let tally = Hashtbl.create 8 in
+    List.iter
+      (fun (s : Ring.session) ->
+        let k = Ring.keep_label s.Ring.s_keep in
+        Hashtbl.replace tally k (1 + Option.value ~default:0 (Hashtbl.find_opt tally k)))
+      sessions;
+    let kept =
+      String.concat ", "
+        (List.filter_map
+           (fun k ->
+             Option.map (Printf.sprintf "%s %d" k) (Hashtbl.find_opt tally k))
+           [ "sampled"; "violation"; "retry"; "expiry"; "lint" ])
+    in
+    let drop_ratio =
+      if stats.Ring.d_written = 0 then 0.
+      else float_of_int stats.Ring.d_dropped /. float_of_int stats.Ring.d_written
+    in
+    Printf.eprintf
+      "trace-decode: %d sessions (%s) from %d shards, %d records written, %d dropped (%.1f%% drop ratio)\n"
+      stats.Ring.d_sessions
+      (if kept = "" then "none kept" else kept)
+      stats.Ring.d_shards stats.Ring.d_written stats.Ring.d_dropped (100. *. drop_ratio);
+    (* ring pressure is otherwise invisible: eviction on wrap is
+       silent by design, so say explicitly when the
+       newest-complete-suffix decode had to discard wrapped sessions
+       (grow --trace-ring or lower --trace-sample if this matters) *)
+    if stats.Ring.d_skipped > 0 then
       Printf.eprintf
-        "trace-decode: %d sessions (%s) from %d shards, %d records written, %d dropped (%.1f%% drop ratio)\n"
-        stats.Ring.d_sessions
-        (if kept = "" then "none kept" else kept)
-        stats.Ring.d_shards stats.Ring.d_written stats.Ring.d_dropped (100. *. drop_ratio);
-      (* ring pressure is otherwise invisible: eviction on wrap is
-         silent by design, so say explicitly when the
-         newest-complete-suffix decode had to discard wrapped sessions
-         (grow --trace-ring or lower --trace-sample if this matters) *)
-      if stats.Ring.d_skipped > 0 then
-        Printf.eprintf
-          "trace-decode: warning: %d wrapped session%s discarded (ring evicted their oldest records); consider a larger ring or a lower sample rate\n"
-          stats.Ring.d_skipped
-          (if stats.Ring.d_skipped = 1 then "" else "s");
-      0
+        "trace-decode: warning: %d wrapped session%s discarded (ring evicted their oldest records); consider a larger ring or a lower sample rate\n"
+        stats.Ring.d_skipped
+        (if stats.Ring.d_skipped = 1 then "" else "s");
+    0
   in
   let file =
     Arg.(
@@ -1064,9 +1052,9 @@ let mine_cmd =
         match Client.connect ~timeout addr with
         | Error e -> die e
         | Ok client ->
-          let dump = Client.trace client ~id:1 in
+          let decoded = Client.trace_sessions client in
           Client.close client;
-          (match dump with Ok dump -> of_dump dump | Error e -> die e))
+          (match decoded with Ok (sessions, _) -> Mine.of_sessions sessions | Error e -> die e))
       | None, None, Some path -> (
         match Analysis.of_jsonl (read_bin path) with
         | Error m -> die m

@@ -11,6 +11,11 @@
    - each party's script as a flat (condition id, action id) array,
      escrow automata as per-deal slot tables, persona duties as
      per-deal id triples;
+   - the listener table: per action, the roles whose state observing
+     it can change, so a lockstep delivery wakes only those; each
+     (role, action) entry is a subscription slot the waiting steps
+     carry, and per-role flag offsets and per-(name, document)
+     holdings size the rest of the runtime's scratch;
    - initial endowments, per-deal expiry times, and the §5 audit and
      exposure lookup tables (send/receive candidates per commitment,
      per-asset prices, single-transfer bounds).
@@ -25,7 +30,11 @@
 
 open Exchange
 
-type step = { cond : int;  (** action id to wait for; [-1] fires immediately *) act : int }
+type step = {
+  cond : int;  (** action id to wait for; [-1] fires immediately *)
+  slot : int;  (** subscription slot of (this role, [cond]); [-1] with [cond] *)
+  act : int;
+}
 
 type deal_slot = {
   sl_deal : int;  (** index into the spec's deal list *)
@@ -71,7 +80,7 @@ type commit_check = {
 
 type judge =
   | Judge_principal of { party : int; checks : commit_check array; extraneous : int array }
-  | Judge_trusted of int
+  | Judge_trusted of { party : int; flows : int array }
   | Judge_override of int
 
 type t = {
@@ -96,15 +105,23 @@ type t = {
   act_beneficiary : int array;
   act_undo : int array;  (** id of the [Undo] counterpart of a [Do], [-1] *)
   act_deal : int array;  (** owning deal index for trace attribution, [-1] none *)
+  act_label : string array Atomic.t;  (** [Action.to_string] per action, on first use *)
   deal_ids : string array;  (** spec order *)
   docs : string array;
   n_docs : int;
   (* behaviours, [Protocol.role_table] order *)
   roles : (int * role) array;  (** (party index, role) *)
   behavior_of : int array;  (** party index -> roles index, [-1] *)
+  lst_off : int array;  (** per action: its listeners are [lst_role.(lst_off.(a) ..)] *)
+  lst_role : int array;  (** listener roles, role order per action; index = slot *)
+  flag_off : int array;  (** per role: first automaton flag; [n_roles] ends *)
   (* engine scaffolding *)
   endow_balance : int array;  (** per name index *)
-  endow_docs : int array array;  (** per name index, per doc id *)
+  hold_off : int array;  (** per name index: its document holdings, doc order *)
+  hold_doc : int array;  (** per holding: document id *)
+  endow_holds : int array;  (** per holding: initial count *)
+  act_src_hold : int array;  (** per document action: debited holding, else [-1] *)
+  act_dst_hold : int array;  (** per document action: credited holding, else [-1] *)
   expiries : (int * int) array;  (** (deal index, expiry tick), spec order *)
   (* audit *)
   judged : judge array;
@@ -136,6 +153,21 @@ let owning_deal spec =
   | Action.Notify _ -> -1
   | Action.Do tr | Action.Undo tr ->
     Option.value ~default:(-1) (Hashtbl.find_opt first tr.Action.asset)
+
+(* Rendering every label at compile time would make each cache miss
+   pay for strings only a traced emission reads, so the table is filled
+   on first use. Domains racing to fill it render the same strings, and
+   either array may win. *)
+let label t a =
+  let labels =
+    match Atomic.get t.act_label with
+    | [||] ->
+      let labels = Array.map Action.to_string t.actions in
+      Atomic.set t.act_label labels;
+      labels
+    | labels -> labels
+  in
+  labels.(a)
 
 let party_index t party =
   let n = Array.length t.parties in
@@ -183,13 +215,14 @@ let compile ~lockstep ~shared ?plan ~price spec protocol =
         ignore (party_id informed));
       i
   in
+  (* slots are assigned once the listener table exists *)
   let step_of (s : Protocol.scripted_step) =
     let cond =
       match s.Protocol.condition with
       | Protocol.Now -> -1
       | Protocol.Observed a -> act_id a
     in
-    { cond; act = act_id s.Protocol.action }
+    { cond; slot = -1; act = act_id s.Protocol.action }
   in
   let offers = match plan with Some p -> p.Indemnity.offers | None -> [] in
   let deposit_actions = match plan with Some p -> Indemnity.deposits p | None -> [] in
@@ -347,6 +380,8 @@ let compile ~lockstep ~shared ?plan ~price spec protocol =
   (* audit candidates bucketed by party: every [Do] it sends, and every
      money [Do] it receives *)
   let sends_of = Array.make n_parties [] and paid_to = Array.make n_parties [] in
+  (* every transfer into or out of a party: a trusted judge's flows *)
+  let flows_of = Array.make n_parties [] in
   Array.iteri
     (fun i action ->
       match action with
@@ -365,6 +400,8 @@ let compile ~lockstep ~shared ?plan ~price spec protocol =
         (match tr.Action.asset with
         | Asset.Document d -> act_doc.(i) <- doc_id d
         | Asset.Money m -> act_amount.(i) <- m);
+        flows_of.(debit) <- i :: flows_of.(debit);
+        if credit <> debit then flows_of.(credit) <- i :: flows_of.(credit);
         if is_do then begin
           sends_of.(source) <- i :: sends_of.(source);
           if act_doc.(i) < 0 then paid_to.(target) <- i :: paid_to.(target)
@@ -394,7 +431,8 @@ let compile ~lockstep ~shared ?plan ~price spec protocol =
          (fun (party, checks) ->
            let pi = party_id party in
            if Spec.acceptability_overrides spec party <> None then Judge_override pi
-           else if Party.is_trusted party then Judge_trusted pi
+           else if Party.is_trusted party then
+             Judge_trusted { party = pi; flows = Array.of_list (List.rev flows_of.(pi)) }
            else
              let check (send, recv, split, amount) =
                let covers a = act_amount.(a) >= amount in
@@ -421,34 +459,131 @@ let compile ~lockstep ~shared ?plan ~price spec protocol =
       let i = Hashtbl.find act_tbl (Action.Do (Indemnity.deposit_transfer o)) in
       deposit_expect.(i) <- deposit_expect.(i) + 1)
     offers;
+  (* -- listener table: the roles whose state observing action [a] can
+     change — a step waiting on [a], a persona duty whose incoming
+     transfer is [a], an escrow [a] credits. One pass counts, one
+     fills; each role visits only its own steps and credits. -- *)
+  let n_roles = Array.length roles in
+  let credited = Array.make n_parties [] in
+  for a = n_actions - 1 downto 0 do
+    if act_kind.(a) = 0 then credited.(act_credit.(a)) <- a :: credited.(act_credit.(a))
+  done;
+  let iter_listened r f =
+    let pi, role = roles.(r) in
+    let wait st = if st.cond >= 0 then f st.cond in
+    match role with
+    | Script { steps; persona } ->
+      Array.iter wait steps;
+      Array.iter (fun pd -> f pd.pc_incoming) persona
+    | Escrow e ->
+      Array.iter wait e.es_notifies;
+      List.iter f credited.(pi)
+  in
+  (* [mark.(a) = r]: role [r] already listens to [a] *)
+  let mark = Array.make n_actions (-1) in
+  let once r f a =
+    if mark.(a) <> r then begin
+      mark.(a) <- r;
+      f a
+    end
+  in
+  let lst_off = Array.make (n_actions + 1) 0 in
+  for r = 0 to n_roles - 1 do
+    iter_listened r (once r (fun a -> lst_off.(a + 1) <- lst_off.(a + 1) + 1))
+  done;
+  for a = 0 to n_actions - 1 do
+    lst_off.(a + 1) <- lst_off.(a + 1) + lst_off.(a)
+  done;
+  let lst_role = Array.make lst_off.(n_actions) 0 in
+  let next = Array.sub lst_off 0 n_actions and slot_of = Array.make n_actions (-1) in
+  Array.fill mark 0 n_actions (-1);
+  let roles =
+    Array.mapi
+      (fun r (pi, role) ->
+        iter_listened r
+          (once r (fun a ->
+               slot_of.(a) <- next.(a);
+               lst_role.(next.(a)) <- r;
+               next.(a) <- next.(a) + 1));
+        let slotted st = if st.cond < 0 then st else { st with slot = slot_of.(st.cond) } in
+        match role with
+        | Script { steps; persona } -> (pi, Script { steps = Array.map slotted steps; persona })
+        | Escrow e -> (pi, Escrow { e with es_notifies = Array.map slotted e.es_notifies }))
+      roles
+  in
+  (* -- automaton flags: persona deals two each; escrow deal slots four,
+     deposits two -- *)
+  let flag_off = Array.make (n_roles + 1) 0 in
+  Array.iteri
+    (fun r (_, role) ->
+      let n =
+        match role with
+        | Script { persona; _ } -> 2 * Array.length persona
+        | Escrow e -> (4 * Array.length e.es_deals) + (2 * Array.length e.es_deposits)
+      in
+      flag_off.(r + 1) <- flag_off.(r) + n)
+    roles;
   (* -- behaviours index -- *)
   let behavior_of = Array.make n_parties (-1) in
   Array.iteri (fun i (p, _) -> behavior_of.(p) <- i) roles;
-  (* -- endowments (Engine.initial_endowment, per behaviour party) -- *)
+  (* -- endowments (Engine.initial_endowment, per behaviour party); a
+     later role sharing a name replaces the earlier one's holdings -- *)
   let endow_balance = Array.make n_names 0 in
-  let endow_docs = Array.init n_names (fun _ -> Array.make n_docs 0) in
+  let endow_docs = Array.make n_names [] in
   let initial_money = ref 0 and initial_docs = ref 0 in
   Array.iter
     (fun (pi, _) ->
       let party = parties.(pi) in
       let name = name_of.(pi) in
       endow_balance.(name) <- 0;
-      Array.fill endow_docs.(name) 0 n_docs 0;
+      endow_docs.(name) <- [];
       List.iter
         (function
           | Asset.Money m -> endow_balance.(name) <- endow_balance.(name) + m
           | Asset.Document doc ->
-            let di = doc_id doc in
-            endow_docs.(name).(di) <- endow_docs.(name).(di) + 1)
+            endow_docs.(name) <- doc_id doc :: endow_docs.(name);
+            incr initial_docs)
         (Spec.endowment spec party);
       List.iter
         (fun (o : Indemnity.offer) ->
           if Party.equal o.Indemnity.offered_by party then
             endow_balance.(name) <- endow_balance.(name) + o.Indemnity.amount)
         offers;
-      initial_money := !initial_money + endow_balance.(name);
-      initial_docs := Array.fold_left ( + ) !initial_docs endow_docs.(name))
+      initial_money := !initial_money + endow_balance.(name))
     roles;
+  (* -- document holdings: the (name, document) pairs an endowment or a
+     transfer can fill, numbered by name then document -- *)
+  let hold_key name d = (name * n_docs) + d in
+  let keys = ref [] in
+  Array.iteri (fun name ds -> List.iter (fun d -> keys := hold_key name d :: !keys) ds) endow_docs;
+  for a = 0 to n_actions - 1 do
+    let d = act_doc.(a) in
+    if d >= 0 then
+      keys := hold_key name_of.(act_debit.(a)) d :: hold_key name_of.(act_credit.(a)) d :: !keys
+  done;
+  let keys = Array.of_list (List.sort_uniq Int.compare !keys) in
+  let hold_tbl = Hashtbl.create (Array.length keys) in
+  Array.iteri (fun h k -> Hashtbl.replace hold_tbl k h) keys;
+  let hold_doc = Array.map (fun k -> k mod n_docs) keys in
+  let hold_off = Array.make (n_names + 1) 0 in
+  Array.iter (fun k -> hold_off.((k / n_docs) + 1) <- hold_off.((k / n_docs) + 1) + 1) keys;
+  for name = 0 to n_names - 1 do
+    hold_off.(name + 1) <- hold_off.(name + 1) + hold_off.(name)
+  done;
+  let endow_holds = Array.make (Array.length keys) 0 in
+  Array.iteri
+    (fun name ds ->
+      List.iter
+        (fun d ->
+          let h = Hashtbl.find hold_tbl (hold_key name d) in
+          endow_holds.(h) <- endow_holds.(h) + 1)
+        ds)
+    endow_docs;
+  let act_hold party =
+    Array.init n_actions (fun a ->
+        if act_doc.(a) < 0 then -1
+        else Hashtbl.find hold_tbl (hold_key name_of.(party.(a)) act_doc.(a)))
+  in
   (* -- deadlines, bounds -- *)
   let expiries = ref [] in
   Array.iteri
@@ -476,13 +611,21 @@ let compile ~lockstep ~shared ?plan ~price spec protocol =
     act_beneficiary;
     act_undo;
     act_deal = Array.map (owning_deal spec) actions;
+    act_label = Atomic.make [||];
     deal_ids = Array.map (fun d -> d.Spec.id) deals;
     docs;
     n_docs;
     roles;
     behavior_of;
+    lst_off;
+    lst_role;
+    flag_off;
     endow_balance;
-    endow_docs;
+    hold_off;
+    hold_doc;
+    endow_holds;
+    act_src_hold = act_hold act_debit;
+    act_dst_hold = act_hold act_credit;
     expiries = Array.of_list (List.rev !expiries);
     judged;
     initial_money = !initial_money;

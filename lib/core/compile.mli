@@ -15,6 +15,10 @@ open Exchange
 
 type step = {
   cond : int;  (** action id to wait for; [-1] means fire immediately *)
+  slot : int;
+      (** the subscription slot of (this role, [cond]): the index of
+          this role in [cond]'s listener range of [lst_role]; [-1] when
+          [cond] is *)
   act : int;
 }
 
@@ -75,7 +79,9 @@ type judge =
           (** every [Do] it sends outside its own sides (a §6 deposit, a
               bounce); each one delivered must also be undone *)
     }
-  | Judge_trusted of int  (** judged a clean conduit: net flows zero *)
+  | Judge_trusted of { party : int; flows : int array }
+      (** judged a clean conduit: net flows zero over [flows], every
+          [Do] and [Undo] into or out of the party *)
   | Judge_override of int
       (** a party with an acceptability override: judged by
           {!Exchange.Outcomes} against the override over the delivered
@@ -104,13 +110,42 @@ type t = {
   act_deal : int array;
       (** owning deal index ({!owning_deal}), [-1] none — the traced
           runtime's event attribution, without a per-event scan *)
+  act_label : string array Atomic.t;
+      (** [Action.to_string] of each action, rendered once per plan for
+          every traced event that names it; empty until the first
+          {!label} *)
   deal_ids : string array;  (** spec order *)
   docs : string array;
   n_docs : int;
   roles : (int * role) array;  (** (party index, role), behaviour order *)
   behavior_of : int array;  (** party index -> roles index, [-1] *)
+  lst_off : int array;
+      (** the listener table, flat: the roles observing action [a] can
+          change are [lst_role.(k)] for [lst_off.(a) <= k < lst_off.(a+1)],
+          in role order — a script with a step waiting on [a], a persona
+          duty whose incoming transfer is [a], an escrow [a] (a [Do])
+          credits or whose notification waits on [a]. [n_actions + 1]
+          entries. *)
+  lst_role : int array;
+      (** listener role ids; an entry's index is the subscription slot
+          of its (role, action) pair, so observation state is sized by
+          the subscriptions, not by roles × actions *)
+  flag_off : int array;
+      (** per role: the first of its automaton flags (persona deals two
+          each, escrow deal slots four, deposits two); [n_roles + 1]
+          entries, the last the total *)
   endow_balance : int array;  (** per name index *)
-  endow_docs : int array array;  (** per name index, per doc id *)
+  hold_off : int array;
+      (** document holdings, the (name, document) pairs an endowment or
+          a transfer can fill: name [n]'s are [hold_off.(n) ..
+          hold_off.(n+1) - 1], in document order. [n_names + 1]
+          entries. *)
+  hold_doc : int array;  (** per holding: document id *)
+  endow_holds : int array;  (** per holding: documents held initially *)
+  act_src_hold : int array;
+      (** per action: the holding a document transfer debits, [-1] for
+          money and notifications *)
+  act_dst_hold : int array;  (** per action: the holding it credits, [-1] *)
   expiries : (int * int) array;  (** (deal index, expiry tick), spec order *)
   judged : judge array;
   initial_money : int;
@@ -148,6 +183,10 @@ val owning_deal : Spec.t -> Action.t -> int
     whose commitments sends or expects the transferred asset; [-1] for
     notifications and unattributable transfers. [owning_deal spec]
     tables the deals once; apply the result per action. *)
+
+val label : t -> int -> string
+(** [Action.to_string] of action [a], from the plan's label table,
+    which the first call fills. Safe from any domain. *)
 
 val party_index : t -> Party.t -> int
 (** Index of a party in [parties], [-1] if unknown to the plan. *)

@@ -85,6 +85,12 @@ let trace t ~id =
   | Ok (Wire.Refused { reason; _ }) -> Error ("refused: " ^ reason)
   | Ok _ -> Error "trace: unexpected response"
 
+let trace_sessions t =
+  let id = ref 0 in
+  Trust_obs.Ring.collect (fun () ->
+      incr id;
+      trace t ~id:!id)
+
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
 let connect ?(timeout = 10.) addr =

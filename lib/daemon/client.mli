@@ -25,6 +25,13 @@ val submit : t -> id:int -> spec:string -> (Wire.response, string) result
 val trace : t -> id:int -> (string, string) result
 (** [request] with a [Trace], unwrapping the [text]/["ring"] frame and
     its base64 transport: the raw binary ring dump accumulated since
-    the previous drain, ready for {!Trust_obs.Ring.decode}. *)
+    the previous drain, ready for {!Trust_obs.Ring.decode}. One answer
+    carries what fits one frame; {!trace_sessions} drains the rest. *)
+
+val trace_sessions :
+  t -> (Trust_obs.Ring.session list * Trust_obs.Ring.stats, string) result
+(** Drain the daemon's ring whole: {!trace} requests (ids 1, 2, ...)
+    until an answer carries no record, decoded as one by
+    {!Trust_obs.Ring.collect}. *)
 
 val close : t -> unit

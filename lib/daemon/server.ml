@@ -369,6 +369,10 @@ let snapshot ?(drained = false) srv =
     drained;
   }
 
+(* The largest dump whose base64 [trace] answer, in its [text] frame,
+   still fits a client's default frame bound. *)
+let ring_answer_max = (Frame.default_max - 256) / 4 * 3
+
 let handle_request srv conn = function
   | Wire.Hello { version } ->
     if conn.greeted then protocol_error srv conn "duplicate hello"
@@ -390,7 +394,11 @@ let handle_request srv conn = function
     (* drain semantics: each trace request returns the records kept
        since the previous one, base64ed over the ordinary text frame;
        with the ring disabled the reply is a valid zero-shard dump *)
-    let dump = match srv.ring with Some ring -> Ring.drain ring | None -> Ring.empty_dump in
+    let dump =
+      match srv.ring with
+      | Some ring -> Ring.drain ~max_bytes:ring_answer_max ring
+      | None -> Ring.empty_dump
+    in
     send conn (Wire.Text { id; kind = "ring"; text = B64.encode dump })
   | Wire.Submit { id; spec } ->
     if not (Admission.try_push srv.pending (conn, id, spec)) then begin

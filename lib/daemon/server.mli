@@ -121,7 +121,10 @@ val run : ?stop:bool Atomic.t -> ?metrics:Trust_serve.Metrics.t -> config -> sta
 (** Serve until [stop] is set (an internal atomic nobody sets, i.e.
     forever, when omitted). Creates a fresh metrics registry when none
     is given, and registers every daemon and scheduler family in it at
-    startup (so an idle snapshot lists them at zero).
+    startup (so an idle snapshot lists them at zero). A [trace]
+    answer carries the ring's oldest whole sessions that fit one
+    default-size frame after base64, and leaves the rest for the next
+    one.
     @raise Invalid_argument when no listener is configured. *)
 
 val stats_json : stats -> string

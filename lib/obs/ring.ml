@@ -353,28 +353,92 @@ let buf_varint b v =
   in
   go v
 
-let linearize ~consume t =
+(* The tag of the record at monotone offset [off]. *)
+let tag_at s off =
+  let _, hdr = read_varint_at s off in
+  Char.code (Bytes.unsafe_get s.buf ((off + hdr) mod s.cap))
+
+let record_end s off =
+  let len, hdr = read_varint_at s off in
+  off + hdr + len
+
+(* The end of the longest prefix of [first, total) that closes on a
+   session's [end] record and spans at most [budget] bytes; [first]
+   when none does. *)
+let whole_sessions s budget =
+  let cut = ref s.first and off = ref s.first in
+  while !off < s.total && record_end s !off - s.first <= budget do
+    let stop = record_end s !off in
+    if tag_at s !off = tag_end then cut := stop;
+    off := stop
+  done;
+  !cut
+
+(* One past the first [end] record: the oldest session's extent. *)
+let first_session_end s =
+  let off = ref s.first and finished = ref false in
+  while (not !finished) && !off < s.total do
+    finished := tag_at s !off = tag_end;
+    off := record_end s !off
+  done;
+  !off
+
+(* Consume the oldest session, counting its records as dropped. *)
+let drop_first_session s =
+  let stop = first_session_end s in
+  while s.first < stop do
+    s.first <- record_end s s.first;
+    s.dropped <- s.dropped + 1
+  done
+
+(* a shard's header: three varints of at most 10 bytes each *)
+let shard_header_max = 30
+
+let linearize ?max_bytes ~consume t =
   let b = Buffer.create 4096 in
   Buffer.add_string b magic;
   buf_varint b (Array.length t.shards);
+  let budget =
+    match max_bytes with
+    | None -> None
+    | Some m -> Some (m - Buffer.length b - (shard_header_max * Array.length t.shards))
+  in
+  let room = ref (Option.value budget ~default:0) in
   Array.iter
     (fun s ->
       Mutex.protect s.lock @@ fun () ->
+      let stop =
+        match budget with
+        | None -> s.total
+        | Some full ->
+          (* whole sessions while they fit; a session larger than the
+             whole budget could never leave, so it is dropped instead of
+             blocking every later one *)
+          while
+            whole_sessions s !room = s.first
+            && s.first < s.total
+            && first_session_end s - s.first > full
+          do
+            drop_first_session s
+          done;
+          whole_sessions s !room
+      in
       buf_varint b s.written;
       buf_varint b s.dropped;
-      let live = s.total - s.first in
+      let live = stop - s.first in
       buf_varint b live;
       (* the live region, split where it wraps *)
       let off = s.first mod s.cap in
       let first = min live (s.cap - off) in
       Buffer.add_subbytes b s.buf off first;
       Buffer.add_subbytes b s.buf 0 (live - first);
-      if consume then s.first <- s.total)
+      room := !room - live;
+      if consume then s.first <- stop)
     t.shards;
   Buffer.contents b
 
 let dump t = linearize ~consume:false t
-let drain t = linearize ~consume:true t
+let drain ?max_bytes t = linearize ?max_bytes ~consume:true t
 
 let empty_dump = magic ^ "\x00"
 
@@ -557,6 +621,26 @@ let decode dump =
           d_skipped = !skipped;
         } )
   with Corrupt m -> Error m
+
+let collect next =
+  (* a dump carrying only the tail of a session whose begin was evicted
+     decodes to no session but one skipped; it is not the last *)
+  let rec go decodes =
+    match Result.bind (next ()) decode with
+    | Error _ as e -> e
+    | Ok (([], st) as last) when st.d_skipped = 0 -> Ok (last :: decodes, st)
+    | Ok decode -> go (decode :: decodes)
+  in
+  Result.map
+    (fun (decodes, last) ->
+      let sessions = List.concat_map fst decodes in
+      ( List.sort (fun a b -> compare a.s_id b.s_id) sessions,
+        {
+          last with
+          d_sessions = List.length sessions;
+          d_skipped = List.fold_left (fun acc (_, st) -> acc + st.d_skipped) 0 decodes;
+        } ))
+    (go [])
 
 (* -- re-emission through the unchanged exporters -- *)
 

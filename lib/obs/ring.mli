@@ -79,10 +79,14 @@ val dump : t -> string
     shard its lifetime written/dropped counters and its records oldest
     first. Leaves the ring intact. *)
 
-val drain : t -> string
-(** {!dump}, then mark every shard's live region consumed (lifetime
-    counters are preserved). The daemon's [trace] wire request is a
-    drain: each frame returns only records committed since the last. *)
+val drain : ?max_bytes:int -> t -> string
+(** {!dump}, then mark what it carried consumed (lifetime counters are
+    preserved). The daemon's [trace] wire request is a drain: each
+    frame returns only records committed since the last. With
+    [max_bytes] the dump stays within that size: it carries each
+    shard's oldest whole sessions while they fit and leaves the rest
+    for the next drain. A session larger than the whole budget is
+    consumed as dropped, so it cannot block the ones behind it. *)
 
 val empty_dump : string
 (** A valid zero-shard dump — what a daemon with tracing disabled
@@ -114,6 +118,15 @@ val decode : string -> (session list * stats, string) result
     [begin] record was evicted on wrap are skipped whole; any torn or
     unparseable byte sequence is an [Error] (the writer never produces
     one). *)
+
+val collect : (unit -> (string, string) result) -> (session list * stats, string) result
+(** Drain one ring through successive bounded dumps: call [next] until
+    a dump carries no record, and decode them as one — every session
+    sorted by id, the skipped counts summed, the shard and lifetime
+    counters of the last. A dump that carries only the tail of a
+    session evicted on wrap decodes to no session but one skipped, and
+    draining goes on past it. The first [next] or decode error is the
+    result. *)
 
 val to_trace : session -> Obs.t
 (** Rebuild a live trace via {!Obs.of_views} — input for the analysis

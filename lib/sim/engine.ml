@@ -36,8 +36,8 @@ let initial_endowment spec ~deposits party =
 
 type event = Deliver of Action.t | Fire_expiry of string | Fire_deadline
 
-let deal_action_attrs ~deal ~at action =
-  let base = [ ("at", Obs.Int at); ("action", Obs.Str (Action.to_string action)) ] in
+let deal_action_attrs ~deal ~at label =
+  let base = [ ("at", Obs.Int at); ("action", Obs.Str label) ] in
   match deal with Some deal -> ("deal", Obs.Str deal) :: base | None -> base
 
 (* Best-effort deal attribution for trace events ([Compile.owning_deal]:
@@ -51,7 +51,7 @@ let action_attrs spec =
       | i when i < 0 -> None
       | i -> Some (List.nth spec.Spec.deals i).Spec.id
     in
-    deal_action_attrs ~deal ~at action
+    deal_action_attrs ~deal ~at (Action.to_string action)
 
 (* Asset flow of an action: (debited party, credited party, asset).
    Notifications carry nothing. *)

@@ -66,9 +66,11 @@ val run :
     nothing. *)
 
 val deal_action_attrs :
-  deal:string option -> at:int -> Action.t -> (string * Trust_obs.Obs.value) list
+  deal:string option -> at:int -> string -> (string * Trust_obs.Obs.value) list
 (** The attributes of an action-carrying trace event: [deal] (when
-    attributed), [at] and [action]. Shared with the compiled runtime's
-    traced mode so both render byte-identical events. *)
+    attributed), [at] and [action], given the action's
+    [Action.to_string] label. Shared with the compiled runtime's traced
+    mode, which reads the label from its plan, so both render
+    byte-identical events. *)
 
 val pp_result : Format.formatter -> result -> unit

@@ -12,6 +12,15 @@
    The behaviours remain the oracle and the replication of their
    automata is property-tested in test_hotpath.
 
+   A lockstep delivery wakes only the action's listeners
+   ([C.lst_off]/[C.lst_role], in role order, so event order matches the
+   broadcast); start, expiry and deadline events visit every role. The
+   scratch is sized by the plan's tables, never by their products: one
+   "observed" byte per subscription slot (a listener entry, which each
+   script step carries as [C.slot]), automaton flags at per-role
+   offsets ([C.flag_off]), document counts and custody per holding
+   ([C.hold_off]). So a reset and a run stay linear in the plan.
+
    The only per-run allocations are the exposure provenance lists
    (small, proportional to in-flight custody) and the returned summary;
    everything else lives in [scratch] under [Domain.DLS].
@@ -77,20 +86,19 @@ type scratch = {
   mutable h_len : int;
   mutable h_next : int;
   mutable pop_now : int;  (* time of the last popped event *)
-  (* holdings, keyed by name index *)
+  (* holdings: money by name index, documents by holding *)
   mutable balance : int array;
-  mutable doc_count : int array;  (* n_names * n_docs, row-major *)
+  mutable doc_count : int array;
   (* delivered-action set and chronological log *)
   mutable seen : Bytes.t;
   mutable log_at : int array;
   mutable log_act : int array;
   mutable log_len : int;
   (* behaviour state *)
-  mutable observed : Bytes.t;  (* n_roles * n_actions *)
+  mutable observed : Bytes.t;  (* per subscription slot *)
   mutable pos : int array;  (* script cursor per role *)
   mutable emitted : int array;  (* partial-defector spend per role *)
-  mutable flags : Bytes.t;  (* n_roles * flag_stride automaton bits *)
-  mutable flag_stride : int;
+  mutable flags : Bytes.t;  (* automaton bits, role r's from flag_off.(r) *)
   mutable defect_kind : Bytes.t;  (* 0 honest, 1 silent, 2 partial *)
   mutable defect_keep : int array;
   (* reaction buffer and parked actions *)
@@ -104,8 +112,9 @@ type scratch = {
   mutable events : int;
   (* exposure fold state *)
   mutable dep_left : int array;  (* per action id: unmatched deposit occurrences *)
-  mutable xdocs : (int * xentry) list array;  (* per name, FIFO oldest first *)
-  mutable xmoney : xentry list array;
+  mutable xdocs : xentry list array;  (* per holding, FIFO oldest first *)
+  mutable xmoney : xentry list array;  (* per name, FIFO: this front, then *)
+  mutable xmoney_back : xentry list array;  (* this back, newest first *)
   mutable released : int array;  (* per principal slot *)
   mutable received : int array;
   mutable escrowed : int array;
@@ -120,6 +129,9 @@ type scratch = {
   mutable s_dep : int array;
   mutable s_goods : int array;
   mutable has_sample : Bytes.t;
+  mutable dirty : Bytes.t;  (* principal slots touched since the last sample *)
+  mutable dirty_ps : int array;
+  mutable dirty_len : int;
   mutable flagged : Bytes.t;
   mutable honest : Bytes.t;
   mutable violations : int;
@@ -127,9 +139,8 @@ type scratch = {
   mutable peak_escrow : int array;
   mutable risk_since : int array;  (* first tick of the open risk window, -1 none *)
   mutable vio : int array;  (* [vio_stride] ints per violation *)
-  (* audit scratch: trusted-conduit net flows *)
-  mutable g_docs : int array;
-  mutable l_docs : int array;
+  (* audit scratch: a trusted conduit's net document flows, kept zero *)
+  mutable net_docs : int array;
   (* recording runs only: the engine event timeline, [ev_stride] ints
      per event — kind, tick, and two kind-specific operands *)
   mutable recording : bool;
@@ -155,7 +166,6 @@ let make_scratch () =
     pos = [||];
     emitted = [||];
     flags = Bytes.empty;
-    flag_stride = 1;
     defect_kind = Bytes.empty;
     defect_keep = [||];
     buf = Array.make 32 0;
@@ -169,6 +179,7 @@ let make_scratch () =
     dep_left = [||];
     xdocs = [||];
     xmoney = [||];
+    xmoney_back = [||];
     released = [||];
     received = [||];
     escrowed = [||];
@@ -183,14 +194,16 @@ let make_scratch () =
     s_dep = [||];
     s_goods = [||];
     has_sample = Bytes.empty;
+    dirty = Bytes.empty;
+    dirty_ps = Array.make 16 0;
+    dirty_len = 0;
     flagged = Bytes.empty;
     honest = Bytes.empty;
     violations = 0;
     peak_escrow = [||];
     risk_since = [||];
     vio = [||];
-    g_docs = [||];
-    l_docs = [||];
+    net_docs = [||];
     recording = false;
     ev = [||];
     ev_len = 0;
@@ -212,37 +225,30 @@ let extend_int a n =
 let grow_bytes b n =
   if Bytes.length b < n then Bytes.make (max n (2 * Bytes.length b)) '\000' else b
 
-(* Size the scratch for [p] and reset it to the run's initial state. *)
+(* Size the scratch for [p] and reset it to the run's initial state:
+   every buffer is sized by one plan table (names, holdings, actions,
+   subscriptions, roles, flags, principals), so a reset is linear in
+   the plan. *)
 let reset s (p : C.t) defectors =
-  let n_names = p.C.n_names and n_docs = p.C.n_docs and n_actions = p.C.n_actions in
+  let n_names = p.C.n_names and n_holds = Array.length p.C.endow_holds in
+  let n_actions = p.C.n_actions and n_subs = Array.length p.C.lst_role in
   let n_roles = Array.length p.C.roles and n_pr = p.C.n_principals in
+  let n_flags = p.C.flag_off.(n_roles) in
   s.balance <- grow_int s.balance n_names;
   Array.blit p.C.endow_balance 0 s.balance 0 n_names;
-  s.doc_count <- grow_int s.doc_count (n_names * n_docs);
-  for n = 0 to n_names - 1 do
-    Array.blit p.C.endow_docs.(n) 0 s.doc_count (n * n_docs) n_docs
-  done;
+  s.doc_count <- grow_int s.doc_count n_holds;
+  Array.blit p.C.endow_holds 0 s.doc_count 0 n_holds;
   s.seen <- grow_bytes s.seen n_actions;
   Bytes.fill s.seen 0 n_actions '\000';
   s.log_len <- 0;
-  s.observed <- grow_bytes s.observed (n_roles * n_actions);
-  Bytes.fill s.observed 0 (n_roles * n_actions) '\000';
+  s.observed <- grow_bytes s.observed n_subs;
+  Bytes.fill s.observed 0 n_subs '\000';
   s.pos <- grow_int s.pos n_roles;
   s.emitted <- grow_int s.emitted n_roles;
   Array.fill s.pos 0 n_roles 0;
   Array.fill s.emitted 0 n_roles 0;
-  let stride = ref 1 in
-  Array.iter
-    (fun (_, role) ->
-      match role with
-      | C.Script { persona; _ } -> stride := max !stride (2 * Array.length persona)
-      | C.Escrow e ->
-        stride :=
-          max !stride ((4 * Array.length e.C.es_deals) + (2 * Array.length e.C.es_deposits)))
-    p.C.roles;
-  s.flag_stride <- !stride;
-  s.flags <- grow_bytes s.flags (n_roles * !stride);
-  Bytes.fill s.flags 0 (n_roles * !stride) '\000';
+  s.flags <- grow_bytes s.flags n_flags;
+  Bytes.fill s.flags 0 n_flags '\000';
   s.defect_kind <- grow_bytes s.defect_kind n_roles;
   Bytes.fill s.defect_kind 0 n_roles '\000';
   s.defect_keep <- grow_int s.defect_keep n_roles;
@@ -255,13 +261,15 @@ let reset s (p : C.t) defectors =
   s.ev_len <- 0;
   s.dep_left <- grow_int s.dep_left n_actions;
   Array.blit p.C.deposit_expect 0 s.dep_left 0 n_actions;
-  if Array.length s.xdocs < n_names then begin
-    s.xdocs <- Array.make n_names [];
-    s.xmoney <- Array.make n_names []
+  if Array.length s.xdocs < n_holds then s.xdocs <- Array.make (max 16 n_holds) []
+  else Array.fill s.xdocs 0 n_holds [];
+  if Array.length s.xmoney < n_names then begin
+    s.xmoney <- Array.make n_names [];
+    s.xmoney_back <- Array.make n_names []
   end
   else begin
-    Array.fill s.xdocs 0 n_names [];
-    Array.fill s.xmoney 0 n_names []
+    Array.fill s.xmoney 0 n_names [];
+    Array.fill s.xmoney_back 0 n_names []
   end;
   s.released <- grow_int s.released n_pr;
   s.received <- grow_int s.received n_pr;
@@ -296,14 +304,15 @@ let reset s (p : C.t) defectors =
   Array.fill s.s_dep 0 n_pr 0;
   Array.fill s.s_goods 0 n_pr 0;
   s.has_sample <- grow_bytes s.has_sample n_pr;
+  s.dirty <- grow_bytes s.dirty n_pr;
   s.flagged <- grow_bytes s.flagged n_pr;
   s.honest <- grow_bytes s.honest n_pr;
   Bytes.fill s.has_sample 0 n_pr '\000';
+  Bytes.fill s.dirty 0 n_pr '\000';
+  s.dirty_len <- 0;
   Bytes.fill s.flagged 0 n_pr '\000';
   Bytes.fill s.honest 0 n_pr '\001';
   s.violations <- 0;
-  s.g_docs <- grow_int s.g_docs n_docs;
-  s.l_docs <- grow_int s.l_docs n_docs;
   List.iter
     (fun (party, d) ->
       let i = C.party_index p party in
@@ -437,22 +446,21 @@ let pend_push s party act =
    Each replicates its [Behavior] counterpart exactly: same matching
    order, same state bits, same emission order. Reactions are pushed
    into [buf]; [observe] performs them afterwards, like the engine
-   performing a reaction list. *)
-
-let obs_base (p : C.t) r = r * p.C.n_actions
+   performing a reaction list. An incoming observation carries its
+   subscription [slot] (-1 when the role does not listen to the
+   action): a step's condition holds once its slot's bit is set. *)
 
 (* Script.fire: advance past every consecutively-satisfied step, emit
    the first [limit] (partial defectors keep a budget; everything an
    advance skips past is lost, exactly like Behavior.partial). *)
-let fire_steps s (p : C.t) r (steps : C.step array) limit =
-  let base = obs_base p r in
+let fire_steps s r (steps : C.step array) limit =
   let len = Array.length steps in
   let i = ref s.pos.(r) in
   let n = ref 0 in
   let continue = ref true in
   while !continue && !i < len do
     let st = steps.(!i) in
-    if st.C.cond < 0 || Bytes.get s.observed (base + st.C.cond) <> '\000' then begin
+    if st.C.cond < 0 || Bytes.get s.observed st.C.slot <> '\000' then begin
       if !n < limit then begin
         buf_push s st.C.act;
         incr n
@@ -466,20 +474,22 @@ let fire_steps s (p : C.t) r (steps : C.step array) limit =
 
 (* observation kinds: 0 Start, 1 Incoming act, 2 Expired deal, 3 Deadline *)
 
+let note s slot = if slot >= 0 then Bytes.set s.observed slot '\001'
+
 let script_react s (p : C.t) r (steps : C.step array) (persona : C.persona_deal array) kind
-    payload =
+    payload slot =
   match Bytes.get s.defect_kind r with
   | '\001' -> () (* silent: no note, no fire *)
   | '\002' ->
     (* partial: observe, then fire under the remaining budget *)
-    if kind = 1 then Bytes.set s.observed (obs_base p r + payload) '\001';
+    if kind = 1 then note s slot;
     if kind <= 1 then begin
       let budget = max 0 (s.defect_keep.(r) - s.emitted.(r)) in
-      let n = fire_steps s p r steps budget in
+      let n = fire_steps s r steps budget in
       s.emitted.(r) <- s.emitted.(r) + n
     end
   | _ ->
-    let fbase = r * s.flag_stride in
+    let fbase = p.C.flag_off.(r) in
     let np = Array.length persona in
     (* persona duties: note the counterparty's deposit before reacting *)
     if kind = 1 then begin
@@ -488,11 +498,11 @@ let script_react s (p : C.t) r (steps : C.step array) (persona : C.persona_deal 
           if persona.(k).C.pc_incoming = payload then
             Bytes.set s.flags (fbase + (2 * k)) '\001'
         done;
-      Bytes.set s.observed (obs_base p r + payload) '\001'
+      note s slot
     end;
     if kind <= 1 then begin
       let start = s.buf_len in
-      let _ = fire_steps s p r steps max_int in
+      let _ = fire_steps s r steps max_int in
       (* note_outgoing: my own counterpart transfer completes the deal *)
       if np > 0 then
         for j = start to s.buf_len - 1 do
@@ -514,11 +524,11 @@ let script_react s (p : C.t) r (steps : C.step array) (persona : C.persona_deal 
         end
       done
 
-(* escrow flag layout per role: deal slot i at 4i (got_left, got_right,
-   completed, closed); deposit j at 4*|deals| + 2j (received, settled) *)
+(* escrow flag layout from the role's [fbase]: deal slot i at 4i
+   (got_left, got_right, completed, closed); deposit j at 4*|deals| + 2j
+   (received, settled) *)
 
-let escrow_complete s r (e : C.escrow) i =
-  let fbase = r * s.flag_stride in
+let escrow_complete s fbase (e : C.escrow) i =
   Bytes.set s.flags (fbase + (4 * i) + 2) '\001';
   Array.iter (fun a -> buf_push s a) e.C.es_deals.(i).C.sl_forwards;
   let deal = e.C.es_deals.(i).C.sl_deal in
@@ -534,8 +544,7 @@ let escrow_complete s r (e : C.escrow) i =
       end)
     e.C.es_deposits
 
-let escrow_on_incoming s (p : C.t) r (e : C.escrow) payload =
-  let fbase = r * s.flag_stride in
+let escrow_on_incoming s (p : C.t) fbase (e : C.escrow) payload =
   let nd = Array.length e.C.es_deals in
   (* first open slot, Left side before Right (Escrow.match_deal_side) *)
   let found = ref (-1) in
@@ -565,10 +574,10 @@ let escrow_on_incoming s (p : C.t) r (e : C.escrow) payload =
       done;
       if !all then
         for k = 0 to nd - 1 do
-          if Bytes.get s.flags (fbase + (4 * k) + 2) = '\000' then escrow_complete s r e k
+          if Bytes.get s.flags (fbase + (4 * k) + 2) = '\000' then escrow_complete s fbase e k
         done
     end
-    else if ready slot && Bytes.get s.flags (b + 2) = '\000' then escrow_complete s r e slot
+    else if ready slot && Bytes.get s.flags (b + 2) = '\000' then escrow_complete s fbase e slot
   end
   else begin
     (* a §6 deposit, or something to bounce back *)
@@ -587,8 +596,7 @@ let escrow_on_incoming s (p : C.t) r (e : C.escrow) payload =
     else buf_push s p.C.act_undo.(payload)
   end
 
-let escrow_close s r (e : C.escrow) i =
-  let fbase = r * s.flag_stride in
+let escrow_close s fbase (e : C.escrow) i =
   let b = fbase + (4 * i) in
   let was_done = Bytes.get s.flags (b + 2) <> '\000' || Bytes.get s.flags (b + 3) <> '\000' in
   Bytes.set s.flags (b + 3) '\001';
@@ -598,8 +606,7 @@ let escrow_close s r (e : C.escrow) i =
   end
 
 (* §6 settlement of one held deposit (marks it settled) *)
-let escrow_settle_dep s r (e : C.escrow) j =
-  let fbase = r * s.flag_stride in
+let escrow_settle_dep s fbase (e : C.escrow) j =
   let nd = Array.length e.C.es_deals in
   let dbase = fbase + (4 * nd) in
   let dp = e.C.es_deposits.(j) in
@@ -619,39 +626,39 @@ let escrow_settle_dep s r (e : C.escrow) j =
   if owner_paid && not piece_completed then buf_push s dp.C.dp_forfeit
   else buf_push s dp.C.dp_back
 
-let escrow_react s (p : C.t) r pi (e : C.escrow) kind payload =
+let escrow_react s (p : C.t) r pi (e : C.escrow) kind payload slot =
   (* the notify script notes the observation first *)
-  if kind = 1 then Bytes.set s.observed (obs_base p r + payload) '\001';
-  let fbase = r * s.flag_stride in
+  if kind = 1 then note s slot;
+  let fbase = p.C.flag_off.(r) in
   let nd = Array.length e.C.es_deals in
   let dbase = fbase + (4 * nd) in
   (match kind with
   | 1 ->
     if p.C.act_kind.(payload) = 0 && p.C.act_credit.(payload) = pi then
-      escrow_on_incoming s p r e payload
+      escrow_on_incoming s p fbase e payload
   | 2 ->
     for i = 0 to nd - 1 do
-      if e.C.es_deals.(i).C.sl_deal = payload then escrow_close s r e i
+      if e.C.es_deals.(i).C.sl_deal = payload then escrow_close s fbase e i
     done;
     Array.iteri
       (fun j (dp : C.deposit_slot) ->
         if Bytes.get s.flags (dbase + (2 * j) + 1) = '\000'
            && Bytes.get s.flags (dbase + (2 * j)) <> '\000'
            && dp.C.dp_deal = payload
-        then escrow_settle_dep s r e j)
+        then escrow_settle_dep s fbase e j)
       e.C.es_deposits
   | 3 ->
     for i = 0 to nd - 1 do
-      escrow_close s r e i
+      escrow_close s fbase e i
     done;
     Array.iteri
       (fun j (_ : C.deposit_slot) ->
         if Bytes.get s.flags (dbase + (2 * j) + 1) = '\000'
            && Bytes.get s.flags (dbase + (2 * j)) <> '\000'
-        then escrow_settle_dep s r e j)
+        then escrow_settle_dep s fbase e j)
       e.C.es_deposits
   | _ -> ());
-  if kind <= 1 then ignore (fire_steps s p r e.C.es_notifies max_int)
+  if kind <= 1 then ignore (fire_steps s r e.C.es_notifies max_int)
 
 (* -- the engine loop (Engine.run over scratch) -- *)
 
@@ -664,12 +671,11 @@ let perform s (p : C.t) config now party a =
   end
   else begin
     let name = p.C.name_of.(p.C.act_debit.(a)) in
-    let di = p.C.act_doc.(a) in
+    let h = p.C.act_src_hold.(a) in
     let ok =
-      if di >= 0 then begin
-        let idx = (name * p.C.n_docs) + di in
-        if s.doc_count.(idx) > 0 then begin
-          s.doc_count.(idx) <- s.doc_count.(idx) - 1;
+      if h >= 0 then begin
+        if s.doc_count.(h) > 0 then begin
+          s.doc_count.(h) <- s.doc_count.(h) - 1;
           true
         end
         else false
@@ -690,10 +696,7 @@ let perform s (p : C.t) config now party a =
       if lost then begin
         trace_event s ev_drop now a seq;
         (* lost in transit: the courier returns it to the sender *)
-        if di >= 0 then begin
-          let idx = (name * p.C.n_docs) + di in
-          s.doc_count.(idx) <- s.doc_count.(idx) + 1
-        end
+        if h >= 0 then s.doc_count.(h) <- s.doc_count.(h) + 1
         else s.balance.(name) <- s.balance.(name) + p.C.act_amount.(a)
       end
       else heap_push s (now + config.latency) a
@@ -729,23 +732,34 @@ let retry_pending s (p : C.t) config now credit =
     done
   end
 
-let observe s (p : C.t) config now r kind payload =
+let observe s (p : C.t) config now r kind payload slot =
   s.buf_len <- 0;
   let pi, role = p.C.roles.(r) in
   (match role with
-  | C.Script { steps; persona } -> script_react s p r steps persona kind payload
-  | C.Escrow e -> escrow_react s p r pi e kind payload);
+  | C.Script { steps; persona } -> script_react s p r steps persona kind payload slot
+  | C.Escrow e -> escrow_react s p r pi e kind payload slot);
   for j = 0 to s.buf_len - 1 do
     perform s p config now pi s.buf.(j)
   done
 
+(* The slot of (role [r], action [a]) in [a]'s listener range, -1 when
+   [r] does not listen to [a]. *)
+let slot_of (p : C.t) r a =
+  let k = ref p.C.lst_off.(a) and stop = p.C.lst_off.(a + 1) in
+  while !k < stop && p.C.lst_role.(!k) <> r do
+    incr k
+  done;
+  if !k < stop then !k else -1
+
 (* payload encoding on the heap: [0, n_actions) deliver that action;
-   n_actions + k fires deal k's expiry; n_actions + n_deals the deadline *)
+   n_actions + k fires deal k's expiry; n_actions + n_deals the deadline.
+   A lockstep delivery wakes the action's listeners, in role order: any
+   other role would note nothing and fire nothing. *)
 let execute s (p : C.t) config defectors =
   reset s p defectors;
   let n_roles = Array.length p.C.roles in
   for r = 0 to n_roles - 1 do
-    observe s p config 0 r 0 (-1)
+    observe s p config 0 r 0 (-1) (-1)
   done;
   Array.iter (fun (di, tick) -> heap_push s tick (p.C.n_actions + di)) p.C.expiries;
   heap_push s config.deadline (p.C.n_actions + p.C.n_deals);
@@ -765,7 +779,7 @@ let execute s (p : C.t) config defectors =
           if kind = 3 then trace_event s ev_deadline now 0 0
           else trace_event s ev_expire now payload 0;
           for r = 0 to n_roles - 1 do
-            observe s p config now r kind payload
+            observe s p config now r kind payload (-1)
           done
         end
         else begin
@@ -776,32 +790,46 @@ let execute s (p : C.t) config defectors =
           if p.C.act_kind.(a) <> 2 then begin
             let credit = p.C.act_credit.(a) in
             let name = p.C.name_of.(credit) in
-            let di = p.C.act_doc.(a) in
-            if di >= 0 then begin
-              let idx = (name * p.C.n_docs) + di in
-              s.doc_count.(idx) <- s.doc_count.(idx) + 1
-            end
+            let h = p.C.act_dst_hold.(a) in
+            if h >= 0 then s.doc_count.(h) <- s.doc_count.(h) + 1
             else s.balance.(name) <- s.balance.(name) + p.C.act_amount.(a);
             retry_pending s p config now credit
           end;
           if p.C.lockstep then
-            for r = 0 to n_roles - 1 do
-              observe s p config now r 1 a
+            for k = p.C.lst_off.(a) to p.C.lst_off.(a + 1) - 1 do
+              observe s p config now p.C.lst_role.(k) 1 a k
             done
           else begin
             let r = p.C.behavior_of.(p.C.act_beneficiary.(a)) in
-            if r >= 0 then observe s p config now r 1 a
+            if r >= 0 then observe s p config now r 1 a (slot_of p r a)
           end
         end
       end
     end
   done
 
-(* -- exposure fold (Exposure.of_result over the scratch log) -- *)
+(* -- exposure fold (Exposure.of_result over the scratch log) --
+
+   Custody provenance is kept per document holding and, for money, per
+   name as a two-list FIFO (a front, and a back newest first), so
+   appending a custody entry and draining the oldest are O(1). A
+   principal slot a delivery touches is marked dirty; [sample_tick]
+   samples only the dirty slots, in slot order, since an untouched slot
+   cannot have changed. *)
 
 let pslot (p : C.t) i = p.C.pslot_of_name.(p.C.name_of.(i))
 
+let touch s ps =
+  if Bytes.get s.dirty ps = '\000' then begin
+    Bytes.set s.dirty ps '\001';
+    if s.dirty_len = Array.length s.dirty_ps then
+      s.dirty_ps <- extend_int s.dirty_ps (s.dirty_len + 1);
+    s.dirty_ps.(s.dirty_len) <- ps;
+    s.dirty_len <- s.dirty_len + 1
+  end
+
 let contribute s ps cls v is_doc =
+  touch s ps;
   (match cls with
   | 0 -> s.escrowed.(ps) <- s.escrowed.(ps) + v
   | 1 -> s.released.(ps) <- s.released.(ps) + v
@@ -809,6 +837,7 @@ let contribute s ps cls v is_doc =
   if is_doc then s.goods.(ps) <- s.goods.(ps) + 1
 
 let uncontribute s ps cls v is_doc =
+  touch s ps;
   (match cls with
   | 0 -> s.escrowed.(ps) <- s.escrowed.(ps) - v
   | 1 -> s.released.(ps) <- s.released.(ps) - v
@@ -819,30 +848,37 @@ let uncontribute s ps cls v is_doc =
 let release s ps cls v =
   match cls with
   | 0 ->
+    touch s ps;
     s.escrowed.(ps) <- s.escrowed.(ps) - v;
     s.released.(ps) <- s.released.(ps) + v
   | 2 ->
+    touch s ps;
     s.deposits.(ps) <- s.deposits.(ps) - v;
     s.released.(ps) <- s.released.(ps) + v
   | _ -> ()
 
-(* FIFO pick of a document: with a preferred contributor, their copy
-   first, then any copy (Exposure.consume on documents). *)
-let consume_doc s name di prefer =
+let receive s ps v =
+  touch s ps;
+  s.received.(ps) <- s.received.(ps) + v
+
+(* FIFO pick of a document from holding [h]: with a preferred
+   contributor, their copy first, then any copy (Exposure.consume on
+   documents). *)
+let consume_doc s h prefer =
   let rec pick want_contrib acc = function
     | [] -> None
-    | (n, (e : xentry)) :: rest when n = di && ((not want_contrib) || e.x_contrib = prefer) ->
+    | (e : xentry) :: rest when (not want_contrib) || e.x_contrib = prefer ->
       Some (e, List.rev_append acc rest)
     | x :: rest -> pick want_contrib (x :: acc) rest
   in
   let found =
-    match pick (prefer >= 0) [] s.xdocs.(name) with
+    match pick (prefer >= 0) [] s.xdocs.(h) with
     | Some _ as r -> r
-    | None -> if prefer >= 0 then pick false [] s.xdocs.(name) else None
+    | None -> if prefer >= 0 then pick false [] s.xdocs.(h) else None
   in
   match found with
   | Some (e, rest) ->
-    s.xdocs.(name) <- rest;
+    s.xdocs.(h) <- rest;
     Some e
   | None -> None
 
@@ -850,29 +886,34 @@ let consume_doc s name di prefer =
    moved to the front first, and that reordering persists. Returns the
    consumed (contributor, value, class) triples and the shortfall. *)
 let consume_money s name m prefer =
-  let queue =
-    if prefer < 0 then s.xmoney.(name)
-    else begin
-      let mine, others = List.partition (fun (e : xentry) -> e.x_contrib = prefer) s.xmoney.(name) in
-      mine @ others
-    end
-  in
-  let rec go taken need queue =
-    if need = 0 then (List.rev taken, 0, queue)
+  if prefer >= 0 then begin
+    let queue = s.xmoney.(name) @ List.rev s.xmoney_back.(name) in
+    let mine, others = List.partition (fun (e : xentry) -> e.x_contrib = prefer) queue in
+    s.xmoney.(name) <- mine @ others;
+    s.xmoney_back.(name) <- []
+  end;
+  let rec go taken need =
+    if need = 0 then (List.rev taken, 0)
     else
-      match queue with
-      | [] -> (List.rev taken, need, [])
+      match s.xmoney.(name) with
+      | [] -> (
+        match s.xmoney_back.(name) with
+        | [] -> (List.rev taken, need)
+        | back ->
+          s.xmoney.(name) <- List.rev back;
+          s.xmoney_back.(name) <- [];
+          go taken need)
       | (e : xentry) :: rest ->
-        if e.x_value <= need then
-          go ((e.x_contrib, e.x_value, e.x_cls) :: taken) (need - e.x_value) rest
+        if e.x_value <= need then begin
+          s.xmoney.(name) <- rest;
+          go ((e.x_contrib, e.x_value, e.x_cls) :: taken) (need - e.x_value)
+        end
         else begin
           e.x_value <- e.x_value - need;
-          (List.rev ((e.x_contrib, need, e.x_cls) :: taken), 0, e :: rest)
+          (List.rev ((e.x_contrib, need, e.x_cls) :: taken), 0)
         end
   in
-  let taken, shortfall, rest = go [] m queue in
-  s.xmoney.(name) <- rest;
-  (taken, shortfall)
+  go [] m
 
 (* forwarding held value re-classifies it (Protected <-> Exposed);
    deposits and unattributed value keep their class *)
@@ -883,9 +924,11 @@ let reclassify_move s (p : C.t) contrib v from_cls to_cls =
     else begin
       (match (from_cls, to_cls) with
       | 0, 1 ->
+        touch s ps;
         s.escrowed.(ps) <- s.escrowed.(ps) - v;
         s.released.(ps) <- s.released.(ps) + v
       | 1, 0 ->
+        touch s ps;
         s.released.(ps) <- s.released.(ps) - v;
         s.escrowed.(ps) <- s.escrowed.(ps) + v
       | _ -> ());
@@ -899,8 +942,8 @@ let apply_delivery s (p : C.t) a =
     let is_undo = p.C.act_kind.(a) = 1 in
     let src = p.C.act_debit.(a) and tgt = p.C.act_credit.(a) in
     let src_name = p.C.name_of.(src) and tgt_name = p.C.name_of.(tgt) in
-    let di = p.C.act_doc.(a) in
-    let is_doc = di >= 0 in
+    let src_hold = p.C.act_src_hold.(a) in
+    let is_doc = src_hold >= 0 in
     let deposit_deal =
       if (not is_undo) && s.dep_left.(a) > 0 then begin
         s.dep_left.(a) <- s.dep_left.(a) - 1;
@@ -910,13 +953,13 @@ let apply_delivery s (p : C.t) a =
     in
     let prefer = if is_undo then tgt else -1 in
     let src_had =
-      if is_doc then List.exists (fun (n, _) -> n = di) s.xdocs.(src_name)
-      else s.xmoney.(src_name) <> []
+      if is_doc then s.xdocs.(src_hold) <> []
+      else s.xmoney.(src_name) <> [] || s.xmoney_back.(src_name) <> []
     in
     let consumed, shortfall =
       if src_had then
         if is_doc then
-          match consume_doc s src_name di prefer with
+          match consume_doc s src_hold prefer with
           | Some e -> ([ (e.x_contrib, e.x_value, e.x_cls) ], 0)
           | None -> ([], 0)
         else consume_money s src_name p.C.act_amount.(a) prefer
@@ -944,9 +987,13 @@ let apply_delivery s (p : C.t) a =
         else []
       in
       let entries = moved @ own in
-      if is_doc then
-        s.xdocs.(tgt_name) <- s.xdocs.(tgt_name) @ List.map (fun e -> (di, e)) entries
-      else s.xmoney.(tgt_name) <- s.xmoney.(tgt_name) @ entries
+      if is_doc then begin
+        let h = p.C.act_dst_hold.(a) in
+        s.xdocs.(h) <- s.xdocs.(h) @ entries
+      end
+      else if s.xmoney.(tgt_name) = [] && s.xmoney_back.(tgt_name) = [] then
+        s.xmoney.(tgt_name) <- entries
+      else s.xmoney_back.(tgt_name) <- List.rev_append entries s.xmoney_back.(tgt_name)
     end
     else begin
       (* terminal transfer: consumed value reaches its destination *)
@@ -968,7 +1015,7 @@ let apply_delivery s (p : C.t) a =
       if ps_src >= 0 && sends_own then
         if is_undo then begin
           let v = if is_doc then p.C.price_src.(a) else own_value in
-          s.received.(ps_src) <- s.received.(ps_src) - v
+          receive s ps_src (-v)
         end
         else contribute s ps_src 1 own_value is_doc;
       let ps_tgt = pslot p tgt in
@@ -980,7 +1027,7 @@ let apply_delivery s (p : C.t) a =
         else begin
           let gross = if is_doc then p.C.price_tgt.(a) else p.C.act_amount.(a) in
           let v = gross - !self_returned in
-          if v <> 0 then s.received.(ps_tgt) <- s.received.(ps_tgt) + v
+          if v <> 0 then receive s ps_tgt v
         end
     end
   end
@@ -1001,45 +1048,78 @@ let count_violation s ps at kind amount =
   end;
   s.violations <- s.violations + 1
 
-let sample_tick s (p : C.t) at =
-  for ps = 0 to p.C.n_principals - 1 do
-    let risk =
-      let r = s.released.(ps) - s.received.(ps) in
-      if r > 0 then r else 0
-    in
-    let changed =
-      if Bytes.get s.has_sample ps = '\000' then
-        risk > 0 || s.escrowed.(ps) > 0 || s.deposits.(ps) > 0 || s.goods.(ps) > 0
-      else
-        risk <> s.s_risk.(ps)
-        || s.escrowed.(ps) <> s.s_escrow.(ps)
-        || s.deposits.(ps) <> s.s_dep.(ps)
-        || s.goods.(ps) <> s.s_goods.(ps)
-    in
-    if changed then begin
-      Bytes.set s.has_sample ps '\001';
-      s.s_risk.(ps) <- risk;
-      s.s_escrow.(ps) <- s.escrowed.(ps);
-      s.s_dep.(ps) <- s.deposits.(ps);
-      s.s_goods.(ps) <- s.goods.(ps);
-      if risk > s.peak_risk.(ps) then s.peak_risk.(ps) <- risk;
-      if s.prev_risk.(ps) > 0 then s.risk_ticks.(ps) <- s.risk_ticks.(ps) + (at - s.prev_at.(ps));
-      if s.recording then begin
-        if s.escrowed.(ps) > s.peak_escrow.(ps) then s.peak_escrow.(ps) <- s.escrowed.(ps);
-        if risk > 0 && s.risk_since.(ps) < 0 then s.risk_since.(ps) <- at;
-        if risk = 0 then s.risk_since.(ps) <- -1
-      end;
-      if risk > p.C.bound.(ps)
-         && Bytes.get s.honest ps <> '\000'
-         && Bytes.get s.flagged ps = '\000'
-      then begin
-        Bytes.set s.flagged ps '\001';
-        count_violation s ps at 0 risk
-      end;
-      s.prev_at.(ps) <- at;
-      s.prev_risk.(ps) <- risk
+let sample_slot s (p : C.t) at ps =
+  let risk =
+    let r = s.released.(ps) - s.received.(ps) in
+    if r > 0 then r else 0
+  in
+  let changed =
+    if Bytes.get s.has_sample ps = '\000' then
+      risk > 0 || s.escrowed.(ps) > 0 || s.deposits.(ps) > 0 || s.goods.(ps) > 0
+    else
+      risk <> s.s_risk.(ps)
+      || s.escrowed.(ps) <> s.s_escrow.(ps)
+      || s.deposits.(ps) <> s.s_dep.(ps)
+      || s.goods.(ps) <> s.s_goods.(ps)
+  in
+  if changed then begin
+    Bytes.set s.has_sample ps '\001';
+    s.s_risk.(ps) <- risk;
+    s.s_escrow.(ps) <- s.escrowed.(ps);
+    s.s_dep.(ps) <- s.deposits.(ps);
+    s.s_goods.(ps) <- s.goods.(ps);
+    if risk > s.peak_risk.(ps) then s.peak_risk.(ps) <- risk;
+    if s.prev_risk.(ps) > 0 then s.risk_ticks.(ps) <- s.risk_ticks.(ps) + (at - s.prev_at.(ps));
+    if s.recording then begin
+      if s.escrowed.(ps) > s.peak_escrow.(ps) then s.peak_escrow.(ps) <- s.escrowed.(ps);
+      if risk > 0 && s.risk_since.(ps) < 0 then s.risk_since.(ps) <- at;
+      if risk = 0 then s.risk_since.(ps) <- -1
+    end;
+    if risk > p.C.bound.(ps) && Bytes.get s.honest ps <> '\000' && Bytes.get s.flagged ps = '\000'
+    then begin
+      Bytes.set s.flagged ps '\001';
+      count_violation s ps at 0 risk
+    end;
+    s.prev_at.(ps) <- at;
+    s.prev_risk.(ps) <- risk
+  end
+
+(* sift [d.(root)] down the max-heap [d.(0 .. len - 1)] *)
+let rec sift_down (d : int array) root len =
+  let child = (2 * root) + 1 in
+  if child < len then begin
+    let child = if child + 1 < len && d.(child + 1) > d.(child) then child + 1 else child in
+    if d.(child) > d.(root) then begin
+      let x = d.(root) in
+      d.(root) <- d.(child);
+      d.(child) <- x;
+      sift_down d child len
     end
+  end
+
+(* the dirty slots in slot order, so violations log as a full sweep
+   over the principals would meet them: an in-place heap sort, so a
+   wide tick costs n log n and allocates nothing *)
+let sort_dirty s =
+  let d = s.dirty_ps and n = s.dirty_len in
+  for root = (n / 2) - 1 downto 0 do
+    sift_down d root n
+  done;
+  for last = n - 1 downto 1 do
+    let x = d.(0) in
+    d.(0) <- d.(last);
+    d.(last) <- x;
+    sift_down d 0 last
   done
+
+let sample_tick s (p : C.t) at =
+  sort_dirty s;
+  for i = 0 to s.dirty_len - 1 do
+    let ps = s.dirty_ps.(i) in
+    Bytes.set s.dirty ps '\000';
+    sample_slot s p at ps
+  done;
+  s.dirty_len <- 0
 
 let log_duration s =
   let duration = ref 0 in
@@ -1091,28 +1171,27 @@ let judge_preferred s (p : C.t) = function
     Array.for_all
       (fun (cc : C.commit_check) -> seen s cc.C.cc_send && Array.exists (seen s) cc.C.cc_recv)
       checks
-  | C.Judge_trusted pi ->
-    if Array.length s.g_docs < p.C.n_docs then begin
-      s.g_docs <- Array.make (max 16 p.C.n_docs) 0;
-      s.l_docs <- Array.make (max 16 p.C.n_docs) 0
-    end;
-    Array.fill s.g_docs 0 p.C.n_docs 0;
-    Array.fill s.l_docs 0 p.C.n_docs 0;
-    let gained = ref 0 and lost = ref 0 in
-    for a = 0 to p.C.n_actions - 1 do
-      if seen s a && p.C.act_kind.(a) <> 2 then begin
+  | C.Judge_trusted { party = pi; flows } ->
+    (* net flows over the party's own transfers; [net_docs] is zero
+       again once the second pass has read it *)
+    if Array.length s.net_docs < p.C.n_docs then s.net_docs <- Array.make (max 16 p.C.n_docs) 0;
+    let net = ref 0 in
+    for k = 0 to Array.length flows - 1 do
+      let a = flows.(k) in
+      if seen s a then begin
         let di = p.C.act_doc.(a) in
-        if p.C.act_credit.(a) = pi then
-          if di >= 0 then s.g_docs.(di) <- s.g_docs.(di) + 1
-          else gained := !gained + p.C.act_amount.(a);
-        if p.C.act_debit.(a) = pi then
-          if di >= 0 then s.l_docs.(di) <- s.l_docs.(di) + 1
-          else lost := !lost + p.C.act_amount.(a)
+        let d = Bool.to_int (p.C.act_credit.(a) = pi) - Bool.to_int (p.C.act_debit.(a) = pi) in
+        if di >= 0 then s.net_docs.(di) <- s.net_docs.(di) + d
+        else net := !net + (d * p.C.act_amount.(a))
       end
     done;
-    let ok = ref (!gained = !lost) in
-    for d = 0 to p.C.n_docs - 1 do
-      if s.g_docs.(d) <> s.l_docs.(d) then ok := false
+    let ok = ref (!net = 0) in
+    for k = 0 to Array.length flows - 1 do
+      let di = p.C.act_doc.(flows.(k)) in
+      if di >= 0 then begin
+        if s.net_docs.(di) <> 0 then ok := false;
+        s.net_docs.(di) <- 0
+      end
     done;
     !ok
   | C.Judge_override pi ->
@@ -1164,7 +1243,7 @@ let audit_report s (p : C.t) defectors (preferred : bool array) =
       | C.Judge_principal { party; checks; extraneous } ->
         let no_loss, acceptable = judge_principal s p checks extraneous in
         (party, no_loss, acceptable)
-      | C.Judge_trusted pi -> (pi, preferred.(i), preferred.(i))
+      | C.Judge_trusted { party = pi; _ } -> (pi, preferred.(i), preferred.(i))
       | C.Judge_override pi ->
         let no_loss, acceptable =
           Outcomes.assess p.C.spec ~party:p.C.parties.(pi) (delivered_state s p)
@@ -1185,8 +1264,8 @@ let audit_report s (p : C.t) defectors (preferred : bool array) =
     (fun (pi, _) ->
       let name = p.C.name_of.(pi) in
       money := !money + s.balance.(name);
-      for d = 0 to p.C.n_docs - 1 do
-        docs := !docs + s.doc_count.((name * p.C.n_docs) + d)
+      for h = p.C.hold_off.(name) to p.C.hold_off.(name + 1) - 1 do
+        docs := !docs + s.doc_count.(h)
       done)
     p.C.roles;
   Audit.of_verdicts
@@ -1206,9 +1285,9 @@ let materialize s (p : C.t) =
          (fun (pi, _) ->
            let name = p.C.name_of.(pi) in
            let bag = ref (Asset.Bag.add (Asset.money s.balance.(name)) Asset.Bag.empty) in
-           for d = 0 to p.C.n_docs - 1 do
-             for _ = 1 to s.doc_count.((name * p.C.n_docs) + d) do
-               bag := Asset.Bag.add (Asset.document p.C.docs.(d)) !bag
+           for h = p.C.hold_off.(name) to p.C.hold_off.(name + 1) - 1 do
+             for _ = 1 to s.doc_count.(h) do
+               bag := Asset.Bag.add (Asset.document p.C.docs.(p.C.hold_doc.(h))) !bag
              done
            done;
            (p.C.parties.(pi), !bag))
@@ -1293,7 +1372,7 @@ let emit_events c obs h =
     let d = p.C.act_deal.(a) in
     Engine.deal_action_attrs
       ~deal:(if d < 0 then None else Some p.C.deal_ids.(d))
-      ~at p.C.actions.(a)
+      ~at (C.label p a)
   in
   let party i = Obs.Str (Party.name p.C.parties.(i)) in
   for k = 0 to (Array.length ev / ev_stride) - 1 do

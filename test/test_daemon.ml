@@ -637,20 +637,19 @@ let test_server_epoch_aging_live () =
       check "the one-shot tail ages out" true (stats.Server.aged_out > 0);
       check "resident stays below served" true (stats.Server.cache_size < 10))
 
+(* The value of series [name] in a metrics answer. *)
+let sample name text =
+  let prefix = name ^ " " in
+  match List.find_opt (String.starts_with ~prefix) (String.split_on_char '\n' text) with
+  | Some line ->
+    float_of_string (String.sub line (String.length prefix) (String.length line - String.length prefix))
+  | None -> Alcotest.fail (name ^ " missing from the metrics answer")
+
 (* The metrics answer reads the cache and the ring when it renders, so
    it is current between epoch ticks: three distinct submissions show
    three resident entries, and whatever the ring kept shows as live
    bytes. *)
 let test_server_metrics_current () =
-  let sample name text =
-    let prefix = name ^ " " in
-    match
-      List.find_opt (String.starts_with ~prefix) (String.split_on_char '\n' text)
-    with
-    | Some line ->
-      float_of_string (String.sub line (String.length prefix) (String.length line - String.length prefix))
-    | None -> Alcotest.fail (name ^ " missing from the metrics answer")
-  in
   with_server "metricsnow"
     ~config:
       {
@@ -748,6 +747,57 @@ let test_server_trace_drain () =
           check "lifetime written counter survives the drain" true (stats.Ring.d_written > 0));
         Client.close client)
     (fun stats -> check_int "two submissions served" 2 stats.Server.served)
+
+(* A full ring drains over the wire. The base64 answer for a whole
+   default-size ring would outgrow a client frame, so each [trace]
+   answer carries the oldest whole sessions that fit and the client
+   repeats until an answer carries no record. Every answer must decode,
+   and together they must hold every session the wrapped ring kept: one
+   per submission, contiguous ids ending at the last. *)
+let test_server_drains_full_ring () =
+  with_server "fullring"
+    ~config:
+      {
+        Server.default with
+        Server.scheduler = { Server.default.Server.scheduler with Scheduler.sample_rate = 1.0 };
+      }
+    (fun addr _stop ->
+      match Client.connect addr with
+      | Error e -> Alcotest.fail e
+      | Ok client ->
+        (* a kept trace is recorded after its answer, before the daemon
+           reads the next request, so a metrics answer counts every
+           submission before it *)
+        let metrics () =
+          match Client.request client (Wire.Metrics { id = 0 }) with
+          | Ok (Wire.Text { kind = "metrics"; text; _ }) -> text
+          | Ok _ -> Alcotest.fail "expected a metrics text"
+          | Error e -> Alcotest.fail e
+        in
+        let submitted = ref 0 in
+        while sample "obs_ring_records_dropped_total" (metrics ()) = 0. do
+          for _ = 1 to 100 do
+            incr submitted;
+            match Client.submit client ~id:!submitted ~spec:good_spec with
+            | Ok (Wire.Result _) -> ()
+            | Ok _ -> Alcotest.fail "expected a result"
+            | Error e -> Alcotest.fail e
+          done
+        done;
+        check "one answer could not carry the full ring" true
+          (sample "obs_ring_bytes" (metrics ()) > float_of_int (Frame.default_max / 4 * 3));
+        (match Client.trace_sessions client with
+        | Error e -> Alcotest.fail e
+        | Ok (sessions, stats) ->
+          let ids = List.map (fun s -> s.Ring.s_id) sessions in
+          let n = List.length ids in
+          check "the wrap evicted the oldest sessions" true (n > 0 && n < !submitted);
+          check "contiguous ids ending at the last submission" true
+            (ids = List.init n (fun k -> !submitted - n + k));
+          check "at most the tail of one evicted session skipped" true (stats.Ring.d_skipped <= 1));
+        check "the drain left nothing" true (sample "obs_ring_bytes" (metrics ()) = 0.);
+        Client.close client)
+    (fun _ -> ())
 
 let test_server_trace_tail_promotion () =
   (* nothing head-sampled, but an impossible deadline expires every
@@ -974,6 +1024,7 @@ let () =
           Alcotest.test_case "drain with half frame" `Quick test_server_drain_with_half_frame;
           Alcotest.test_case "epoch aging live" `Quick test_server_epoch_aging_live;
           Alcotest.test_case "trace drains the ring" `Quick test_server_trace_drain;
+          Alcotest.test_case "full ring drains over the wire" `Quick test_server_drains_full_ring;
           Alcotest.test_case "tail promotion over the wire" `Quick test_server_trace_tail_promotion;
           Alcotest.test_case "trace with tracing off" `Quick test_server_trace_disabled_is_empty;
           Alcotest.test_case "keeps match the batch scheduler" `Quick test_server_keeps_match_batch;

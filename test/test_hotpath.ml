@@ -9,6 +9,10 @@
    defection batteries and tight deadlines, in both synthesis modes,
    with and without acceptability overrides.
 
+   Wide chains and bundles (up to 128) and fans (up to 64) run the same
+   comparison, and every compared plan's listener table is checked
+   against the pair-by-pair reference relation in [Ref_listeners].
+
    The allocation test pins the other half of the contract: a cache-hit
    session on the serve path stays within a fixed minor-heap budget. *)
 
@@ -20,6 +24,7 @@ module Engine = Trust_sim.Engine
 module Exposure = Trust_sim.Exposure
 module Audit = Trust_sim.Audit
 module Hotpath = Trust_sim.Hotpath
+module C = Trust_core.Compile
 module Cache = Trust_serve.Cache
 module Scheduler = Trust_serve.Scheduler
 module Session = Trust_serve.Session
@@ -202,7 +207,33 @@ let with_override k spec =
 (* Every principal silent in turn. *)
 let each_silent spec = List.map (fun p -> [ (p, Harness.Silent) ]) (Spec.principals spec)
 
-let check_spec ?(batteries = batteries) ~ctx policy spec =
+(* The listener table against the reference relation, with every
+   step's subscription slot pointing at its own role in its condition's
+   listener range. *)
+let check_listeners ~ctx (p : C.t) =
+  let table =
+    Array.init p.C.n_actions (fun a ->
+        Array.to_list (Array.sub p.C.lst_role p.C.lst_off.(a) (p.C.lst_off.(a + 1) - p.C.lst_off.(a))))
+  in
+  Alcotest.(check (array (list int))) (ctx ^ ": listener table") (Ref_listeners.listeners p) table;
+  Array.iteri
+    (fun r (_, role) ->
+      let steps = match role with C.Script { steps; _ } -> steps | C.Escrow e -> e.C.es_notifies in
+      Array.iter
+        (fun (st : C.step) ->
+          let c = st.C.cond and k = st.C.slot in
+          let ok =
+            if c < 0 then k = -1
+            else p.C.lst_off.(c) <= k && k < p.C.lst_off.(c + 1) && p.C.lst_role.(k) = r
+          in
+          if not ok then Alcotest.failf "%s: role %d step waiting on %d carries slot %d" ctx r c k)
+        steps)
+    p.C.roles
+
+let all_variants =
+  [ ("honest", None, 1000); ("drops", Some drop_every_third, 1000); ("tight", None, 7) ]
+
+let check_spec ?(batteries = batteries) ?(variants = all_variants) ~ctx policy spec =
   match Cache.fresh policy spec with
   | Error _ -> () (* infeasible and unrescued: nothing to execute *)
   | Ok entry ->
@@ -211,9 +242,7 @@ let check_spec ?(batteries = batteries) ~ctx policy spec =
       | Some plan -> plan
       | None -> Alcotest.failf "%s: entry missing its compiled plan" ctx
     in
-    let variants =
-      [ ("honest", None, 1000); ("drops", Some drop_every_third, 1000); ("tight", None, 7) ]
-    in
+    check_listeners ~ctx plan;
     List.iter
       (fun defectors ->
         List.iter
@@ -304,6 +333,37 @@ let test_worked_examples () =
        (Workload.Scenarios.fig7_sale_ref 2) interp.Engine.state
     = Outcomes.Indemnified)
 
+(* Wide shapes: the listener table matters most where a plan has many
+   roles, so the parity property also runs chains, fans and bundles 16
+   wide under the full battery, and chains and bundles 128 wide, fans
+   64 wide, honest — the interpreted reference takes seconds per policy
+   on a 128-wide fan. *)
+let wide_fan n = (Printf.sprintf "fan %d" n, Gen.fan ~prices:(List.init n (fun i -> Asset.dollars (i + 1))))
+
+let wide ~chain ~fan ~bundle =
+  [
+    (Printf.sprintf "chain %d" chain, Gen.chain ~brokers:chain);
+    wide_fan fan;
+    (Printf.sprintf "bundle %d" bundle, Gen.bundle ~docs:bundle);
+  ]
+
+let wide_shapes =
+  List.map (fun shape -> (shape, true)) (wide ~chain:16 ~fan:16 ~bundle:16)
+  @ List.map (fun shape -> (shape, false)) (wide ~chain:128 ~fan:64 ~bundle:128)
+
+let honest_only _ = [ [] ]
+
+let test_wide_shapes () =
+  List.iter
+    (fun ((label, spec), full) ->
+      List.iteri
+        (fun j policy ->
+          let ctx = Printf.sprintf "%s policy %d" label j in
+          if full then check_spec ~ctx policy spec
+          else check_spec ~batteries:honest_only ~variants:[ List.hd all_variants ] ~ctx policy spec)
+        policies)
+    wide_shapes
+
 (* Scratch buffers grow mid-run when a session outgrows them (heap,
    delivery log, reaction buffer, parked list); growth must keep what
    they already hold. A fresh domain starts from the smallest scratch,
@@ -384,6 +444,26 @@ let check_traced_case ~ctx cache ~id ~drop_rate ~defectors spec =
         (Trust_obs.Obs.export format [ hot_obs ]))
     [ Trust_obs.Obs.Jsonl; Trust_obs.Obs.Chrome ];
   (hot.Session.attempts > 0, has_event "expire" hot_obs)
+
+(* the wide shapes traced: 16 wide, the full battery with and without
+   drops; the wide fan, one honest lockstep session *)
+let test_traced_wide () =
+  let caches = List.map Cache.create policies in
+  let run ~id cache ~defectors ~drop_rate (label, spec) =
+    let ctx = Printf.sprintf "%s defectors=%d drop=%g" label (List.length defectors) drop_rate in
+    ignore (check_traced_case ~ctx cache ~id ~drop_rate ~defectors spec)
+  in
+  List.iteri
+    (fun id (label, spec) ->
+      List.iter
+        (fun cache ->
+          List.iter
+            (fun defectors ->
+              List.iter (fun drop_rate -> run ~id cache ~defectors ~drop_rate (label, spec)) [ 0.; 0.05 ])
+            (batteries spec))
+        caches)
+    (wide ~chain:16 ~fan:16 ~bundle:16);
+  run ~id:0 (List.hd caches) ~defectors:[] ~drop_rate:0. (wide_fan 64)
 
 let test_traced_parity () =
   let prng = Prng.create 0xC0FFEE_L in
@@ -484,6 +564,8 @@ let () =
           Alcotest.test_case "traced sessions" `Quick test_traced_parity;
           Alcotest.test_case "override batch" `Quick test_override_batch;
           Alcotest.test_case "scratch growth" `Quick test_growth_keeps_contents;
+          Alcotest.test_case "wide shapes" `Quick test_wide_shapes;
+          Alcotest.test_case "traced wide shapes" `Quick test_traced_wide;
         ] );
       ( "allocation",
         [ Alcotest.test_case "cache-hit budget" `Quick test_allocation_budget ] );

@@ -281,6 +281,90 @@ let test_drain_semantics () =
   check_int "empty dump decodes clean" 0 (List.length none);
   check_int "empty dump has no shards" 0 stats.Ring.d_shards
 
+(* Bounded drains: each dump stays within its budget and carries whole
+   sessions only, and draining until an answer is empty decodes what
+   one unbounded dump of the same (wrapped) ring does. A budget below
+   one session drops the sessions, counted, rather than stall. *)
+let wrapped_ring () =
+  let ring = Ring.create ~capacity:2048 () in
+  for i = 0 to 199 do
+    ignore (Ring.record ring ~keep:Ring.Sampled (small_trace i) : int)
+  done;
+  ring
+
+(* [Ring.collect] over bounded drains of [ring], checking that every
+   dump keeps within [budget]; the decode and the number of dumps. *)
+let collect_bounded ring budget =
+  let answers = ref 0 in
+  let next () =
+    let dump = Ring.drain ~max_bytes:budget ring in
+    check (Printf.sprintf "budget %d: dump fits" budget) true (String.length dump <= budget);
+    incr answers;
+    Ok dump
+  in
+  match Ring.collect next with
+  | Ok decode -> (decode, !answers)
+  | Error e -> Alcotest.fail ("ring decode failed: " ^ e)
+
+let test_bounded_drain () =
+  List.iter
+    (fun budget ->
+      let ring = wrapped_ring () in
+      let expected, expected_stats = decode_exn (Ring.dump ring) in
+      let (sessions, stats), answers = collect_bounded ring budget in
+      check (Printf.sprintf "budget %d: more than one answer" budget) true (answers > 2);
+      check_string
+        (Printf.sprintf "budget %d: same sessions" budget)
+        (Ring.export Obs.Jsonl expected) (Ring.export Obs.Jsonl sessions);
+      check (Printf.sprintf "budget %d: same stats" budget) true (expected_stats = stats);
+      check_int (Printf.sprintf "budget %d: drained" budget) 0 (Ring.bytes_resident ring))
+    [ 128; 200; 333; 1000 ];
+  let ring = wrapped_ring () in
+  let sessions, stats = decode_exn (Ring.drain ~max_bytes:48 ring) in
+  check_int "a budget below one session carries none" 0 (List.length sessions);
+  check_int "and drops every live record" stats.Ring.d_written stats.Ring.d_dropped;
+  check_int "leaving nothing behind" 0 (Ring.bytes_resident ring)
+
+(* After a wrap the oldest live records can be the tail of a session
+   whose begin was evicted. When that tail and the next whole session
+   do not fit one answer together, the first answer carries the tail
+   alone: it decodes to no session, and draining must go on past it. *)
+let test_bounded_drain_fragment () =
+  let wide i spans =
+    let obs = Obs.create ~session:i () in
+    Obs.with_span obs ~phase:"p" (Printf.sprintf "w%d" i) (fun root ->
+        for k = 1 to spans do
+          Obs.with_span obs ~parent:root ~phase:"p" (Printf.sprintf "c%d" k) (fun c ->
+              Obs.event obs c "tick")
+        done);
+    obs
+  in
+  let size spans =
+    let r = Ring.create ~capacity:65536 () in
+    ignore (Ring.record r ~keep:Ring.Sampled (wide 0 spans) : int);
+    Ring.bytes_resident r
+  in
+  let cap = 4096 in
+  let ring = Ring.create ~capacity:cap () in
+  ignore (Ring.record ring ~keep:Ring.Sampled (wide 0 120) : int);
+  ignore (Ring.record ring ~keep:Ring.Sampled (wide 1 60) : int);
+  check "the first session is more than half the ring" true (size 120 > cap / 2);
+  check "the second one evicted part of the first" true (Ring.records_dropped ring > 0);
+  let expected, expected_stats = decode_exn (Ring.dump ring) in
+  check "the dump holds the second session and the first's tail" true
+    (List.map (fun s -> s.Ring.s_id) expected = [ 1 ] && expected_stats.Ring.d_skipped = 1);
+  let whole = size 60 in
+  let tail = Ring.bytes_resident ring - whole in
+  (* room for either one past a dump's own header (at most 35 bytes
+     for one shard), not for both *)
+  let budget = max tail whole + 64 in
+  check "tail and session do not fit one answer" true (min tail whole > 64);
+  let (sessions, stats), answers = collect_bounded ring budget in
+  check_int "two answers carry records" 3 answers;
+  check_string "same sessions" (Ring.export Obs.Jsonl expected) (Ring.export Obs.Jsonl sessions);
+  check "same stats" true (expected_stats = stats);
+  check_int "drained" 0 (Ring.bytes_resident ring)
+
 let test_decode_rejects_garbage () =
   List.iter
     (fun bad ->
@@ -936,7 +1020,9 @@ let () =
           Alcotest.test_case "long string straddles the end" `Quick test_long_string_straddles_end;
           Alcotest.test_case "oversized session refused" `Quick test_oversized_session_refused_whole;
           Alcotest.test_case "drain semantics" `Quick test_drain_semantics;
+          Alcotest.test_case "bounded drains" `Quick test_bounded_drain;
           Alcotest.test_case "garbage rejected" `Quick test_decode_rejects_garbage;
+          Alcotest.test_case "bounded drain past a wrapped tail" `Quick test_bounded_drain_fragment;
         ] );
       ("tail rules", [ Alcotest.test_case "keep rules" `Quick test_tail_reason_rules ]);
       ( "service",
