@@ -901,6 +901,12 @@ let trace_diff_cmd =
 
 (* trace-decode *)
 
+(* shared by trace-decode and mine *)
+let connect_timeout_arg =
+  Arg.(
+    value & opt float 10.
+    & info [ "timeout" ] ~docv:"SECONDS" ~doc:"Receive timeout for --connect.")
+
 let trace_decode_cmd =
   let module Ring = Trust_obs.Ring in
   let module Client = Trust_daemon.Client in
@@ -982,11 +988,6 @@ let trace_decode_cmd =
              $(b,tcp:HOST:PORT), or a bare socket path. Each drain returns the records kept \
              since the previous one.")
   in
-  let timeout =
-    Arg.(
-      value & opt float 10.
-      & info [ "timeout" ] ~docv:"SECONDS" ~doc:"Receive timeout for --connect.")
-  in
   let out =
     Arg.(
       value & opt string "-"
@@ -1018,7 +1019,9 @@ let trace_decode_cmd =
   Cmd.v
     (Cmd.info "trace-decode" ~man
        ~doc:"Decode a binary trace-ring dump (file or live daemon) into any trace export format.")
-    Term.(const run $ file $ connect $ timeout $ trace_format_arg ~default:"jsonl" "the decoded trace" $ out)
+    Term.(
+      const run $ file $ connect $ connect_timeout_arg
+      $ trace_format_arg ~default:"jsonl" "the decoded trace" $ out)
 
 (* mine *)
 
@@ -1106,11 +1109,6 @@ let mine_cmd =
              daemon's --trace sink or $(b,trace-decode) output. The scoreboard is \
              byte-identical to mining the dump the JSONL was decoded from.")
   in
-  let timeout =
-    Arg.(
-      value & opt float 10.
-      & info [ "timeout" ] ~docv:"SECONDS" ~doc:"Receive timeout for --connect.")
-  in
   let json =
     Arg.(
       value & flag
@@ -1160,9 +1158,31 @@ let mine_cmd =
        ~doc:
          "Mine a trace-ring dump (file, live daemon, or JSONL export) into the per-shape \
           incident scoreboard that drives cache pinning and admission denial.")
-    Term.(const run $ file $ connect $ from_trace $ timeout $ json $ pin $ deny $ out)
+    Term.(
+      const run $ file $ connect $ from_trace $ connect_timeout_arg $ json $ pin $ deny $ out)
 
 (* batch *)
+
+(* shared by batch and serve *)
+let mode_arg =
+  Arg.(
+    value
+    & opt
+        (enum
+           [
+             ("lockstep", Trust_sim.Harness.Lockstep);
+             ("distributed", Trust_sim.Harness.Distributed);
+           ])
+        Trust_sim.Harness.Lockstep
+    & info [ "mode" ] ~docv:"MODE" ~doc:"Protocol mode: lockstep (paper-sound) or distributed.")
+
+let no_rescue_arg =
+  Arg.(value & flag & info [ "no-rescue" ] ~doc:"Do not rescue infeasible specs with indemnities.")
+
+let verify_cache_arg =
+  Arg.(
+    value & flag
+    & info [ "verify-cache" ] ~doc:"Re-synthesize on every cache hit and fail loudly on divergence.")
 
 let batch_cmd =
   let run sessions seed concurrency jobs mode density drop_rate defect_every no_rescue verify
@@ -1268,18 +1288,6 @@ let batch_cmd =
              metrics, makespan) is bit-for-bit identical at any value; only wall-clock time and \
              the serve_pool_* gauges change.")
   in
-  let mode =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("lockstep", Trust_sim.Harness.Lockstep);
-               ("distributed", Trust_sim.Harness.Distributed);
-             ])
-          Trust_sim.Harness.Lockstep
-      & info [ "mode" ] ~docv:"MODE" ~doc:"Protocol mode: lockstep (paper-sound) or distributed.")
-  in
   let density =
     Arg.(
       value
@@ -1297,15 +1305,6 @@ let batch_cmd =
       value
       & opt (some int) None
       & info [ "defect-every" ] ~docv:"N" ~doc:"Make every N-th session's first principal defect.")
-  in
-  let no_rescue =
-    Arg.(value & flag & info [ "no-rescue" ] ~doc:"Do not rescue infeasible specs with indemnities.")
-  in
-  let verify =
-    Arg.(
-      value & flag
-      & info [ "verify-cache" ]
-          ~doc:"Re-synthesize on every cache hit and fail loudly on divergence.")
   in
   let no_compiled =
     Arg.(
@@ -1379,8 +1378,8 @@ let batch_cmd =
          "Run a generated multi-session workload through the concurrent exchange service \
           (protocol cache + batch scheduler) and print a deterministic metrics report.")
     Term.(
-      const run $ sessions $ seed $ concurrency $ jobs $ mode $ density $ drop_rate $ defect_every
-      $ no_rescue $ verify $ no_compiled $ json $ out $ trace_out
+      const run $ sessions $ seed $ concurrency $ jobs $ mode_arg $ density $ drop_rate
+      $ defect_every $ no_rescue_arg $ verify_cache_arg $ no_compiled $ json $ out $ trace_out
       $ trace_format_arg ~default:"jsonl" "--trace" $ trace_sample $ trace_ring $ ring_out
       $ debug_gauges)
 
@@ -1536,27 +1535,6 @@ let serve_cmd =
   let latency =
     Arg.(value & opt int 1 & info [ "latency" ] ~docv:"TICKS" ~doc:"Engine delivery latency.")
   in
-  let mode =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("lockstep", Trust_sim.Harness.Lockstep);
-               ("distributed", Trust_sim.Harness.Distributed);
-             ])
-          Trust_sim.Harness.Lockstep
-      & info [ "mode" ] ~docv:"MODE" ~doc:"Protocol mode: lockstep (paper-sound) or distributed.")
-  in
-  let no_rescue =
-    Arg.(value & flag & info [ "no-rescue" ] ~doc:"Do not rescue infeasible specs with indemnities.")
-  in
-  let verify =
-    Arg.(
-      value & flag
-      & info [ "verify-cache" ]
-          ~doc:"Re-synthesize on every cache hit and fail loudly on divergence.")
-  in
   let metrics_out =
     Arg.(
       value
@@ -1685,7 +1663,7 @@ let serve_cmd =
           protocol cache, graceful drain.")
     Term.(
       const run $ socket $ tcp $ max_pending $ cache_capacity $ epoch_every $ max_idle $ deadline
-      $ latency $ mode $ no_rescue $ verify $ metrics_out $ trace_out $ trace_ring $ trace_sample
+      $ latency $ mode_arg $ no_rescue_arg $ verify_cache_arg $ metrics_out $ trace_out $ trace_ring $ trace_sample
       $ mine_every $ mine_pin $ mine_deny $ defect_every $ drop_rate)
 
 let submit_cmd =

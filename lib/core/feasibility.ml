@@ -8,10 +8,7 @@ type analysis = {
 }
 
 let analyze ?(shared = false) ?obs ?parent spec =
-  let reducer =
-    if shared then Reduce.run_shared ?obs ?parent else Reduce.run ?obs ?parent
-  in
-  let outcome = reducer (Sequencing.build ~granular:shared spec) in
+  let outcome = Reduce.run ~shared ?obs ?parent (Sequencing.build ~granular:shared spec) in
   let sequence = Result.to_option (Execution.of_outcome outcome) in
   { spec; shared; outcome; sequence }
 

@@ -47,21 +47,22 @@ let rule1_candidates g =
   in
   scan (n - 1) []
 
-(* Rule #3 (extension, see the interface): the edges of a bundle
-   conjunction that one agent coordinates atomically — see
-   {!Sequencing.coordinated_bundles} for the eligibility conditions. *)
+(* Rule #3 (extension, see the interface): [coordinated] marks the
+   bundle conjunctions one agent coordinates atomically — see
+   {!Sequencing.coordinated_bundles} for the eligibility conditions —
+   and their edges are the candidates. *)
+let coordinated g =
+  let owners = List.map fst (Sequencing.coordinated_bundles (Sequencing.spec g)) in
+  Array.init (Sequencing.conjunction_count g) (fun jid ->
+      List.exists (Exchange.Party.equal (Sequencing.conjunction g jid).Sequencing.owner) owners)
+
 let rule3_candidates g =
-  let bundles = Sequencing.coordinated_bundles (Sequencing.spec g) in
-  let n = Sequencing.conjunction_count g in
+  let eligible = coordinated g in
   let rec scan jid acc =
     if jid < 0 then acc
     else begin
-      let j = Sequencing.conjunction g jid in
-      let eligible =
-        List.exists (fun (owner, _) -> Exchange.Party.equal owner j.Sequencing.owner) bundles
-      in
       let acc =
-        if eligible then
+        if eligible.(jid) then
           List.fold_left
             (fun acc (cid, _) -> (Rule3_shared, cid, jid) :: acc)
             acc
@@ -71,7 +72,7 @@ let rule3_candidates g =
       scan (jid - 1) acc
     end
   in
-  scan (n - 1) []
+  scan (Array.length eligible - 1) []
 
 let applicable_with ~shared g =
   let all =
@@ -164,8 +165,8 @@ let record_outcome obs h ?(pushes = -1) ?(rescans = -1) outcome =
       Obs.attr obs h "remaining" (Obs.Int (List.length remaining))
   end
 
-let run_with ?(shared = false) ?(obs = Obs.null) ?parent ?(span_name = "reduce.rescan") ~pick g =
-  Obs.with_span obs ?parent ~phase:"reduce" span_name (fun h ->
+let run_with ?(shared = false) ?(obs = Obs.null) ?parent ~pick g =
+  Obs.with_span obs ?parent ~phase:"reduce" "reduce.rescan" (fun h ->
       let rescans = ref 0 in
       let rec loop step deletions =
         incr rescans;
@@ -180,6 +181,13 @@ let run_with ?(shared = false) ?(obs = Obs.null) ?parent ?(span_name = "reduce.r
       record_outcome obs h ~rescans:!rescans outcome;
       outcome)
 
+(* Static, per commitment: whether its principal is external (owns no
+   conjunction). Nodes never disappear, only edges do. *)
+let external_principals g =
+  Array.init (Sequencing.commitment_count g) (fun cid ->
+      let c = Sequencing.commitment g cid in
+      Sequencing.conjunction_of_party g c.Sequencing.principal = None)
+
 (* Deterministic priority: Rule #2 first (conjunction disconnects —
    notifications — fire as soon as enabled); then Rule #1 with
    commitments of *external* principals (parties with no conjunction of
@@ -188,15 +196,12 @@ let run_with ?(shared = false) ?(obs = Obs.null) ?parent ?(span_name = "reduce.r
    owner is asked to commit anything — the order the paper's walkthrough
    follows, and the one that keeps bundle buyers safe at run time. *)
 let deterministic_pick g =
-  let external_principal cid =
-    let c = Sequencing.commitment g cid in
-    Sequencing.conjunction_of_party g c.Sequencing.principal = None
-  in
+  let external_principal = external_principals g in
   let pick candidates =
     let rank (rule, cid, _) =
       match rule with
       | Rule2 -> 0
-      | Rule1 | Rule1_persona -> if external_principal cid then 1 else 2
+      | Rule1 | Rule1_persona -> if external_principal.(cid) then 1 else 2
       | Rule3_shared -> 3
     in
     match List.stable_sort (fun a b -> Int.compare (rank a) (rank b)) candidates with
@@ -205,10 +210,7 @@ let deterministic_pick g =
   in
   pick
 
-let run_rescan ?obs ?parent g = run_with ?obs ?parent ~pick:(deterministic_pick g) g
-
-let run_shared ?obs ?parent g =
-  run_with ~shared:true ?obs ?parent ~span_name:"reduce.shared" ~pick:(deterministic_pick g) g
+let run_rescan ?shared ?obs ?parent g = run_with ?shared ?obs ?parent ~pick:(deterministic_pick g) g
 
 let run_randomized ~choose g =
   let pick candidates = List.nth candidates (choose (List.length candidates)) in
@@ -220,40 +222,48 @@ let run_randomized ~choose g =
    vanished). Everything else is untouched, so after each deletion only
    those nodes are re-examined — no rescans.
 
-   Candidates live in three ordered sets mirroring {!deterministic_pick}
+   Candidates live in ordered sets mirroring {!deterministic_pick}
    exactly: Rule #2 conjunctions by index, then Rule #1 commitments with
-   external principals by index, then the remaining Rule #1 commitments.
-   Picking the minimum of the first non-empty set therefore reproduces
-   the rescanning reducer's deletion sequence edge for edge (the paper's
+   external principals by index, then the remaining Rule #1 commitments,
+   then (shared policy only) Rule #3 conjunctions by index. Picking the
+   minimum of the first non-empty set therefore reproduces the
+   rescanning reducer's deletion sequence edge for edge (the paper's
    Example #1 walkthrough), which {!run_rescan} pins in the tests.
-   Near-linear instead of quadratic, it is the default synthesis path. *)
+   Near-linear instead of quadratic, it is the only synthesis path. *)
 module Int_set = Set.Make (Int)
 
-let run ?(obs = Obs.null) ?parent g =
+let run ?(shared = false) ?(obs = Obs.null) ?parent g =
   Obs.with_span obs ?parent ~phase:"reduce" "reduce.worklist" (fun obs_span ->
   let pushes = ref 0 in
   (* profiler hook, not control flow: a push is an insertion into one of
      the candidate sets; counted only when a trace is attached *)
   let note_push set elt = if Obs.enabled obs && not (Int_set.mem elt !set) then incr pushes in
   let ncom = Sequencing.commitment_count g in
-  (* Static: whether the commitment's principal is external (owns no
-     conjunction). Nodes never disappear, only edges do. *)
-  let external_principal =
-    Array.init ncom (fun cid ->
-        let c = Sequencing.commitment g cid in
-        Sequencing.conjunction_of_party g c.Sequencing.principal = None)
-  in
+  let external_principal = external_principals g in
   let rule2 = ref Int_set.empty in
   let rule1_external = ref Int_set.empty and rule1_internal = ref Int_set.empty in
   (* Which Rule #1 clause admitted the commitment, kept alongside the
      sets so picking does not re-derive it. *)
   let clause = Array.make (max 1 ncom) Rule1 in
+  (* Rule #3 (shared policy only): which conjunctions one agent
+     coordinates is static, so eligibility is tabled once; the set holds
+     the eligible conjunctions that still have an edge. *)
+  let rule3 = if shared then Some (coordinated g, ref Int_set.empty) else None in
   let refresh_conjunction jid =
-    match Sequencing.edges_of_conjunction g jid with
+    let edges = Sequencing.edges_of_conjunction g jid in
+    (match edges with
     | [ _ ] ->
       note_push rule2 jid;
       rule2 := Int_set.add jid !rule2
-    | _ -> rule2 := Int_set.remove jid !rule2
+    | _ -> rule2 := Int_set.remove jid !rule2);
+    match rule3 with
+    | Some (eligible, set) when eligible.(jid) -> (
+      match edges with
+      | [] -> set := Int_set.remove jid !set
+      | _ ->
+        note_push set jid;
+        set := Int_set.add jid !set)
+    | Some _ | None -> ()
   in
   let refresh_commitment cid =
     let admitted =
@@ -303,7 +313,17 @@ let run ?(obs = Obs.null) ?parent g =
       | None -> (
         match Int_set.min_elt_opt !rule1_internal with
         | Some cid -> Some (clause.(cid), cid, target cid)
-        | None -> None))
+        | None -> (
+          match rule3 with
+          | None -> None
+          | Some (_, set) ->
+            (* the rescanning reducer lists a conjunction's Rule #3
+               edges by prepending, so it picks the last one *)
+            Option.map
+              (fun jid ->
+                let edges = Sequencing.edges_of_conjunction g jid in
+                (Rule3_shared, fst (List.nth edges (List.length edges - 1)), jid))
+              (Int_set.min_elt_opt !set))))
   in
   let deletions = ref [] and step = ref 0 in
   let rec drain () =

@@ -1,12 +1,14 @@
 (** Sequencing-graph reduction (paper §4.2).
 
-    Two rules delete edges until none applies:
+    The paper's two rules delete edges until none applies:
 
     - {b Rule #1} — a fringe commitment node's edge [(c, j)] may be
       removed when no {e other} remaining red edge [(b, j)] pre-empts
       it, or when the commitment's principal itself plays its trusted
       role (direct trust, §4.2.3/§4.2.4 clause 2).
     - {b Rule #2} — a fringe conjunction node's last edge may be removed.
+
+    The shared-agent policy adds {!Rule3_shared} to the same reduction.
 
     §4.2.4: reductions are confluent — any maximal series of reductions
     yields the same feasibility verdict — so a greedy strategy suffices.
@@ -26,8 +28,9 @@ type rule =
           through one trusted agent is enforced by that agent itself —
           the agent sees every piece and completes them atomically (§8's
           universal-intermediary argument) — so its black edges may be
-          removed without the fringe requirement. Only applied by
-          {!run_shared}. *)
+          removed without the fringe requirement. Applied only under
+          [~shared:true], and only when no Rule #1 or #2 deletion
+          applies. *)
 
 type deletion = {
   step : int;  (** 1-based position in the deletion order *)
@@ -53,7 +56,8 @@ type outcome = {
   graph : Sequencing.t;  (** the (mutated) reduced graph *)
 }
 
-val run : ?obs:Trust_obs.Obs.t -> ?parent:Trust_obs.Obs.handle -> Sequencing.t -> outcome
+val run :
+  ?shared:bool -> ?obs:Trust_obs.Obs.t -> ?parent:Trust_obs.Obs.handle -> Sequencing.t -> outcome
 (** Reduce with the deterministic strategy. The graph is mutated;
     pass a {!Sequencing.copy} to keep the original. Incremental:
     instead of re-scanning every node after each deletion (quadratic),
@@ -65,33 +69,39 @@ val run : ?obs:Trust_obs.Obs.t -> ?parent:Trust_obs.Obs.handle -> Sequencing.t -
     (property-tested), including the §5 execution-sequence-bearing
     order of the paper's Example #1 walkthrough.
 
+    [shared] (default false) also enables {!Rule3_shared}: strictly
+    more permissive than the paper's two rules, it additionally
+    recognises bundles whose pieces all flow through one trusted agent
+    (the paper's own §8 argument, promoted to a rule as §9 suggests).
+    When no Rule #1 or #2 deletion applies, it deletes an edge of the
+    lowest-indexed eligible conjunction that still has one: the last in
+    {!Sequencing.edges_of_conjunction} order. The
+    verdict is safe only with the runtime counterpart — an {e atomic}
+    escrow that forwards nothing until all its deals are in
+    ({!Trust_sim.Behavior.escrow}). Eligibility
+    ({!Sequencing.coordinated_bundles}) is computed once per run; with
+    [shared] off the run does no Rule #3 work.
+
     When a trace [obs] is attached, the run opens a [reduce]-phase span
     (child of [parent]) carrying the per-rule profiler: one ["delete"]
     timeline event per rule application (step, rule, edge, colour,
     owner) and counters for rule applications, worklist pushes and the
     final verdict. Tracing never alters the reduction. *)
 
-val run_rescan : ?obs:Trust_obs.Obs.t -> ?parent:Trust_obs.Obs.handle -> Sequencing.t -> outcome
+val run_rescan :
+  ?shared:bool -> ?obs:Trust_obs.Obs.t -> ?parent:Trust_obs.Obs.handle -> Sequencing.t -> outcome
 (** The original rescanning reducer: recompute every applicable
     deletion after each step and pick by the deterministic priority.
     Quadratic; kept as the executable specification ({e test oracle})
     for {!run}, which must match its verdicts {e and}
-    deletion sequences exactly. Its profiler span records ["rescans"]
-    (full scans of the graph) instead of worklist pushes. *)
+    deletion sequences exactly, with and without [shared]. Its profiler
+    span records ["rescans"] (full scans of the graph) instead of
+    worklist pushes. *)
 
 val run_randomized : choose:(int -> int) -> Sequencing.t -> outcome
 (** Reduce applying, at each step, a uniformly chosen applicable
     deletion: [choose n] must return an index in [\[0, n)]. Used by the
     confluence property tests. *)
-
-val run_shared : ?obs:Trust_obs.Obs.t -> ?parent:Trust_obs.Obs.handle -> Sequencing.t -> outcome
-(** The deterministic strategy of {!run} with {!Rule3_shared} also
-    enabled. Strictly more permissive than the paper's two rules: it
-    additionally recognises bundles whose pieces all flow through one
-    trusted agent (the paper's own §8 argument, promoted to a rule as §9
-    suggests). Requires the runtime counterpart — an {e atomic} escrow
-    that forwards nothing until all its deals are in
-    ({!Trust_sim.Behavior.escrow}) — for the verdict to be safe. *)
 
 val feasible : outcome -> bool
 

@@ -25,8 +25,6 @@ let beneficiary = function
   | Undo tr -> tr.source
   | Notify { informed; _ } -> informed
 
-let is_message _ = true
-
 let compare_transfer a b =
   if a == b then 0
   else

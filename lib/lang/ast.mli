@@ -41,5 +41,3 @@ type decl =
   | Persona of { trusted : string Loc.located; principal : string Loc.located }
 
 type program = decl list
-
-val pp_decl : Format.formatter -> decl -> unit

@@ -23,9 +23,6 @@ val parse : string -> t
 (** Parse one complete JSON value; the whole input must be consumed.
     @raise Bad on malformed input. *)
 
-val parse_result : string -> (t, string) result
-(** {!parse} with the error reified. *)
-
 val field : t -> string -> t
 (** [field obj k] — the member [k] of an object.
     @raise Bad when missing or not an object. *)

@@ -10,26 +10,28 @@ let party t = t.party
 let react t obs = t.react obs
 let make party react = { party; react }
 
-let pp_observation ppf = function
-  | Start -> Format.pp_print_string ppf "start"
-  | Incoming a -> Format.fprintf ppf "incoming %a" Action.pp a
-  | Expired deal -> Format.fprintf ppf "expired %s" deal
-  | Deadline -> Format.pp_print_string ppf "deadline"
-
 (* Shared script-runner: fire each step once its condition is met by any
-   observed action so far, preserving script order. *)
+   observed action so far, preserving script order. Only the actions the
+   script's conditions await matter, so the runner keeps those not yet
+   observed; observing anything else changes nothing. *)
 module Script = struct
-  type state = { mutable observed : Action.t list; mutable remaining : Protocol.scripted_step list }
+  module Action_set = Set.Make (Action)
 
-  let create steps = { observed = []; remaining = steps }
+  type state = { mutable unseen : Action_set.t; mutable remaining : Protocol.scripted_step list }
+
+  let create steps =
+    let awaited step =
+      match step.Protocol.condition with Protocol.Observed a -> Some a | Protocol.Now -> None
+    in
+    { unseen = Action_set.of_list (List.filter_map awaited steps); remaining = steps }
 
   let note state = function
-    | Incoming a -> state.observed <- a :: state.observed
+    | Incoming a -> state.unseen <- Action_set.remove a state.unseen
     | Start | Expired _ | Deadline -> ()
 
   let satisfied state = function
     | Protocol.Now -> true
-    | Protocol.Observed a -> List.exists (Action.equal a) state.observed
+    | Protocol.Observed a -> not (Action_set.mem a state.unseen)
 
   let fire state =
     let rec take acc = function

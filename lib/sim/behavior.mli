@@ -59,7 +59,7 @@ val escrow :
     intermediary: nothing is forwarded until {e every} deal it mediates
     has both sides in, so a multi-deal agent keeps bundles
     all-or-nothing. Required for specs made feasible by the shared-agent
-    extension ({!Trust_core.Reduce.run_shared}). *)
+    extension ({!Trust_core.Reduce.Rule3_shared}). *)
 
 val coordinator : Spec.t -> Party.t -> t
 (** The §8 universal intermediary as a runtime agent: every deal of the
@@ -88,5 +88,3 @@ val partial : Party.t -> Trust_core.Protocol.scripted_step list -> keep:int -> t
 (** An adversary that follows the script for its first [keep] own
     actions and then defects silently. [partial p s ~keep:0] acts like
     {!silent}; [keep] beyond the script length acts honestly. *)
-
-val pp_observation : Format.formatter -> observation -> unit

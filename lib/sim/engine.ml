@@ -68,12 +68,13 @@ let run ?(config = default_config) ?(obs = Obs.null) ?(span = Obs.none) spec ~de
     Option.value ~default:Asset.Bag.empty (Hashtbl.find_opt holdings (Party.name party))
   in
   let set_bag party bag = Hashtbl.replace holdings (Party.name party) bag in
-  let behavior_of party =
-    List.find_opt (fun b -> Party.equal (Behavior.party b) party) behaviors
-  in
+  (* A delivery's beneficiary is found by name; every other observation
+     goes to each behaviour directly. *)
+  let by_name : (string, Behavior.t) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun b ->
       let party = Behavior.party b in
+      Hashtbl.replace by_name (Party.name party) b;
       set_bag party (initial_endowment spec ~deposits party))
     behaviors;
   let state = ref State.empty in
@@ -122,15 +123,9 @@ let run ?(config = default_config) ?(obs = Obs.null) ?(span = Obs.none) spec ~de
           [ ("party", Obs.Str (Party.name party)); ("parked", Obs.Int (List.length mine));
             ("at", Obs.Int now) ];
     List.iter (fun (p, action) -> perform now p action) mine
-  and observe now party obs =
-    match behavior_of party with
-    | None -> ()
-    | Some b ->
-      let reactions = Behavior.react b obs in
-      List.iter (perform now party) reactions
-  in
+  and observe now b obs = List.iter (perform now (Behavior.party b)) (Behavior.react b obs) in
   (* Time zero: everyone starts; per-deal deadlines are armed. *)
-  List.iter (fun b -> observe 0 (Behavior.party b) Behavior.Start) behaviors;
+  List.iter (fun b -> observe 0 b Behavior.Start) behaviors;
   List.iter
     (fun d ->
       match d.Spec.deadline with
@@ -148,12 +143,12 @@ let run ?(config = default_config) ?(obs = Obs.null) ?(span = Obs.none) spec ~de
         if Obs.enabled obs then
           Obs.event obs span "expire"
             ~attrs:[ ("deal", Obs.Str deal_id); ("at", Obs.Int now) ];
-        List.iter (fun b -> observe now (Behavior.party b) (Behavior.Expired deal_id)) behaviors;
+        List.iter (fun b -> observe now b (Behavior.Expired deal_id)) behaviors;
         drain ()
       | Some (now, Fire_deadline) ->
         incr events;
         if Obs.enabled obs then Obs.event obs span "deadline" ~attrs:[ ("at", Obs.Int now) ];
-        List.iter (fun b -> observe now (Behavior.party b) Behavior.Deadline) behaviors;
+        List.iter (fun b -> observe now b Behavior.Deadline) behaviors;
         drain ()
       | Some (now, Deliver action) ->
         incr events;
@@ -167,8 +162,11 @@ let run ?(config = default_config) ?(obs = Obs.null) ?(span = Obs.none) spec ~de
           retry_pending now credit
         | None -> ());
         (if config.broadcast then
-           List.iter (fun b -> observe now (Behavior.party b) (Behavior.Incoming action)) behaviors
-         else observe now (Action.beneficiary action) (Behavior.Incoming action));
+           List.iter (fun b -> observe now b (Behavior.Incoming action)) behaviors
+         else
+           match Hashtbl.find_opt by_name (Party.name (Action.beneficiary action)) with
+           | Some b -> observe now b (Behavior.Incoming action)
+           | None -> ());
         drain ()
   in
   drain ();

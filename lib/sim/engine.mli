@@ -59,6 +59,11 @@ val run :
   behaviors:Behavior.t list ->
   result
 (** Simulate. Behaviours are started in list order at time zero.
+    Precondition: at most one behaviour per party name, which
+    {!Harness.behaviors_for} guarantees (property-tested). Start, expiry,
+    deadline and broadcast observations go to each behaviour in list
+    order; a delivery outside broadcast goes to the behaviour of its
+    beneficiary's name, found in a table built once per run.
     [obs]/[span] attach runtime events to a trace span: ["deliver"],
     ["park"], ["retry"], ["expire"], ["deadline"] and ["drop"], each
     carrying the engine tick as an [at] attribute and — for transfers —

@@ -169,7 +169,3 @@ let universal_run ?config ?(defectors = []) spec =
     List.map principal_behavior (Spec.principals uni) @ [ Behavior.coordinator uni star ]
   in
   (Engine.run ?config uni ~deposits:[] ~behaviors, uni)
-
-let pp_cast ppf cast =
-  Format.fprintf ppf "@[<v>cast over %d behaviours@,%a@]" (List.length cast.behaviors)
-    Protocol.pp cast.protocol

@@ -136,5 +136,3 @@ val injected_defectors : every:int -> int -> Spec.t -> (Party.t * defection) lis
     first defectable principal goes [Silent] when [every > 0] and
     [(id + 1) mod every = 0]; otherwise nobody defects. Keyed on the
     id alone, so a tail replay re-derives the identical cast. *)
-
-val pp_cast : Format.formatter -> cast -> unit

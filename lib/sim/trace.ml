@@ -69,13 +69,3 @@ let total_peak_exposure t =
 
 let duration t =
   List.fold_left (fun acc d -> max acc d.Engine.at) 0 t.result.Engine.log
-
-let pp_profile ppf profile =
-  Format.fprintf ppf "@[<v>";
-  List.iter
-    (fun s ->
-      Format.fprintf ppf "t=%-4d outlay=%a covered=%a goods_out=%d uncovered=%a@," s.at
-        Asset.pp_money s.outlay Asset.pp_money s.covered s.goods_out Asset.pp_money
-        (max 0 (s.outlay - s.covered)))
-    profile;
-  Format.fprintf ppf "@]"

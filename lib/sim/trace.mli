@@ -60,5 +60,3 @@ val total_peak_exposure : t -> Asset.money
 
 val duration : t -> int
 (** Tick of the last delivery ([0] for an empty log). *)
-
-val pp_profile : Format.formatter -> exposure list -> unit

@@ -9,9 +9,9 @@
    defection batteries and tight deadlines, in both synthesis modes,
    with and without acceptability overrides.
 
-   Wide chains and bundles (up to 128) and fans (up to 64) run the same
-   comparison, and every compared plan's listener table is checked
-   against the pair-by-pair reference relation in [Ref_listeners].
+   Wide chains, fans and bundles (up to 128) run the same comparison,
+   and every compared plan's listener table is checked against the
+   pair-by-pair reference relation in [Ref_listeners].
 
    The allocation test pins the other half of the contract: a cache-hit
    session on the serve path stays within a fixed minor-heap budget. *)
@@ -277,6 +277,37 @@ let test_random_specs () =
       policies
   done
 
+(* [Engine.run] hands each observation to one behaviour per party, and
+   finds a delivery's beneficiary by name: every cast the interpreted
+   reference runs must hold one behaviour per party name. *)
+let test_one_behavior_per_party () =
+  let prng = Prng.create 0xC0FFEE_L in
+  let corpus =
+    List.init spec_count (fun i -> (Printf.sprintf "spec %d" (i + 1), Gen.random_transaction prng mix))
+  in
+  List.iter
+    (fun (label, spec) ->
+      List.iteri
+        (fun j policy ->
+          match Cache.fresh policy spec with
+          | Error _ -> ()
+          | Ok entry ->
+            List.iter
+              (fun defectors ->
+                let names =
+                  List.map
+                    (fun b -> Party.name (Trust_sim.Behavior.party b))
+                    (Harness.behaviors_for ~shared:policy.Cache.shared ?plan:entry.Cache.plan
+                       ~defectors ~mode:policy.Cache.mode entry.Cache.split_spec
+                       entry.Cache.protocol)
+                in
+                if List.length (List.sort_uniq String.compare names) <> List.length names then
+                  Alcotest.failf "%s policy %d defectors=%d: two behaviours share a party" label j
+                    (List.length defectors))
+              (batteries entry.Cache.split_spec @ each_silent entry.Cache.split_spec))
+        policies)
+    (Workload.Scenarios.all @ corpus)
+
 (* Named inputs, so the comparison always covers the paths the role
    table builds: §6 deposits with their refunds and forfeits (fig7),
    rescued specs with one plan (example2) and with a persona
@@ -335,9 +366,7 @@ let test_worked_examples () =
 
 (* Wide shapes: the listener table matters most where a plan has many
    roles, so the parity property also runs chains, fans and bundles 16
-   wide under the full battery, and chains and bundles 128 wide, fans
-   64 wide, honest — the interpreted reference takes seconds per policy
-   on a 128-wide fan. *)
+   wide under the full battery, and 128 wide honest. *)
 let wide_fan n = (Printf.sprintf "fan %d" n, Gen.fan ~prices:(List.init n (fun i -> Asset.dollars (i + 1))))
 
 let wide ~chain ~fan ~bundle =
@@ -349,7 +378,7 @@ let wide ~chain ~fan ~bundle =
 
 let wide_shapes =
   List.map (fun shape -> (shape, true)) (wide ~chain:16 ~fan:16 ~bundle:16)
-  @ List.map (fun shape -> (shape, false)) (wide ~chain:128 ~fan:64 ~bundle:128)
+  @ List.map (fun shape -> (shape, false)) (wide ~chain:128 ~fan:128 ~bundle:128)
 
 let honest_only _ = [ [] ]
 
@@ -446,7 +475,7 @@ let check_traced_case ~ctx cache ~id ~drop_rate ~defectors spec =
   (hot.Session.attempts > 0, has_event "expire" hot_obs)
 
 (* the wide shapes traced: 16 wide, the full battery with and without
-   drops; the wide fan, one honest lockstep session *)
+   drops; the 128-wide fan, one honest session per policy *)
 let test_traced_wide () =
   let caches = List.map Cache.create policies in
   let run ~id cache ~defectors ~drop_rate (label, spec) =
@@ -463,7 +492,7 @@ let test_traced_wide () =
             (batteries spec))
         caches)
     (wide ~chain:16 ~fan:16 ~bundle:16);
-  run ~id:0 (List.hd caches) ~defectors:[] ~drop_rate:0. (wide_fan 64)
+  List.iter (fun cache -> run ~id:0 cache ~defectors:[] ~drop_rate:0. (wide_fan 128)) caches
 
 let test_traced_parity () =
   let prng = Prng.create 0xC0FFEE_L in
@@ -566,6 +595,7 @@ let () =
           Alcotest.test_case "scratch growth" `Quick test_growth_keeps_contents;
           Alcotest.test_case "wide shapes" `Quick test_wide_shapes;
           Alcotest.test_case "traced wide shapes" `Quick test_traced_wide;
+          Alcotest.test_case "one behaviour per party" `Quick test_one_behavior_per_party;
         ] );
       ( "allocation",
         [ Alcotest.test_case "cache-hit budget" `Quick test_allocation_budget ] );

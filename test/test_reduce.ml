@@ -142,23 +142,22 @@ let test_bundles_feasible () =
         (Reduce.feasible (run (Workload.Gen.bundle ~docs:k))))
     [ 1; 2; 3; 5 ]
 
-let shared_bundle () =
-  (* a consumer buys two documents, both through the same agent *)
+(* a consumer buys [n] documents from [n] producers, every deal through
+   the same agent *)
+let shared_bundle n =
   let c = Party.consumer "c" and t = Party.trusted "t" in
   Spec.make_exn
-    [
-      Spec.sale ~id:"a" ~buyer:c ~seller:(Party.producer "p1") ~via:t
-        ~price:(Asset.dollars 10) ~good:"d1";
-      Spec.sale ~id:"b" ~buyer:c ~seller:(Party.producer "p2") ~via:t
-        ~price:(Asset.dollars 20) ~good:"d2";
-    ]
+    (List.init n (fun i ->
+         Spec.sale ~id:(Printf.sprintf "cp%d" i) ~buyer:c
+           ~seller:(Party.producer (Printf.sprintf "p%d" i))
+           ~via:t ~price:(Asset.dollars (10 * (i + 1))) ~good:(Printf.sprintf "d%d" i)))
 
 let test_shared_agent_rule () =
   (* the paper's two rules are stuck on a shared-agent bundle; the §9
      extension (Rule #3) makes it feasible *)
-  let spec = shared_bundle () in
+  let spec = shared_bundle 2 in
   check "paper rules stuck" false (Reduce.feasible (run spec));
-  let outcome = Reduce.run_shared (Sequencing.build spec) in
+  let outcome = Reduce.run ~shared:true (Sequencing.build spec) in
   check "extension feasible" true (Reduce.feasible outcome);
   check "rule 3 used" true
     (List.exists (fun d -> d.Reduce.rule = Reduce.Rule3_shared) outcome.Reduce.deletions)
@@ -169,7 +168,7 @@ let test_shared_rule_no_false_positives () =
   List.iter
     (fun (name, spec) ->
       let paper = Reduce.feasible (Reduce.run (Sequencing.build spec)) in
-      let extended = Reduce.feasible (Reduce.run_shared (Sequencing.build spec)) in
+      let extended = Reduce.feasible (Reduce.run ~shared:true (Sequencing.build spec)) in
       if paper <> extended then Alcotest.failf "%s: extension changed the verdict" name)
     Workload.Scenarios.all
 
@@ -185,7 +184,7 @@ let test_shared_rule_respects_reds () =
         Spec.sale ~id:"cb" ~buyer:c ~seller:b ~via:t ~price:(Asset.dollars 10) ~good:"d";
       ]
   in
-  let outcome = Reduce.run_shared (Sequencing.build spec) in
+  let outcome = Reduce.run ~shared:true (Sequencing.build spec) in
   check "red conjunctions never split by rule 3" true
     (List.for_all
        (fun d ->
@@ -232,6 +231,85 @@ let prop_worklist_agrees =
       same_outcome
         (Reduce.run_rescan (Sequencing.build spec))
         (Reduce.run (Sequencing.build spec)))
+
+(* The shared policy's Rule #3 on the worklist reducer against the
+   rescanning oracle. Random marketplace transactions never have two
+   deals of one principal through one agent, so the comparison also
+   runs a seeded shared-agent family and wide shared bundles, where
+   Rule #3 does fire. *)
+
+(* Consumers each buy 2–5 documents through one agent. A seller is a
+   producer or, one time in three, a broker that buys the document from
+   a producer first — through the consumer's agent or its own, and with
+   or without a red edge securing its buyer. Now and then a seller
+   trusts its buyer directly. *)
+let shared_family rng =
+  let module Prng = Workload.Prng in
+  let coin n = Prng.int rng n = 0 in
+  let deals = ref [] and priorities = ref [] and personas = ref [] in
+  let add d = deals := d :: !deals in
+  for ci = 1 to 1 + Prng.int rng 2 do
+    let consumer = Party.consumer (Printf.sprintf "c%d" ci) in
+    let agent = Party.trusted (Printf.sprintf "t%d" ci) in
+    let agent_only_sells = ref true in
+    for j = 1 to 2 + Prng.int rng 4 do
+      let name fmt = Printf.sprintf fmt ci j in
+      let good = name "d%d_%d" and id = name "c%d_%d" in
+      let price = Asset.dollars (10 * j) in
+      let producer = Party.producer (name "p%d_%d") in
+      let seller =
+        if coin 3 then begin
+          let broker = Party.broker (name "b%d_%d") in
+          let via =
+            if coin 2 then begin
+              agent_only_sells := false;
+              agent
+            end
+            else begin
+              let own = Party.trusted (name "u%d_%d") in
+              if coin 4 then personas := (own, broker) :: !personas;
+              own
+            end
+          in
+          add
+            (Spec.sale ~id:(name "b%d_%d") ~buyer:broker ~seller:producer ~via
+               ~price:(price * 8 / 10) ~good);
+          if coin 2 then priorities := (broker, { Spec.deal = id; side = Spec.Right }) :: !priorities;
+          broker
+        end
+        else producer
+      in
+      add (Spec.sale ~id ~buyer:consumer ~seller ~via:agent ~price ~good)
+    done;
+    if !agent_only_sells && coin 4 then personas := (agent, consumer) :: !personas
+  done;
+  Spec.make_exn ~personas:!personas ~priorities:!priorities (List.rev !deals)
+
+let test_shared_worklist_replays_oracle () =
+  let corpus_rng = Workload.Prng.create 0x5EED_L and family_rng = Workload.Prng.create 0xB0B_L in
+  let specs =
+    Workload.Scenarios.all
+    @ List.init 200 (fun i ->
+          ( Printf.sprintf "corpus %d" i,
+            Workload.Gen.random_transaction corpus_rng Workload.Gen.default_mix ))
+    @ List.init 300 (fun i -> (Printf.sprintf "family %d" i, shared_family family_rng))
+    @ List.map (fun n -> (Printf.sprintf "shared bundle %d" n, shared_bundle n)) [ 16; 64; 128 ]
+  in
+  let rule3_runs = ref 0 in
+  List.iter
+    (fun (name, spec) ->
+      List.iter
+        (fun granular ->
+          let oracle = Reduce.run_rescan ~shared:true (Sequencing.build ~granular spec) in
+          let worklist = Reduce.run ~shared:true (Sequencing.build ~granular spec) in
+          if not (same_outcome oracle worklist) then
+            Alcotest.failf "%s (granular %b): worklist diverges from the rescanning oracle" name
+              granular;
+          if List.exists (fun d -> d.Reduce.rule = Reduce.Rule3_shared) oracle.Reduce.deletions
+          then incr rule3_runs)
+        [ false; true ])
+    specs;
+  check "rule 3 fired in some runs" true (!rule3_runs > 0)
 
 let prop_confluence =
   QCheck2.Test.make ~name:"randomized reduction order preserves the verdict" ~count:200
@@ -310,6 +388,8 @@ let () =
           Alcotest.test_case "no false positives on scenarios" `Quick
             test_shared_rule_no_false_positives;
           Alcotest.test_case "red conjunctions untouched" `Quick test_shared_rule_respects_reds;
+          Alcotest.test_case "worklist replays the rescanning oracle" `Quick
+            test_shared_worklist_replays_oracle;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
