@@ -577,14 +577,6 @@ let bechamel_benches () =
             (Staged.stage (fun () -> ignore (Reduce.run (Sequencing.copy g0)))))
         prebuilt_fans
     @ [
-        (let g0 = Sequencing.build (Workload.Gen.chain ~brokers:100) in
-         let rng = Workload.Prng.create 7L in
-         Test.make ~name:"B3 randomized-order reduce chain 100"
-           (Staged.stage (fun () ->
-                ignore
-                  (Reduce.run_randomized
-                     ~choose:(fun n -> Workload.Prng.int rng n)
-                     (Sequencing.copy g0)))));
         (let spec = Workload.Gen.fan ~prices:(List.init 100 (fun i -> Asset.dollars (i + 1))) in
          Test.make ~name:"B4 indemnity plan fan 100"
            (Staged.stage (fun () ->

@@ -18,13 +18,17 @@ let load ?obs ?parent path =
   | "-" -> Trust_lang.Elaborate.from_string ?obs ?parent ~file:"<stdin>" (In_channel.input_all stdin)
   | path -> Trust_lang.Elaborate.from_file ?obs ?parent path
 
-(* One message for every bad format flag across trace, trace-stats,
-   trace-diff and the --trace-format flags; always exit 2, before any
-   pipeline work runs. *)
-let invalid_format_die s valid =
-  Printf.eprintf "trustseq: invalid format %S (valid formats: %s)\n" s
-    (String.concat ", " valid);
+(* Every usage error, bad flag value or unreadable input: one
+   "trustseq: " line on stderr and exit 2. *)
+let die message =
+  prerr_endline ("trustseq: " ^ message);
   exit 2
+
+(* One message for every bad format flag across trace, trace-stats,
+   trace-diff and the --trace-format flags, before any pipeline work
+   runs. *)
+let invalid_format_die s valid =
+  die (Printf.sprintf "invalid format %S (valid formats: %s)" s (String.concat ", " valid))
 
 let trace_format_or_die s =
   match Obs.format_of_string s with
@@ -53,27 +57,19 @@ let land_output path rendered =
   | "-" -> print_string rendered
   | path -> (
     try Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc rendered)
-    with Sys_error m ->
-      prerr_endline ("trustseq: " ^ m);
-      exit 2)
+    with Sys_error m -> die m)
 
 let write_trace fmt path traces =
   land_output path (Obs.export ~producer:("trustseq " ^ version) fmt traces)
 
 let or_die = function
   | Ok v -> v
-  | Error message ->
-    prerr_endline ("trustseq: " ^ message);
-    exit 2
+  | Error message -> die message
 
 (* The run flags batch and serve share, one rule each: a rate lies in
    [0, 1] (a drop rate of 1 still settles: the retry runs clean) and a
    ring capacity is non-negative. NaN is refused with the rest. *)
 let check_run_flags ~drop_rate ~trace_sample ~trace_ring =
-  let die message =
-    prerr_endline ("trustseq: " ^ message);
-    exit 2
-  in
   let rate flag r = if not (r >= 0. && r <= 1.) then die (flag ^ " must lie in [0, 1]") in
   rate "--drop-rate" drop_rate;
   rate "--trace-sample" trace_sample;
@@ -85,9 +81,7 @@ let read_source file =
   | path -> (
     match In_channel.with_open_text path In_channel.input_all with
     | src -> src
-    | exception Sys_error m ->
-      prerr_endline ("trustseq: " ^ m);
-      exit 2)
+    | exception Sys_error m -> die m)
 
 let file_arg =
   let doc = "Exchange specification file in the trust DSL ('-' for stdin)." in
@@ -748,9 +742,7 @@ let trace_stats_cmd =
       if from_trace then
         match Analysis.of_jsonl (read_source file) with
         | Ok analysis -> (analysis, 0)
-        | Error m ->
-          Printf.eprintf "trustseq: %s: %s\n" file m;
-          exit 2
+        | Error m -> die (file ^ ": " ^ m)
       else begin
         let src = read_source file in
         let obs = Obs.create () in
@@ -850,16 +842,11 @@ let trace_stats_cmd =
 let trace_diff_cmd =
   let module Analysis = Trust_obs.Analysis in
   let run left right out =
-    if left = "-" && right = "-" then begin
-      prerr_endline "trustseq: only one of the two traces can come from stdin";
-      exit 2
-    end;
+    if left = "-" && right = "-" then die "only one of the two traces can come from stdin";
     let parse path =
       match Analysis.of_jsonl (read_source path) with
       | Ok analysis -> analysis
-      | Error m ->
-        Printf.eprintf "trustseq: %s: %s\n" path m;
-        exit 2
+      | Error m -> die (path ^ ": " ^ m)
     in
     let diff = Analysis.diff (parse left) (parse right) in
     land_output out (Analysis.render_diff diff);
@@ -912,10 +899,6 @@ let trace_decode_cmd =
   let module Client = Trust_daemon.Client in
   let run file connect timeout format out =
     let format = trace_format_or_die format in
-    let die m =
-      prerr_endline ("trustseq: " ^ m);
-      exit 2
-    in
     let decode dump = match Ring.decode dump with Ok d -> d | Error m -> die m in
     let sessions, stats =
       match (connect, file) with
@@ -1031,10 +1014,6 @@ let mine_cmd =
   let module Analysis = Trust_obs.Analysis in
   let module Client = Trust_daemon.Client in
   let run file connect from_trace timeout json pin deny out =
-    let die msg =
-      prerr_endline ("trustseq: " ^ msg);
-      exit 2
-    in
     let read_bin = function
       | "-" -> In_channel.input_all stdin
       | path -> (
@@ -1190,35 +1169,22 @@ let batch_cmd =
     let module Service = Trust_serve.Service in
     let module Ring = Trust_obs.Ring in
     let trace_format = trace_format_or_die trace_format in
-    if sessions < 0 then (
-      prerr_endline "trustseq: --sessions must be non-negative";
-      exit 2);
-    if concurrency < 1 then (
-      prerr_endline "trustseq: --concurrency must be at least 1";
-      exit 2);
-    if jobs < 1 then (
-      prerr_endline "trustseq: --jobs must be at least 1";
-      exit 2);
+    if sessions < 0 then die "--sessions must be non-negative";
+    if concurrency < 1 then die "--concurrency must be at least 1";
+    if jobs < 1 then die "--jobs must be at least 1";
     check_run_flags ~drop_rate ~trace_sample ~trace_ring;
     (match defect_every with
-    | Some n when n < 1 ->
-      prerr_endline "trustseq: --defect-every must be at least 1";
-      exit 2
+    | Some n when n < 1 -> die "--defect-every must be at least 1"
     | _ -> ());
     (* The standard-streams rule (README "Standard streams"): at most
        one output may claim stdout. The snapshot defaults to stdout, so
        a stdout trace needs the snapshot redirected with --out. *)
     (match (trace_out, out) with
-    | Some "-", "-" ->
-      prerr_endline
-        "trustseq: at most one output may claim stdout: batch --trace - needs --out FILE";
-      exit 2
+    | Some "-", "-" -> die "at most one output may claim stdout: batch --trace - needs --out FILE"
     | _ -> ());
     (* a binary ring dump is never a terminal artifact — refuse '-' *)
     (match ring_out with
-    | Some "-" ->
-      prerr_endline "trustseq: --ring-dump-out needs a file path, not '-'";
-      exit 2
+    | Some "-" -> die "--ring-dump-out needs a file path, not '-'"
     | _ -> ());
     (* asking for a dump implies a ring; default to 1 MiB like serve *)
     let trace_ring =
@@ -1253,9 +1219,7 @@ let batch_cmd =
     (match (ring_out, outcome.Service.ring) with
     | Some path, Some ring -> (
       try Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc (Ring.dump ring))
-      with Sys_error m ->
-        prerr_endline ("trustseq: " ^ m);
-        exit 2)
+      with Sys_error m -> die m)
     | _ -> ());
     (* wall-clock throughput goes to stderr so stdout stays a
        byte-identical snapshot across runs with the same seed, at any
@@ -1411,37 +1375,24 @@ let serve_cmd =
   let run socket tcp max_pending cache_capacity epoch_every max_idle deadline latency mode
       no_rescue verify metrics_out trace_out trace_ring trace_sample mine_every mine_pin
       mine_deny defect_every drop_rate =
-    if socket = None && tcp = None then begin
-      prerr_endline "trustseq: serve needs --socket PATH and/or --tcp HOST:PORT";
-      exit 2
-    end;
-    if max_pending < 0 then (
-      prerr_endline "trustseq: --max-pending must be non-negative";
-      exit 2);
-    if cache_capacity < 1 then (
-      prerr_endline "trustseq: --cache-capacity must be at least 1";
-      exit 2);
-    if epoch_every < 0 then (
-      prerr_endline "trustseq: --epoch-every must be non-negative (0 disables aging)";
-      exit 2);
-    if max_idle < 1 then (
-      prerr_endline "trustseq: --max-idle-epochs must be at least 1";
-      exit 2);
+    if socket = None && tcp = None then
+      die "serve needs --socket PATH and/or --tcp HOST:PORT";
+    if max_pending < 0 then die "--max-pending must be non-negative";
+    if cache_capacity < 1 then die "--cache-capacity must be at least 1";
+    if epoch_every < 0 then die "--epoch-every must be non-negative (0 disables aging)";
+    if max_idle < 1 then die "--max-idle-epochs must be at least 1";
     (match trace_out with
     | Some "-" ->
       (* the same standard-streams rule as batch: the daemon's stderr
          carries its status lines, stdout stays silent, and the trace
          stream is appended per request — it needs a real file *)
-      prerr_endline "trustseq: serve --trace needs a file path, not '-'";
-      exit 2
+      die "serve --trace needs a file path, not '-'"
     | _ -> ());
     check_run_flags ~drop_rate ~trace_sample ~trace_ring;
-    if mine_every < 0 || mine_pin < 0 || mine_deny < 0 || defect_every < 0 then (
-      prerr_endline "trustseq: --mine-every/--mine-pin/--mine-deny/--defect-every must be non-negative";
-      exit 2);
-    if mine_every > 0 && trace_ring = 0 then (
-      prerr_endline "trustseq: --mine-every needs a live trace ring (--trace-ring > 0)";
-      exit 2);
+    if mine_every < 0 || mine_pin < 0 || mine_deny < 0 || defect_every < 0 then
+      die "--mine-every/--mine-pin/--mine-deny/--defect-every must be non-negative";
+    if mine_every > 0 && trace_ring = 0 then
+      die "--mine-every needs a live trace ring (--trace-ring > 0)";
     let config =
       {
         Server.default with
@@ -1671,10 +1622,6 @@ let submit_cmd =
   let module Wire = Trust_daemon.Wire in
   let run file connect timeout quiet =
     let src = read_source file in
-    let die msg =
-      prerr_endline ("trustseq: " ^ msg);
-      exit 2
-    in
     match Client.connect ~timeout connect with
     | Error e -> die e
     | Ok client -> (
@@ -1684,8 +1631,7 @@ let submit_cmd =
       | Error e -> die e
       | Ok (Wire.Busy _) -> die "server busy (admission bound reached); retry later"
       | Ok (Wire.Refused { reason; _ }) -> die ("refused: " ^ reason)
-      | Ok (Wire.Welcome _ | Wire.Pong _ | Wire.Text _) ->
-        die "unexpected response to submit"
+      | Ok (Wire.Welcome _ | Wire.Pong _ | Wire.Text _) -> die "unexpected response to submit"
       | Ok
           (Wire.Result
             {
@@ -1747,9 +1693,7 @@ let loadgen_cmd =
   let module Universe = Workload.Universe in
   let run connect requests profile principals seed zipf_consumers zipf_brokers templates
       template_share busy_retries json =
-    if requests < 1 then (
-      prerr_endline "trustseq: --requests must be at least 1";
-      exit 2);
+    if requests < 1 then die "--requests must be at least 1";
     (* the profile picks the base universe; explicit knobs override it *)
     let base =
       match profile with
@@ -1760,9 +1704,8 @@ let loadgen_cmd =
     let template_share =
       Option.value template_share ~default:base.Universe.template_share
     in
-    if template_share < 0. || template_share > 1. then (
-      prerr_endline "trustseq: --template-share must lie in [0, 1]";
-      exit 2);
+    if template_share < 0. || template_share > 1. then
+      die "--template-share must lie in [0, 1]";
     let universe =
       {
         base with
@@ -1783,12 +1726,8 @@ let loadgen_cmd =
       }
     in
     match Loadgen.run cfg with
-    | exception Invalid_argument m ->
-      prerr_endline ("trustseq: " ^ m);
-      exit 2
-    | Error e ->
-      prerr_endline ("trustseq: " ^ e);
-      exit 2
+    | exception Invalid_argument m -> die m
+    | Error e -> die e
     | Ok report ->
       if json then print_endline (Loadgen.json report) else print_string (Loadgen.table report);
       if report.Loadgen.dropped > 0 then 1 else 0

@@ -41,7 +41,9 @@ let () =
   in
   Format.printf "%a@.@." Spec.pp spec;
   let analysis = Feasibility.analyze spec in
-  Format.printf "%a@.@." Feasibility.pp_analysis analysis;
+  Format.printf "@[<v>%a" Trust_core.Reduce.pp_outcome analysis.Feasibility.outcome;
+  Option.iter (Format.printf "@,%a" Trust_core.Execution.pp) analysis.Feasibility.sequence;
+  Format.printf "@]@.@.";
   print_endline "blocking conjunctions (who is stuck):";
   List.iter
     (fun p -> Printf.printf "  %s\n" (Party.to_string p))

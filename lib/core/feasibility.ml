@@ -76,10 +76,3 @@ let synthesize ?shared ?obs ?parent ~rescue spec =
   match if rescue then rescue_from first else None with
   | Some r -> { plan = merged_plan r; analysis = r.analysis }
   | None -> { plan = None; analysis = first }
-
-let pp_analysis ppf analysis =
-  Format.fprintf ppf "@[<v>%a" Reduce.pp_outcome analysis.outcome;
-  (match analysis.sequence with
-  | Some seq -> Format.fprintf ppf "@,%a" Execution.pp seq
-  | None -> ());
-  Format.fprintf ppf "@]"

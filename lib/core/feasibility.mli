@@ -59,5 +59,3 @@ val synthesize :
   synthesis
 (** Analyze once (attached to [obs]/[parent]); when stuck and [rescue]
     is set, {!rescue_from} that analysis — k+1 analyses for k plans. *)
-
-val pp_analysis : Format.formatter -> analysis -> unit

@@ -91,14 +91,6 @@ let forfeit_transfer o = Action.{ source = o.via; target = o.owner; asset = Asse
 let deposits plan = List.map (fun o -> Action.Do (deposit_transfer o)) plan.offers
 let refunds plan = List.map (fun o -> Action.Undo (deposit_transfer o)) plan.offers
 
-let rescued_run spec ~owner =
-  let plan = plan_greedy spec ~owner in
-  let split = apply plan spec in
-  let outcome = Reduce.run (Sequencing.build split) in
-  match Execution.of_outcome outcome with
-  | Ok sequence -> Some (plan, sequence)
-  | Error _ -> None
-
 let pp_offer ppf o =
   Format.fprintf ppf "%s escrows %a with %s to cover %a for %s" (Party.name o.offered_by)
     Asset.pp_money o.amount (Party.name o.via) Spec.pp_ref o.piece (Party.name o.owner)

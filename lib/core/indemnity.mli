@@ -76,10 +76,5 @@ val refunds : plan -> Action.t list
 (** The happy-path deposit returns, performed after the main execution
     completes every piece. *)
 
-val rescued_run : Spec.t -> owner:Party.t -> (plan * Execution.sequence) option
-(** Greedy plan, applied, reduced and expanded; [None] when the split
-    spec is still infeasible. The sequence covers only the §5 core; use
-    {!deposits}/{!refunds} around it for the full protocol. *)
-
 val pp_offer : Format.formatter -> offer -> unit
 val pp_plan : Format.formatter -> plan -> unit

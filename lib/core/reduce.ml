@@ -16,37 +16,6 @@ type verdict = Feasible | Stuck of { remaining : (int * int * Sequencing.colour)
 
 type outcome = { verdict : verdict; deletions : deletion list; graph : Sequencing.t }
 
-(* Rule #2 candidates: the single edge of each fringe conjunction. *)
-let rule2_candidates g =
-  let n = Sequencing.conjunction_count g in
-  let rec scan jid acc =
-    if jid < 0 then acc
-    else
-      match Sequencing.edges_of_conjunction g jid with
-      | [ (cid, _) ] -> scan (jid - 1) ((Rule2, cid, jid) :: acc)
-      | _ -> scan (jid - 1) acc
-  in
-  scan (n - 1) []
-
-(* Rule #1 candidates: the single edge of each fringe commitment, when
-   not pre-empted by a sibling red edge — or pre-empted but the
-   principal plays its own trusted-agent role (clause 2). *)
-let rule1_candidates g =
-  let n = Sequencing.commitment_count g in
-  let rec scan cid acc =
-    if cid < 0 then acc
-    else
-      match Sequencing.edges_of_commitment g cid with
-      | [ (jid, _) ] -> (
-        match Sequencing.red_sibling g ~cid ~jid with
-        | None -> scan (cid - 1) ((Rule1, cid, jid) :: acc)
-        | Some _ when Sequencing.plays_own_agent g cid ->
-          scan (cid - 1) ((Rule1_persona, cid, jid) :: acc)
-        | Some _ -> scan (cid - 1) acc)
-      | _ -> scan (cid - 1) acc
-  in
-  scan (n - 1) []
-
 (* Rule #3 (extension, see the interface): [coordinated] marks the
    bundle conjunctions one agent coordinates atomically — see
    {!Sequencing.coordinated_bundles} for the eligibility conditions —
@@ -55,40 +24,6 @@ let coordinated g =
   let owners = List.map fst (Sequencing.coordinated_bundles (Sequencing.spec g)) in
   Array.init (Sequencing.conjunction_count g) (fun jid ->
       List.exists (Exchange.Party.equal (Sequencing.conjunction g jid).Sequencing.owner) owners)
-
-let rule3_candidates g =
-  let eligible = coordinated g in
-  let rec scan jid acc =
-    if jid < 0 then acc
-    else begin
-      let acc =
-        if eligible.(jid) then
-          List.fold_left
-            (fun acc (cid, _) -> (Rule3_shared, cid, jid) :: acc)
-            acc
-            (Sequencing.edges_of_conjunction g jid)
-        else acc
-      in
-      scan (jid - 1) acc
-    end
-  in
-  scan (Array.length eligible - 1) []
-
-let applicable_with ~shared g =
-  let all =
-    rule2_candidates g @ rule1_candidates g @ (if shared then rule3_candidates g else [])
-  in
-  (* Collapse duplicates on the same edge, keeping the first occurrence
-     (Rule2 has priority in the listing). *)
-  let rec dedup seen = function
-    | [] -> []
-    | ((_, cid, jid) as cand) :: rest ->
-      if List.mem (cid, jid) seen then dedup seen rest
-      else cand :: dedup ((cid, jid) :: seen) rest
-  in
-  dedup [] all
-
-let applicable g = applicable_with ~shared:false g
 
 let apply g ~step (rule, cid, jid) =
   let colour =
@@ -148,7 +83,7 @@ let record_deletion obs h g (d : deletion) =
           ("owner", Obs.Str (Exchange.Party.name (Sequencing.conjunction g d.jid).Sequencing.owner));
         ]
 
-let record_outcome obs h ?(pushes = -1) ?(rescans = -1) outcome =
+let record_outcome obs h ~pushes outcome =
   if Obs.enabled obs then begin
     let count r = List.length (List.filter (fun d -> d.rule = r) outcome.deletions) in
     Obs.attr obs h "steps" (Obs.Int (List.length outcome.deletions));
@@ -156,8 +91,7 @@ let record_outcome obs h ?(pushes = -1) ?(rescans = -1) outcome =
     Obs.attr obs h "rule1_persona" (Obs.Int (count Rule1_persona));
     Obs.attr obs h "rule2" (Obs.Int (count Rule2));
     Obs.attr obs h "rule3_shared" (Obs.Int (count Rule3_shared));
-    if pushes >= 0 then Obs.attr obs h "worklist_pushes" (Obs.Int pushes);
-    if rescans >= 0 then Obs.attr obs h "rescans" (Obs.Int rescans);
+    Obs.attr obs h "worklist_pushes" (Obs.Int pushes);
     match outcome.verdict with
     | Feasible -> Obs.attr obs h "verdict" (Obs.Str "feasible")
     | Stuck { remaining } ->
@@ -165,71 +99,38 @@ let record_outcome obs h ?(pushes = -1) ?(rescans = -1) outcome =
       Obs.attr obs h "remaining" (Obs.Int (List.length remaining))
   end
 
-let run_with ?(shared = false) ?(obs = Obs.null) ?parent ~pick g =
-  Obs.with_span obs ?parent ~phase:"reduce" "reduce.rescan" (fun h ->
-      let rescans = ref 0 in
-      let rec loop step deletions =
-        incr rescans;
-        match applicable_with ~shared g with
-        | [] -> finish g deletions
-        | candidates ->
-          let deletion = apply g ~step (pick candidates) in
-          record_deletion obs h g deletion;
-          loop (step + 1) (deletion :: deletions)
-      in
-      let outcome = loop 1 [] in
-      record_outcome obs h ~rescans:!rescans outcome;
-      outcome)
-
 (* Static, per commitment: whether its principal is external (owns no
    conjunction). Nodes never disappear, only edges do. *)
 let external_principals g =
+  let owners =
+    Array.fold_left
+      (fun owners j -> Exchange.Party.Set.add j.Sequencing.owner owners)
+      Exchange.Party.Set.empty (Sequencing.conjunctions g)
+  in
   Array.init (Sequencing.commitment_count g) (fun cid ->
-      let c = Sequencing.commitment g cid in
-      Sequencing.conjunction_of_party g c.Sequencing.principal = None)
+      not (Exchange.Party.Set.mem (Sequencing.commitment g cid).Sequencing.principal owners))
 
 (* Deterministic priority: Rule #2 first (conjunction disconnects —
    notifications — fire as soon as enabled); then Rule #1 with
    commitments of *external* principals (parties with no conjunction of
-   their own) before conjunction members, each group in index order.
-   Externals-first means unentangled parties deposit before a bundle
-   owner is asked to commit anything — the order the paper's walkthrough
-   follows, and the one that keeps bundle buyers safe at run time. *)
-let deterministic_pick g =
-  let external_principal = external_principals g in
-  let pick candidates =
-    let rank (rule, cid, _) =
-      match rule with
-      | Rule2 -> 0
-      | Rule1 | Rule1_persona -> if external_principal.(cid) then 1 else 2
-      | Rule3_shared -> 3
-    in
-    match List.stable_sort (fun a b -> Int.compare (rank a) (rank b)) candidates with
-    | cand :: _ -> cand
-    | [] -> assert false
-  in
-  pick
+   their own) before conjunction members, each group in index order;
+   then (shared policy only) Rule #3. Externals-first means unentangled
+   parties deposit before a bundle owner is asked to commit anything —
+   the order the paper's walkthrough follows, and the one that keeps
+   bundle buyers safe at run time.
 
-let run_rescan ?shared ?obs ?parent g = run_with ?shared ?obs ?parent ~pick:(deterministic_pick g) g
-
-let run_randomized ~choose g =
-  let pick candidates = List.nth candidates (choose (List.length candidates)) in
-  run_with ~pick g
-
-(* Incremental reduction: a deletion of edge (c, j) can only enable
+   Incremental reduction: a deletion of edge (c, j) can only enable
    Rule #2 at j, Rule #1 at c (if it keeps another edge) and Rule #1 at
    j's other commitments (whose pre-empting red edge may just have
    vanished). Everything else is untouched, so after each deletion only
-   those nodes are re-examined — no rescans.
-
-   Candidates live in ordered sets mirroring {!deterministic_pick}
-   exactly: Rule #2 conjunctions by index, then Rule #1 commitments with
-   external principals by index, then the remaining Rule #1 commitments,
-   then (shared policy only) Rule #3 conjunctions by index. Picking the
-   minimum of the first non-empty set therefore reproduces the
-   rescanning reducer's deletion sequence edge for edge (the paper's
-   Example #1 walkthrough), which {!run_rescan} pins in the tests.
-   Near-linear instead of quadratic, it is the only synthesis path. *)
+   those nodes are re-examined — no rescans. Candidates live in ordered
+   sets, one per priority group: Rule #2 conjunctions by index, Rule #1
+   commitments with external principals by index, the remaining Rule #1
+   commitments, Rule #3 conjunctions by index. Picking the minimum of
+   the first non-empty set reproduces a rescanning reducer's deletion
+   sequence edge for edge (the paper's Example #1 walkthrough), which
+   the tests pin against a rescanning oracle. Near-linear instead of
+   quadratic, it is the only synthesis path. *)
 module Int_set = Set.Make (Int)
 
 let run ?(shared = false) ?(obs = Obs.null) ?parent g =
@@ -317,7 +218,7 @@ let run ?(shared = false) ?(obs = Obs.null) ?parent g =
           match rule3 with
           | None -> None
           | Some (_, set) ->
-            (* the rescanning reducer lists a conjunction's Rule #3
+            (* the rescanning oracle lists a conjunction's Rule #3
                edges by prepending, so it picks the last one *)
             Option.map
               (fun jid ->

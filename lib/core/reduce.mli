@@ -15,8 +15,7 @@
     The deterministic strategy applies Rule #2 eagerly after each
     deletion (conjunction disconnects, i.e. notifications, fire as soon
     as enabled) and otherwise scans commitments in index order; this is
-    the order the paper walks through for Example #1. The randomized
-    strategy exists to test confluence. *)
+    the order the paper walks through for Example #1. *)
 
 type rule =
   | Rule1  (** fringe commitment, not pre-empted *)
@@ -65,9 +64,11 @@ val run :
     deleted edge's endpoints and the conjunction's other commitments.
     Candidates are kept in ordered sets mirroring the deterministic
     priority, so the run is near-linear for bounded conjunction degree
-    and its deletion sequence is {e identical} to {!run_rescan}'s
-    (property-tested), including the §5 execution-sequence-bearing
-    order of the paper's Example #1 walkthrough.
+    and its deletion sequence is {e identical} to that of the test
+    oracle, a reducer that rescans every node after each deletion
+    ([test/ref_reduce.ml], property-tested), including the §5
+    execution-sequence-bearing order of the paper's Example #1
+    walkthrough.
 
     [shared] (default false) also enables {!Rule3_shared}: strictly
     more permissive than the paper's two rules, it additionally
@@ -88,28 +89,7 @@ val run :
     owner) and counters for rule applications, worklist pushes and the
     final verdict. Tracing never alters the reduction. *)
 
-val run_rescan :
-  ?shared:bool -> ?obs:Trust_obs.Obs.t -> ?parent:Trust_obs.Obs.handle -> Sequencing.t -> outcome
-(** The original rescanning reducer: recompute every applicable
-    deletion after each step and pick by the deterministic priority.
-    Quadratic; kept as the executable specification ({e test oracle})
-    for {!run}, which must match its verdicts {e and}
-    deletion sequences exactly, with and without [shared]. Its profiler
-    span records ["rescans"] (full scans of the graph) instead of
-    worklist pushes. *)
-
-val run_randomized : choose:(int -> int) -> Sequencing.t -> outcome
-(** Reduce applying, at each step, a uniformly chosen applicable
-    deletion: [choose n] must return an index in [\[0, n)]. Used by the
-    confluence property tests. *)
-
 val feasible : outcome -> bool
-
-val applicable : Sequencing.t -> (rule * int * int) list
-(** All currently applicable deletions [(rule, cid, jid)], commitments
-    in index order. Both Rule #1 clauses and Rule #2 are reported;
-    duplicates (an edge removable by several rules) are collapsed to the
-    first applicable rule in the order Rule2, Rule1, Rule1_persona. *)
 
 val pp_rule : Format.formatter -> rule -> unit
 val pp_deletion : Sequencing.t -> Format.formatter -> deletion -> unit

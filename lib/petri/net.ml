@@ -100,7 +100,6 @@ module Marking = struct
   let hash (m : t) = Hashtbl.hash m
   let covers m target = Array.for_all2 (fun have need -> have >= need) m target
   let to_array m = Array.copy m
-  let of_array m = Array.copy m
 
   let pp net ppf m =
     Format.fprintf ppf "@[<h>{";

@@ -44,8 +44,6 @@ module Marking : sig
   (** Token counts indexed by place; a fresh copy. Used by analyses that
       manipulate markings arithmetically (Karp–Miller ω-abstraction). *)
 
-  val of_array : int array -> t
-
   val pp : net -> Format.formatter -> t -> unit
 end
 

@@ -65,8 +65,6 @@ type t = {
   duration : int;
 }
 
-let single_transfer_bound = Spec.single_transfer_bound
-
 (* -- mutable fold state -- *)
 
 type cls = Protected | Exposed | Deposit
@@ -130,7 +128,7 @@ let of_result ?plan ?(defectors = []) spec (result : Engine.result) =
         ( Party.name party,
           {
             p_party = party;
-            p_bound = single_transfer_bound spec party;
+            p_bound = Spec.single_transfer_bound spec party;
             p_honest = not (List.exists (Party.equal party) defectors);
             p_released = 0;
             p_received = 0;

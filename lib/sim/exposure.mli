@@ -25,11 +25,11 @@
 
     The ledger checks two invariants for {e honest} principals:
     [Bound_exceeded] — at-risk value above the party's
-    {!single_transfer_bound} at some tick — and [Unsettled] — at-risk
-    value remaining when the run ends. Honest runs of feasible
-    protocols produce no violations; adversarial runs flag the
-    violating tick and party ({!record} turns each violation into a
-    structured [Obs] event). *)
+    {!Exchange.Spec.single_transfer_bound} at some tick — and
+    [Unsettled] — at-risk value remaining when the run ends. Honest
+    runs of feasible protocols produce no violations; adversarial runs
+    flag the violating tick and party ({!record} turns each violation
+    into a structured [Obs] event). *)
 
 open Exchange
 
@@ -80,10 +80,6 @@ type t = {
   violations : violation list;  (** honest principals only, chronological *)
   duration : int;  (** last delivery tick of the run *)
 }
-
-val single_transfer_bound : Spec.t -> Party.t -> Asset.money
-(** {!Exchange.Spec.single_transfer_bound}: the §5 bound, the largest
-    single transfer the party's commitments ever put in flight. *)
 
 val of_result :
   ?plan:Trust_core.Indemnity.plan ->

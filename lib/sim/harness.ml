@@ -150,13 +150,12 @@ let universal_run ?config ?(defectors = []) spec =
   let script_for party =
     List.map
       (fun (cref, d) ->
-        let asset = Spec.commitment_sends d cref.Spec.side in
-        let deposit = Action.Do Action.{ source = party; target = star; asset } in
+        let deposit = Spec.commit_transfer uni d cref.Spec.side in
         let condition =
           if Spec.endowed uni d cref.Spec.side then Protocol.Now
-          else Protocol.Observed (Action.Do Action.{ source = star; target = party; asset })
+          else Protocol.Observed (Action.Do { deposit with source = star; target = party })
         in
-        Protocol.{ condition; action = deposit })
+        Protocol.{ condition; action = Action.Do deposit })
       (Spec.own_sides uni party)
   in
   let principal_behavior party =

@@ -74,7 +74,7 @@ let test_direct_trust_window () =
   let x, _ = ledger S.simple_sale_direct in
   check_int "no violations" 0 (List.length x.E.violations);
   let c = party_ledger x "c" in
-  let bound = E.single_transfer_bound S.simple_sale_direct c.E.party in
+  let bound = Spec.single_transfer_bound S.simple_sale_direct c.E.party in
   check "consumer has a positive bound" true (bound > 0);
   check_int "window exactly the single-transfer bound" bound c.E.peak_at_risk;
   check "a real risk window" true (c.E.risk_ticks >= 1);
@@ -91,9 +91,10 @@ let test_direct_trust_window () =
 (* -- worked example: §6 indemnities keep everyone at zero risk -- *)
 
 let test_indemnified_rescue () =
-  match Indemnity.rescued_run S.example2 ~owner:S.example2_consumer with
-  | None -> Alcotest.fail "example2 rescue failed"
-  | Some (plan, _) ->
+  let plan = Indemnity.plan_greedy S.example2 ~owner:S.example2_consumer in
+  let analysis = Trust_core.Feasibility.analyze (Indemnity.apply plan S.example2) in
+  if analysis.Trust_core.Feasibility.sequence = None then Alcotest.fail "example2 rescue failed"
+  else
     let x, _ = ledger ~plan S.example2 in
     check_int "no violations" 0 (List.length x.E.violations);
     List.iter

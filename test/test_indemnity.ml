@@ -80,11 +80,12 @@ let test_deposits_refunds () =
     deposits refunds
 
 let test_rescued_run () =
-  match Indemnity.rescued_run fig7 ~owner with
+  let plan = Indemnity.plan_greedy fig7 ~owner in
+  check_int "rescue totals $70" (Asset.dollars 70) plan.Indemnity.total;
+  let analysis = Trust_core.Feasibility.analyze (Indemnity.apply plan fig7) in
+  match analysis.Trust_core.Feasibility.sequence with
   | None -> Alcotest.fail "fig7 rescue must succeed"
-  | Some (plan, seq) ->
-    check_int "rescue totals $70" (Asset.dollars 70) plan.Indemnity.total;
-    check "sequence physical" true (Trust_core.Execution.check_physical seq = Ok ())
+  | Some seq -> check "sequence physical" true (Trust_core.Execution.check_physical seq = Ok ())
 
 let test_example2_single_indemnity () =
   (* §6's narrative choice: Broker #1 escrows the price of document #2

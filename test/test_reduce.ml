@@ -103,7 +103,7 @@ let test_deletion_log_consistent () =
 
 let test_applicable_initial () =
   let g = Sequencing.build Workload.Scenarios.example1 in
-  let candidates = Reduce.applicable g in
+  let candidates = Ref_reduce.applicable g in
   (* Initially both external commitments (producer, consumer side) are
      removable and nothing else. *)
   check_int "two candidates" 2 (List.length candidates);
@@ -205,7 +205,7 @@ let same_outcome a b =
 let test_worklist_scenarios () =
   List.iter
     (fun (name, spec) ->
-      let naive = Reduce.run_rescan (Sequencing.build spec) in
+      let naive = Ref_reduce.run (Sequencing.build spec) in
       let fast = Reduce.run (Sequencing.build spec) in
       if not (same_outcome naive fast) then
         Alcotest.failf "%s: worklist diverges from the rescanning oracle" name)
@@ -229,7 +229,7 @@ let prop_worklist_agrees =
       let rng = Workload.Prng.create (Int64.of_int seed) in
       let spec = Workload.Gen.random_transaction rng Workload.Gen.default_mix in
       same_outcome
-        (Reduce.run_rescan (Sequencing.build spec))
+        (Ref_reduce.run (Sequencing.build spec))
         (Reduce.run (Sequencing.build spec)))
 
 (* The shared policy's Rule #3 on the worklist reducer against the
@@ -300,7 +300,7 @@ let test_shared_worklist_replays_oracle () =
     (fun (name, spec) ->
       List.iter
         (fun granular ->
-          let oracle = Reduce.run_rescan ~shared:true (Sequencing.build ~granular spec) in
+          let oracle = Ref_reduce.run ~shared:true (Sequencing.build ~granular spec) in
           let worklist = Reduce.run ~shared:true (Sequencing.build ~granular spec) in
           if not (same_outcome oracle worklist) then
             Alcotest.failf "%s (granular %b): worklist diverges from the rescanning oracle" name
@@ -321,7 +321,7 @@ let prop_confluence =
       let order_rng = Workload.Prng.create (Int64.of_int order_seed) in
       let randomized =
         Reduce.feasible
-          (Reduce.run_randomized
+          (Ref_reduce.run_randomized
              ~choose:(fun n -> Workload.Prng.int order_rng n)
              (Sequencing.build spec))
       in
