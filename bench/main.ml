@@ -804,22 +804,24 @@ let obs_json () =
             ("byte_identical", Json.Bool jobs_identical) ] ) ]
 
 (* Daemon soak: a real server (Unix socket, select loop, admission
-   control, epoch aging) in a spawned domain, driven by the Zipf load
-   generator over the million-principal universe. The claim-bearing
-   numbers are throughput, tail latency, and that memory stays bounded
-   while the cache ages the long tail out (aged_out > 0). The
+   control, epoch aging) in a process of its own, driven by the Zipf
+   load generator over the million-principal universe. The
+   claim-bearing numbers are throughput, tail latency, and that the
+   daemon's memory stays bounded while the cache ages the long tail out
+   (aged_out > 0): [rss_kb] is the server process's own, read from its
+   [stats] answers, and [client_rss_kb] the load generator's. The
    committed baseline lives in BENCH_daemon.json. *)
 
 let daemon_json () =
   let module Server = Trust_daemon.Server in
   let module Loadgen = Trust_daemon.Loadgen in
+  let module Client = Trust_daemon.Client in
+  let module Wire = Trust_daemon.Wire in
   let module Procstat = Trust_daemon.Procstat in
-  let module Metrics = Trust_serve.Metrics in
   let requests = if !quick then 300 else 5000 in
   let principals = if !quick then 50_000 else 1_000_000 in
   let sock = Printf.sprintf "/tmp/trustseq-bench-%d.sock" (Unix.getpid ()) in
   if Sys.file_exists sock then Sys.remove sock;
-  let stop = Atomic.make false in
   let cfg =
     {
       Server.default with
@@ -829,13 +831,34 @@ let daemon_json () =
       max_idle_epochs = 2;
     }
   in
-  let metrics = Metrics.create () in
-  let srv = Domain.spawn (fun () -> Server.run ~stop ~metrics cfg) in
+  (* the server drains on SIGTERM, as [trustseq serve] does, and writes
+     its drained stats down the pipe *)
+  let drained_r, drained_w = Unix.pipe () in
+  let server =
+    match Unix.fork () with
+    | 0 ->
+      Unix.close drained_r;
+      let stop = Atomic.make false in
+      Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> Atomic.set stop true));
+      let stats = Server.run ~stop cfg in
+      let oc = Unix.out_channel_of_descr drained_w in
+      output_string oc (Server.stats_json stats);
+      close_out oc;
+      Unix._exit 0
+    | pid ->
+      Unix.close drained_w;
+      pid
+  in
+  let shut_down () =
+    Unix.kill server Sys.sigterm;
+    let drained = In_channel.input_all (Unix.in_channel_of_descr drained_r) in
+    ignore (Unix.waitpid [] server);
+    drained
+  in
   let rec await n =
     if Sys.file_exists sock then ()
     else if n = 0 then begin
-      Atomic.set stop true;
-      ignore (Domain.join srv);
+      ignore (shut_down ());
       fail "daemon soak: server socket never appeared"
     end
     else begin
@@ -844,7 +867,20 @@ let daemon_json () =
     end
   in
   await 500;
-  let rss_start = Procstat.rss_kb () in
+  let ask request =
+    match Client.connect ("unix:" ^ sock) with
+    | Error e -> fail "daemon soak: %s" e
+    | Ok client ->
+      let answer = Client.request client request in
+      Client.close client;
+      (match answer with
+      | Ok (Wire.Text { text; _ }) -> text
+      | Ok _ -> fail "daemon soak: expected a text answer"
+      | Error e -> fail "daemon soak: %s" e)
+  in
+  let server_kb stats name = Json.as_int (Json.field (Json.parse stats) name) in
+  let server_start = ask (Wire.Stats { id = 1 }) in
+  let client_start = Procstat.rss_kb () in
   let lg =
     {
       Loadgen.default with
@@ -855,17 +891,27 @@ let daemon_json () =
     }
   in
   let outcome = Loadgen.run lg in
-  let rss_end = Procstat.rss_kb () in
-  Atomic.set stop true;
-  let stats = Domain.join srv in
-  let rss_peak = Procstat.peak_rss_kb () in
+  let client_end = Procstat.rss_kb () in
+  let server_end = ask (Wire.Stats { id = 2 }) in
+  let metrics = ask (Wire.Metrics { id = 3 }) in
+  let drained = shut_down () in
+  let client_peak = Procstat.peak_rss_kb () in
   match outcome with
   | Error e -> fail "daemon soak: %s" e
   | Ok r ->
     (* the soak runs with the daemon's production-default tracing (1 MiB
        ring, 1% head sampling, tail keeps always) — the latency numbers
        above price that in *)
-    let counter name = int (Metrics.value (Metrics.counter metrics name)) in
+    let counter name =
+      let prefix = name ^ " " in
+      match
+        List.find_opt (String.starts_with ~prefix) (String.split_on_char '\n' metrics)
+      with
+      | Some line ->
+        let value = String.sub line (String.length prefix) (String.length line - String.length prefix) in
+        int (int_of_float (float_of_string value))
+      | None -> fail "daemon soak: no %s in the metrics answer" name
+    in
     let ms x = num "%.3f" x in
     emit ~bench:"daemon_soak"
       [ ("requests", int requests); ("principals", int principals); ("seed", int 7);
@@ -878,7 +924,13 @@ let daemon_json () =
         ("aborted", int r.Loadgen.aborted); ("busy", int r.Loadgen.busy);
         ("dropped", int r.Loadgen.dropped); ("cache_hits", int r.Loadgen.cache_hits);
         ( "rss_kb",
-          Json.Obj [ ("start", int rss_start); ("end", int rss_end); ("peak", int rss_peak) ] );
+          Json.Obj
+            [ ("start", int (server_kb server_start "rss_kb"));
+              ("end", int (server_kb server_end "rss_kb"));
+              ("peak", int (server_kb drained "peak_rss_kb")) ] );
+        ( "client_rss_kb",
+          Json.Obj
+            [ ("start", int client_start); ("end", int client_end); ("peak", int client_peak) ] );
         ( "trace",
           Json.Obj
             [ ("ring_bytes", int cfg.Server.trace_ring);
@@ -886,7 +938,7 @@ let daemon_json () =
               ("sampled", counter "obs_sessions_sampled_total");
               ("kept_tail", counter "obs_sessions_kept_tail_total");
               ("ring_dropped", counter "obs_ring_records_dropped_total") ] );
-        ("server", Json.parse (Server.stats_json stats)) ]
+        ("server", Json.parse drained) ]
 
 (* Static-analysis cost: the cold abstract interpretation
    (Trust_analyze.Static_exposure.of_analysis) over each shape's
@@ -930,6 +982,108 @@ let analyze_json () =
   emit ~bench:"analyze_static_exposure"
     [ ("cold_iters", int cold_iters); ("shapes", Json.Arr (List.map measure shapes)) ]
 
+(* Least-squares exponent of time against width on log-log axes. *)
+let exponent points =
+  let xs = List.map (fun (n, _) -> log (float_of_int n)) points
+  and ys = List.map (fun (_, ms) -> log ms) points in
+  let mean l = List.fold_left ( +. ) 0. l /. float_of_int (List.length l) in
+  let mx = mean xs and my = mean ys in
+  let sxy = List.fold_left2 (fun acc x y -> acc +. ((x -. mx) *. (y -. my))) 0. xs ys in
+  let sxx = List.fold_left (fun acc x -> acc +. ((x -. mx) *. (x -. mx))) 0. xs in
+  sxy /. sxx
+
+(* The growth curves' widths and shapes. *)
+let curve_sizes () = if !quick then [ 64; 128; 256; 512 ] else [ 64; 128; 256; 512; 1024 ]
+
+let curve_shapes =
+  [ ("chain", fun n -> Workload.Gen.chain ~brokers:n);
+    ("fan", fun n -> Workload.Gen.fan ~prices:(List.init n (fun i -> Asset.dollars (i + 1))));
+    ("bundle", fun n -> Workload.Gen.bundle ~docs:n) ]
+
+(* One shape's curve: its (width, ms) points under [key], with the
+   fitted exponent. *)
+let curve_json ~key shape points =
+  Json.Obj
+    [ ("shape", Json.Str shape);
+      ( "points",
+        Json.Arr (List.map (fun (n, ms) -> Json.Obj [ ("n", int n); (key, num "%.3f" ms) ]) points)
+      );
+      ("exponent", num "%.2f" (exponent points)) ]
+
+let fresh_entry shape n =
+  match Cache.fresh Cache.default_policy (List.assoc shape curve_shapes n) with
+  | Ok entry -> entry
+  | Error e -> fail "hotpath bench: %s%d: %s" shape n e
+
+(* Hit-path growth: the best [Hotpath.exec] (default config) of each
+   shape's cached plan at widths 64 .. 1024 (64 .. 512 under --quick),
+   in ms, over at least 5 runs and about 20 ms of them, so a
+   sub-millisecond point still sheds scheduler noise; every point
+   starts from a compacted heap, so the state an earlier, larger plan
+   left does not leak into its timing. CI gates the fan exponent of the
+   quick curve; the 512 point is what separates a quadratic hit path
+   from a linear one there, since the smaller ones are dominated by
+   fixed costs and noise. *)
+let exec_curve () =
+  let exec_ms plan =
+    let run () =
+      let t0 = Unix.gettimeofday () in
+      ignore (Sys.opaque_identity (Trust_sim.Hotpath.exec plan));
+      (Unix.gettimeofday () -. t0, ())
+    in
+    Gc.compact ();
+    let runs = max 5 (min 1000 (int_of_float (0.02 /. fst (run ())))) in
+    fst (best_of runs run) *. 1e3
+  in
+  let curve (shape, _) =
+    curve_json ~key:"exec_ms" shape
+      (List.map
+         (fun n ->
+           match (fresh_entry shape n).Cache.compiled with
+           | Some plan -> (n, exec_ms plan)
+           | None -> fail "hotpath bench: %s%d has no compiled plan" shape n)
+         (curve_sizes ()))
+  in
+  Json.Arr (List.map curve curve_shapes)
+
+(* Miss-path growth: [Compile.compile] of each shape's synthesized
+   protocol (the cache's default policy; synthesis untimed) at the same
+   widths, in ms. A point is the best of 9 batches' mean time, each
+   batch about 20 ms, so every compile pays the minor collections its
+   allocation causes, where the best single run of a small point would
+   skip them; the rounds visit the widths in turn, so a slow spell of a
+   shared host falls on all of them rather than on one. CI gates the
+   fan and bundle exponents of the quick curve. *)
+let compile_curve () =
+  let policy = Cache.default_policy in
+  let batch f k =
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to k do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    (Unix.gettimeofday () -. t0) /. float_of_int k
+  in
+  let curve (shape, _) =
+    let compile n =
+      let entry = fresh_entry shape n in
+      let split = entry.Cache.split_spec in
+      fun () ->
+        Trust_core.Compile.compile ~lockstep:(policy.Cache.mode = Trust_sim.Harness.Lockstep)
+          ~shared:policy.Cache.shared ?plan:entry.Cache.plan
+          ~price:(Trust_sim.Trace.price_for split) split entry.Cache.protocol
+    in
+    let sizes = curve_sizes () in
+    let runs = List.map compile sizes in
+    Gc.compact ();
+    let batches = List.map (fun f -> (f, max 1 (int_of_float (0.02 /. batch f 1)))) runs in
+    let best = Array.make (List.length sizes) infinity in
+    for _ = 1 to 9 do
+      List.iteri (fun i (f, k) -> best.(i) <- Float.min best.(i) (batch f k)) batches
+    done;
+    curve_json ~key:"compile_ms" shape (List.mapi (fun i n -> (n, best.(i) *. 1e3)) sizes)
+  in
+  Json.Arr (List.map curve curve_shapes)
+
 (* Compiled hot path: the allocation-free plan runtime
    (Trust_core.Compile + Trust_sim.Hotpath) against the interpreted
    reference on the same fault-injected serve workload. Both paths run
@@ -943,65 +1097,9 @@ let analyze_json () =
    (the compiled runtime changes no verdict, tick or event count
    anywhere), and the cache-hit minor-allocation budget the compiled
    path restores. *)
-
-(* Hit-path growth: the best [Hotpath.exec] (default config) of each
-   shape's cached plan at widths 64 .. 1024 (64 .. 512 under --quick),
-   in ms, over at least 5 runs and about 20 ms of them, so a
-   sub-millisecond point still sheds scheduler noise; with the
-   least-squares exponent of time against width on log-log axes. CI
-   gates the fan exponent of the quick curve; the 512 point is what
-   separates a quadratic hit path from a linear one there, since the
-   smaller ones are dominated by fixed costs and noise. *)
-let exec_curve () =
-  let sizes = if !quick then [ 64; 128; 256; 512 ] else [ 64; 128; 256; 512; 1024 ] in
-  let shapes =
-    [ ("chain", fun n -> Workload.Gen.chain ~brokers:n);
-      ("fan", fun n -> Workload.Gen.fan ~prices:(List.init n (fun i -> Asset.dollars (i + 1))));
-      ("bundle", fun n -> Workload.Gen.bundle ~docs:n) ]
-  in
-  let exec_ms plan =
-    let run () =
-      let t0 = Unix.gettimeofday () in
-      ignore (Sys.opaque_identity (Trust_sim.Hotpath.exec plan));
-      (Unix.gettimeofday () -. t0, ())
-    in
-    (* every point starts from a compacted heap, so the state an
-       earlier, larger plan left does not leak into its timing *)
-    Gc.compact ();
-    let runs = max 5 (min 1000 (int_of_float (0.02 /. fst (run ())))) in
-    fst (best_of runs run) *. 1e3
-  in
-  let exponent points =
-    let xs = List.map (fun (n, _) -> log (float_of_int n)) points
-    and ys = List.map (fun (_, ms) -> log ms) points in
-    let mean l = List.fold_left ( +. ) 0. l /. float_of_int (List.length l) in
-    let mx = mean xs and my = mean ys in
-    let sxy = List.fold_left2 (fun acc x y -> acc +. ((x -. mx) *. (y -. my))) 0. xs ys in
-    let sxx = List.fold_left (fun acc x -> acc +. ((x -. mx) *. (x -. mx))) 0. xs in
-    sxy /. sxx
-  in
-  let curve (shape, make) =
-    let points =
-      List.map
-        (fun n ->
-          match Cache.fresh Cache.default_policy (make n) with
-          | Ok { Cache.compiled = Some plan; _ } -> (n, exec_ms plan)
-          | Ok _ -> fail "hotpath bench: %s%d has no compiled plan" shape n
-          | Error e -> fail "hotpath bench: %s%d: %s" shape n e)
-        sizes
-    in
-    Json.Obj
-      [ ("shape", Json.Str shape);
-        ( "points",
-          Json.Arr
-            (List.map
-               (fun (n, ms) -> Json.Obj [ ("n", int n); ("exec_ms", num "%.3f" ms) ])
-               points) );
-        ("exponent", num "%.2f" (exponent points)) ]
-  in
-  Json.Arr (List.map curve shapes)
-
 let hotpath_json () =
+  (* measured first, in a heap no pool of domains has used yet *)
+  let compile_curve = compile_curve () in
   let sessions = if !quick then 200 else 1000 in
   let drop_rate = 0.02 in
   let workload () =
@@ -1060,7 +1158,8 @@ let hotpath_json () =
       ("speedup_jobs1", num "%.2f" (ratio (fst comp1) (fst interp1)));
       ("alloc_reduction", num "%.1f" (ratio words_interp words_comp));
       ("digests_match", Json.Bool (all_equal (List.map snd [ interp1; interp4; comp1; comp4 ])));
-      ("exec_curve", exec_curve ()) ]
+      ("exec_curve", exec_curve ());
+      ("compile_curve", compile_curve) ]
 
 (* Trace-mining feedback loop, end to end at the scheduler layer (the
    daemon wires the identical pieces behind --mine-every): a

@@ -176,195 +176,490 @@ let party_index t party =
   in
   go 0
 
+(* -- the action table under construction --
+
+   An action is interned by an all-int key: its kind (0 [Do], 1 [Undo],
+   2 [Notify]), its two endpoints' party ids (source and target; agent
+   and informed), its document's provisional id ([-1] for money and
+   notifications) and its money amount. The index is open addressing
+   over the growing key columns, so a lookup hashes no party, string or
+   asset and allocates nothing. *)
+type acts = {
+  mutable n : int;
+  mutable kind : int array;
+  mutable src : int array;
+  mutable tgt : int array;
+  mutable doc : int array;
+  mutable amt : int array;
+  mutable value : Action.t array;  (** the first value interned under each key *)
+  mutable index : int array;  (** power-of-two slots: an action id, [-1] free *)
+}
+
+let no_party = Party.trusted ""
+let no_action = Action.Notify { agent = no_party; informed = no_party }
+
+let grow a fill = Array.append a (Array.make (max 8 (Array.length a)) fill)
+
+let slot_of_key acts k s g d m =
+  let h = (((((((k * 0x9E3779B1) + s) * 0x85EBCA77) + g) * 0xC2B2AE3D) + d) * 0x27D4EB2F) + m in
+  (h lxor (h lsr 29)) land (Array.length acts.index - 1)
+
+let rec reindex acts =
+  acts.index <- Array.make (2 * Array.length acts.index) (-1);
+  for id = 0 to acts.n - 1 do
+    place acts id (slot_of_key acts acts.kind.(id) acts.src.(id) acts.tgt.(id) acts.doc.(id) acts.amt.(id))
+  done
+
+and place acts id i =
+  if acts.index.(i) < 0 then acts.index.(i) <- id
+  else place acts id ((i + 1) land (Array.length acts.index - 1))
+
+(* The id of the key, appended (with [value] unset) when new. Probing
+   is a top-level loop, so a lookup allocates no closure. *)
+let rec probe acts k s g d m i =
+  let id = acts.index.(i) in
+  if id < 0 then begin
+    let id = acts.n in
+    if id = Array.length acts.kind then begin
+      acts.kind <- grow acts.kind 0;
+      acts.src <- grow acts.src 0;
+      acts.tgt <- grow acts.tgt 0;
+      acts.doc <- grow acts.doc 0;
+      acts.amt <- grow acts.amt 0;
+      acts.value <- grow acts.value no_action
+    end;
+    acts.kind.(id) <- k;
+    acts.src.(id) <- s;
+    acts.tgt.(id) <- g;
+    acts.doc.(id) <- d;
+    acts.amt.(id) <- m;
+    acts.index.(i) <- id;
+    acts.n <- id + 1;
+    if 2 * acts.n > Array.length acts.index then reindex acts;
+    id
+  end
+  else if
+    acts.kind.(id) = k && acts.src.(id) = s && acts.tgt.(id) = g && acts.doc.(id) = d
+    && acts.amt.(id) = m
+  then id
+  else probe acts k s g d m ((i + 1) land (Array.length acts.index - 1))
+
+let intern_key acts k s g d m = probe acts k s g d m (slot_of_key acts k s g d m)
+
+let money_of = function Asset.Money m -> m | Asset.Document _ -> 0
+
+(* Sort [a.(lo) .. a.(hi - 1)] in place: insertion sort, since a
+   name's documents are usually one or two. *)
+let sort_range (a : int array) lo hi =
+  if hi - lo > 16 then begin
+    let sub = Array.sub a lo (hi - lo) in
+    Array.sort Int.compare sub;
+    Array.blit sub 0 a lo (hi - lo)
+  end
+  else
+    for k = lo + 1 to hi - 1 do
+      let x = a.(k) in
+      let j = ref (k - 1) in
+      while !j >= lo && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+
+(* The actions of [ids] whose amount covers [amount], in order.
+   [amounts] is theirs, sorted: it counts them, so the fill stops at
+   the last one (on a rescued fan they are a prefix, and the whole
+   table costs what it holds). *)
+let covering ids (amount_of : int array) (amounts : int array) amount =
+  let rec first_covering lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) lsr 1 in
+      if amounts.(mid) >= amount then first_covering lo mid else first_covering (mid + 1) hi
+  in
+  let n = Array.length amounts - first_covering 0 (Array.length amounts) in
+  let out = Array.make n 0 and k = ref 0 and i = ref 0 in
+  while !k < n do
+    let a = ids.(!i) in
+    if amount_of.(a) >= amount then begin
+      out.(!k) <- a;
+      incr k
+    end;
+    incr i
+  done;
+  out
+
+(* The index of [x] in the sorted [a.(lo) .. a.(hi - 1)], which holds it. *)
+let rec search (a : int array) (x : int) lo hi =
+  let mid = (lo + hi) lsr 1 in
+  if a.(mid) = x then mid else if a.(mid) < x then search a x (mid + 1) hi else search a x lo mid
+
+(* a party name's id, and the parties with that name (usually one) *)
+type name_entry = { nid : int; mutable members : (Party.t * int) list }
+
+(* Hash tables on strings and ints that skip the polymorphic compare
+   (and, for ints, the C hash). *)
+module Stbl = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash x =
+    let h = x * 0x9E3779B97F4A7C1 in
+    (h lxor (h lsr 32)) land max_int
+end)
+
+(* The compiler interns each party, document and action to an int once
+   and reads every per-party question (own sides, deliveries, split
+   marks, indemnity amounts, endowments) off tables built in one pass
+   over the deals, so a plan costs time linear in the spec. Ids are
+   handed out in the order the tables have always been filled: parties
+   in [Spec.parties] order; actions in role order (a script's steps,
+   then its persona duties; an escrow's deal slots, deposits, then
+   notifications), then each judged principal's deliveries and sends,
+   the §6 deposits and every [Do]'s [Undo]; documents by first use in
+   the action table, then by the deals' endowments. *)
 let compile ~lockstep ~shared ?plan ~price spec protocol =
   let deals = Array.of_list spec.Spec.deals in
   let n_deals = Array.length deals in
-  (* -- party interning -- *)
-  let party_tbl : (Party.t, int) Hashtbl.t = Hashtbl.create 16 in
-  let party_rev = ref [] in
-  let n_parties = ref 0 in
+  (* -- parties, each with its name id -- *)
+  let names = Stbl.create ((2 * n_deals) + 1) in
+  let party_arr = ref (Array.make ((3 * n_deals) + 1) no_party) in
+  let name_arr = ref (Array.make ((3 * n_deals) + 1) 0) in
+  let n_parties = ref 0 and n_names = ref 0 in
+  (* the id of [p], [-1] when unknown *)
+  let find p =
+    match Stbl.find_opt names (Party.name p) with
+    | Some entry -> (
+      match List.find_opt (fun (q, _) -> Party.equal q p) entry.members with
+      | Some (_, i) -> i
+      | None -> -1)
+    | None -> -1
+  in
   let party_id p =
-    match Hashtbl.find_opt party_tbl p with
-    | Some i -> i
-    | None ->
-      let i = !n_parties in
-      Hashtbl.replace party_tbl p i;
-      party_rev := p :: !party_rev;
-      incr n_parties;
-      i
+    let name = Party.name p in
+    let entry =
+      match Stbl.find names name with
+      | entry -> entry
+      | exception Not_found ->
+        let entry = { nid = !n_names; members = [] } in
+        Stbl.add names name entry;
+        incr n_names;
+        entry
+    in
+    let rec member = function
+      | (q, i) :: rest -> if Party.equal q p then i else member rest
+      | [] ->
+        let i = !n_parties in
+        if i = Array.length !party_arr then begin
+          party_arr := grow !party_arr no_party;
+          name_arr := grow !name_arr 0
+        end;
+        !party_arr.(i) <- p;
+        !name_arr.(i) <- entry.nid;
+        entry.members <- (p, i) :: entry.members;
+        incr n_parties;
+        i
+    in
+    member entry.members
   in
-  List.iter (fun p -> ignore (party_id p)) (Spec.parties spec);
+  (* principals first, then trusted roles: [Spec.parties] order *)
+  let left = Array.make n_deals 0 and right = Array.make n_deals 0 in
+  Array.iteri
+    (fun i d ->
+      left.(i) <- party_id d.Spec.left;
+      right.(i) <- party_id d.Spec.right)
+    deals;
+  let n_principals = !n_parties in
+  let via = Array.map (fun d -> party_id d.Spec.via) deals in
+  let n_spec_parties = !n_parties in
+  (* the party that performs each deal's trusted role *)
+  let persona = Array.make n_spec_parties (-1) in
+  Party.Map.iter
+    (fun trusted principal ->
+      let t = find trusted in
+      if t >= 0 then persona.(t) <- party_id principal)
+    spec.Spec.personas;
+  let agent = Array.map (fun v -> if persona.(v) >= 0 then persona.(v) else v) via in
+  (* -- documents: provisional ids by first sight, deals first, with the
+     first deal sending each; money amounts likewise -- *)
+  let dtbl = Stbl.create ((2 * n_deals) + 1) in
+  let prov_name = ref (Array.make ((2 * n_deals) + 1) "") in
+  let n_prov = ref 0 in
+  let prov name =
+    match Stbl.find_opt dtbl name with
+    | Some c -> c
+    | None ->
+      let c = !n_prov in
+      if c = Array.length !prov_name then prov_name := grow !prov_name "";
+      !prov_name.(c) <- name;
+      Stbl.add dtbl name c;
+      incr n_prov;
+      c
+  in
+  let doc_of = function Asset.Document name -> prov name | Asset.Money _ -> -1 in
+  let doc_deal = Array.make ((2 * n_deals) + 1) (-1) in
+  let money_deal = Itbl.create 8 in
+  let code i = function
+    | Asset.Document name ->
+      let c = prov name in
+      if doc_deal.(c) < 0 then doc_deal.(c) <- i;
+      c
+    | Asset.Money m ->
+      if not (Itbl.mem money_deal m) then Itbl.add money_deal m i;
+      -1
+  in
+  let lcode = Array.make n_deals (-1) and rcode = Array.make n_deals (-1) in
+  Array.iteri
+    (fun i d ->
+      lcode.(i) <- code i d.Spec.left_sends;
+      rcode.(i) <- code i d.Spec.right_sends)
+    deals;
+  let n_deal_docs = !n_prov in
   (* -- action interning -- *)
-  let act_tbl : (Action.t, int) Hashtbl.t = Hashtbl.create 64 in
-  let act_rev = ref [] in
-  let n_acts = ref 0 in
-  let act_id a =
-    match Hashtbl.find_opt act_tbl a with
-    | Some i -> i
-    | None ->
-      let i = !n_acts in
-      Hashtbl.replace act_tbl a i;
-      act_rev := a :: !act_rev;
-      incr n_acts;
-      (match a with
-      | Action.Do tr | Action.Undo tr ->
-        ignore (party_id tr.Action.source);
-        ignore (party_id tr.Action.target)
-      | Action.Notify { agent; informed } ->
-        ignore (party_id agent);
-        ignore (party_id informed));
-      i
+  let acts =
+    let cap = (14 * n_deals) + 16 in
+    let slots = ref 16 in
+    while !slots < 2 * cap do
+      slots := 2 * !slots
+    done;
+    {
+      n = 0;
+      kind = Array.make cap 0;
+      src = Array.make cap 0;
+      tgt = Array.make cap 0;
+      doc = Array.make cap 0;
+      amt = Array.make cap 0;
+      value = Array.make cap no_action;
+      index = Array.make !slots (-1);
+    }
   in
-  (* slots are assigned once the listener table exists *)
+  let fresh before id v = if acts.n > before then acts.value.(id) <- v in
+  (* a transfer between known parties, [kind] 0 or 1 *)
+  let intern kind s g asset doc =
+    let before = acts.n in
+    let id = intern_key acts kind s g doc (money_of asset) in
+    if acts.n > before then begin
+      let tr = { Action.source = !party_arr.(s); target = !party_arr.(g); asset } in
+      acts.value.(id) <- (if kind = 0 then Action.Do tr else Action.Undo tr)
+    end;
+    id
+  in
+  let intern_tr kind (tr : Action.transfer) =
+    let s = party_id tr.Action.source in
+    let g = party_id tr.Action.target in
+    let before = acts.n in
+    let id = intern_key acts kind s g (doc_of tr.Action.asset) (money_of tr.Action.asset) in
+    if acts.n > before then acts.value.(id) <- (if kind = 0 then Action.Do tr else Action.Undo tr);
+    id
+  in
+  let intern_action a =
+    match a with
+    | Action.Do tr | Action.Undo tr ->
+      let s = party_id tr.Action.source in
+      let g = party_id tr.Action.target in
+      let kind = match a with Action.Do _ -> 0 | _ -> 1 in
+      let before = acts.n in
+      let id = intern_key acts kind s g (doc_of tr.Action.asset) (money_of tr.Action.asset) in
+      fresh before id a;
+      id
+    | Action.Notify { agent; informed } ->
+      let s = party_id agent in
+      let g = party_id informed in
+      let before = acts.n in
+      let id = intern_key acts 2 s g (-1) 0 in
+      fresh before id a;
+      id
+  in
+  (* -- roles; slots are assigned once the listener table exists -- *)
   let step_of (s : Protocol.scripted_step) =
     let cond =
       match s.Protocol.condition with
       | Protocol.Now -> -1
-      | Protocol.Observed a -> act_id a
+      | Protocol.Observed a -> intern_action a
     in
-    { cond; slot = -1; act = act_id s.Protocol.action }
+    { cond; slot = -1; act = intern_action s.Protocol.action }
   in
-  let offers = match plan with Some p -> p.Indemnity.offers | None -> [] in
-  let deposit_actions = match plan with Some p -> Indemnity.deposits p | None -> [] in
   let persona_entry (pd : Protocol.persona_deal) =
-    {
-      pc_deal = Spec.deal_index spec pd.Protocol.deal.Spec.id;
-      pc_incoming = act_id (Action.Do pd.Protocol.incoming);
-      pc_return = act_id (Action.Undo pd.Protocol.incoming);
-      pc_forward = act_id (Action.Do pd.Protocol.forward);
-    }
+    let pc_forward = intern_tr 0 pd.Protocol.forward in
+    let pc_return = intern_tr 1 pd.Protocol.incoming in
+    let pc_incoming = intern_tr 0 pd.Protocol.incoming in
+    { pc_deal = Spec.deal_index spec pd.Protocol.deal.Spec.id; pc_incoming; pc_return; pc_forward }
   in
   let slot d =
-    let left_tr = Spec.commit_transfer spec d Spec.Left in
-    let right_tr = Spec.commit_transfer spec d Spec.Right in
-    let forwards = List.map (fun tr -> act_id (Action.Do tr)) (Spec.forwards spec d) in
-    {
-      sl_deal = Spec.deal_index spec d.Spec.id;
-      sl_left_in = act_id (Action.Do left_tr);
-      sl_right_in = act_id (Action.Do right_tr);
-      sl_left_back = act_id (Action.Undo left_tr);
-      sl_right_back = act_id (Action.Undo right_tr);
-      sl_forwards = Array.of_list forwards;
-    }
+    let i = Spec.deal_index spec d.Spec.id in
+    let a = agent.(i) in
+    (* completion forwards, documents before money *)
+    let to_left () = intern 0 a left.(i) d.Spec.right_sends rcode.(i) in
+    let to_right () = intern 0 a right.(i) d.Spec.left_sends lcode.(i) in
+    let sl_forwards =
+      if rcode.(i) < 0 && lcode.(i) >= 0 then
+        let f = to_right () in
+        [| f; to_left () |]
+      else
+        let f = to_left () in
+        [| f; to_right () |]
+    in
+    let sl_right_back = intern 1 right.(i) a d.Spec.right_sends rcode.(i) in
+    let sl_left_back = intern 1 left.(i) a d.Spec.left_sends lcode.(i) in
+    let sl_right_in = intern 0 right.(i) a d.Spec.right_sends rcode.(i) in
+    let sl_left_in = intern 0 left.(i) a d.Spec.left_sends lcode.(i) in
+    { sl_deal = i; sl_left_in; sl_right_in; sl_left_back; sl_right_back; sl_forwards }
   in
   let deposit (o : Indemnity.offer) =
     let tr = Indemnity.deposit_transfer o in
+    let dp_forfeit = intern_tr 0 (Indemnity.forfeit_transfer o) in
+    let dp_back = intern_tr 1 tr in
+    let dp_in = intern_tr 0 tr in
     {
-      dp_in = act_id (Action.Do tr);
-      dp_back = act_id (Action.Undo tr);
-      dp_forfeit = act_id (Action.Do (Indemnity.forfeit_transfer o));
+      dp_in;
+      dp_back;
+      dp_forfeit;
       dp_deal = Spec.deal_index spec o.Indemnity.piece.Spec.deal;
       dp_left = o.Indemnity.piece.Spec.side = Spec.Left;
     }
   in
   let role_of = function
     | Protocol.Principal { script; persona } ->
-      let steps = Array.of_list (List.map step_of script) in
-      Script { steps; persona = Array.of_list (List.map persona_entry persona) }
+      let steps = Array.map step_of (Array.of_list script) in
+      Script { steps; persona = Array.map persona_entry (Array.of_list persona) }
     | Protocol.Agent { notifies; deals; deposits; atomic } ->
-      let es_deals = Array.of_list (List.map slot deals) in
-      let es_deposits = Array.of_list (List.map deposit deposits) in
+      let es_deals = Array.map slot (Array.of_list deals) in
+      let es_deposits = Array.map deposit (Array.of_list deposits) in
       Escrow
         {
           es_atomic = atomic;
           es_deals;
           es_deposits;
-          es_notifies = Array.of_list (List.map step_of notifies);
+          es_notifies = Array.map step_of (Array.of_list notifies);
         }
   in
   let roles =
     Protocol.role_table ~shared ?plan ~lockstep spec protocol
-    |> List.map (fun (p, role) -> (party_id p, role_of role))
+    |> List.map (fun (p, role) ->
+           let role = role_of role in
+           (party_id p, role))
     |> Array.of_list
   in
-  let principals = Spec.principals spec in
-  (* -- audit candidate actions, then close the table under Undo -- *)
-  let judged_src =
-    List.filter
-      (fun party -> not (Party.is_trusted party && Spec.persona_of spec party <> None))
-      (Spec.parties spec)
-  in
-  (* per own side: its send, its deliveries and, when split, the
-     indemnity amount a payout must cover (0 when unsplit) *)
-  let own_checks party =
-    List.map
-      (fun (cref, d) ->
-        let side = cref.Spec.side in
-        let split = Spec.is_split spec party cref in
-        let recv =
-          Array.of_list (List.map (fun tr -> act_id (Action.Do tr)) (Spec.deliveries spec d side))
+  (* -- each principal's own sides, spec order: deal [i]'s Left is
+     [2i], its Right [2i + 1] -- *)
+  let own_off = Array.make (n_principals + 1) 0 in
+  for i = 0 to n_deals - 1 do
+    own_off.(left.(i) + 1) <- own_off.(left.(i) + 1) + 1;
+    own_off.(right.(i) + 1) <- own_off.(right.(i) + 1) + 1
+  done;
+  for p = 0 to n_principals - 1 do
+    own_off.(p + 1) <- own_off.(p + 1) + own_off.(p)
+  done;
+  let own = Array.make (2 * n_deals) 0 in
+  let next = Array.sub own_off 0 n_principals in
+  for i = 0 to n_deals - 1 do
+    own.(next.(left.(i))) <- 2 * i;
+    next.(left.(i)) <- next.(left.(i)) + 1;
+    own.(next.(right.(i))) <- (2 * i) + 1;
+    next.(right.(i)) <- next.(right.(i)) + 1
+  done;
+  let sends k = if k land 1 = 0 then deals.(k lsr 1).Spec.left_sends else deals.(k lsr 1).Spec.right_sends in
+  let sends_code k = if k land 1 = 0 then lcode.(k lsr 1) else rcode.(k lsr 1) in
+  (* sides split off their own principal's conjunction (§6) *)
+  let split = Array.make (if spec.Spec.splits = [] then 0 else 2 * n_deals) false in
+  List.iter
+    (fun (owner, (cref : Spec.commitment_ref)) ->
+      let i = Spec.deal_index spec cref.Spec.deal in
+      if i >= 0 && Party.equal owner (Spec.commitment_principal deals.(i) cref.Spec.side) then
+        split.((2 * i) + if cref.Spec.side = Spec.Left then 0 else 1) <- true)
+    spec.Spec.splits;
+  (* what each principal's sides cost it in all: an indemnity covers
+     every piece but the split one *)
+  let cost = Array.make n_principals 0 in
+  for p = 0 to n_principals - 1 do
+    for j = own_off.(p) to own_off.(p + 1) - 1 do
+      cost.(p) <- cost.(p) + Asset.value (sends own.(j))
+    done
+  done;
+  (* -- audit candidate actions: per own side, its send, its
+     deliveries and, when split, the indemnity amount a payout must
+     cover (0 when unsplit) -- *)
+  let own_checks p =
+    Array.init
+      (own_off.(p + 1) - own_off.(p))
+      (fun j ->
+        let k = own.(own_off.(p) + j) in
+        let i = k lsr 1 in
+        let is_split = Array.length split > 0 && split.(k) in
+        let other = if k land 1 = 0 then right.(i) else left.(i) in
+        let expects = sends (k lxor 1) and ecode = sends_code (k lxor 1) in
+        let r0 = intern 0 agent.(i) p expects ecode in
+        let r1 = intern 0 via.(i) p expects ecode in
+        let r2 = intern 0 other p expects ecode in
+        let send =
+          intern 0 p (if agent.(i) = p then other else agent.(i)) (sends k) (sends_code k)
         in
-        let send = act_id (Action.Do (Spec.send_transfer spec d side)) in
-        (send, recv, split, if split then Spec.indemnity_amount spec party cref else 0))
-      (Spec.own_sides spec party)
+        let amount = if is_split then cost.(p) - Asset.value (sends k) else 0 in
+        ({ cc_send = send; cc_recv = [| r0; r1; r2 |]; cc_split = is_split; cc_payouts = [||] }, amount))
   in
   let judged_src =
-    List.map
-      (fun party -> (party, if Party.is_trusted party then [] else own_checks party))
-      judged_src
-  in
-  List.iter (fun a -> ignore (act_id a)) deposit_actions;
-  let do_snapshot = List.rev !act_rev in
-  List.iter
-    (fun a -> match a with Action.Do tr -> ignore (act_id (Action.Undo tr)) | _ -> ())
-    do_snapshot;
-  (* -- freeze tables -- *)
-  let actions = Array.of_list (List.rev !act_rev) in
-  let n_actions = Array.length actions in
-  let parties = Array.of_list (List.rev !party_rev) in
-  let n_parties = Array.length parties in
-  let doc_tbl : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  let doc_rev = ref [] in
-  let n_docs = ref 0 in
-  let doc_id d =
-    match Hashtbl.find_opt doc_tbl d with
-    | Some i -> i
-    | None ->
-      let i = !n_docs in
-      Hashtbl.replace doc_tbl d i;
-      doc_rev := d :: !doc_rev;
-      incr n_docs;
-      i
-  in
-  Array.iter
-    (function
-      | Action.Do tr | Action.Undo tr -> (
-        match tr.Action.asset with Asset.Document d -> ignore (doc_id d) | Asset.Money _ -> ())
-      | Action.Notify _ -> ())
-    actions;
-  (* endowment documents may never move (stalled specs): intern them too *)
-  List.iter
-    (fun (cref, d) ->
-      match Spec.commitment_sends d cref.Spec.side with
-      | Asset.Document name -> ignore (doc_id name)
-      | Asset.Money _ -> ())
-    (Spec.commitments spec);
-  let docs = Array.of_list (List.rev !doc_rev) in
-  let n_docs = Array.length docs in
-  (* -- name table (engine holdings and exposure ledgers key by name) -- *)
-  let name_tbl : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let n_names = ref 0 in
-  let name_of =
-    Array.map
+    List.filter_map
       (fun p ->
-        let name = Party.name p in
-        match Hashtbl.find_opt name_tbl name with
-        | Some i -> i
-        | None ->
-          let i = !n_names in
-          Hashtbl.replace name_tbl name i;
-          incr n_names;
-          i)
-      parties
+        let party = !party_arr.(p) in
+        if Party.is_trusted party then
+          if persona.(p) >= 0 then None else Some (p, [||])
+        else Some (p, own_checks p))
+      (List.init n_spec_parties Fun.id)
   in
+  let offers = match plan with Some p -> p.Indemnity.offers | None -> [] in
+  let deposit_ids = List.map (fun o -> intern_tr 0 (Indemnity.deposit_transfer o)) offers in
+  (* -- close the table under Undo -- *)
+  let n_before_undo = acts.n in
+  let undo_of = Array.make n_before_undo (-1) in
+  for a = 0 to n_before_undo - 1 do
+    if acts.kind.(a) = 0 then begin
+      let before = acts.n in
+      let u = intern_key acts 1 acts.src.(a) acts.tgt.(a) acts.doc.(a) acts.amt.(a) in
+      (if acts.n > before then
+         match acts.value.(a) with Action.Do tr -> acts.value.(u) <- Action.Undo tr | _ -> ());
+      undo_of.(a) <- u
+    end
+  done;
+  (* -- freeze tables -- *)
+  let n_actions = acts.n in
+  let actions = Array.sub acts.value 0 n_actions in
+  let n_parties = !n_parties in
+  let parties = Array.sub !party_arr 0 n_parties in
+  let name_of = Array.sub !name_arr 0 n_parties in
   let n_names = !n_names in
-  let n_principals = List.length principals in
+  (* documents by first use in the action table, then the endowment
+     documents that may never move (stalled specs) *)
+  let doc_id = Array.make !n_prov (-1) in
+  let docs_rev = ref [] and n_docs = ref 0 in
+  let number c =
+    if c >= 0 && doc_id.(c) < 0 then begin
+      doc_id.(c) <- !n_docs;
+      docs_rev := !prov_name.(c) :: !docs_rev;
+      incr n_docs
+    end
+  in
+  for a = 0 to n_actions - 1 do
+    number acts.doc.(a)
+  done;
+  for i = 0 to n_deals - 1 do
+    number lcode.(i);
+    number rcode.(i)
+  done;
+  let docs = Array.of_list (List.rev !docs_rev) in
+  let n_docs = !n_docs in
   let pslot_of_name = Array.make n_names (-1) in
-  List.iteri
-    (fun slot p ->
-      let name = name_of.(party_id p) in
-      if pslot_of_name.(name) < 0 then pslot_of_name.(name) <- slot)
-    principals;
+  for slot = 0 to n_principals - 1 do
+    if pslot_of_name.(name_of.(slot)) < 0 then pslot_of_name.(name_of.(slot)) <- slot
+  done;
   (* -- per-action tables -- *)
   let act_kind = Array.make n_actions 2 in
   let act_debit = Array.make n_actions (-1) in
@@ -373,100 +668,133 @@ let compile ~lockstep ~shared ?plan ~price spec protocol =
   let act_amount = Array.make n_actions 0 in
   let act_beneficiary = Array.make n_actions (-1) in
   let act_undo = Array.make n_actions (-1) in
+  let act_deal = Array.make n_actions (-1) in
   let price_src = Array.make n_actions 0 in
   let price_tgt = Array.make n_actions 0 in
   let src_principal = Array.make n_actions false in
   let tgt_trusted = Array.make n_actions false in
-  (* audit candidates bucketed by party: every [Do] it sends, and every
-     money [Do] it receives *)
-  let sends_of = Array.make n_parties [] and paid_to = Array.make n_parties [] in
-  (* every transfer into or out of a party: a trusted judge's flows *)
-  let flows_of = Array.make n_parties [] in
+  let do_of = Array.make n_actions (-1) in
   Array.iteri
-    (fun i action ->
-      match action with
-      | Action.Notify { agent; informed } ->
-        act_kind.(i) <- 2;
-        act_beneficiary.(i) <- party_id informed;
-        ignore agent
-      | Action.Do tr | Action.Undo tr ->
-        let is_do = match action with Action.Do _ -> true | _ -> false in
-        act_kind.(i) <- (if is_do then 0 else 1);
-        let source = party_id tr.Action.source and target = party_id tr.Action.target in
-        let debit, credit = if is_do then (source, target) else (target, source) in
-        act_debit.(i) <- debit;
-        act_credit.(i) <- credit;
-        act_beneficiary.(i) <- (if is_do then target else source);
-        (match tr.Action.asset with
-        | Asset.Document d -> act_doc.(i) <- doc_id d
-        | Asset.Money m -> act_amount.(i) <- m);
-        flows_of.(debit) <- i :: flows_of.(debit);
-        if credit <> debit then flows_of.(credit) <- i :: flows_of.(credit);
-        if is_do then begin
-          sends_of.(source) <- i :: sends_of.(source);
-          if act_doc.(i) < 0 then paid_to.(target) <- i :: paid_to.(target)
-        end;
-        (* exposure views the releasing side as src: Do source / Undo target *)
-        let xsrc = parties.(debit) and xtgt = parties.(credit) in
-        price_src.(i) <- price xsrc tr.Action.asset;
-        price_tgt.(i) <- price xtgt tr.Action.asset;
-        src_principal.(i) <- Party.is_principal xsrc;
-        tgt_trusted.(i) <- Party.is_trusted xtgt)
-    actions;
-  Array.iter
-    (function
-      | Action.Do tr as a ->
-        act_undo.(Hashtbl.find act_tbl a) <- Hashtbl.find act_tbl (Action.Undo tr)
-      | Action.Undo _ | Action.Notify _ -> ())
-    actions;
+    (fun a u ->
+      if u >= 0 then begin
+        act_undo.(a) <- u;
+        do_of.(u) <- a
+      end)
+    undo_of;
+  (* [price] is a pure valuation: a document's is asked once per party *)
+  let priced = Itbl.create 16 in
+  let price_of p asset d =
+    if d < 0 then price parties.(p) asset
+    else
+      let key = (p * n_docs) + d in
+      match Itbl.find_opt priced key with
+      | Some value -> value
+      | None ->
+        let value = price parties.(p) asset in
+        Itbl.add priced key value;
+        value
+  in
+  (* audit candidates bucketed by principal: every [Do] it sends, and
+     every money [Do] it receives *)
+  let sends_of = Array.make n_parties [] and paid_to = Array.make n_parties [] in
+  (* every transfer into or out of a trusted role: its judge's flows *)
+  let flows_of = Array.make n_parties [] in
+  for i = 0 to n_actions - 1 do
+    let kind = acts.kind.(i) and source = acts.src.(i) and target = acts.tgt.(i) in
+    if kind = 2 then act_beneficiary.(i) <- target
+    else begin
+      let is_do = kind = 0 in
+      act_kind.(i) <- kind;
+      let debit, credit = if is_do then (source, target) else (target, source) in
+      act_debit.(i) <- debit;
+      act_credit.(i) <- credit;
+      act_beneficiary.(i) <- (if is_do then target else source);
+      let c = acts.doc.(i) in
+      if c >= 0 then begin
+        act_doc.(i) <- doc_id.(c);
+        if c < n_deal_docs then act_deal.(i) <- doc_deal.(c)
+      end
+      else begin
+        act_amount.(i) <- acts.amt.(i);
+        act_deal.(i) <- (try Itbl.find money_deal acts.amt.(i) with Not_found -> -1)
+      end;
+      let xsrc = parties.(debit) and xtgt = parties.(credit) in
+      if Party.is_trusted xsrc then flows_of.(debit) <- i :: flows_of.(debit);
+      if credit <> debit && Party.is_trusted xtgt then flows_of.(credit) <- i :: flows_of.(credit);
+      if is_do then begin
+        if Party.is_principal parties.(source) then sends_of.(source) <- i :: sends_of.(source);
+        if c < 0 && Party.is_principal parties.(target) then paid_to.(target) <- i :: paid_to.(target)
+      end;
+      (* exposure views the releasing side as src: Do source / Undo target *)
+      let asset =
+        match actions.(i) with
+        | Action.Do tr | Action.Undo tr -> tr.Action.asset
+        | Action.Notify _ -> assert false
+      in
+      if do_of.(i) < 0 then begin
+        price_src.(i) <- price_of debit asset act_doc.(i);
+        price_tgt.(i) <- price_of credit asset act_doc.(i)
+      end;
+      src_principal.(i) <- Party.is_principal xsrc;
+      tgt_trusted.(i) <- Party.is_trusted xtgt
+    end
+  done;
+  (* an [Undo] moves its [Do]'s asset between the same two parties the
+     other way *)
+  Array.iteri
+    (fun a u ->
+      if u >= 0 then begin
+        price_src.(u) <- price_tgt.(a);
+        price_tgt.(u) <- price_src.(a)
+      end)
+    undo_of;
   (* -- audit: each principal's checks; its extraneous sends are the
      [Do]s it makes outside its own sides, which must end undone -- *)
   let own_send = Array.make n_actions false in
   List.iter
-    (fun (_, checks) -> List.iter (fun (send, _, _, _) -> own_send.(send) <- true) checks)
+    (fun (_, checks) -> Array.iter (fun (c, _) -> own_send.(c.cc_send) <- true) checks)
     judged_src;
+  let overridden p =
+    (not (Party.Map.is_empty spec.Spec.overrides))
+    && Spec.acceptability_overrides spec parties.(p) <> None
+  in
   let judged =
     Array.of_list
       (List.map
-         (fun (party, checks) ->
-           let pi = party_id party in
-           if Spec.acceptability_overrides spec party <> None then Judge_override pi
-           else if Party.is_trusted party then
+         (fun (pi, checks) ->
+           if overridden pi then Judge_override pi
+           else if Party.is_trusted parties.(pi) then
              Judge_trusted { party = pi; flows = Array.of_list (List.rev flows_of.(pi)) }
            else
-             let check (send, recv, split, amount) =
-               let covers a = act_amount.(a) >= amount in
-               {
-                 cc_send = send;
-                 cc_recv = recv;
-                 cc_split = split;
-                 cc_payouts =
-                   (if amount > 0 then Array.of_list (List.filter covers paid_to.(pi)) else [||]);
-               }
+             let paid = Array.of_list paid_to.(pi) in
+             let amounts = Array.map (fun a -> act_amount.(a)) paid in
+             Array.sort Int.compare amounts;
+             let check (c, amount) =
+               if amount > 0 then { c with cc_payouts = covering paid act_amount amounts amount }
+               else c
              in
              Judge_principal
                {
                  party = pi;
-                 checks = Array.of_list (List.map check checks);
+                 checks = Array.map check checks;
                  extraneous =
                    Array.of_list (List.filter (fun a -> not own_send.(a)) sends_of.(pi));
                })
          judged_src)
   in
   let deposit_expect = Array.make n_actions 0 in
-  List.iter
-    (fun (o : Indemnity.offer) ->
-      let i = Hashtbl.find act_tbl (Action.Do (Indemnity.deposit_transfer o)) in
-      deposit_expect.(i) <- deposit_expect.(i) + 1)
-    offers;
+  List.iter (fun i -> deposit_expect.(i) <- deposit_expect.(i) + 1) deposit_ids;
   (* -- listener table: the roles whose state observing action [a] can
      change — a step waiting on [a], a persona duty whose incoming
      transfer is [a], an escrow [a] credits. One pass counts, one
      fills; each role visits only its own steps and credits. -- *)
   let n_roles = Array.length roles in
+  let escrow = Array.make n_parties false in
+  Array.iter (function pi, Escrow _ -> escrow.(pi) <- true | _, Script _ -> ()) roles;
   let credited = Array.make n_parties [] in
   for a = n_actions - 1 downto 0 do
-    if act_kind.(a) = 0 then credited.(act_credit.(a)) <- a :: credited.(act_credit.(a))
+    if act_kind.(a) = 0 && escrow.(act_credit.(a)) then
+      credited.(act_credit.(a)) <- a :: credited.(act_credit.(a))
   done;
   let iter_listened r f =
     let pi, role = roles.(r) in
@@ -528,12 +856,17 @@ let compile ~lockstep ~shared ?plan ~price spec protocol =
   Array.iteri (fun i (p, _) -> behavior_of.(p) <- i) roles;
   (* -- endowments (Engine.initial_endowment, per behaviour party); a
      later role sharing a name replaces the earlier one's holdings -- *)
+  let offered = Array.make n_parties 0 in
+  List.iter
+    (fun (o : Indemnity.offer) ->
+      let p = find o.Indemnity.offered_by in
+      if p >= 0 then offered.(p) <- offered.(p) + o.Indemnity.amount)
+    offers;
   let endow_balance = Array.make n_names 0 in
   let endow_docs = Array.make n_names [] in
   let initial_money = ref 0 and initial_docs = ref 0 in
   Array.iter
     (fun (pi, _) ->
-      let party = parties.(pi) in
       let name = name_of.(pi) in
       endow_balance.(name) <- 0;
       endow_docs.(name) <- [];
@@ -541,48 +874,67 @@ let compile ~lockstep ~shared ?plan ~price spec protocol =
         (function
           | Asset.Money m -> endow_balance.(name) <- endow_balance.(name) + m
           | Asset.Document doc ->
-            endow_docs.(name) <- doc_id doc :: endow_docs.(name);
+            endow_docs.(name) <- doc_id.(prov doc) :: endow_docs.(name);
             incr initial_docs)
-        (Spec.endowment spec party);
-      List.iter
-        (fun (o : Indemnity.offer) ->
-          if Party.equal o.Indemnity.offered_by party then
-            endow_balance.(name) <- endow_balance.(name) + o.Indemnity.amount)
-        offers;
+        (Spec.endowment spec parties.(pi));
+      endow_balance.(name) <- endow_balance.(name) + offered.(pi);
       initial_money := !initial_money + endow_balance.(name))
     roles;
   (* -- document holdings: the (name, document) pairs an endowment or a
      transfer can fill, numbered by name then document -- *)
-  let hold_key name d = (name * n_docs) + d in
-  let keys = ref [] in
-  Array.iteri (fun name ds -> List.iter (fun d -> keys := hold_key name d :: !keys) ds) endow_docs;
-  for a = 0 to n_actions - 1 do
-    let d = act_doc.(a) in
-    if d >= 0 then
-      keys := hold_key name_of.(act_debit.(a)) d :: hold_key name_of.(act_credit.(a)) d :: !keys
-  done;
-  let keys = Array.of_list (List.sort_uniq Int.compare !keys) in
-  let hold_tbl = Hashtbl.create (Array.length keys) in
-  Array.iteri (fun h k -> Hashtbl.replace hold_tbl k h) keys;
-  let hold_doc = Array.map (fun k -> k mod n_docs) keys in
   let hold_off = Array.make (n_names + 1) 0 in
-  Array.iter (fun k -> hold_off.((k / n_docs) + 1) <- hold_off.((k / n_docs) + 1) + 1) keys;
+  let count name = hold_off.(name + 1) <- hold_off.(name + 1) + 1 in
+  Array.iteri (fun name ds -> List.iter (fun _ -> count name) ds) endow_docs;
+  for a = 0 to n_actions - 1 do
+    if act_doc.(a) >= 0 then begin
+      count name_of.(act_debit.(a));
+      count name_of.(act_credit.(a))
+    end
+  done;
   for name = 0 to n_names - 1 do
     hold_off.(name + 1) <- hold_off.(name + 1) + hold_off.(name)
   done;
-  let endow_holds = Array.make (Array.length keys) 0 in
+  let hold_doc = Array.make hold_off.(n_names) 0 and next = Array.sub hold_off 0 n_names in
+  let put name d =
+    hold_doc.(next.(name)) <- d;
+    next.(name) <- next.(name) + 1
+  in
+  Array.iteri (fun name ds -> List.iter (put name) ds) endow_docs;
+  for a = 0 to n_actions - 1 do
+    if act_doc.(a) >= 0 then begin
+      put name_of.(act_debit.(a)) act_doc.(a);
+      put name_of.(act_credit.(a)) act_doc.(a)
+    end
+  done;
+  (* each name's documents sorted and deduplicated, compacted in place *)
+  let n_holds = ref 0 and lo = ref 0 in
+  for name = 0 to n_names - 1 do
+    let hi = hold_off.(name + 1) in
+    sort_range hold_doc !lo hi;
+    for k = !lo to hi - 1 do
+      if k = !lo || hold_doc.(k) <> hold_doc.(k - 1) then begin
+        hold_doc.(!n_holds) <- hold_doc.(k);
+        incr n_holds
+      end
+    done;
+    lo := hi;
+    hold_off.(name + 1) <- !n_holds
+  done;
+  let hold_doc = Array.sub hold_doc 0 !n_holds in
+  (* the holding of (name, document) *)
+  let hold name d = search hold_doc d hold_off.(name) hold_off.(name + 1) in
+  let endow_holds = Array.make (Array.length hold_doc) 0 in
   Array.iteri
     (fun name ds ->
       List.iter
         (fun d ->
-          let h = Hashtbl.find hold_tbl (hold_key name d) in
+          let h = hold name d in
           endow_holds.(h) <- endow_holds.(h) + 1)
         ds)
     endow_docs;
   let act_hold party =
     Array.init n_actions (fun a ->
-        if act_doc.(a) < 0 then -1
-        else Hashtbl.find hold_tbl (hold_key name_of.(party.(a)) act_doc.(a)))
+        if act_doc.(a) < 0 then -1 else hold name_of.(party.(a)) act_doc.(a))
   in
   (* -- deadlines, bounds -- *)
   let expiries = ref [] in
@@ -590,7 +942,7 @@ let compile ~lockstep ~shared ?plan ~price spec protocol =
     (fun i d ->
       match d.Spec.deadline with Some dl -> expiries := (i, dl) :: !expiries | None -> ())
     deals;
-  let bound = Array.of_list (List.map (Spec.single_transfer_bound spec) principals) in
+  let bound = Array.init n_principals (fun p -> Spec.single_transfer_bound spec parties.(p)) in
   {
     spec;
     plan;
@@ -610,7 +962,7 @@ let compile ~lockstep ~shared ?plan ~price spec protocol =
     act_amount;
     act_beneficiary;
     act_undo;
-    act_deal = Array.map (owning_deal spec) actions;
+    act_deal;
     act_label = Atomic.make [||];
     deal_ids = Array.map (fun d -> d.Spec.id) deals;
     docs;

@@ -9,7 +9,9 @@
     interpreted [Trust_sim.Harness] oracle.
 
     The representation is deliberately transparent: the runtime indexes
-    these arrays directly on its hot path. *)
+    these arrays directly on its hot path. Compiling costs time linear
+    in the spec and the protocol (a rescued fan's payout table, which
+    is quadratic in its width, aside). *)
 
 open Exchange
 

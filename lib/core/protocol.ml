@@ -111,31 +111,46 @@ type role =
       atomic : bool;
     }
 
+(* [xs] grouped by [key], each group in source order, as a lookup. *)
+let group key xs =
+  match xs with
+  | [] -> fun _ -> []
+  | _ ->
+    let tbl = Party.Tbl.create 16 in
+    (* [find_all] returns the latest binding first *)
+    List.iter (fun x -> Party.Tbl.add tbl (key x) x) (List.rev xs);
+    Party.Tbl.find_all tbl
+
+(* One pass over the offers, the scripts and the deals groups what each
+   party needs, so the table costs time linear in the spec. *)
 let role_table ?(shared = false) ?plan ~lockstep spec t =
   let offers = match plan with Some p -> p.Indemnity.offers | None -> [] in
   let atomic = Sequencing.atomic_escrow ~shared spec in
+  let offered_by = group (fun o -> o.Indemnity.offered_by) offers in
+  let held_by = group (fun o -> o.Indemnity.via) offers in
+  (* the first script of a party wins, as in [script_of] *)
+  let scripts = group fst t.roles in
+  let script party = match scripts party with (_, steps) :: _ -> steps | [] -> [] in
+  (* the deals each principal mediates as a persona *)
+  let mediates =
+    group fst
+      (List.filter_map
+         (fun d -> Option.map (fun p -> (p, d)) (Spec.persona_of spec d.Spec.via))
+         spec.Spec.deals)
+  in
   (* Distributed mode prepends unconditional deposits to each offerer's
      script; lockstep mode chains them through the protocol prologue. *)
-  let deposit_steps party =
-    List.filter_map
-      (fun o ->
-        if Party.equal o.Indemnity.offered_by party then
-          Some { condition = Now; action = Action.Do (Indemnity.deposit_transfer o) }
-        else None)
-      offers
-  in
+  let deposit_step o = { condition = Now; action = Action.Do (Indemnity.deposit_transfer o) } in
   let principal party =
-    let script = if lockstep then script_of t party else deposit_steps party @ script_of t party in
+    let script =
+      if lockstep then script party else List.map deposit_step (offered_by party) @ script party
+    in
     let persona =
-      if not (Party.Map.exists (fun _ p -> Party.equal p party) spec.Spec.personas) then []
-      else
-        List.filter_map
-          (fun d ->
-            if Spec.persona_of spec d.Spec.via = Some party then
-              let incoming, forward = Spec.persona_transfers spec d party in
-              Some { deal = d; incoming; forward }
-            else None)
-          spec.Spec.deals
+      List.map
+        (fun d ->
+          let incoming, forward = Spec.persona_transfers spec d party in
+          { deal = d; incoming; forward })
+        (List.map snd (mediates party))
     in
     (party, Principal { script; persona })
   in
@@ -146,12 +161,17 @@ let role_table ?(shared = false) ?plan ~lockstep spec t =
       let notifies =
         List.filter
           (fun s -> match s.action with Action.Notify _ -> true | _ -> false)
-          (script_of t party)
+          (script party)
       in
-      let deposits = List.filter (fun o -> Party.equal o.Indemnity.via party) offers in
       Some
         ( party,
-          Agent { notifies; deals = Spec.mediated_by spec party; deposits; atomic = atomic party } )
+          Agent
+            {
+              notifies;
+              deals = Spec.mediated_by spec party;
+              deposits = held_by party;
+              atomic = atomic party;
+            } )
   in
   List.map principal (Spec.principals spec) @ List.filter_map agent (Spec.trusted_agents spec)
 

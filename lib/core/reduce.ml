@@ -169,11 +169,10 @@ let run ?(shared = false) ?(obs = Obs.null) ?parent g =
   let refresh_commitment cid =
     let admitted =
       match Sequencing.edges_of_commitment g cid with
-      | [ (jid, _) ] -> (
-        match Sequencing.red_sibling g ~cid ~jid with
-        | None -> Some Rule1
-        | Some _ when Sequencing.plays_own_agent g cid -> Some Rule1_persona
-        | Some _ -> None)
+      | [ (jid, _) ] ->
+        if not (Sequencing.has_red_sibling g ~cid ~jid) then Some Rule1
+        else if Sequencing.plays_own_agent g cid then Some Rule1_persona
+        else None
       | _ -> None
     in
     match admitted with
@@ -232,13 +231,17 @@ let run ?(shared = false) ?(obs = Obs.null) ?parent g =
     | None -> ()
     | Some ((_, cid, jid) as candidate) ->
       incr step;
-      let neighbours = List.map fst (Sequencing.edges_of_conjunction g jid) in
       let deletion = apply g ~step:!step candidate in
       record_deletion obs obs_span g deletion;
       deletions := deletion :: !deletions;
       refresh_commitment cid;
       refresh_conjunction jid;
-      List.iter (fun b -> if b <> cid then refresh_commitment b) neighbours;
+      (* j's other commitments keep their edges, so only the loss of a
+         red edge (one that may have pre-empted them) can change them *)
+      if deletion.colour = Sequencing.Red then
+        List.iter
+          (fun (b, _) -> if b <> cid then refresh_commitment b)
+          (Sequencing.edges_of_conjunction g jid);
       drain ()
   in
   drain ();

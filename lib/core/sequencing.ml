@@ -17,6 +17,7 @@ type t = {
   conjunctions : conjunction array;
   c_edges : (int * colour) list array;  (* per commitment: (jid, colour) *)
   j_edges : (int * colour) list array;  (* per conjunction: (cid, colour) *)
+  red_left : int array;  (* per conjunction: its remaining red edges *)
   mutable n_edges : int;
 }
 
@@ -66,12 +67,14 @@ let build ?(granular = false) spec =
       conjunctions;
       c_edges = Array.make (Array.length commitments) [];
       j_edges = Array.make (Array.length conjunctions) [];
+      red_left = Array.make (Array.length conjunctions) 0;
       n_edges = 0;
     }
   in
   let add_edge cid jid colour =
     t.c_edges.(cid) <- t.c_edges.(cid) @ [ (jid, colour) ];
     t.j_edges.(jid) <- t.j_edges.(jid) @ [ (cid, colour) ];
+    if colour = Red then t.red_left.(jid) <- t.red_left.(jid) + 1;
     t.n_edges <- t.n_edges + 1
   in
   let connect c j =
@@ -107,6 +110,7 @@ let copy t =
     t with
     c_edges = Array.copy t.c_edges;
     j_edges = Array.copy t.j_edges;
+    red_left = Array.copy t.red_left;
   }
 
 let edges_of_commitment t cid = t.c_edges.(cid)
@@ -122,9 +126,10 @@ let edge_count t = t.n_edges
 let remove_edge t ~cid ~jid =
   match edge_colour t ~cid ~jid with
   | None -> ()
-  | Some _ ->
+  | Some colour ->
     t.c_edges.(cid) <- List.filter (fun (j, _) -> j <> jid) t.c_edges.(cid);
     t.j_edges.(jid) <- List.filter (fun (c, _) -> c <> cid) t.j_edges.(jid);
+    if colour = Red then t.red_left.(jid) <- t.red_left.(jid) - 1;
     t.n_edges <- t.n_edges - 1
 
 let commitment_fringe t cid = List.length t.c_edges.(cid) <= 1
@@ -135,6 +140,9 @@ let red_sibling t ~cid ~jid =
     (fun found (c, colour) ->
       if c <> cid && colour = Red then Some c else found)
     None t.j_edges.(jid)
+
+let has_red_sibling t ~cid ~jid =
+  t.red_left.(jid) - (if edge_colour t ~cid ~jid = Some Red then 1 else 0) > 0
 
 let plays_own_agent t cid = Spec.plays_own_agent t.spec t.commitments.(cid).cref
 
@@ -165,6 +173,13 @@ let check_invariants t =
           else if not (List.mem (jid, colour) t.c_edges.(cid)) then
             fail "edge (%d, %d) missing from commitment side" cid jid)
         edges)
+    t.j_edges;
+  (* The red-edge counts *)
+  Array.iteri
+    (fun jid edges ->
+      let red = List.length (List.filter (fun (_, colour) -> colour = Red) edges) in
+      if t.red_left.(jid) <> red then
+        fail "conjunction %d counts %d red edges, has %d" jid t.red_left.(jid) red)
     t.j_edges;
   (* Commitment degree *)
   Array.iteri
@@ -229,11 +244,15 @@ let coordinated_bundles spec =
       end)
     (Spec.internal_parties spec)
 
+(* A coordinator's bundle puts two or more deals through it, so an
+   agent mediating one deal is never atomic, and the bundles are only
+   worked out when the shared-agent rule asks about one that mediates
+   more. *)
 let atomic_escrow ~shared spec =
-  let coordinators = List.map snd (coordinated_bundles spec) in
+  let coordinators = lazy (Party.Set.of_list (List.map snd (coordinated_bundles spec))) in
   fun agent ->
-    List.exists (Party.equal agent) coordinators
-    || ((not shared) && List.compare_length_with (Spec.mediated_by spec agent) 1 > 0)
+    List.compare_length_with (Spec.mediated_by spec agent) 1 > 0
+    && ((not shared) || Party.Set.mem agent (Lazy.force coordinators))
 
 let pp_colour ppf colour =
   Format.pp_print_string ppf (match colour with Red -> "red" | Black -> "black")

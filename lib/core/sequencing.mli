@@ -94,7 +94,12 @@ val conjunction_fringe : t -> int -> bool
 
 val red_sibling : t -> cid:int -> jid:int -> int option
 (** A remaining red edge [(b, jid)] with [b <> cid], if any — the
-    pre-emption test of Rule #1. *)
+    pre-emption test of Rule #1. Scans the conjunction's edges. *)
+
+val has_red_sibling : t -> cid:int -> jid:int -> bool
+(** [red_sibling t ~cid ~jid <> None], read off a per-conjunction count
+    of remaining red edges that {!remove_edge} keeps: O(1) in the
+    conjunction's width. *)
 
 val plays_own_agent : t -> int -> bool
 (** Rule #1 clause 2: the commitment's principal plays its trusted role. *)

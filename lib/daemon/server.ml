@@ -67,13 +67,15 @@ type stats = {
   aged_out : int;
   cache_size : int;
   drained : bool;
+  rss_kb : int;
+  peak_rss_kb : int;
 }
 
 let stats_json s =
   Printf.sprintf
-    {|{"served":%d,"settled":%d,"expired":%d,"aborted":%d,"busy":%d,"protocol_errors":%d,"connections":%d,"epochs":%d,"aged_out":%d,"cache_size":%d,"drained":%b}|}
+    {|{"served":%d,"settled":%d,"expired":%d,"aborted":%d,"busy":%d,"protocol_errors":%d,"connections":%d,"epochs":%d,"aged_out":%d,"cache_size":%d,"drained":%b,"rss_kb":%d,"peak_rss_kb":%d}|}
     s.served s.settled s.expired s.aborted s.busy s.protocol_errors s.connections
-    s.epochs s.aged_out s.cache_size s.drained
+    s.epochs s.aged_out s.cache_size s.drained s.rss_kb s.peak_rss_kb
 
 (* -- connections -- *)
 
@@ -350,9 +352,9 @@ let process_submit srv conn ~id ~spec =
   if srv.cfg.epoch_every > 0 && served mod srv.cfg.epoch_every = 0 then epoch_tick srv;
   if srv.cfg.mine_every > 0 && served mod srv.cfg.mine_every = 0 then mine_tick srv
 
-(* The stats answer, read from the registry and the cache: the daemon
-   keeps no tally of its own beyond the submissions that never made a
-   session. *)
+(* The stats answer, read from the registry, the cache and the
+   process's own memory: the daemon keeps no tally of its own beyond
+   the submissions that never made a session. *)
 let snapshot ?(drained = false) srv =
   let sessions = Scheduler.tally srv.recorders in
   {
@@ -367,6 +369,8 @@ let snapshot ?(drained = false) srv =
     aged_out = Cache.aged_out srv.cache;
     cache_size = Cache.size srv.cache;
     drained;
+    rss_kb = Procstat.rss_kb ();
+    peak_rss_kb = Procstat.peak_rss_kb ();
   }
 
 (* The largest dump whose base64 [trace] answer, in its [text] frame,

@@ -115,6 +115,8 @@ type stats = {
   aged_out : int;  (** cache entries swept by aging *)
   cache_size : int;  (** resident entries (at exit, on the drain line) *)
   drained : bool;  (** the loop exited through the drain path *)
+  rss_kb : int;  (** the daemon process's resident set ({!Procstat.rss_kb}) *)
+  peak_rss_kb : int;  (** and its peak ({!Procstat.peak_rss_kb}) *)
 }
 
 val run : ?stop:bool Atomic.t -> ?metrics:Trust_serve.Metrics.t -> config -> stats

@@ -43,3 +43,13 @@ end
 
 module Set = Set.Make (Ord)
 module Map = Map.Make (Ord)
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+
+  (* the name alone: equal parties share it, and hashing a bare string
+     skips a block traversal *)
+  let hash p = Hashtbl.hash (name p)
+end)

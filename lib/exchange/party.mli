@@ -37,3 +37,7 @@ val to_string : t -> string
 
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t
+
+module Tbl : Hashtbl.S with type key = t
+(** Hash tables keyed by {!equal}, for per-party tables that must not
+    cost a tree walk per lookup. *)

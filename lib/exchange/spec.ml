@@ -22,12 +22,25 @@ type party_entry = {
 
 type mark = Priority | Split
 
+(* (party, document) keys, hashed and compared field by field *)
+module Price_tbl = Hashtbl.Make (struct
+  type t = Party.t * string
+
+  let equal (p, d) (q, e) = String.equal d e && Party.equal p q
+  let hash (p, d) = Hashtbl.hash (Party.name p) + (31 * Hashtbl.hash d)
+end)
+
 type index = {
   deal_arr : deal array;
   position : (string, int) Hashtbl.t;  (* first deal with each id *)
   all : (commitment_ref * deal) list;  (* Left then Right per deal, spec order *)
-  by_party : (Party.t, party_entry) Hashtbl.t;
+  by_party : party_entry Party.Tbl.t;
   marks : (mark * Party.t * commitment_ref, unit) Hashtbl.t;
+  roster : (Party.t list * Party.t list) Lazy.t;
+      (* distinct principals and trusted roles, first-appearance order *)
+  prices : Asset.money Price_tbl.t Lazy.t;
+      (* (principal, document) -> its price: built on first use, since
+         most specs (every cache hit's) are never priced *)
 }
 
 type t = {
@@ -191,6 +204,48 @@ let shape_fnv1a s =
   done;
   !h
 
+(* What each document is worth to each principal that trades it: what
+   the principal pays for it in its first side (spec order) that
+   receives it, else what it is paid for it in its first side that
+   sends it. *)
+let price_table all =
+  let prices = Price_tbl.create 16 in
+  let add key price = if not (Price_tbl.mem prices key) then Price_tbl.add prices key price in
+  let pass ~receiving =
+    List.iter
+      (fun (cref, d) ->
+        let mine, theirs =
+          match cref.side with
+          | Left -> (d.left_sends, d.right_sends)
+          | Right -> (d.right_sends, d.left_sends)
+        in
+        let flow, counter_flow = if receiving then (theirs, mine) else (mine, theirs) in
+        match flow with
+        | Asset.Document doc ->
+          let principal = match cref.side with Left -> d.left | Right -> d.right in
+          add (principal, doc) (Asset.value counter_flow)
+        | Asset.Money _ -> ())
+      all
+  in
+  pass ~receiving:true;
+  pass ~receiving:false;
+  prices
+
+let dedup_parties parties =
+  let seen = Party.Tbl.create 16 in
+  List.filter
+    (fun p ->
+      (not (Party.Tbl.mem seen p))
+      && begin
+           Party.Tbl.add seen p ();
+           true
+         end)
+    parties
+
+let roster_of deals =
+  ( dedup_parties (List.concat_map (fun d -> [ d.left; d.right ]) deals),
+    dedup_parties (List.map (fun d -> d.via) deals) )
+
 (* Shared by every spec without marks; never written. *)
 let no_marks = Hashtbl.create 1
 
@@ -198,13 +253,13 @@ let index_of t =
   let deal_arr = Array.of_list t.deals in
   let n = Array.length deal_arr in
   let position = Hashtbl.create n in
-  let by_party = Hashtbl.create (2 * n) in
+  let by_party = Party.Tbl.create (2 * n) in
   let entry p =
-    match Hashtbl.find_opt by_party p with
+    match Party.Tbl.find_opt by_party p with
     | Some e -> e
     | None ->
       let e = { sides = []; mediates = [] } in
-      Hashtbl.add by_party p e;
+      Party.Tbl.add by_party p e;
       e
   in
   let all = ref [] in
@@ -235,7 +290,9 @@ let index_of t =
       marks
     end
   in
-  { deal_arr; position; all = !all; by_party; marks }
+  let all = !all in
+  let deals = t.deals in
+  { deal_arr; position; all; by_party; marks; roster = lazy (roster_of deals); prices = lazy (price_table all) }
 
 (* Never read: [cook] replaces it before a spec escapes this module. *)
 let unindexed =
@@ -243,8 +300,10 @@ let unindexed =
     deal_arr = [||];
     position = Hashtbl.create 1;
     all = [];
-    by_party = Hashtbl.create 1;
+    by_party = Party.Tbl.create 1;
     marks = no_marks;
+    roster = lazy ([], []);
+    prices = lazy (Price_tbl.create 1);
   }
 
 (* Install a fresh index and shape memo: every construction site (make
@@ -309,30 +368,25 @@ let commitment_sends d = function Left -> d.left_sends | Right -> d.right_sends
 let commitment_expects d side = commitment_sends d (other_side side)
 let commitments t = t.index.all
 
-let dedup_parties parties =
-  let rec loop seen = function
-    | [] -> []
-    | p :: rest ->
-      if Party.Set.mem p seen then loop seen rest else p :: loop (Party.Set.add p seen) rest
-  in
-  loop Party.Set.empty parties
-
-let principals t = dedup_parties (List.concat_map (fun d -> [ d.left; d.right ]) t.deals)
-let trusted_agents t = dedup_parties (List.map (fun d -> d.via) t.deals)
+(* Memoized per spec; a domain that finds another mid-force builds its
+   own copy, as [force_shape] does. *)
+let roster t = try Lazy.force t.index.roster with Lazy.Undefined -> roster_of t.deals
+let principals t = fst (roster t)
+let trusted_agents t = snd (roster t)
 let parties t = principals t @ trusted_agents t
 
 let incident t party =
-  match Hashtbl.find_opt t.index.by_party party with Some e -> e.sides | None -> []
+  match Party.Tbl.find_opt t.index.by_party party with Some e -> e.sides | None -> []
 
 let commitments_of t party = List.map fst (incident t party)
 
-let own_sides t party =
-  List.filter
-    (fun (cref, d) -> Party.equal (commitment_principal d cref.side) party)
-    (incident t party)
+(* Validation keeps principals and trusted roles apart, so a
+   principal's incident sides are all its own and a trusted role owns
+   none. *)
+let own_sides t party = if Party.is_principal party then incident t party else []
 
 let mediated_by t agent =
-  match Hashtbl.find_opt t.index.by_party agent with Some e -> e.mediates | None -> []
+  match Party.Tbl.find_opt t.index.by_party agent with Some e -> e.mediates | None -> []
 
 (* A conjunction owner has two or more interaction edges. *)
 let internal_parties t =
@@ -428,32 +482,40 @@ let endowed t d side =
          (fun (cref, d') -> Asset.equal (commitment_expects d' cref.side) asset)
          (own_sides t principal))
 
+(* [endowed] for each own side, with the party's acquired documents
+   tabled once, so a party that sells many documents costs its sides,
+   not their square *)
 let endowment t party =
-  List.filter_map
-    (fun (cref, d) -> if endowed t d cref.side then Some (commitment_sends d cref.side) else None)
-    (own_sides t party)
+  let sides = own_sides t party in
+  let sends (cref, d) = commitment_sends d cref.side in
+  if List.for_all (fun side -> Asset.is_money (sends side)) sides then List.map sends sides
+  else begin
+    let acquired = Hashtbl.create 8 in
+    List.iter
+      (fun (cref, d) ->
+        match commitment_expects d cref.side with
+        | Asset.Document doc -> Hashtbl.replace acquired doc ()
+        | Asset.Money _ -> ())
+      sides;
+    List.filter_map
+      (fun side ->
+        match sends side with
+        | Asset.Document doc when Hashtbl.mem acquired doc -> None
+        | asset -> Some asset)
+      sides
+  end
 
 (* What an asset is worth to a given party: money at face value; a
    document at what the party pays for it (its cost basis) or, failing
-   that, what it is paid for it. *)
+   that, what it is paid for it, read off the index's price table. *)
 let price_for t party asset =
   match asset with
   | Asset.Money m -> m
-  | Asset.Document _ -> (
-    let sides = own_sides t party in
-    let priced ~receiving =
-      List.find_map
-        (fun (cref, d) ->
-          let flow, counter_flow =
-            if receiving then (commitment_expects d cref.side, commitment_sends d cref.side)
-            else (commitment_sends d cref.side, commitment_expects d cref.side)
-          in
-          if Asset.equal flow asset then Some (Asset.value counter_flow) else None)
-        sides
-    in
-    match priced ~receiving:true with
-    | Some price -> price
-    | None -> Option.value ~default:0 (priced ~receiving:false))
+  | Asset.Document doc ->
+    (* a domain that finds another mid-force builds its own copy, as
+       [force_shape] does *)
+    let prices = try Lazy.force t.index.prices with Lazy.Undefined -> price_table t.index.all in
+    match Price_tbl.find prices (party, doc) with price -> price | exception Not_found -> 0
 
 (* §5: a feasible sequence keeps at most one transfer of a party in
    flight, so its worst honest-run position is its single largest

@@ -198,34 +198,45 @@ let same_compiled a b =
     && { a with spec = b.spec; plan = b.plan } = b
   | (None | Some _), _ -> false
 
-let test_fresh_matches_composition () =
+(* The oracle corpus: 200 random transactions, the paper's scenarios,
+   two bundles through one agent and the shared bundle. *)
+let corpus () =
   let two_bundles =
     match Trust_lang.Elaborate.from_file "../specs/two_bundles.exg" with
     | Ok spec -> spec
     | Error e -> Alcotest.failf "two_bundles.exg: %s" e
   in
-  let inputs =
-    Gen.random_transactions (Prng.create 2026L) Gen.default_mix 200
-    @ List.map snd Workload.Scenarios.all
-    @ [ two_bundles; shared_bundle () ]
-  in
-  let policies =
-    List.concat_map
-      (fun shared ->
-        List.concat_map
-          (fun rescue ->
-            List.map
-              (fun mode -> { Cache.default_policy with Cache.shared; rescue; mode })
-              [ Trust_sim.Harness.Lockstep; Trust_sim.Harness.Distributed ])
-          [ false; true ])
-      [ false; true ]
-  in
+  Gen.random_transactions (Prng.create 2026L) Gen.default_mix 200
+  @ List.map snd Workload.Scenarios.all
+  @ [ two_bundles; shared_bundle () ]
+
+(* all eight: shared x rescue x mode *)
+let policies =
+  List.concat_map
+    (fun shared ->
+      List.concat_map
+        (fun rescue ->
+          List.map
+            (fun mode -> { Cache.default_policy with Cache.shared; rescue; mode })
+            [ Trust_sim.Harness.Lockstep; Trust_sim.Harness.Distributed ])
+        [ false; true ])
+    [ false; true ]
+
+(* [Cache.fresh] of every corpus input under every policy, computed
+   once for the two oracles below. *)
+let fresh_corpus =
+  lazy
+    (let inputs = corpus () in
+     List.map (fun policy -> (policy, List.map (fun spec -> (spec, Cache.fresh policy spec)) inputs))
+       policies)
+
+let test_fresh_matches_composition () =
   let rescued = ref 0 in
   List.iter
-    (fun policy ->
+    (fun (policy, entries) ->
       List.iteri
-        (fun n spec ->
-          match (Cache.fresh policy spec, composed_fresh policy spec) with
+        (fun n (spec, fresh) ->
+          match (fresh, composed_fresh policy spec) with
           | Ok fresh, Ok composed ->
             if fresh.Cache.plan <> None then incr rescued;
             if
@@ -236,9 +247,54 @@ let test_fresh_matches_composition () =
           | Error a, Error b -> check_string (Printf.sprintf "input %d: same error" n) b a
           | Ok _, Error e -> Alcotest.failf "input %d: only the composition failed: %s" n e
           | Error e, Ok _ -> Alcotest.failf "input %d: only fresh failed: %s" n e)
-        inputs)
-    policies;
+        entries)
+    (Lazy.force fresh_corpus);
   check "the corpus exercises the rescue path" true (!rescued > 0)
+
+(* Oracle: [Compile.compile], which interns to ints and tables each
+   party's sides in one pass, builds the plan the reference compiler
+   (test/ref_compile.ml, the rescanning one it replaced) builds. On the
+   corpus under every policy the reference prices through the
+   rescanning [Ref_spec.price_for]; on chains, fans and bundles at
+   widths 16 and 256 (default policy), where that would cost seconds,
+   through the indexed [Spec.price_for] that test_spec checks. *)
+let test_compile_matches_reference () =
+  let compared = ref 0 in
+  let against_reference ~price policy what (entry : Cache.entry) =
+    let split = entry.Cache.split_spec in
+    let reference =
+      Ref_compile.compile
+        ~lockstep:(policy.Cache.mode = Trust_sim.Harness.Lockstep)
+        ~shared:policy.Cache.shared ?plan:entry.Cache.plan ~price:(price split) split
+        entry.Cache.protocol
+    in
+    incr compared;
+    if not (same_compiled entry.Cache.compiled (Some reference)) then
+      Alcotest.failf "%s: the compiled plan differs from the reference" what
+  in
+  List.iter
+    (fun (policy, entries) ->
+      List.iteri
+        (fun n (_, fresh) ->
+          Result.iter
+            (against_reference ~price:Ref_spec.price_for policy (Printf.sprintf "input %d" n))
+            fresh)
+        entries)
+    (Lazy.force fresh_corpus);
+  List.iter
+    (fun n ->
+      List.iter
+        (fun (shape, spec) ->
+          let what = Printf.sprintf "%s%d" shape n in
+          match Cache.fresh Cache.default_policy spec with
+          | Ok entry -> against_reference ~price:Spec.price_for Cache.default_policy what entry
+          | Error e -> Alcotest.failf "%s: %s" what e)
+        [ ("chain", Gen.chain ~brokers:n);
+          ("fan", Gen.fan ~prices:(List.init n (fun i -> Asset.dollars (i + 1))));
+          ("bundle", Gen.bundle ~docs:n) ])
+    [ 16; 256 ];
+  (* every policy finds most of the corpus feasible *)
+  check "plans compared" true (!compared > 4 * 200)
 
 let test_negative_caching () =
   let cache = Cache.create { Cache.default_policy with Cache.rescue = false } in
@@ -426,6 +482,8 @@ let () =
           Alcotest.test_case "negative caching" `Quick test_negative_caching;
           Alcotest.test_case "fresh matches the staged composition" `Quick
             test_fresh_matches_composition;
+          Alcotest.test_case "compile matches the reference compiler" `Quick
+            test_compile_matches_reference;
           Alcotest.test_case "eviction" `Quick test_eviction;
           Alcotest.test_case "aging sweeps idle entries" `Quick test_aging_sweeps_idle;
           Alcotest.test_case "touched entries survive aging" `Quick test_aging_touch_survives;
